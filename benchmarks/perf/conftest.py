@@ -1,11 +1,12 @@
-"""Perf-suite plumbing: collect measured medians and persist them.
+"""Perf-suite plumbing: collect measured medians and write them out.
 
 Each perf case registers its median wall time under a stable key; at
-session end the collected numbers are merged into
-``benchmarks/results/BENCH_streams.json`` as the ``after`` section
-(``before`` holds the pre-columnar baseline and is never overwritten).
-Under ``--benchmark-disable`` the cases still run (CI correctness
-coverage) but no stats exist, so the file is left untouched.
+session end the collected numbers are written to
+``benchmarks/results/BENCH_streams.last.json``. That file is git-ignored,
+so running the suite never rewrites the tracked
+``benchmarks/results/BENCH_streams.json`` history. Under
+``--benchmark-disable`` the cases still run (CI correctness coverage)
+but no stats exist, so nothing is written.
 """
 
 import json
@@ -14,7 +15,7 @@ import os
 import pytest
 
 _RESULTS_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
-                             "results", "BENCH_streams.json")
+                             "results", "BENCH_streams.last.json")
 
 _collected = {}
 
@@ -37,12 +38,7 @@ def pytest_sessionfinish(session, exitstatus):
     if not _collected:
         return
     path = os.path.abspath(_RESULTS_PATH)
-    payload = {}
-    if os.path.exists(path):
-        with open(path) as handle:
-            payload = json.load(handle)
-    payload.setdefault("after", {}).update(
-        {k: round(v, 6) for k, v in _collected.items()})
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump({k: round(v, 6) for k, v in _collected.items()}, handle,
+                  indent=2, sort_keys=True)

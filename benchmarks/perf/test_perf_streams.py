@@ -4,8 +4,8 @@ Covers the three pipeline stages the columnar refactor vectorized:
 block expansion (``Trace.to_blocks``), protection-scheme traffic
 generation (``protect_model``), and DRAM service
 (``DramSim.simulate``/``simulate_fast``), plus the end-to-end sweep
-cell. Medians land in ``benchmarks/results/BENCH_streams.json`` so the
-perf trajectory is tracked PR over PR (see ``before`` vs ``after``).
+cell. Each session's medians land in the git-ignored
+``benchmarks/results/BENCH_streams.last.json`` (see ``conftest.py``).
 """
 
 import pytest

@@ -652,6 +652,19 @@ class Trace:
         self._memo[key] = (self.buf.version, value)
         return value
 
+    def release_memos(self) -> None:
+        """Drop every memoized value and return its bytes to the
+        residency tally.
+
+        The block expansions go, and with them the DRAM geometry and
+        line runs cached on those streams; the next consumer rebuilds
+        what it needs. Sweep cells call this once every scheme has
+        served a layer, so one layer's streams are alive at a time.
+        """
+        self._memo.clear()
+        _account(-self._memo_owned)
+        self._memo_owned = 0
+
     # -- aggregation (O(1) from running totals) --
 
     @property

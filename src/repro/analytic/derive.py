@@ -44,6 +44,7 @@ at some batch, cold-bank rotation in a pathological stream — returns
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -157,19 +158,18 @@ def _cache_filtered(name: str) -> bool:
 
 def _row_identity(rows: Sequence[CollectedRow]) -> RowIdentity:
     """Batch-invariant shape of one scheme's timing rows."""
-    return tuple((p.layer_id, p.is_flush) for p, _ in rows)
+    return tuple((row.layer_id, row.is_flush) for row in rows)
 
 
 def _row_ints(rows: Sequence[CollectedRow]) -> IntRows:
     """The affine integer vector of one scheme's timing rows."""
     out: IntRows = []
-    for protection, dram in rows:
-        misses = dram.per_channel_row_misses
+    for row in rows:
+        misses = row.dram.per_channel_row_misses
         if misses is None:
-            misses = [0] * len(dram.per_channel_requests)
-        out.append((protection.data_bytes, protection.metadata_bytes,
-                    protection.crypto_bytes,
-                    *dram.per_channel_requests, *misses))
+            misses = [0] * len(row.dram.per_channel_requests)
+        out.append((row.data_bytes, row.metadata_bytes, row.crypto_bytes,
+                    *row.dram.per_channel_requests, *misses))
     return out
 
 
@@ -293,6 +293,39 @@ def _assemble_record(pipeline: Pipeline, topology: Topology,
     return _comparison_to_dict(result)
 
 
+# -- probes ------------------------------------------------------------------
+
+@dataclass
+class _Probe:
+    """What derivation keeps of one simulated probe batch: its record
+    and the integers the affine law is checked on. The probe's model
+    run, with its traces, is dropped before the next batch runs."""
+
+    record: Dict[str, Any]
+    rows: Dict[str, List[CollectedRow]]
+    model_ints: List[Tuple[int, int]]
+    plan_sigs: List[Tuple[Any, ...]]
+    topology: Topology
+    layer_names: List[str]
+    derivable: bool
+
+
+def _simulate_probe(pipeline: Pipeline, spec: str,
+                    scheme_names: Sequence[str]) -> Optional[_Probe]:
+    rows: Dict[str, List[CollectedRow]] = {}
+    comparison = compare_schemes(pipeline, get_workload(spec), scheme_names,
+                                 collect=rows)
+    run = comparison.baseline.model_run
+    if run is None:
+        return None
+    return _Probe(record=_comparison_to_dict(comparison), rows=rows,
+                  model_ints=_model_ints(run),
+                  plan_sigs=[_plan_signature(r.plan) for r in run.layers],
+                  topology=run.topology,
+                  layer_names=[r.layer.name for r in run.layers],
+                  derivable=derivable(run, pipeline.dram.config))
+
+
 # -- the derivation entry point ----------------------------------------------
 
 def derive_cell(pipeline: Pipeline, workload_spec: str,
@@ -314,18 +347,19 @@ def derive_cell(pipeline: Pipeline, workload_spec: str,
 
     with obs.span("analytic.derive", workload=workload_spec,
                   batch=batch):
-        probes: Dict[int, Tuple[ComparisonResult,
-                                Dict[str, List[CollectedRow]]]] = {}
+        # Each probe is reduced to its record and integers as soon as
+        # it is simulated, so one probe's traces are alive at a time.
+        probes: Dict[int, _Probe] = {}
         for n in PROBE_BATCHES:
-            spec_n = format_workload_spec(canonical, n, seq)
-            collect: Dict[str, List[CollectedRow]] = {}
-            comparison = compare_schemes(pipeline, get_workload(spec_n),
-                                         scheme_names, collect=collect)
-            probes[n] = (comparison, collect)
+            probe = _simulate_probe(
+                pipeline, format_workload_spec(canonical, n, seq),
+                scheme_names)
+            if probe is None:
+                return None
+            probes[n] = probe
 
-        b1_run = probes[1][0].baseline.model_run
-        b1_record = _comparison_to_dict(probes[1][0])
-        if b1_run is None or not derivable(b1_run, pipeline.dram.config):
+        b1 = probes[PROBE_BATCHES[0]]
+        if not b1.derivable:
             return None
 
         # The image-0 schedule must be the template at every batch: the
@@ -333,12 +367,9 @@ def derive_cell(pipeline: Pipeline, workload_spec: str,
         # structurally with batch 1 (plan families can flip with batch —
         # banded weight-resident traffic is affine in N while k-tiled
         # is proportional — and a flip voids the replica property).
-        b1_sigs = [_plan_signature(r.plan) for r in b1_run.layers]
+        b1_sigs = b1.plan_sigs
         for n in PROBE_BATCHES[1:]:
-            run_n = probes[n][0].baseline.model_run
-            if run_n is None:
-                return None
-            if [_plan_signature(r.plan) for r in run_n.layers] != b1_sigs:
+            if probes[n].plan_sigs != b1_sigs:
                 return None
         topology_n = get_workload(
             format_workload_spec(canonical, batch, seq))
@@ -359,7 +390,7 @@ def derive_cell(pipeline: Pipeline, workload_spec: str,
         anchor: Dict[str, IntRows] = {}
         delta: Dict[str, IntRows] = {}
         for name in all_names:
-            rows = [probes[n][1].get(name, []) for n in PROBE_BATCHES]
+            rows = [probes[n].rows.get(name, []) for n in PROBE_BATCHES]
             idents = [_row_identity(r) for r in rows]
             if idents[1] != idents[2]:
                 return None
@@ -373,8 +404,7 @@ def derive_cell(pipeline: Pipeline, workload_spec: str,
             identities[name] = idents[1]
             anchor[name] = ints[1]
             delta[name] = d23
-        model_ints = [_model_ints(probes[n][0].baseline.model_run)
-                      for n in PROBE_BATCHES]
+        model_ints = [probes[n].model_ints for n in PROBE_BATCHES]
         model_d23 = _diff(model_ints[2], model_ints[1])
         if _diff(model_ints[1], model_ints[0]) != model_d23:
             return None
@@ -384,20 +414,16 @@ def derive_cell(pipeline: Pipeline, workload_spec: str,
         # bit — this exercises every float expression the target record
         # will be built from (batch 2 checks the assembly itself, batch
         # 3 checks the delta application on top).
-        layer_names = [r.layer.name for r in b1_run.layers]
         for n in PROBE_BATCHES[1:]:
-            probe_run = probes[n][0].baseline.model_run
-            if probe_run is None:
-                return None
             assembled = _assemble_record(
-                pipeline, probe_run.topology,
+                pipeline, probes[n].topology,
                 scheme_names, identities, anchor, delta,
-                model_ints[1], model_d23, layer_names, n)
-            if assembled != _comparison_to_dict(probes[n][0]):
+                model_ints[1], model_d23, b1.layer_names, n)
+            if assembled != probes[n].record:
                 return None
 
         record = _assemble_record(pipeline, topology_n, scheme_names,
                                   identities, anchor, delta,
-                                  model_ints[1], model_d23, layer_names,
+                                  model_ints[1], model_d23, b1.layer_names,
                                   batch)
-        return record, b1_record
+        return record, b1.record

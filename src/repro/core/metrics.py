@@ -8,6 +8,7 @@ paper's presentation: memory traffic as ``scheme_bytes / baseline_bytes``
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
@@ -65,30 +66,40 @@ def compare_schemes(pipeline: Pipeline, topology: Topology,
     """Run the baseline plus every named scheme over one workload.
 
     The accelerator simulation (stage 1) runs once and is shared across
-    schemes — only the protection and DRAM stages differ. ``collect``,
-    when given, is filled with one ``(protection, dram_result)`` row
+    schemes — only the protection and DRAM stages differ. The cell runs
+    layer-major: every scheme protects a layer and has DRAM serve it,
+    then that layer's memoized block streams are released before the
+    next layer is expanded, so one layer's streams are alive at a time.
+    The schemes keep their cache state from layer to layer and run in a
+    fixed order, so the records equal whole-model runs bit for bit.
+    ``collect``, when given, is filled with one :class:`CollectedRow`
     list per scheme (the baseline under key ``"baseline"``) — the probe
     data the analytic ``@bN`` derivation consumes.
     """
     model_run = pipeline.simulate_model(topology)
-
-    def rows(name: str) -> Optional[List[CollectedRow]]:
-        if collect is None:
-            return None
-        return collect.setdefault(name, [])
-
-    baseline = pipeline.run(topology, make_scheme("baseline"),
-                            model_run=model_run, collect=rows("baseline"))
-    runs: Dict[str, SchemeRun] = {}
-    for name in scheme_names:
-        scheme = schemes[name] if schemes and name in schemes else make_scheme(name)
-        runs[name] = pipeline.run(topology, scheme, model_run=model_run,
-                                  collect=rows(name))
+    entries = [("baseline", make_scheme("baseline"))] + [
+        (name, schemes[name] if schemes and name in schemes
+         else make_scheme(name))
+        for name in scheme_names]
+    parts: List[List[SchemeRun]] = [[] for _ in entries]
+    count = len(model_run.layers)
+    for window in [range(i, i + 1) for i in range(count)] or [range(0)]:
+        for (name, scheme), scheme_parts in zip(entries, parts):
+            rows = None if collect is None else collect.setdefault(name, [])
+            scheme_parts.append(pipeline.run(topology, scheme,
+                                             model_run=model_run,
+                                             collect=rows, layers=window))
+        for layer in model_run.layers[window.start:window.stop]:
+            layer.trace.release_memos()
+    merged = [dataclasses.replace(
+        scheme_parts[0],
+        layers=[row for part in scheme_parts for row in part.layers])
+        for scheme_parts in parts]
     return ComparisonResult(
         npu_name=pipeline.npu.name,
         workload=topology.name,
-        runs=runs,
-        baseline=baseline,
+        runs={name: run for (name, _), run in zip(entries[1:], merged[1:])},
+        baseline=merged[0],
     )
 
 

@@ -18,18 +18,28 @@ whichever resource saturates becomes the layer's critical path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro import obs
 from repro.accel.simulator import AcceleratorSim, ModelRun
 from repro.core.config import NpuConfig
 from repro.dram.simulator import DramResult, DramSim
 from repro.models.topology import Topology
-from repro.protection.base import LayerProtection, ProtectionScheme
+from repro.protection.base import ProtectionScheme
 
-# One probe row per timing row: the integer stream/channel quantities
-# the analytic ``@bN`` derivation extrapolates from.
-CollectedRow = Tuple[LayerProtection, DramResult]
+
+@dataclass(frozen=True)
+class CollectedRow:
+    """The integer quantities of one timing row that the analytic
+    ``@bN`` derivation extrapolates from. It keeps counts, never the
+    row's block streams, so collecting rows pins no stream in memory."""
+
+    layer_id: int
+    is_flush: bool
+    data_bytes: int
+    metadata_bytes: int
+    crypto_bytes: int
+    dram: DramResult
 
 
 @dataclass
@@ -139,51 +149,46 @@ class Pipeline:
 
     def run(self, topology: Topology, scheme: ProtectionScheme,
             model_run: Optional[ModelRun] = None,
-            collect: Optional[List[CollectedRow]] = None) -> SchemeRun:
+            collect: Optional[List[CollectedRow]] = None,
+            layers: Optional[range] = None) -> SchemeRun:
         """Full pipeline for one workload under one protection scheme.
 
-        ``collect``, when given, receives one ``(protection,
-        dram_result)`` pair per timing row — the integer stream/channel
-        quantities the analytic ``@bN`` derivation extrapolates from.
+        ``layers`` restricts the run to a window of consecutive layer
+        indices (see :meth:`ProtectionScheme.protect_model`) and the
+        result holds that window's timing rows only; windows run in
+        layer order concatenate to the whole-model run exactly.
+        ``collect``, when given, receives one :class:`CollectedRow` per
+        timing row.
         """
         run = model_run if model_run is not None else self.simulate_model(topology)
         # Each layer's expanded base block stream is memoized on its
         # trace, so when ``model_run`` is shared across schemes (the
         # sweep path) the expansion happens once, not once per scheme.
         with obs.span("protect", scheme=scheme.name, workload=topology.name):
-            protections = scheme.protect_model(run)
+            protections = scheme.protect_model(run, layers)
         engine = scheme.crypto_engine()
 
         # All layers' DRAM streams are independent (cold memory system
         # per layer), so the fast model serves them in one batched call.
-        # Registry schemes memoize their protection rows on the run
-        # (see ProtectionScheme.protect_model), so the DRAM results for
-        # those exact stream objects are memoized alongside them — a
-        # re-run of the same (run, scheme, NPU) cell skips both stages.
-        scheme_key = getattr(scheme, "_protect_memo_key", None)
-        dram_key = (("dram_results", scheme_key, self.npu.name,
-                     self.use_fast_dram) if scheme_key is not None else None)
-        dram_results = (run.scheme_memo.get(dram_key)
-                        if dram_key is not None else None)
-        if dram_results is None:
-            with obs.span("dram", scheme=scheme.name, workload=topology.name,
-                          layers=len(protections)):
-                if self.use_fast_dram:
-                    dram_results = self.dram.simulate_fast_batch_parts(
-                        [(p.data_stream, p.metadata_stream)
-                         for p in protections])
-                else:
-                    dram_results = []
-                    for p in protections:
-                        with obs.span("dram.layer", layer=p.layer_id,
-                                      scheme=scheme.name):
-                            dram_results.append(
-                                self.dram.simulate(p.combined_stream))
-            if dram_key is not None:
-                run.scheme_memo[dram_key] = dram_results
+        with obs.span("dram", scheme=scheme.name, workload=topology.name,
+                      layers=len(protections)):
+            if self.use_fast_dram:
+                dram_results = self.dram.simulate_fast_batch_parts(
+                    [(p.data_stream, p.metadata_stream)
+                     for p in protections])
+            else:
+                dram_results = []
+                for p in protections:
+                    with obs.span("dram.layer", layer=p.layer_id,
+                                  scheme=scheme.name):
+                        dram_results.append(
+                            self.dram.simulate(p.combined_stream))
 
         if collect is not None:
-            collect.extend(zip(protections, dram_results))
+            collect.extend(
+                CollectedRow(p.layer_id, p.is_flush, p.data_bytes,
+                             p.metadata_bytes, p.crypto_bytes, dram)
+                for p, dram in zip(protections, dram_results))
 
         timings: List[LayerTiming] = []
         with obs.span("crypto", scheme=scheme.name, workload=topology.name):
@@ -221,11 +226,3 @@ class Pipeline:
                          scheme_name=scheme.name, layers=timings,
                          model_run=run, batch=topology.batch,
                          seq=topology.seq)
-
-    def dram_time(self, protection: LayerProtection) -> DramResult:
-        """DRAM service of one layer's combined stream (ad-hoc probing;
-        :meth:`run` batches all layers through the fast model instead)."""
-        stream = protection.combined_stream
-        if self.use_fast_dram:
-            return self.dram.simulate_fast(stream)
-        return self.dram.simulate(stream)

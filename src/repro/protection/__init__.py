@@ -52,15 +52,9 @@ def make_scheme(name: str) -> ProtectionScheme:
         "securator": SecuratorScheme,
     }
     try:
-        scheme = factories[name.lower()]()
+        return factories[name.lower()]()
     except KeyError:
         raise KeyError(f"unknown scheme {name!r}; known: {sorted(factories)}") from None
-    # Registry schemes have canonical configurations, so their
-    # per-model protection rows are safe to memoize across instances
-    # (see ProtectionScheme.protect_model). Ad-hoc constructions with
-    # custom knobs carry no key and are never memoized.
-    scheme._protect_memo_key = ("protect_model", name.lower())
-    return scheme
 
 
 SCHEME_NAMES = ["sgx-64b", "mgx-64b", "sgx-512b", "mgx-512b", "seda"]

@@ -164,34 +164,30 @@ class ProtectionScheme(abc.ABC):
                                metadata_stream=out.to_stream(self._last_layer),
                                is_flush=True)
 
-    def protect_model(self, run: ModelRun) -> List[LayerProtection]:
-        """Convenience: run the whole model through the scheme.
+    def protect_model(self, run: ModelRun,
+                      layers: Optional[range] = None) -> List[LayerProtection]:
+        """Run a window of consecutive layers through the scheme.
 
-        For registry-built schemes (``make_scheme`` stamps a memo key;
-        ad-hoc instances with custom knobs carry none) the per-layer
-        rows are memoized on ``run.scheme_memo``: a scheme's output is a
-        pure function of (scheme config, model run), so protecting the
-        same run twice — even through a fresh instance of the same
-        registry scheme — returns the cached rows. :meth:`begin_model`
-        still executes on every call so model-sized state (engine
-        lanes) is valid afterwards.
+        ``layers`` holds layer indices (default: the whole model). The
+        window that starts at layer 0 resets the scheme
+        (:meth:`begin_model`); the window that reaches the last layer
+        appends the end-of-model flush row. Scheme state (metadata
+        caches) carries from one window to the next, so protecting a
+        model layer by layer yields exactly the rows of one whole-model
+        call.
         """
-        self.begin_model(run)
-        memo_key = getattr(self, "_protect_memo_key", None)
-        cached = (run.scheme_memo.get(memo_key)
-                  if memo_key is not None else None)
-        if cached is not None:
-            return list(cached)
+        window = range(len(run.layers)) if layers is None else layers
+        if window.start == 0:
+            self.begin_model(run)
         results = []
-        for layer in run.layers:
+        for layer in run.layers[window.start:window.stop]:
             # One span per layer is the sanctioned stage granularity.
             # repro: allow(obs-noop-discipline)
             with obs.span("protect.layer", scheme=self.name,
                           layer=layer.layer_id):
                 results.append(self.protect_layer(layer))
-        tail = self.finish_model()
-        if tail is not None:
-            results.append(tail)
-        if memo_key is not None:
-            run.scheme_memo[memo_key] = results
-        return list(results)
+        if window.stop >= len(run.layers):
+            tail = self.finish_model()
+            if tail is not None:
+                results.append(tail)
+        return results

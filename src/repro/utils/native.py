@@ -74,8 +74,10 @@ FALLBACKS = {
 _lib = None
 _load_attempted = False
 
-_i64p = ctypes.POINTER(ctypes.c_int64)
-_u8p = ctypes.POINTER(ctypes.c_uint8)
+#: Every pointer argument is declared ``c_void_p`` and passed as a raw
+#: data address (:func:`_addr`): one ``data_as`` pointer object per
+#: argument cost more than many of the kernel calls themselves.
+_ptr = ctypes.c_void_p
 _i64 = ctypes.c_int64
 
 
@@ -196,34 +198,33 @@ def _load():
         lib = ctypes.CDLL(path)
         lib.dram_completion.restype = ctypes.c_double
         lib.dram_completion.argtypes = [
-            ctypes.POINTER(ctypes.c_double), _i64p,
-            ctypes.POINTER(ctypes.c_double), _i64, ctypes.c_double, _i64,
+            _ptr, _ptr, _ptr, _i64, ctypes.c_double, _i64,
         ]
         lib.insertion_scan.restype = ctypes.c_int
         lib.insertion_scan.argtypes = [
-            _i64p, _i64p, _i64p, _i64p, _i64,               # data side
-            _i64p, _i64p, _i64p, _i64p, _i64,               # metadata side
-            _i64, _i64, _i64p, _i64p,                       # geometry, outs
+            _ptr, _ptr, _ptr, _ptr, _i64,                   # data side
+            _ptr, _ptr, _ptr, _ptr, _i64,                   # metadata side
+            _i64, _i64, _ptr, _ptr,                         # geometry, outs
         ]
         lib.geom_counts.restype = ctypes.c_int
         lib.geom_counts.argtypes = [
-            _i64p, _i64p, _i64,                             # addrs/cycles
+            _ptr, _ptr, _i64,                               # addrs/cycles
             _i64, _i64, _i64, _i64, _i64,                   # shifts, span
-            _i64p, _i64p, _i64p, _i64p,                     # geometry outs
-            _i64p, _i64p,                                   # count outs
+            _ptr, _ptr, _ptr, _ptr,                         # geometry outs
+            _ptr, _ptr,                                     # count outs
         ]
         lib.drive_fused.restype = ctypes.c_int
         lib.drive_fused.argtypes = [
-            _i64p, _u8p, _i64p, _i64,                       # idx/writes/cycles
+            _ptr, _ptr, _ptr, _i64,                         # idx/writes/cycles
             _i64,                                           # line_bytes
-            _i64, _i64, _i64p, _u8p, _i64,                  # mac side
-            _i64, _i64, _i64, _i64, _i64p, _u8p, _i64,      # vn side
-            _i64, _i64p, _i64p, _i64,                       # walk spec
-            _i64p, _i64p, _u8p, _i64, _i64p,                # mac events
-            _i64p, _i64p, _u8p, _i64, _i64p,                # vn events
-            _i64p,                                          # stats
-            _i64p, _u8p, _i64p,                             # mac state
-            _i64p, _u8p, _i64p,                             # vn state
+            _i64, _i64, _ptr, _ptr, _i64,                   # mac side
+            _i64, _i64, _i64, _i64, _ptr, _ptr, _i64,       # vn side
+            _i64, _ptr, _ptr, _i64,                         # walk spec
+            _ptr, _ptr, _ptr, _i64, _ptr,                   # mac events
+            _ptr, _ptr, _ptr, _i64, _ptr,                   # vn events
+            _ptr,                                           # stats
+            _ptr, _ptr, _ptr,                               # mac state
+            _ptr, _ptr, _ptr,                               # vn state
         ]
         _lib = lib
     except Exception as exc:
@@ -236,12 +237,14 @@ def available() -> bool:
     return _load() is not None
 
 
-def _p64(arr: np.ndarray):
-    return arr.ctypes.data_as(_i64p)
+def _addr(arr: Optional[np.ndarray]) -> Optional[int]:
+    """Data address of a contiguous array (``None`` passes NULL).
 
-
-def _pu8(arr: np.ndarray):
-    return arr.ctypes.data_as(_u8p)
+    An address, unlike a ``data_as`` pointer, does not keep its array
+    alive: callers bind every array they pass to a name that outlives
+    the kernel call.
+    """
+    return None if arr is None else arr.ctypes.data
 
 
 _EMPTY64 = np.empty(0, np.int64)
@@ -367,19 +370,19 @@ def fused_drive(idx: np.ndarray, writes: np.ndarray, cycles: np.ndarray,
         ms_n = _i64(0)
         vs_n = _i64(0)
         rc = lib.drive_fused(
-            _p64(idx), _pu8(writes), _p64(cycles), n, line_bytes,
-            mac_base, mac_cap if mac else 0, _p64(mac_it), _pu8(mac_id),
+            _addr(idx), _addr(writes), _addr(cycles), n, line_bytes,
+            mac_base, mac_cap if mac else 0, _addr(mac_it), _addr(mac_id),
             len(mac_it),
             vn_base, vn_cap if vn else 0, leaf_base, leaf_div,
-            _p64(vn_it), _pu8(vn_id), len(vn_it),
-            levels, _p64(node_base), _p64(node_div), ratio,
-            _p64(m_cyc), _p64(m_addr), _pu8(m_wr), mac_ev_cap,
+            _addr(vn_it), _addr(vn_id), len(vn_it),
+            levels, _addr(node_base), _addr(node_div), ratio,
+            _addr(m_cyc), _addr(m_addr), _addr(m_wr), mac_ev_cap,
             ctypes.byref(m_n),
-            _p64(v_cyc), _p64(v_addr), _pu8(v_wr), vn_ev_cap,
+            _addr(v_cyc), _addr(v_addr), _addr(v_wr), vn_ev_cap,
             ctypes.byref(v_n),
-            _p64(stats),
-            _p64(ms_t), _pu8(ms_d), ctypes.byref(ms_n),
-            _p64(vs_t), _pu8(vs_d), ctypes.byref(vs_n),
+            _addr(stats),
+            _addr(ms_t), _addr(ms_d), ctypes.byref(ms_n),
+            _addr(vs_t), _addr(vs_d), ctypes.byref(vs_n),
         )
         if rc == 1 and vn_ev_cap < vn_ev_hard:
             vn_ev_cap = vn_ev_hard
@@ -432,12 +435,14 @@ def insertion_scan(key_a, seg_a, gb_a, rows_a, key_b, seg_b, gb_b, rows_b,
     lib = _load()
     if lib is None:
         return False
+    key_a, gb_a, rows_a, key_b, gb_b, rows_b = (
+        _c64(a) for a in (key_a, gb_a, rows_a, key_b, gb_b, rows_b))
+    seg_a = None if seg_a is None else _c64(seg_a)
+    seg_b = None if seg_b is None else _c64(seg_b)
     rc = lib.insertion_scan(
-        _p64(_c64(key_a)), None if seg_a is None else _p64(_c64(seg_a)),
-        _p64(_c64(gb_a)), _p64(_c64(rows_a)), len(key_a),
-        _p64(_c64(key_b)), None if seg_b is None else _p64(_c64(seg_b)),
-        _p64(_c64(gb_b)), _p64(_c64(rows_b)), len(key_b),
-        int(nbanks), int(bpc), _p64(requests), _p64(conflicts))
+        _addr(key_a), _addr(seg_a), _addr(gb_a), _addr(rows_a), len(key_a),
+        _addr(key_b), _addr(seg_b), _addr(gb_b), _addr(rows_b), len(key_b),
+        int(nbanks), int(bpc), _addr(requests), _addr(conflicts))
     if rc == 0:
         obs.incr("native.dram_batch.kernel")
         return True
@@ -463,12 +468,13 @@ def geom_counts(addrs: np.ndarray, cycles: np.ndarray,
     key_s = np.empty(n, np.int64)
     requests = np.zeros(channels, np.int64)
     conflicts = np.zeros(channels, np.int64)
+    addrs, cycles = _c64(addrs), _c64(cycles)
     rc = lib.geom_counts(
-        _p64(_c64(addrs)), _p64(_c64(cycles)), n,
+        _addr(addrs), _addr(cycles), n,
         int(block_shift), int(channel_shift), int(col_shift),
         int(bank_shift), int(key_span),
-        _p64(channel), _p64(gb_s), _p64(rows_s), _p64(key_s),
-        _p64(requests), _p64(conflicts))
+        _addr(channel), _addr(gb_s), _addr(rows_s), _addr(key_s),
+        _addr(requests), _addr(conflicts))
     if rc != 0:
         return None
     obs.incr("native.dram_geom.kernel")
@@ -492,9 +498,7 @@ def dram_completion(arrivals: np.ndarray, banks: np.ndarray,
     arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
     banks = np.ascontiguousarray(banks, dtype=np.int64)
     service = np.ascontiguousarray(service, dtype=np.float64)
-    f64p = ctypes.POINTER(ctypes.c_double)
     out = lib.dram_completion(
-        arrivals.ctypes.data_as(f64p), _p64(banks),
-        service.ctypes.data_as(f64p), len(arrivals),
+        _addr(arrivals), _addr(banks), _addr(service), len(arrivals),
         float(burst), int(nbanks))
     return None if out < 0 else float(out)

@@ -24,10 +24,12 @@ from repro.models.zoo import get_workload
 from repro.protection import SCHEME_NAMES
 
 #: Pinned peak for one full gpt2@s4096 sweep cell (every scheme) under
-#: the chunked trace core: measured ~134 MiB; the pin leaves headroom
-#: for numpy/platform jitter but catches any reintroduced whole-trace
-#: copy (each would add tens of MiB).
-GPT2_S4096_CELL_BUDGET = 192 << 20
+#: the chunked trace core with layer-major cells: measured ~28 MiB (it
+#: was ~134 MiB while every layer's expansion stayed memoized until the
+#: cell ended); the pin leaves headroom for numpy/platform jitter but
+#: catches a reintroduced whole-model memo or whole-trace copy (each
+#: would add tens of MiB).
+GPT2_S4096_CELL_BUDGET = 48 << 20
 
 
 def _bulk_columns(n, seed=0):
@@ -68,6 +70,15 @@ class TestResidencyAccounting:
         del trace, stream
         gc.collect()
         assert resident_trace_bytes() < before
+
+    def test_released_memos_leave_the_tally(self):
+        trace = Trace()
+        _emit_bulk(trace, _bulk_columns(10_000))
+        columns_only = resident_trace_bytes()
+        trace.sorted_blocks()
+        assert resident_trace_bytes() > columns_only
+        trace.release_memos()
+        assert resident_trace_bytes() == columns_only
 
     def test_peak_reset_scopes_the_watermark(self):
         trace = Trace()

@@ -99,12 +99,13 @@ class _EmptyStreamScheme:
 
     name = "empty-stream"
 
-    def protect_model(self, run):
+    def protect_model(self, run, layers=None):
         from repro.protection.base import LayerProtection, empty_stream
+        window = range(len(run.layers)) if layers is None else layers
         return [LayerProtection(layer_id=layer.layer_id,
                                 data_stream=empty_stream(),
                                 metadata_stream=empty_stream())
-                for layer in run.layers]
+                for layer in run.layers[window.start:window.stop]]
 
     def crypto_engine(self):
         return None

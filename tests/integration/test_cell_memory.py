@@ -1,0 +1,53 @@
+"""Peak memory of one sweep cell, measured in a fresh interpreter.
+
+The derived server ``fasterrcnn@b16`` cell is the zoo's largest: its
+probes simulate fasterrcnn in full at batch 1, 2 and 3. Each probe is
+reduced to its record and integers before the next one runs, and a
+cell frees each layer's block streams once every scheme has used them,
+so the peak is one probe's trace columns plus one layer's streams.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   os.pardir, "src"))
+
+#: 1.25 GiB. Measured ~965 MiB on a 2-vCPU Xeon host; 3157 MiB while
+#: every probe and every layer's streams stayed alive to the cell's end.
+FASTERRCNN_B16_PEAK_MIB = 1280
+
+#: The child reads its peak from ``VmHWM``, not ``ru_maxrss``: Linux
+#: folds the pre-exec image (here, the whole test process) into the
+#: child's ``ru_maxrss``, while ``VmHWM`` belongs to the child's own
+#: address space.
+_CELL = """
+import json
+from repro.runner import EvalService
+service = EvalService()
+service.compare("server", "fasterrcnn@b16")
+with open("/proc/self/status") as handle:
+    hwm_kib = next(int(line.split()[1]) for line in handle
+                   if line.startswith("VmHWM:"))
+print(json.dumps({"derived": service.derived_hits,
+                  "peak_mib": hwm_kib / 1024}))
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs Linux /proc for the peak RSS")
+def test_derived_fasterrcnn_b16_cell_peak_rss():
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("REPRO_TRACE", "REPRO_FAULTS")}
+    env["PYTHONPATH"] = SRC
+    out = subprocess.run([sys.executable, "-c", _CELL], env=env,
+                         capture_output=True, text=True, timeout=600,
+                         check=True)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["derived"] == 1
+    assert result["peak_mib"] < FASTERRCNN_B16_PEAK_MIB

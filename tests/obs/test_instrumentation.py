@@ -72,7 +72,11 @@ class TestCellMarshalling:
         names = [event["name"] for event in snapshot["spans"]]
         cell, = [e for e in snapshot["spans"] if e["name"] == "cell"]
         assert cell["args"]["workload"] == "lenet"
-        assert names.count("protect") == len(SCHEMES) + 1  # + baseline
+        # Cells run layer-major: one protect span per (scheme, layer),
+        # counting the baseline as a scheme.
+        layers = names.count("accel.layer")
+        assert layers > 1
+        assert names.count("protect") == (len(SCHEMES) + 1) * layers
 
     def test_cell_span_covers_its_stage_spans(self):
         obs.enable()
