@@ -48,11 +48,8 @@ def in_hashed_scope(rel_path: str) -> bool:
         return False
     relative = rel_path[len(prefix):]
     parts = relative.split("/")
-    if parts[0] in _NON_RESULT_DIRS or relative in _NON_RESULT_FILES:
-        return False
-    # The analysis package is lint tooling over the tree, never part of
-    # the pipeline (and predates nothing: code_version() ignores it).
-    return parts[0] != "analysis"
+    return parts[0] not in _NON_RESULT_DIRS \
+        and relative not in _NON_RESULT_FILES
 
 
 class _ImportVisitor(ast.NodeVisitor):

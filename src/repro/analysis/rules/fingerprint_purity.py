@@ -60,14 +60,8 @@ def in_fingerprint_scope(rel_path: str) -> bool:
         return False
     relative = rel_path[len(prefix):]
     parts = relative.split("/")
-    if parts[0] in _NON_RESULT_DIRS:
-        return False
-    if relative in _NON_RESULT_FILES:
-        return False
-    # The analysis package never runs inside the pipeline; it is lint
-    # tooling over the tree, excluded exactly like the runner would be
-    # if it existed when code_version() was written.
-    return parts[0] != "analysis"
+    return parts[0] not in _NON_RESULT_DIRS \
+        and relative not in _NON_RESULT_FILES
 
 
 class _PurityVisitor(ast.NodeVisitor):

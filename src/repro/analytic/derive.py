@@ -165,11 +165,9 @@ def _row_ints(rows: Sequence[CollectedRow]) -> IntRows:
     """The affine integer vector of one scheme's timing rows."""
     out: IntRows = []
     for row in rows:
-        misses = row.dram.per_channel_row_misses
-        if misses is None:
-            misses = [0] * len(row.dram.per_channel_requests)
         out.append((row.data_bytes, row.metadata_bytes, row.crypto_bytes,
-                    *row.dram.per_channel_requests, *misses))
+                    *row.dram.per_channel_requests,
+                    *row.dram.per_channel_row_misses))
     return out
 
 

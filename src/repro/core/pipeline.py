@@ -133,14 +133,12 @@ class SchemeRun:
 class Pipeline:
     """Accelerator -> protection -> DRAM evaluation pipeline for one NPU."""
 
-    def __init__(self, npu: NpuConfig, use_fast_dram: bool = True,
-                 image_align: Optional[int] = None):
+    def __init__(self, npu: NpuConfig, image_align: Optional[int] = None):
         self.npu = npu
         self.accelerator = AcceleratorSim(npu.systolic_array(),
                                           npu.sram_budget(),
                                           image_align=image_align)
         self.dram = DramSim(npu.dram_config(), npu.freq_ghz)
-        self.use_fast_dram = use_fast_dram
 
     def simulate_model(self, topology: Topology) -> ModelRun:
         """Stage 1 only — reusable across schemes."""
@@ -168,21 +166,12 @@ class Pipeline:
             protections = scheme.protect_model(run, layers)
         engine = scheme.crypto_engine()
 
-        # All layers' DRAM streams are independent (cold memory system
-        # per layer), so the fast model serves them in one batched call.
+        # Each layer is served on a cold memory system, its data and
+        # metadata streams as one virtually concatenated stream.
         with obs.span("dram", scheme=scheme.name, workload=topology.name,
                       layers=len(protections)):
-            if self.use_fast_dram:
-                dram_results = self.dram.simulate_fast_batch_parts(
-                    [(p.data_stream, p.metadata_stream)
-                     for p in protections])
-            else:
-                dram_results = []
-                for p in protections:
-                    with obs.span("dram.layer", layer=p.layer_id,
-                                  scheme=scheme.name):
-                        dram_results.append(
-                            self.dram.simulate(p.combined_stream))
+            dram_results = self.dram.simulate_fast_batch_parts(
+                [(p.data_stream, p.metadata_stream) for p in protections])
 
         if collect is not None:
             collect.extend(

@@ -2,13 +2,11 @@
 
 Models a multi-channel DDR memory at the granularity the evaluation
 needs: per-channel data-bus occupancy plus row-buffer hit/miss behaviour
-per bank. Two engines share one address mapping and timing model:
-
-- :class:`repro.dram.simulator.DramSim.simulate` — event-driven reference
-  model (bank ready times, bus serialization, completion times);
-- :class:`repro.dram.simulator.DramSim.simulate_fast` — vectorized
-  numpy path used for full workload sweeps (validated against the
-  reference model in tests).
+per bank. :meth:`repro.dram.simulator.DramSim.simulate_fast_batch_parts`
+is the one production path: it counts each layer's ``(data, metadata)``
+requests and row conflicts per channel and turns them into busy cycles.
+An event-driven walk of the same semantics lives in ``tests/dram`` as
+the oracle the model is checked against.
 """
 
 from repro.dram.timing import DramConfig, DramTiming

@@ -1,26 +1,25 @@
 """Trace-driven DRAM simulation.
 
-Both engines consume a :class:`repro.accel.trace.BlockStream` (64-byte
-block accesses with issue cycles) and report how long the memory system
-is busy serving it, in accelerator cycles.
+The model consumes :class:`repro.accel.trace.BlockStream` s (64-byte
+block accesses with issue cycles) and reports how long the memory
+system is busy serving each one, in accelerator cycles. Per channel,
+data-bus occupancy is ``requests * burst``, and row-buffer conflicts
+(counted exactly, in issue order, per bank) add an activation penalty
+discounted by bank-level overlap.
 
-The **reference model** (:meth:`DramSim.simulate`) walks requests in issue
-order, tracking per-bank open rows and ready times plus per-channel data
-bus occupancy; it reports both busy time and completion time.
-
-The **fast model** (:meth:`DramSim.simulate_fast`) computes the same
-busy-time quantity with numpy: per channel, data-bus occupancy is
-``requests * burst``, and row-buffer conflicts (counted exactly, in issue
-order, per bank) add an activation penalty discounted by bank-level
-overlap. Tests validate it against the reference model on a range of
-synthetic and real traces.
+The pipeline serves each layer as a ``(data, metadata)`` pair: the data
+stream's bank-sorted geometry and counts are memoized on the stream (it
+is shared by every scheme in a sweep cell), and the metadata accesses
+only add their own requests plus an *insertion correction* to the
+conflict counts. Both steps have a native kernel and a numpy twin.
+``tests/dram/oracle.py`` holds an event-driven walk of the same
+semantics that the test suite checks this model against.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -28,11 +27,13 @@ from repro.accel.trace import BlockStream
 from repro.dram.mapping import AddressMapping, _shift_of
 from repro.dram.timing import DramConfig
 from repro.utils import native
-from repro.utils.sorting import stable_order
 
 #: Fixed cycle span for composite (bank, cycle) sort keys, so a stream's
 #: sorted geometry can be memoized and merged against other streams.
 _KEY_SPAN = 1 << 41
+
+#: Bank-sorted ``(global bank, row, composite key)`` arrays of a stream.
+Geometry = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -43,12 +44,11 @@ class DramResult:
     row_hits: int
     row_misses: int
     busy_cycles: float           # max per-channel busy time (the bottleneck)
-    completion_cycle: Optional[float]  # reference model only
     per_channel_requests: List[int]
     per_channel_busy: List[float]
     #: Row-conflict counts per channel — the integer inputs the analytic
     #: ``@bN`` derivation extrapolates before recomputing busy time.
-    per_channel_row_misses: Optional[List[int]] = None
+    per_channel_row_misses: List[int]
 
     @property
     def row_hit_rate(self) -> float:
@@ -88,8 +88,7 @@ class DramSim:
         Within each bank the input preserves issue order, so the first
         access of a bank and every row change between neighbours is a
         conflict — identical to walking the stream with per-bank
-        open-row registers. Shared by the reference, fast, and batched
-        models so conflict semantics live in exactly one place.
+        open-row registers.
         """
         n = len(sorted_bank)
         new_bank = np.empty(n, dtype=bool)
@@ -100,200 +99,63 @@ class DramSim:
         np.not_equal(sorted_row[1:], sorted_row[:-1], out=row_change[1:])
         return new_bank | row_change
 
-    def _issue_order_misses(self, channels: np.ndarray, banks: np.ndarray,
-                            rows: np.ndarray):
-        """Exact row-conflict flags in issue order, vectorized.
-
-        Returns ``(miss_mask_issue_order, miss_counts_per_channel)``.
-        """
-        cfg = self.config
-        n = len(channels)
-        global_bank = channels * cfg.banks_per_channel + banks
-        order = stable_order(global_bank,
-                              max(1, int(global_bank.max()).bit_length()))
-        sorted_bank = global_bank[order]
-        miss_sorted = self._conflict_mask(sorted_bank, rows[order])
-        miss_channel = sorted_bank[miss_sorted] // cfg.banks_per_channel
-        miss_counts = np.bincount(miss_channel, minlength=cfg.channels)
-        miss_mask = np.empty(n, dtype=bool)
-        miss_mask[order] = miss_sorted
-        return miss_mask, miss_counts
-
-    # -- reference event-driven model --
-
-    def simulate(self, stream: BlockStream) -> DramResult:
-        """Event-driven service of ``stream`` in issue order.
-
-        Row hit/miss classification, per-channel busy time, and every
-        per-request quantity the completion recurrence consumes are
-        computed vectorized (per-bank segmentation via packed value
-        sorts); only the irreducible scalar carry — the bus/bank
-        ready-time coupling in :meth:`_channel_completion` — remains
-        sequential, and it runs natively when a kernel is available.
-        """
-        cfg = self.config
-        n = len(stream)
-        if n == 0:
-            return DramResult(0, 0, 0, 0.0, 0.0,
-                              [0] * cfg.channels, [0.0] * cfg.channels,
-                              [0] * cfg.channels)
-        cyc_bits = max(1, int(stream.cycles.max()).bit_length())
-        order = stable_order(stream.cycles, cyc_bits)
-        cycles = stream.cycles[order]
-        channels, banks, rows = self.mapping.decompose(stream.addrs[order])
-
-        miss_mask, miss_counts = self._issue_order_misses(channels, banks,
-                                                          rows)
-        misses = int(miss_counts.sum())
-        counts = np.bincount(channels, minlength=cfg.channels)
-        # The data bus is held only for the burst; the activate phase of
-        # a miss overlaps with other banks' transfers — with B banks,
-        # 1/B of each penalty surfaces as channel busy time.
-        busy = (counts * self._burst_cyc
-                + miss_counts * (self._miss_cyc / cfg.banks_per_channel))
-
-        burst = self._burst_cyc
-        miss_service = self._miss_cyc + burst
-        completion = 0.0
-        channel_order = stable_order(
-            channels, max(1, int(channels.max()).bit_length()))
-        boundaries = np.searchsorted(channels[channel_order],
-                                     np.arange(cfg.channels + 1))
-        for ch in range(cfg.channels):
-            idx = channel_order[boundaries[ch]:boundaries[ch + 1]]
-            if not len(idx):
-                continue
-            service = np.where(miss_mask[idx], miss_service, burst)
-            completion = max(completion, self._channel_completion(
-                cycles[idx].astype(np.float64), banks[idx], service, burst))
-
-        return DramResult(
-            requests=n,
-            row_hits=n - misses,
-            row_misses=misses,
-            busy_cycles=float(busy.max()),
-            completion_cycle=completion,
-            per_channel_requests=counts.tolist(),
-            per_channel_busy=busy.tolist(),
-            per_channel_row_misses=miss_counts.tolist(),
-        )
-
-    def _channel_completion(self, arrivals: np.ndarray, banks: np.ndarray,
-                            service: np.ndarray, burst: float) -> float:
-        """Completion time of one channel's request sequence.
-
-        The carry is the least fixpoint of
-
-            ready[i] = max(arrival[i], ready[i-1] + burst,
-                           ready[prev_same_bank(i)] + service[prev])
-
-        Arrivals, bank ids and per-request service times are prepared
-        vectorized; only this recurrence remains sequential (bank-chain
-        critical paths defeat batched relaxation on row-interleaved
-        mappings), and it runs in the native kernel when one is
-        available — float64-identical to the Python carry below.
-        """
-        nbanks = self.config.banks_per_channel
-        done = native.dram_completion(arrivals, banks, service, burst,
-                                      nbanks)
-        if done is not None:
-            return done
-        bank_ready = [0.0] * nbanks
-        bus_free = 0.0
-        completion = 0.0
-        # Reference scalar carry (the bus/bank recurrence is inherently
-        # sequential); the native kernel above is the fast tier and the
-        # equivalence suite pins both bit-identical.
-        # repro: allow(hot-path-hygiene)
-        for arrival, bank, sv in zip(arrivals.tolist(), banks.tolist(),
-                                     service.tolist()):
-            ready = arrival
-            if bank_ready[bank] > ready:
-                ready = bank_ready[bank]
-            if bus_free > ready:
-                ready = bus_free
-            finish = ready + sv
-            bus_free = ready + burst
-            bank_ready[bank] = finish
-            if finish > completion:
-                completion = finish
-        return completion
-
-    # -- vectorized fast model --
-
-    @staticmethod
-    def _bank_miss_counts(global_bank: np.ndarray, cycles: np.ndarray,
-                          rows: np.ndarray, banks_per_channel: int,
-                          minlength: int) -> np.ndarray:
-        """Row-conflict counts per channel (or per segment-channel).
-
-        Issue order within a bank is ``(cycle, arrival position)``;
-        sorting once by the composite ``(bank, cycle)`` key — stable, so
-        arrival position breaks ties — yields exactly the per-bank
-        sequences the event model walks, and a row change between
-        neighbours of the same bank is a conflict.
-        """
-        cyc_bits = max(1, int(cycles.max()).bit_length())
-        gb_bits = max(1, int(global_bank.max()).bit_length())
-        if gb_bits + cyc_bits <= 62:
-            order = stable_order((global_bank << cyc_bits) | cycles,
-                                  gb_bits + cyc_bits)
-        else:  # composite key would overflow; two stable passes instead
-            order = np.lexsort((cycles, global_bank))
-        sorted_bank = global_bank[order]
-        miss_mask = DramSim._conflict_mask(sorted_bank, rows[order])
-        return np.bincount(sorted_bank[miss_mask] // banks_per_channel,
-                           minlength=minlength)
-
     def simulate_fast(self, stream: BlockStream) -> DramResult:
-        """Busy-time estimate of serving ``stream`` (numpy, no event loop)."""
+        """Busy time of serving one stream on a cold memory system."""
+        return self.simulate_fast_batch_parts([(stream,)])[0]
+
+    def simulate_fast_batch_parts(
+            self, part_lists: List[Sequence[BlockStream]]) -> List[DramResult]:
+        """Serve each entry of ``part_lists`` on a cold memory system.
+
+        An entry is ``(data,)`` or ``(data, metadata)``, treated as the
+        concatenated stream without materializing it: the data side's
+        counts are memoized on the stream (:meth:`_stream_counts`), and
+        the metadata side adds :meth:`_insertion_counts`.
+        """
+        return [self._serve(parts) for parts in part_lists]
+
+    def _serve(self, parts: Sequence[BlockStream]) -> DramResult:
         cfg = self.config
-        n = len(stream)
-        if n == 0:
-            return DramResult(0, 0, 0, 0.0, None,
-                              [0] * cfg.channels, [0.0] * cfg.channels,
-                              [0] * cfg.channels)
-        channels, banks, rows = self.mapping.decompose(stream.addrs)
-        global_bank = channels * cfg.banks_per_channel + banks
-        miss_counts = self._bank_miss_counts(
-            global_bank, stream.cycles, rows, cfg.banks_per_channel,
-            cfg.channels)
-        misses = int(miss_counts.sum())
+        parts = [p for p in parts if len(p)]
+        if len(parts) > 2:
+            raise ValueError("a DRAM entry is at most a (data, metadata) "
+                             f"pair, got {len(parts)} non-empty parts")
+        if not parts:
+            requests = conflicts = np.zeros(cfg.channels, np.int64)
+        else:
+            lead = self._sorted_geom(parts[0])
+            requests, conflicts = self._stream_counts(parts[0], lead)
+            if len(parts) == 2:
+                req, con = self._insertion_counts(
+                    lead, self._sorted_geom(parts[1]))
+                requests = requests + req
+                conflicts = conflicts + con
 
-        # Per-channel accounting. Activation penalties overlap with other
-        # banks' bursts; with B banks, roughly (B-1)/B of each penalty
-        # hides under concurrent transfers.
-        counts = np.bincount(channels, minlength=cfg.channels)
+        # Activation penalties overlap with other banks' bursts; with B
+        # banks, roughly (B-1)/B of each penalty hides under concurrent
+        # transfers.
         overlap = 1.0 / cfg.banks_per_channel
-        busy = counts * self._burst_cyc + miss_counts * self._miss_cyc * overlap
-
+        busy = requests * self._burst_cyc + conflicts * self._miss_cyc * overlap
+        n = int(requests.sum())
+        misses = int(conflicts.sum())
         return DramResult(
             requests=n,
             row_hits=n - misses,
             row_misses=misses,
             busy_cycles=float(busy.max()),
-            completion_cycle=None,
-            per_channel_requests=counts.tolist(),
+            per_channel_requests=requests.tolist(),
             per_channel_busy=busy.tolist(),
-            per_channel_row_misses=miss_counts.tolist(),
+            per_channel_row_misses=conflicts.tolist(),
         )
 
-    def simulate_fast_batch(self, streams: List[BlockStream]) -> List[DramResult]:
-        """Fast-model service of many independent streams in one pass.
+    def _sorted_geom(self, stream: BlockStream) -> Geometry:
+        """Bank-sorted geometry of a non-empty stream, memoized.
 
-        Each stream is served by a cold memory system, exactly like
-        calling :meth:`simulate_fast` per stream.
-        """
-        return self.simulate_fast_batch_parts([(s,) for s in streams])
-
-    def _sorted_geom(self, stream: BlockStream):
-        """Per-stream (channels, bank-sorted gb/rows/keys), memoized.
-
-        The sort key is the composite ``(channel-local bank, cycle)``
-        with a fixed cycle span, so the result is independent of which
-        batch the stream appears in — layer data streams are shared
-        across every scheme in a sweep cell, and their geometry is
-        computed once. Relies on streams being immutable once built.
+        The sort key is the composite ``(global bank, cycle)`` with a
+        fixed cycle span, so the result is independent of the stream it
+        is later merged with — layer data streams are shared across
+        every scheme in a sweep cell, and their geometry is computed
+        once. Relies on streams being immutable once built.
         """
         cfg = self.config
         key = (cfg.channels, cfg.banks_per_channel, cfg.row_bytes,
@@ -301,10 +163,12 @@ class DramSim:
         cached = getattr(stream, "_dram_geom", None)
         if cached is not None and cached[0] == key:
             return cached[1]
-        if len(stream) and int(stream.cycles.max()) >= _KEY_SPAN:
-            return None  # composite key would collide; caller falls back
+        last_cycle = int(stream.cycles.max())
+        if last_cycle >= _KEY_SPAN:
+            raise ValueError(f"issue cycle {last_cycle} is past the DRAM "
+                             f"model's limit of 2**41 cycles")
         n = len(stream)
-        if n and self._geom_shifts is not None \
+        if self._geom_shifts is not None \
                 and bool(np.all(stream.cycles[1:] >= stream.cycles[:-1])):
             # Cycle-sorted stream under power-of-two mapping: one fused
             # native pass yields the bank-sorted geometry (stable
@@ -314,357 +178,102 @@ class DramSim:
                                      self._geom_shifts, _KEY_SPAN,
                                      cfg.channels)
             if got is not None:
-                channel, gb_s, rows_s, key_s, req, con = got
-                geom = (channel, gb_s, rows_s, key_s)
+                gb_s, rows_s, key_s, req, con = got
+                geom = (gb_s, rows_s, key_s)
                 stream._dram_geom = (key, geom)
                 stream._dram_counts = (geom, req, con)
                 return geom
         channels, banks, rows = self.mapping.decompose(stream.addrs)
         gb = channels * cfg.banks_per_channel + banks
-        cyc_bits = max(1, int(stream.cycles.max()).bit_length()) if n else 1
-        gb_bits = max(1, int(gb.max()).bit_length()) if n else 1
-        idx_bits = max(1, int(n - 1).bit_length()) if n else 1
-        if n and gb_bits + cyc_bits + idx_bits <= 62:
+        cyc_bits = max(1, last_cycle.bit_length())
+        gb_bits = max(1, int(gb.max()).bit_length())
+        idx_bits = max(1, int(n - 1).bit_length())
+        if gb_bits + cyc_bits + idx_bits <= 62:
             packed = ((((gb << cyc_bits) | stream.cycles) << idx_bits)
                       | np.arange(n, dtype=np.int64))
             packed.sort()
             order = packed & ((1 << idx_bits) - 1)
             gb_sorted = packed >> (cyc_bits + idx_bits)
             cyc_sorted = (packed >> idx_bits) & ((1 << cyc_bits) - 1)
-            geom = (channels, gb_sorted, rows[order],
-                    gb_sorted * _KEY_SPAN + cyc_sorted)
+            geom = (gb_sorted, rows[order], gb_sorted * _KEY_SPAN + cyc_sorted)
         else:
             sort_key = gb * _KEY_SPAN + stream.cycles
             order = np.argsort(sort_key, kind="stable")
-            geom = (channels, gb[order], rows[order], sort_key[order])
+            geom = (gb[order], rows[order], sort_key[order])
         stream._dram_geom = (key, geom)
         return geom
 
-    def _stream_counts(self, stream: BlockStream, geom):
+    def _stream_counts(self, stream: BlockStream, geom: Geometry):
         """Per-channel (requests, row-conflicts) of one stream, memoized.
 
         A layer's data stream is served (virtually concatenated with a
         scheme's metadata) by every scheme in a sweep cell; its internal
-        conflict structure never changes, so it is computed once and the
-        batched model only accounts the metadata *insertions*.
+        conflict structure never changes, so it is computed once and
+        only the metadata *insertions* are accounted per scheme.
         """
-        if stream is not None:
-            cached = getattr(stream, "_dram_counts", None)
-            if cached is not None and cached[0] is geom:
-                return cached[1], cached[2]
+        cached = getattr(stream, "_dram_counts", None)
+        if cached is not None and cached[0] is geom:
+            return cached[1], cached[2]
         cfg = self.config
-        _, gb, rows, _ = geom
+        gb, rows, _ = geom
         flags = self._conflict_mask(gb, rows)
         conflicts = np.bincount(gb[flags] // cfg.banks_per_channel,
                                 minlength=cfg.channels)
         requests = np.bincount(gb // cfg.banks_per_channel,
                                minlength=cfg.channels)
-        if stream is not None:
-            stream._dram_counts = (geom, requests, conflicts)
+        stream._dram_counts = (geom, requests, conflicts)
         return requests, conflicts
 
-    @staticmethod
-    def _drop_lead_cache(sim_ref, generation) -> None:
-        sim = sim_ref()
-        if sim is not None:
-            cached = getattr(sim, "_lead_cache", None)
-            if cached is not None and cached[0] is generation:
-                sim._lead_cache = None
-
-    def _insertion_counts(self, entries):
-        """Exact per-(entry, channel) request/conflict counts for
-        ``(data, metadata)`` stream pairs without materializing merges.
+    def _insertion_counts(self, lead: Geometry, meta: Geometry):
+        """Per-channel (requests, conflict delta) that merging ``meta``
+        into ``lead`` adds, without materializing the merge.
 
         Each metadata access lands inside a bank's data sequence; its
         own conflict flag depends on its in-bank predecessor, and the
         data element that now follows an insertion run re-evaluates its
-        flag against the run's last row.  Those corrections are the only
-        thing the merge changes, so the batched model adds them to the
-        memoized per-stream counts.  Returns ``(requests, conflicts)``
-        flattened over ``len(entries) * channels``, or ``None`` when the
-        segment-offset keys would overflow (caller merges instead).
+        flag against the run's last row. Ties resolve data first, as in
+        the concatenated stream.
         """
         cfg = self.config
-        nch = cfg.channels
         bpc = cfg.banks_per_channel
-        nbanks = nch * bpc
-        nseg = len(entries)
-        requests = np.zeros(nseg * nch, np.int64)
-        conflicts = np.zeros(nseg * nch, np.int64)
-        pair_rows = [k for k, e in enumerate(entries) if len(e) == 2]
-        for k, pairs in enumerate(entries):
-            stream, geom = pairs[0]
-            req, con = self._stream_counts(stream, geom)
-            requests[k * nch:(k + 1) * nch] += req
-            conflicts[k * nch:(k + 1) * nch] += con
-        if not pair_rows:
+        gb_a, rows_a, key_a = lead
+        gb_b, rows_b, key_b = meta
+        requests = np.zeros(cfg.channels, np.int64)
+        conflicts = np.zeros(cfg.channels, np.int64)
+        if native.insertion_scan(key_a, gb_a, rows_a, key_b, gb_b, rows_b,
+                                 bpc, requests, conflicts):
             return requests, conflicts
 
-        # Native path: one merge scan per (data, metadata) entry, in
-        # place over the memoized geometry arrays — no concatenated
-        # copies, no composite-key packing, no overflow fallback.
-        if native.available():
-            req_ins = np.zeros(nseg * nch, np.int64)
-            con_ins = np.zeros(nseg * nch, np.int64)
-            for k in pair_rows:
-                geom_a = entries[k][0][1]
-                geom_b = entries[k][1][1]
-                sl = slice(k * nch, (k + 1) * nch)
-                if not native.insertion_scan(
-                        geom_a[3], None, geom_a[1], geom_a[2],
-                        geom_b[3], None, geom_b[1], geom_b[2],
-                        nbanks, bpc, req_ins[sl], con_ins[sl]):
-                    break
-            else:
-                return requests + req_ins, conflicts + con_ins
-
-        # The first (data) part of every entry is shared by each scheme
-        # in a sweep cell; cache its concatenated side keyed on the geom
-        # object identities.  The cache holds only weak references to
-        # the keying arrays, and a finalizer drops the slot when the
-        # cell's streams are garbage collected, so the concatenated
-        # copies never outlive the sweep cell they serve.
-        lead_keys = [entries[k][0][1][3] for k in range(nseg)]
-        cached = getattr(self, "_lead_cache", None)
-        if (cached is not None and len(cached[0]) == nseg
-                and all(ref() is arr for ref, arr in zip(cached[0],
-                                                         lead_keys))):
-            key_a, gb_a, rows_a, seg_a = cached[1]
-        else:
-            lead_geoms = [entries[k][0][1] for k in range(nseg)]
-            key_a = np.concatenate([g[3] for g in lead_geoms])
-            gb_a = np.concatenate([g[1] for g in lead_geoms])
-            rows_a = np.concatenate([g[2] for g in lead_geoms])
-            sizes_a = np.array([len(g[3]) for g in lead_geoms], np.int64)
-            seg_a = np.repeat(np.arange(nseg, dtype=np.int64), sizes_a)
-            refs = [weakref.ref(a) for a in lead_keys]
-            self._lead_cache = (refs, (key_a, gb_a, rows_a, seg_a))
-            # Generation-guarded: a stale finalizer from an earlier cell
-            # must not drop a newer cache (and holding `self` weakly
-            # keeps the finalizer from pinning the simulator alive).
-            weakref.finalize(lead_keys[0], DramSim._drop_lead_cache,
-                             weakref.ref(self), refs)
-        key_b = np.concatenate([entries[k][1][1][3] for k in pair_rows])
-        gb_b = np.concatenate([entries[k][1][1][1] for k in pair_rows])
-        rows_b = np.concatenate([entries[k][1][1][2] for k in pair_rows])
-        sizes_b = np.array([len(entries[k][1][1][3]) for k in pair_rows],
-                           np.int64)
-        seg_b = np.repeat(np.asarray(pair_rows, np.int64), sizes_b)
-        key_bits = max(1, int(max(int(key_a.max()), int(key_b.max())))
-                       .bit_length())
-        if key_bits + max(1, int(nseg).bit_length()) > 62:
-            return None
-        off = np.int64(1) << key_bits
-        gbo_a = gb_a + seg_a * nbanks
-        gbo_b = gb_b + seg_b * nbanks
-        nb = len(key_b)
-
-        # metadata request counts
-        requests += np.bincount(gbo_b // bpc, minlength=nseg * nch)
-
-        ins = np.searchsorted(key_a + seg_a * off, key_b + seg_b * off,
-                              side="right")
+        na, nb = len(key_a), len(key_b)
+        requests += np.bincount(gb_b // bpc, minlength=cfg.channels)
+        ins = np.searchsorted(key_a, key_b, side="right")
         p = ins - 1
-        same_prev = (p >= 0) & (gbo_a[np.maximum(p, 0)] == gbo_b)
+        same_prev = (p >= 0) & (gb_a[np.maximum(p, 0)] == gb_b)
         run_first = np.empty(nb, dtype=bool)
         run_first[0] = True
-        run_first[1:] = (ins[1:] != ins[:-1]) | (gbo_b[1:] != gbo_b[:-1])
+        run_first[1:] = (ins[1:] != ins[:-1]) | (gb_b[1:] != gb_b[:-1])
 
         # metadata elements' own conflict flags
         flag_b = np.empty(nb, dtype=bool)
-        chain = ~run_first
-        flag_b[chain] = rows_b[np.flatnonzero(chain)] \
-            != rows_b[np.flatnonzero(chain) - 1]
+        chain = np.flatnonzero(~run_first)
+        flag_b[chain] = rows_b[chain] != rows_b[chain - 1]
         fi = np.flatnonzero(run_first)
         with_prev = same_prev[fi]
         flag_b[fi[with_prev]] = rows_b[fi[with_prev]] \
             != rows_a[p[fi[with_prev]]]
         flag_b[fi[~with_prev]] = True
-        conflicts += np.bincount(gbo_b[flag_b] // bpc,
-                                 minlength=nseg * nch)
+        conflicts += np.bincount(gb_b[flag_b] // bpc, minlength=cfg.channels)
 
         # the data element following each insertion run re-evaluates
         last = np.append(fi[1:], nb) - 1
         f = ins[last]
-        valid = (f < len(key_a)) & (gbo_a[np.minimum(f, len(key_a) - 1)]
-                                    == gbo_b[last])
+        valid = (f < na) & (gb_a[np.minimum(f, na - 1)] == gb_b[last])
         fv = f[valid]
         lv = last[valid]
-        pv = p[lv]
-        had_prev = same_prev[lv]
-        old_flag = np.where(had_prev, rows_a[fv] != rows_a[np.maximum(pv, 0)],
-                            True)
+        old_flag = np.where(same_prev[lv],
+                            rows_a[fv] != rows_a[np.maximum(p[lv], 0)], True)
         new_flag = rows_a[fv] != rows_b[lv]
         delta = new_flag.astype(np.int64) - old_flag.astype(np.int64)
         nz = delta != 0
-        np.add.at(conflicts, gbo_b[lv[nz]] // bpc, delta[nz])
+        np.add.at(conflicts, gb_b[lv[nz]] // bpc, delta[nz])
         return requests, conflicts
-
-    @staticmethod
-    def _merge_entries(entry_geoms, nbanks: int):
-        """Merge every entry's (one or two) bank-sorted geometries in one
-        batched pass.
-
-        Entries stay disjoint through a per-entry bank offset (exactly
-        the segmentation the conflict scan needs); the pairwise merges
-        collapse into a single offset-keyed ``searchsorted`` instead of
-        one Python round per entry.  Returns the concatenated
-        ``(sorted_bank, sorted_rows)`` arrays in entry order.
-        """
-        nseg = len(entry_geoms)
-        a_gb = [g[0][1] for g in entry_geoms]
-        a_rows = [g[0][2] for g in entry_geoms]
-        pairs = [k for k, g in enumerate(entry_geoms) if len(g) == 2]
-        seg_a = np.repeat(np.arange(nseg, dtype=np.int64),
-                          [len(x) for x in a_gb])
-        gb_a = np.concatenate(a_gb) + seg_a * nbanks
-        rows_a = np.concatenate(a_rows)
-        if not pairs:
-            return gb_a, rows_a
-
-        key_a = np.concatenate([entry_geoms[k][0][3] for k in range(nseg)])
-        key_b = np.concatenate([entry_geoms[k][1][3] for k in pairs])
-        seg_b = np.repeat(np.asarray(pairs, dtype=np.int64),
-                          [len(entry_geoms[k][1][3]) for k in pairs])
-        key_bits = max(1, int(max(int(key_a.max()),
-                                  int(key_b.max() if len(key_b) else 0))
-                              ).bit_length())
-        if key_bits + max(1, int(nseg).bit_length()) > 62:
-            # Segment-offset keys would overflow: per-entry merges.
-            parts_bank, parts_rows = [], []
-            for k, geoms in enumerate(entry_geoms):
-                merged = geoms[0]
-                for extra in geoms[1:]:
-                    merged = DramSim._merge_sorted(merged, extra)
-                parts_bank.append(merged[1] + k * nbanks)
-                parts_rows.append(merged[2])
-            return np.concatenate(parts_bank), np.concatenate(parts_rows)
-        off = np.int64(1) << key_bits
-        gb_b = np.concatenate([entry_geoms[k][1][1] for k in pairs]) \
-            + seg_b * nbanks
-        rows_b = np.concatenate([entry_geoms[k][1][2] for k in pairs])
-        slots = (np.searchsorted(key_a + seg_a * off, key_b + seg_b * off,
-                                 side="right")
-                 + np.arange(len(key_b)))
-        total = len(key_a) + len(key_b)
-        mask = np.ones(total, dtype=bool)
-        mask[slots] = False
-        out_gb = np.empty(total, dtype=np.int64)
-        out_rows = np.empty(total, dtype=np.int64)
-        out_gb[mask] = gb_a
-        out_gb[slots] = gb_b
-        out_rows[mask] = rows_a
-        out_rows[slots] = rows_b
-        return out_gb, out_rows
-
-    @staticmethod
-    def _merge_sorted(geom_a, geom_b):
-        """Merge two bank-sorted geometries; A wins ties (it precedes B
-        in the virtual concatenation, matching a stable sort)."""
-        _, gb_a, row_a, key_a = geom_a
-        _, gb_b, row_b, key_b = geom_b
-        slots = (np.searchsorted(key_a, key_b, side="right")
-                 + np.arange(len(key_b)))
-        total = len(key_a) + len(key_b)
-        mask = np.ones(total, dtype=bool)
-        mask[slots] = False
-        gb = np.empty(total, dtype=np.int64)
-        rows = np.empty(total, dtype=np.int64)
-        keys = np.empty(total, dtype=np.int64)
-        gb[mask] = gb_a
-        gb[slots] = gb_b
-        rows[mask] = row_a
-        rows[slots] = row_b
-        keys[mask] = key_a
-        keys[slots] = key_b
-        return None, gb, rows, keys
-
-    def simulate_fast_batch_parts(
-            self, part_lists: List[Sequence[BlockStream]]) -> List[DramResult]:
-        """Fast-model service of many independent streams in one pass.
-
-        Each entry of ``part_lists`` is a sequence of stream parts
-        treated as one concatenated stream (the pipeline passes each
-        layer's data and metadata streams without materializing the
-        combined stream). Results are identical to per-stream
-        :meth:`simulate_fast` calls — same ordering, same accounting,
-        float-identical — but the heavy work is shared and batched: each
-        part's bank-sorted geometry is memoized on the stream
-        (:meth:`_sorted_geom`), parts merge in O(n), and conflict
-        detection plus busy accounting run once over the concatenation,
-        segmented by stream id.
-        """
-        cfg = self.config
-        sizes = [sum(len(p) for p in parts) for parts in part_lists]
-        live = [i for i, size in enumerate(sizes) if size]
-        results: List[Optional[DramResult]] = [
-            None if size else DramResult(0, 0, 0, 0.0, None,
-                                         [0] * cfg.channels,
-                                         [0.0] * cfg.channels,
-                                         [0] * cfg.channels)
-            for size in sizes
-        ]
-        if not live:
-            return results  # type: ignore[return-value]
-
-        nbanks = cfg.channels * cfg.banks_per_channel
-        entries: List[List[Tuple]] = []
-        batched: List[int] = []
-        for i in live:
-            parts = [p for p in part_lists[i] if len(p)]
-            geoms = [self._sorted_geom(p) for p in parts]
-            if any(g is None for g in geoms):
-                # Cycle values too large for the shared composite key;
-                # serve this stream through the standalone fast model.
-                results[i] = self.simulate_fast(BlockStream.concat(parts))
-                continue
-            pairs = list(zip(parts, geoms))
-            while len(pairs) > 2:
-                # >2 parts (not a pipeline shape): pre-merge the extras
-                # into one unmemoized pseudo-part.
-                merged = self._merge_sorted(pairs[1][1], pairs[2][1])
-                pairs = [pairs[0], (None, merged)] + pairs[3:]
-            entries.append(pairs)
-            batched.append(i)
-        if not batched:
-            return results  # type: ignore[return-value]
-        live = batched
-
-        got = self._insertion_counts(entries)
-        if got is not None:
-            counts, miss_counts = got
-        else:
-            # Segment-offset keys would overflow: materialize merges.
-            entry_geoms = [[g for _, g in pairs] for pairs in entries]
-            sorted_bank, sorted_rows = self._merge_entries(entry_geoms,
-                                                           nbanks)
-            miss_mask = self._conflict_mask(sorted_bank, sorted_rows)
-            miss_counts = np.bincount(
-                sorted_bank[miss_mask] // cfg.banks_per_channel,
-                minlength=len(live) * cfg.channels)
-            seg = np.repeat(np.arange(len(live), dtype=np.int64),
-                            [sizes[i] for i in live])
-            counts = np.bincount(
-                seg * cfg.channels
-                + np.concatenate([g[0] for pairs in entries
-                                  for _, g in pairs]),
-                minlength=len(live) * cfg.channels)
-        overlap = 1.0 / cfg.banks_per_channel
-        busy = counts * self._burst_cyc + miss_counts * self._miss_cyc * overlap
-
-        counts = counts.reshape(len(live), cfg.channels)
-        miss_counts = miss_counts.reshape(len(live), cfg.channels)
-        busy = busy.reshape(len(live), cfg.channels)
-        for pos, i in enumerate(live):
-            misses = int(miss_counts[pos].sum())
-            results[i] = DramResult(
-                requests=sizes[i],
-                row_hits=sizes[i] - misses,
-                row_misses=misses,
-                busy_cycles=float(busy[pos].max()),
-                completion_cycle=None,
-                per_channel_requests=counts[pos].tolist(),
-                per_channel_busy=busy[pos].tolist(),
-                per_channel_row_misses=miss_counts[pos].tolist(),
-            )
-        return results  # type: ignore[return-value]

@@ -61,10 +61,6 @@ class LayerProtection:
     is_flush: bool = False              # end-of-model metadata drain, not a layer
 
     @property
-    def combined_stream(self) -> BlockStream:
-        return BlockStream.concat([self.data_stream, self.metadata_stream])
-
-    @property
     def data_bytes(self) -> int:
         return self.data_stream.total_bytes
 

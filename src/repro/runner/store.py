@@ -76,11 +76,13 @@ DEFAULT_TMP_SWEEP_AGE = 600.0
 #: itself, the observability layer (spans and counters never change
 #: what the pipeline computes), the fault-injection plane (test-only
 #: failure scaffolding; the ``fault-isolation`` lint rule keeps it out
-#: of result-bearing modules) and the presentation-only CLI.
+#: of result-bearing modules), the self-lint (``repro check`` reads
+#: the tree, the pipeline never imports it) and the presentation-only
+#: CLI.
 #: Everything else is hashed — deliberately conservative, so an
 #: ambiguous module over-invalidates the store rather than risking
 #: stale results.
-_NON_RESULT_DIRS = {"runner", "obs", "faults", "__pycache__"}
+_NON_RESULT_DIRS = {"runner", "obs", "faults", "analysis", "__pycache__"}
 _NON_RESULT_FILES = {"cli.py"}
 
 _code_version_cache: Optional[str] = None
@@ -113,9 +115,10 @@ def _default_tmp_sweep_age() -> float:
 def code_version() -> str:
     """Hash of the package sources that can affect evaluation results.
 
-    ``runner/`` and ``cli.py`` are excluded: changes to the caching
-    machinery or the command-line front-end do not change what the
-    pipeline computes, so they must not invalidate stored results.
+    ``_NON_RESULT_DIRS`` (``runner/``, ``obs/``, ``faults/``,
+    ``analysis/``) and ``cli.py`` are excluded: they do not change what
+    the pipeline computes, so editing them must not invalidate stored
+    results.
     """
     global _code_version_cache
     if _code_version_cache is None:

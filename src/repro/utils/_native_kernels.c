@@ -302,95 +302,61 @@ int drive_fused(
     return rc;
 }
 
-/* Completion-time carry of the reference DRAM model: the bus/bank
- * ready-time recurrence of DramSim.simulate, float64 semantics
- * identical to the Python loop (IEEE max/add in the same order). */
-double dram_completion(const double *arrivals, const i64 *banks,
-                       const double *service, i64 n, double burst,
-                       i64 nbanks)
-{
-    double *bank_ready = (double *)calloc((size_t)nbanks, sizeof(double));
-    double bus_free = 0.0, completion = 0.0;
-    if (!bank_ready)
-        return -1.0;
-    for (i64 i = 0; i < n; i++) {
-        i64 b = banks[i];
-        double ready = arrivals[i];
-        if (bank_ready[b] > ready) ready = bank_ready[b];
-        if (bus_free > ready) ready = bus_free;
-        double finish = ready + service[i];
-        bus_free = ready + burst;
-        bank_ready[b] = finish;
-        if (finish > completion) completion = finish;
-    }
-    free(bank_ready);
-    return completion;
-}
-
-/* ---- batched DRAM fast model ------------------------------------- */
+/* ---- DRAM model --------------------------------------------------- */
 
 /* Data element following one metadata insertion run re-evaluates its
  * conflict flag against the run's last row.  `lv` is the run's last
  * metadata index, `f` the insertion point (index of that data
- * element), `gbo` the run's segment-offset bank. */
-#define SEG(arr, idx) ((arr) ? (arr)[(idx)] : 0)
-
-static void follower_fix(i64 lv, i64 f, i64 gbo, const i64 *seg_a,
-                         const i64 *gb_a, const i64 *rows_a,
-                         const i64 *rows_b, i64 na, i64 nbanks, i64 bpc,
-                         i64 *conflicts)
+ * element), `gb` the run's global bank. */
+static void follower_fix(i64 lv, i64 f, i64 gb, const i64 *gb_a,
+                         const i64 *rows_a, const i64 *rows_b, i64 na,
+                         i64 bpc, i64 *conflicts)
 {
-    if (f >= na || gb_a[f] + SEG(seg_a, f) * nbanks != gbo)
+    if (f >= na || gb_a[f] != gb)
         return;
-    int had_prev = (f > 0) && (gb_a[f - 1] + SEG(seg_a, f - 1) * nbanks == gbo);
+    int had_prev = (f > 0) && (gb_a[f - 1] == gb);
     int old_flag = had_prev ? (rows_a[f] != rows_a[f - 1]) : 1;
     int new_flag = rows_a[f] != rows_b[lv];
-    conflicts[gbo / bpc] += (i64)new_flag - (i64)old_flag;
+    conflicts[gb / bpc] += (i64)new_flag - (i64)old_flag;
 }
 
-/* Exact per-(segment, channel) request/conflict counts for metadata
- * insertions into bank-sorted data streams: the merge scan behind
+/* Exact per-channel request/conflict counts that inserting a metadata
+ * stream into a bank-sorted data stream adds: the merge scan behind
  * DramSim._insertion_counts, one pass instead of searchsorted plus a
- * dozen fancy-indexing passes.  Both sides are (segment, key)-sorted;
- * ties resolve data-before-metadata (searchsorted side="right").
- * NULL segment arrays mean a single segment (the per-entry call shape,
- * which skips the concatenated copies entirely).  Adds into
- * caller-zeroed requests/conflicts[nseg * channels]. */
-int insertion_scan(const i64 *key_a, const i64 *seg_a, const i64 *gb_a,
-                   const i64 *rows_a, i64 na,
-                   const i64 *key_b, const i64 *seg_b, const i64 *gb_b,
-                   const i64 *rows_b, i64 nb,
-                   i64 nbanks, i64 bpc, i64 *requests, i64 *conflicts)
+ * dozen fancy-indexing passes.  Both sides are key-sorted; ties
+ * resolve data-before-metadata (searchsorted side="right").  Adds into
+ * caller-zeroed requests/conflicts[channels]. */
+void insertion_scan(const i64 *key_a, const i64 *gb_a, const i64 *rows_a,
+                    i64 na,
+                    const i64 *key_b, const i64 *gb_b, const i64 *rows_b,
+                    i64 nb,
+                    i64 bpc, i64 *requests, i64 *conflicts)
 {
     i64 i = 0;                 /* insertion point: # data elems <= key */
-    i64 prev_ins = -1, prev_gbo = -1;
+    i64 prev_ins = -1, prev_gb = -1;
     for (i64 j = 0; j < nb; j++) {
-        i64 sb = SEG(seg_b, j), kb = key_b[j];
-        while (i < na && (SEG(seg_a, i) < sb
-                          || (SEG(seg_a, i) == sb && key_a[i] <= kb)))
+        i64 kb = key_b[j], gb = gb_b[j];
+        while (i < na && key_a[i] <= kb)
             i++;
-        i64 gbo = gb_b[j] + sb * nbanks;
-        requests[gbo / bpc]++;
+        requests[gb / bpc]++;
         int flag;
-        if (j == 0 || i != prev_ins || gbo != prev_gbo) {
+        if (j == 0 || i != prev_ins || gb != prev_gb) {
             /* new insertion run: close the previous one */
             if (j > 0)
-                follower_fix(j - 1, prev_ins, prev_gbo, seg_a, gb_a,
-                             rows_a, rows_b, na, nbanks, bpc, conflicts);
-            int same_prev = (i > 0)
-                && (gb_a[i - 1] + SEG(seg_a, i - 1) * nbanks == gbo);
+                follower_fix(j - 1, prev_ins, prev_gb, gb_a, rows_a,
+                             rows_b, na, bpc, conflicts);
+            int same_prev = (i > 0) && (gb_a[i - 1] == gb);
             flag = same_prev ? (rows_b[j] != rows_a[i - 1]) : 1;
         } else {
             flag = rows_b[j] != rows_b[j - 1];
         }
-        conflicts[gbo / bpc] += flag;
+        conflicts[gb / bpc] += flag;
         prev_ins = i;
-        prev_gbo = gbo;
+        prev_gb = gb;
     }
     if (nb > 0)
-        follower_fix(nb - 1, prev_ins, prev_gbo, seg_a, gb_a, rows_a,
-                     rows_b, na, nbanks, bpc, conflicts);
-    return 0;
+        follower_fix(nb - 1, prev_ins, prev_gb, gb_a, rows_a, rows_b, na,
+                     bpc, conflicts);
 }
 
 /* Fused geometry pass for a cycle-sorted stream under power-of-two
@@ -398,12 +364,12 @@ int insertion_scan(const i64 *key_a, const i64 *seg_a, const i64 *gb_a,
  * (input order within a bank is already issue order), composite sort
  * keys, and per-channel request/conflict counts — everything
  * DramSim._sorted_geom + _stream_counts produce, in two passes.
- * Outputs: channel[n] (input order), gb/rows/key[n] (bank-sorted),
- * requests/conflicts[channels] (caller-zeroed). */
+ * Outputs: gb/rows/key[n] (bank-sorted), requests/conflicts[channels]
+ * (caller-zeroed). */
 int geom_counts(const i64 *addrs, const i64 *cycles, i64 n,
                 i64 block_shift, i64 channel_shift, i64 col_shift,
                 i64 bank_shift, i64 key_span,
-                i64 *channel_out, i64 *gb_out, i64 *rows_out, i64 *key_out,
+                i64 *gb_out, i64 *rows_out, i64 *key_out,
                 i64 *requests, i64 *conflicts)
 {
     i64 channels = (i64)1 << channel_shift;
@@ -423,7 +389,6 @@ int geom_counts(const i64 *addrs, const i64 *cycles, i64 n,
         i64 local = block >> channel_shift;
         i64 bank = (local >> col_shift) & (banks - 1);
         i64 gb = ch * banks + bank;
-        channel_out[k] = ch;
         gb_tmp[k] = gb;
         row_tmp[k] = local >> (col_shift + bank_shift);
         offs[gb + 1]++;

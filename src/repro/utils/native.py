@@ -1,20 +1,21 @@
 """On-demand compiled native kernels (optional accelerators).
 
 The vectorized reuse-distance engine (:mod:`repro.protection.reuse_engine`)
-removes the per-access Python cost of the metadata cache drives, but two
-carries stay irreducibly sequential: the VN integrity-tree walk (a
-data-dependent state machine, reachable offline only through fixpoint
-iteration) and the reference DRAM model's bus/bank ready-time
-recurrence.  When a C compiler is available this module builds
-``_native_kernels.c`` — direct transcriptions of the reference scalar
-loops — and the hot paths run those carries in native code instead.
+removes the per-access Python cost of the metadata cache drives, but the
+VN integrity-tree walk stays irreducibly sequential (a data-dependent
+state machine, reachable offline only through fixpoint iteration), and
+the DRAM model's per-layer counter spends most of its time in two
+passes numpy needs many array sweeps for: the bank sort of a data
+stream and the metadata insertion scan.  When a C compiler is available
+this module builds ``_native_kernels.c`` and the hot paths run those
+loops in native code instead.
 
 Everything degrades gracefully: no compiler (or
 ``REPRO_NO_NATIVE_KERNEL=1``) means :func:`available` is False and the
-callers use the pure numpy engine / Python carries, with the VN
-fixpoint falling back to the scalar oracle.  All tiers are pinned
-bit-identical by the equivalence suites in
-``tests/protection/test_reuse_engine.py`` and ``tests/dram``; the
+callers use the pure numpy tiers, with the VN fixpoint falling back to
+the scalar oracle.  All tiers are pinned bit-identical by the
+equivalence suites in ``tests/protection/test_reuse_engine.py``,
+``tests/dram`` and ``tests/utils/test_native_parity.py``; the
 ``FALLBACKS`` manifest below records which slow tier owns each kernel,
 and ``repro check``'s tier-parity rule fails the build if an entry
 point ships without one.
@@ -60,14 +61,10 @@ FALLBACKS = {
     ],
     "insertion_scan": [
         "repro.dram.simulator:DramSim._insertion_counts",
-        "repro.dram.simulator:DramSim._merge_entries",
     ],
     "geom_counts": [
         "repro.dram.simulator:DramSim._sorted_geom",
         "repro.dram.simulator:DramSim._stream_counts",
-    ],
-    "dram_completion": [
-        "repro.dram.simulator:DramSim._channel_completion",
     ],
 }
 
@@ -196,21 +193,17 @@ def _load():
         if faults.should_fail("native.load"):
             raise OSError("injected native-kernel load failure")
         lib = ctypes.CDLL(path)
-        lib.dram_completion.restype = ctypes.c_double
-        lib.dram_completion.argtypes = [
-            _ptr, _ptr, _ptr, _i64, ctypes.c_double, _i64,
-        ]
-        lib.insertion_scan.restype = ctypes.c_int
+        lib.insertion_scan.restype = None
         lib.insertion_scan.argtypes = [
-            _ptr, _ptr, _ptr, _ptr, _i64,                   # data side
-            _ptr, _ptr, _ptr, _ptr, _i64,                   # metadata side
-            _i64, _i64, _ptr, _ptr,                         # geometry, outs
+            _ptr, _ptr, _ptr, _i64,                         # data side
+            _ptr, _ptr, _ptr, _i64,                         # metadata side
+            _i64, _ptr, _ptr,                               # bpc, outs
         ]
         lib.geom_counts.restype = ctypes.c_int
         lib.geom_counts.argtypes = [
             _ptr, _ptr, _i64,                               # addrs/cycles
             _i64, _i64, _i64, _i64, _i64,                   # shifts, span
-            _ptr, _ptr, _ptr, _ptr,                         # geometry outs
+            _ptr, _ptr, _ptr,                               # geometry outs
             _ptr, _ptr,                                     # count outs
         ]
         lib.drive_fused.restype = ctypes.c_int
@@ -237,14 +230,14 @@ def available() -> bool:
     return _load() is not None
 
 
-def _addr(arr: Optional[np.ndarray]) -> Optional[int]:
-    """Data address of a contiguous array (``None`` passes NULL).
+def _addr(arr: np.ndarray) -> int:
+    """Data address of a contiguous array.
 
     An address, unlike a ``data_as`` pointer, does not keep its array
     alive: callers bind every array they pass to a name that outlives
     the kernel call.
     """
-    return None if arr is None else arr.ctypes.data
+    return arr.ctypes.data
 
 
 _EMPTY64 = np.empty(0, np.int64)
@@ -420,16 +413,13 @@ def _c64(arr: np.ndarray) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def insertion_scan(key_a, seg_a, gb_a, rows_a, key_b, seg_b, gb_b, rows_b,
-                   nbanks: int, bpc: int,
+def insertion_scan(key_a, gb_a, rows_a, key_b, gb_b, rows_b, bpc: int,
                    requests: np.ndarray, conflicts: np.ndarray) -> bool:
     """Native merge scan behind ``DramSim._insertion_counts``.
 
-    Both sides must be (segment, key)-sorted; ``seg_a``/``seg_b`` may be
-    None for the single-segment per-entry shape (which needs none of
-    the concatenated copies the packed numpy scan builds).  Adds
-    metadata request and conflict counts into ``requests``/``conflicts``
-    in place; returns False when the kernel is unavailable (caller runs
+    Both sides must be key-sorted bank geometries.  Adds the metadata
+    request and conflict counts into ``requests``/``conflicts`` in
+    place; returns False when the kernel is unavailable (caller runs
     the numpy scan).
     """
     lib = _load()
@@ -437,16 +427,12 @@ def insertion_scan(key_a, seg_a, gb_a, rows_a, key_b, seg_b, gb_b, rows_b,
         return False
     key_a, gb_a, rows_a, key_b, gb_b, rows_b = (
         _c64(a) for a in (key_a, gb_a, rows_a, key_b, gb_b, rows_b))
-    seg_a = None if seg_a is None else _c64(seg_a)
-    seg_b = None if seg_b is None else _c64(seg_b)
-    rc = lib.insertion_scan(
-        _addr(key_a), _addr(seg_a), _addr(gb_a), _addr(rows_a), len(key_a),
-        _addr(key_b), _addr(seg_b), _addr(gb_b), _addr(rows_b), len(key_b),
-        int(nbanks), int(bpc), _addr(requests), _addr(conflicts))
-    if rc == 0:
-        obs.incr("native.dram_batch.kernel")
-        return True
-    return False
+    lib.insertion_scan(
+        _addr(key_a), _addr(gb_a), _addr(rows_a), len(key_a),
+        _addr(key_b), _addr(gb_b), _addr(rows_b), len(key_b),
+        int(bpc), _addr(requests), _addr(conflicts))
+    obs.incr("native.dram_batch.kernel")
+    return True
 
 
 def geom_counts(addrs: np.ndarray, cycles: np.ndarray,
@@ -454,15 +440,14 @@ def geom_counts(addrs: np.ndarray, cycles: np.ndarray,
                 channels: int):
     """Fused decompose + bank counting-sort + per-channel counts for a
     cycle-sorted stream (``DramSim._sorted_geom`` + ``_stream_counts``
-    in one native pass).  Returns ``(channel, gb_sorted, rows_sorted,
-    key_sorted, requests, conflicts)`` or ``None`` when unavailable.
+    in one native pass).  Returns ``(gb_sorted, rows_sorted, key_sorted,
+    requests, conflicts)`` or ``None`` when unavailable.
     """
     lib = _load()
     n = len(addrs)
     if lib is None or n == 0:
         return None
     block_shift, channel_shift, col_shift, bank_shift = shifts
-    channel = np.empty(n, np.int64)
     gb_s = np.empty(n, np.int64)
     rows_s = np.empty(n, np.int64)
     key_s = np.empty(n, np.int64)
@@ -473,32 +458,9 @@ def geom_counts(addrs: np.ndarray, cycles: np.ndarray,
         _addr(addrs), _addr(cycles), n,
         int(block_shift), int(channel_shift), int(col_shift),
         int(bank_shift), int(key_span),
-        _addr(channel), _addr(gb_s), _addr(rows_s), _addr(key_s),
+        _addr(gb_s), _addr(rows_s), _addr(key_s),
         _addr(requests), _addr(conflicts))
     if rc != 0:
         return None
     obs.incr("native.dram_geom.kernel")
-    return channel, gb_s, rows_s, key_s, requests, conflicts
-
-
-def dram_completion(arrivals: np.ndarray, banks: np.ndarray,
-                    service: np.ndarray, burst: float,
-                    nbanks: int) -> Optional[float]:
-    """Native completion-time carry of the reference DRAM model.
-
-    Float64 semantics identical to the Python loop; returns ``None``
-    when the kernel is unavailable (caller runs the Python carry).
-    """
-    lib = _load()
-    if lib is None or len(arrivals) == 0:
-        if len(arrivals):
-            obs.incr("native.dram.python_fallback")
-        return None
-    obs.incr("native.dram.kernel")
-    arrivals = np.ascontiguousarray(arrivals, dtype=np.float64)
-    banks = np.ascontiguousarray(banks, dtype=np.int64)
-    service = np.ascontiguousarray(service, dtype=np.float64)
-    out = lib.dram_completion(
-        _addr(arrivals), _addr(banks), _addr(service), len(arrivals),
-        float(burst), int(nbanks))
-    return None if out < 0 else float(out)
+    return gb_s, rows_s, key_s, requests, conflicts

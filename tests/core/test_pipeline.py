@@ -59,14 +59,6 @@ class TestProtectedRuns:
         b = pipeline.run(topology, make_scheme("seda"), model_run=model_run)
         assert a.total_cycles == b.total_cycles
 
-    def test_fast_and_reference_dram_agree_on_busy(self, test_npu, topology):
-        fast = Pipeline(test_npu, use_fast_dram=True)
-        slow = Pipeline(test_npu, use_fast_dram=False)
-        run_fast = fast.run(topology, make_scheme("baseline"))
-        run_slow = slow.run(topology, make_scheme("baseline"))
-        assert run_fast.total_cycles == pytest.approx(
-            run_slow.total_cycles, rel=0.05)
-
     def test_bottleneck_histogram(self, pipeline, topology):
         run = pipeline.run(topology, make_scheme("baseline"))
         histogram = run.bottleneck_histogram()

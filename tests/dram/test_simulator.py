@@ -1,4 +1,4 @@
-"""DRAM timing: reference event model vs vectorized fast model."""
+"""DRAM timing: the per-layer counter against the event-driven oracle."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.accel.trace import BlockStream
 from repro.dram.simulator import DramSim
 from repro.dram.timing import DramConfig, SERVER_DRAM
+from repro.utils import native
+from tests.dram import oracle
 
 
 def _stream(addrs, cycles=None, writes=None):
@@ -20,24 +22,55 @@ def _stream(addrs, cycles=None, writes=None):
     )
 
 
+def _random_stream(rng, n, sort_cycles=False):
+    cycles = rng.integers(0, 4_000, n)
+    return _stream(rng.integers(0, 1 << 22, n).astype(np.uint64) * 64,
+                   cycles=np.sort(cycles) if sort_cycles else cycles,
+                   writes=rng.integers(0, 2, n).astype(bool))
+
+
+def _assert_matches_oracle(got, stream):
+    """Integer counts exact, busy time to float tolerance (the oracle
+    rounds the overlap discount in a different order)."""
+    ref = oracle.simulate(SERVER_DRAM, 1.0, stream)
+    assert got.requests == ref.requests
+    assert got.row_hits == ref.row_hits
+    assert got.row_misses == ref.row_misses
+    assert got.per_channel_requests == ref.per_channel_requests
+    assert got.per_channel_row_misses == ref.per_channel_row_misses
+    assert got.busy_cycles == pytest.approx(ref.busy_cycles, rel=1e-9)
+
+
 @pytest.fixture
 def sim():
     return DramSim(SERVER_DRAM, freq_ghz=1.0)
 
 
+@pytest.fixture(params=["native", "numpy"])
+def tier(request, monkeypatch):
+    """Run a test on the native kernels, then with them patched off."""
+    if request.param == "native" and not native.available():
+        pytest.skip("no native kernel in this environment")
+    if request.param == "numpy":
+        monkeypatch.setattr(native, "_load", lambda: None)
+    return request.param
+
+
 class TestEmptyAndTrivial:
     def test_empty_stream(self, sim):
-        result = sim.simulate(_stream([]))
+        result = oracle.simulate(SERVER_DRAM, 1.0, _stream([]))
         assert result.requests == 0
         assert result.busy_cycles == 0.0
         fast = sim.simulate_fast(_stream([]))
         assert fast.requests == 0
+        assert fast.busy_cycles == 0.0
 
     def test_single_request(self, sim):
-        result = sim.simulate(_stream([0]))
+        result = oracle.simulate(SERVER_DRAM, 1.0, _stream([0]))
         assert result.requests == 1
         assert result.row_misses == 1  # cold row buffer
         assert result.completion_cycle > 0
+        _assert_matches_oracle(sim.simulate_fast(_stream([0])), _stream([0]))
 
 
 class TestRowBufferBehaviour:
@@ -70,34 +103,36 @@ class TestRowBufferBehaviour:
 
 
 class TestFastVsReference:
+    """The counter against the event-driven oracle."""
+
     @given(st.lists(st.integers(0, 1 << 20), min_size=1, max_size=300))
     @settings(max_examples=30, deadline=None)
     def test_miss_counts_agree(self, blocks):
         sim = DramSim(SERVER_DRAM, freq_ghz=1.0)
-        addrs = np.asarray(blocks, dtype=np.uint64) * 64
-        ref = sim.simulate(_stream(addrs))
-        fast = sim.simulate_fast(_stream(addrs))
+        stream = _stream(np.asarray(blocks, dtype=np.uint64) * 64)
+        ref = oracle.simulate(SERVER_DRAM, 1.0, stream)
+        fast = sim.simulate_fast(stream)
         assert ref.row_misses == fast.row_misses
         assert ref.row_hits == fast.row_hits
 
     @given(st.lists(st.integers(0, 1 << 16), min_size=1, max_size=300))
     @settings(max_examples=30, deadline=None)
     def test_busy_times_agree(self, blocks):
-        """Both engines account identical per-channel busy time."""
+        """Both account identical per-channel busy time."""
         sim = DramSim(SERVER_DRAM, freq_ghz=1.0)
-        addrs = np.asarray(blocks, dtype=np.uint64) * 64
-        ref = sim.simulate(_stream(addrs))
-        fast = sim.simulate_fast(_stream(addrs))
+        stream = _stream(np.asarray(blocks, dtype=np.uint64) * 64)
+        ref = oracle.simulate(SERVER_DRAM, 1.0, stream)
+        fast = sim.simulate_fast(stream)
         assert ref.busy_cycles == pytest.approx(fast.busy_cycles, rel=1e-9)
 
-    def test_completion_bounds_busy(self, sim):
+    def test_completion_bounds_busy(self):
         addrs = np.arange(2000, dtype=np.uint64) * 64
-        ref = sim.simulate(_stream(addrs))
+        ref = oracle.simulate(SERVER_DRAM, 1.0, _stream(addrs))
         assert ref.completion_cycle >= ref.busy_cycles
 
     def test_randomized_mixed_traffic_agreement(self, sim):
-        """Random addresses, cycles and writes: the fast model matches
-        the reference's hit/miss classification exactly and its busy
+        """Random addresses, cycles and writes: the counter matches the
+        oracle's hit/miss classification exactly and its busy
         accounting to float tolerance."""
         rng = np.random.default_rng(1234)
         for _ in range(10):
@@ -106,106 +141,107 @@ class TestFastVsReference:
             cycles = rng.integers(0, 10_000, n)
             writes = rng.integers(0, 2, n).astype(bool)
             stream = _stream(addrs, cycles=cycles, writes=writes)
-            ref = sim.simulate(stream)
-            fast = sim.simulate_fast(stream)
-            assert ref.row_misses == fast.row_misses
-            assert ref.row_hits == fast.row_hits
-            assert ref.per_channel_requests == fast.per_channel_requests
-            assert ref.busy_cycles == pytest.approx(fast.busy_cycles,
-                                                    rel=1e-9)
+            _assert_matches_oracle(sim.simulate_fast(stream), stream)
+
+    @pytest.mark.parametrize("seed", [5, 17, 41])
+    def test_randomized_pairs_agree(self, seed, tier):
+        """(data, metadata) entries, including an empty side, match the
+        oracle on the concatenated stream."""
+        rng = np.random.default_rng(seed)
+        sizes = [(int(rng.integers(1, 1500)), int(rng.integers(1, 500)))
+                 for _ in range(6)] + [(700, 0), (0, 300), (0, 0)]
+        part_lists = [(_random_stream(rng, n, sort_cycles=True),
+                       _random_stream(rng, m)) for n, m in sizes]
+        sim = DramSim(SERVER_DRAM, freq_ghz=1.0)
+        got = sim.simulate_fast_batch_parts(part_lists)
+        assert len(got) == len(part_lists)
+        for parts, result in zip(part_lists, got):
+            _assert_matches_oracle(result, BlockStream.concat(parts))
 
 
 class TestBatchedFastModel:
     def test_batch_matches_per_stream(self, sim):
         rng = np.random.default_rng(7)
-        streams = []
-        for _ in range(8):
-            n = int(rng.integers(0, 1500))
-            addrs = rng.integers(0, 1 << 24, n).astype(np.uint64) * 64
-            cycles = rng.integers(0, 5_000, n)
-            writes = rng.integers(0, 2, n).astype(bool)
-            streams.append(_stream(addrs, cycles=cycles, writes=writes))
-        batch = sim.simulate_fast_batch(streams)
+        streams = [_random_stream(rng, int(rng.integers(0, 1500)))
+                   for _ in range(8)]
+        batch = sim.simulate_fast_batch_parts([(s,) for s in streams])
         for stream, got in zip(streams, batch):
-            want = sim.simulate_fast(stream)
-            assert got.requests == want.requests
-            assert got.row_misses == want.row_misses
-            assert got.busy_cycles == want.busy_cycles
-            assert got.per_channel_busy == want.per_channel_busy
+            _assert_matches_oracle(got, stream)
 
     def test_batch_parts_match_concatenation(self, sim):
         rng = np.random.default_rng(9)
         part_lists, combined = [], []
         for _ in range(5):
-            parts = []
-            for _ in range(2):
-                n = int(rng.integers(0, 800))
-                addrs = rng.integers(0, 1 << 22, n).astype(np.uint64) * 64
-                cycles = rng.integers(0, 4_000, n)
-                parts.append(_stream(addrs, cycles=cycles))
+            parts = [_random_stream(rng, int(rng.integers(0, 800)))
+                     for _ in range(2)]
             part_lists.append(parts)
             combined.append(BlockStream.concat(parts))
         got = sim.simulate_fast_batch_parts(part_lists)
-        want = sim.simulate_fast_batch(combined)
-        for g, w in zip(got, want):
-            assert g.row_misses == w.row_misses
-            assert g.busy_cycles == w.busy_cycles
+        for g, stream in zip(got, combined):
+            assert g == sim.simulate_fast(stream)
 
     def test_batch_empty_streams(self, sim):
-        results = sim.simulate_fast_batch([_stream([]), _stream([0, 64])])
+        results = sim.simulate_fast_batch_parts(
+            [(_stream([]),), (_stream([0, 64]),)])
         assert results[0].requests == 0
         assert results[1].requests == 2
 
+    def test_more_than_two_parts_rejected(self, sim):
+        parts = [_stream([0]), _stream([64]), _stream([128])]
+        with pytest.raises(ValueError, match="data, metadata"):
+            sim.simulate_fast_batch_parts([parts])
+
+
+class TestKeySpan:
+    @pytest.mark.parametrize("last", [2 ** 41, 2 ** 41 + 5])
+    def test_cycles_past_key_span_raise(self, sim, last):
+        stream = _stream([0, 64], cycles=[0, last])
+        with pytest.raises(ValueError, match=r"2\*\*41"):
+            sim.simulate_fast(stream)
+
+    def test_cycles_below_key_span_serve(self, sim):
+        stream = _stream([0, 64], cycles=[0, 2 ** 41 - 1])
+        _assert_matches_oracle(sim.simulate_fast(stream), stream)
+
 
 class TestNativeBatchTiers:
-    """The native batched-model kernels (fused geometry pass, insertion
-    merge scan) must match the pure numpy tier bit for bit."""
+    """The native kernels (fused geometry pass, insertion merge scan)
+    must match the numpy tier bit for bit."""
 
     def _part_lists(self, seed):
         rng = np.random.default_rng(seed)
         part_lists = []
         for _ in range(6):
-            n = int(rng.integers(1, 1200))
-            m = int(rng.integers(0, 400))
             # Cycle-sorted data part (the geom_counts fast path) plus an
             # unsorted metadata part (the packed-sort path), like the
             # pipeline's (data, metadata) entries.
-            data = _stream(rng.integers(0, 1 << 22, n).astype(np.uint64) * 64,
-                           cycles=np.sort(rng.integers(0, 4_000, n)),
-                           writes=rng.integers(0, 2, n).astype(bool))
-            parts = [data]
+            parts = [_random_stream(rng, int(rng.integers(1, 1200)),
+                                    sort_cycles=True)]
+            m = int(rng.integers(0, 400))
             if m:
-                parts.append(_stream(
-                    rng.integers(0, 1 << 22, m).astype(np.uint64) * 64,
-                    cycles=rng.integers(0, 4_000, m),
-                    writes=rng.integers(0, 2, m).astype(bool)))
+                parts.append(_random_stream(rng, m))
             part_lists.append(parts)
         return part_lists
 
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_native_matches_numpy(self, seed, monkeypatch):
-        from repro.utils import native
         if not native.available():
             pytest.skip("no native kernel in this environment")
         sim = DramSim(SERVER_DRAM, freq_ghz=1.0)
         got = sim.simulate_fast_batch_parts(self._part_lists(seed))
-        monkeypatch.setattr(native, "available", lambda: False)
-        monkeypatch.setattr(native, "geom_counts", lambda *a, **k: None)
-        sim = DramSim(SERVER_DRAM, freq_ghz=1.0)
+        monkeypatch.setattr(native, "_load", lambda: None)
         want = sim.simulate_fast_batch_parts(self._part_lists(seed))
         for g, w in zip(got, want):
             assert g == w
 
     def test_native_matches_reference_model(self):
-        """End to end against the event-driven model: the native batch
-        tier classifies hits/misses exactly."""
+        """End to end against the oracle: the active tier classifies
+        hits/misses exactly."""
         sim = DramSim(SERVER_DRAM, freq_ghz=1.0)
         part_lists = self._part_lists(17)
         batch = sim.simulate_fast_batch_parts(part_lists)
         for parts, got in zip(part_lists, batch):
-            ref = sim.simulate(BlockStream.concat(parts))
-            assert got.row_misses == ref.row_misses
-            assert got.per_channel_requests == ref.per_channel_requests
+            _assert_matches_oracle(got, BlockStream.concat(parts))
 
 
 class TestBandwidthScaling:

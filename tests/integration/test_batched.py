@@ -9,10 +9,7 @@ from repro.accel.simulator import AcceleratorSim
 from repro.accel.systolic import SystolicArray
 from repro.accel.trace import AccessKind
 from repro.cli import main as cli_main
-from repro.core.config import npu_config
-from repro.core.pipeline import Pipeline
 from repro.models.zoo import get_workload
-from repro.protection import make_scheme
 from repro.runner.service import EvalService
 from repro.runner.store import ResultStore
 from repro.tiling.tile import SramBudget
@@ -60,22 +57,6 @@ class TestPerImageScaling:
         for result in batched.layers:
             assert result.trace.total_bytes <= result.plan.total_traffic
             assert result.trace.total_bytes > 0.9 * result.plan.total_traffic
-
-
-class TestFastVsReferenceDram:
-    def test_agreement_on_batched_workload(self):
-        """The fast DRAM model and the reference event model agree on a
-        batched cell the same way they do at batch 1."""
-        npu = npu_config("edge")
-        topology = get_workload(f"lenet@b{BATCH}")
-        scheme = "mgx-64b"
-        fast = Pipeline(npu, use_fast_dram=True).run(
-            topology, make_scheme(scheme))
-        ref = Pipeline(npu, use_fast_dram=False).run(
-            topology, make_scheme(scheme))
-        assert fast.total_bytes == ref.total_bytes
-        for f, r in zip(fast.layers, ref.layers):
-            assert f.dram_cycles == pytest.approx(r.dram_cycles, rel=0.05)
 
 
 class TestBatchedSweepCell:

@@ -1,0 +1,50 @@
+"""Every DRAM timing row of a real pipeline run against the oracle.
+
+The pipeline serves each layer as a ``(data, metadata)`` pair through
+``DramSim.simulate_fast_batch_parts``. Here every entry it sends is
+replayed through the event-driven oracle on the concatenated stream.
+"""
+
+import pytest
+
+from repro.accel.trace import BlockStream
+from repro.core.config import npu_config
+from repro.core.pipeline import Pipeline
+from repro.models.zoo import get_workload
+from repro.protection import make_scheme
+from tests.dram import oracle
+
+CASES = [
+    ("server", "resnet18", "sgx-64b"),
+    ("edge", "mobilenet@b4", "mgx-64b"),
+    ("edge", "gpt2@s128", "mgx-64b"),
+]
+
+
+@pytest.mark.parametrize("npu,workload,scheme", CASES,
+                         ids=[case[1] for case in CASES])
+def test_timing_rows_match_oracle(npu, workload, scheme):
+    pipeline = Pipeline(npu_config(npu))
+    dram = pipeline.dram
+    served = []
+    serve = dram.simulate_fast_batch_parts
+
+    def spy(part_lists):
+        results = serve(part_lists)
+        served.extend(zip(part_lists, results))
+        return results
+
+    dram.simulate_fast_batch_parts = spy
+    run = pipeline.run(get_workload(workload), make_scheme(scheme))
+
+    assert len(served) == len(run.layers)
+    assert any(len(parts[1]) for parts, _ in served)
+    for (parts, got), timing in zip(served, run.layers):
+        assert timing.dram_cycles == got.busy_cycles
+        ref = oracle.simulate(dram.config, dram.freq_ghz,
+                              BlockStream.concat(parts))
+        assert got.requests == ref.requests
+        assert got.row_hits == ref.row_hits
+        assert got.row_misses == ref.row_misses
+        assert got.per_channel_requests == ref.per_channel_requests
+        assert got.busy_cycles == pytest.approx(ref.busy_cycles, rel=1e-9)

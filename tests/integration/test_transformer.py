@@ -11,7 +11,6 @@ from repro.core.config import npu_config
 from repro.core.metrics import compare_schemes
 from repro.core.pipeline import Pipeline
 from repro.models.zoo import get_workload
-from repro.protection import make_scheme
 from repro.runner.service import EvalService
 from repro.runner.store import ResultStore
 
@@ -54,20 +53,6 @@ class TestDecodeBottleneck:
         assert gpt2_compare.baseline.seq == 64
         for run in gpt2_compare.runs.values():
             assert run.seq == 64
-
-
-class TestFastVsReferenceDramOnTransformer:
-    def test_agreement_on_gpt2_cell(self):
-        npu = npu_config("edge")
-        topology = get_workload("gpt2@s64").subset(13)  # two blocks + head
-        scheme = "mgx-64b"
-        fast = Pipeline(npu, use_fast_dram=True).run(
-            topology, make_scheme(scheme))
-        ref = Pipeline(npu, use_fast_dram=False).run(
-            topology, make_scheme(scheme))
-        assert fast.total_bytes == ref.total_bytes
-        for f, r in zip(fast.layers, ref.layers):
-            assert f.dram_cycles == pytest.approx(r.dram_cycles, rel=0.05)
 
 
 class TestSeqThroughTheService:

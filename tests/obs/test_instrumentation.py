@@ -50,15 +50,6 @@ class TestPipelineSpans:
         assert names.count("dram") == 1
         assert names.count("crypto") == 1
 
-    def test_slow_dram_path_records_per_layer_spans(self, test_npu,
-                                                    topology):
-        recorder = obs.enable()
-        pipeline = Pipeline(test_npu, use_fast_dram=False)
-        run = pipeline.run(topology, make_scheme("sgx-64b"))
-        names = span_names(recorder)
-        # One dram.layer span per protection record (incl. flush tail).
-        assert names.count("dram.layer") == len(run.layers)
-
     def test_untraced_run_records_nothing(self, test_npu, topology):
         Pipeline(test_npu).run(topology, make_scheme("seda"))
         assert obs.get() is None  # nothing installed, nothing leaked

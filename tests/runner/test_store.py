@@ -2,7 +2,11 @@
 
 import json
 import os
+import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +55,34 @@ class TestFingerprint:
 
     def test_code_version_is_stable(self):
         assert code_version() == code_version()
+
+    def test_code_version_ignores_lint_but_not_models(self, tmp_path):
+        """Editing the self-lint keeps stored results valid; editing a
+        result-bearing model invalidates them."""
+        package = Path(__file__).resolve().parents[2] / "src" / "repro"
+        copy = tmp_path / "src" / "repro"
+        shutil.copytree(package, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+
+        def version():
+            env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"),
+                       PYTHONDONTWRITEBYTECODE="1")
+            out = subprocess.run(
+                [sys.executable, "-c",
+                 "from repro.runner.store import code_version; "
+                 "print(code_version())"],
+                env=env, capture_output=True, text=True, check=True)
+            return out.stdout.strip()
+
+        def edit(relative):
+            with open(copy / relative, "a") as handle:
+                handle.write("\n# edited\n")
+
+        base = version()
+        edit("analysis/rules/tier_parity.py")
+        assert version() == base
+        edit("dram/simulator.py")
+        assert version() != base
 
 
 class TestGetPut:

@@ -4,8 +4,8 @@ Every public kernel in :mod:`repro.utils.native` must keep a registered
 pure-Python/numpy fallback (the ``FALLBACKS`` manifest) and match it
 exactly.  The broad equivalence suites live next to the models
 (``tests/protection/test_reuse_engine.py``, ``tests/dram``); this file
-pins the manifest itself and drives ``dram_completion`` /
-``insertion_scan`` head-to-head against their slow tiers.
+pins the manifest itself and drives ``insertion_scan`` head-to-head
+against its numpy twin.
 """
 
 import importlib
@@ -31,8 +31,7 @@ def _stream(addrs, cycles=None, writes=None):
 
 class TestFallbacksManifest:
     def test_every_entry_point_is_registered(self):
-        for entry in ("fused_drive", "insertion_scan", "geom_counts",
-                      "dram_completion"):
+        for entry in ("fused_drive", "insertion_scan", "geom_counts"):
             assert entry in native.FALLBACKS
             assert callable(getattr(native, entry))
 
@@ -50,33 +49,6 @@ class TestFallbacksManifest:
         for entry in native.FALLBACKS:
             assert callable(getattr(native, entry, None)), \
                 f"FALLBACKS registers missing kernel {entry!r}"
-
-
-class TestDramCompletionParity:
-    def _case(self, seed, nbanks):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 600))
-        arrivals = np.sort(rng.uniform(0, 3_000, n))
-        banks = rng.integers(0, nbanks, n)
-        service = rng.uniform(1.0, 40.0, n)
-        return arrivals, banks, service
-
-    @pytest.mark.parametrize("seed", [1, 5, 23])
-    def test_kernel_matches_python_carry(self, seed, monkeypatch):
-        if not native.available():
-            pytest.skip("no native kernel in this environment")
-        sim = DramSim(SERVER_DRAM, freq_ghz=1.0)
-        nbanks = sim.config.banks_per_channel
-        arrivals, banks, service = self._case(seed, nbanks)
-        burst = 4.0
-        got = native.dram_completion(arrivals, banks, service, burst,
-                                     nbanks)
-        assert got is not None
-        monkeypatch.setattr(native, "dram_completion",
-                            lambda *a, **k: None)
-        want = sim._channel_completion(arrivals, banks, service, burst)
-        # The kernel is a float64-identical transcription of the carry.
-        assert got == want
 
 
 class TestInsertionScanParity:
