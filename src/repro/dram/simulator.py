@@ -7,11 +7,10 @@ data-bus occupancy is ``requests * burst``, and row-buffer conflicts
 (counted exactly, in issue order, per bank) add an activation penalty
 discounted by bank-level overlap.
 
-The pipeline serves each layer as a ``(data, metadata)`` pair: the data
-stream's bank-sorted geometry and counts are memoized on the stream (it
-is shared by every scheme in a sweep cell), and the metadata accesses
-only add their own requests plus an *insertion correction* to the
-conflict counts. Both steps have a native kernel and a numpy twin.
+The pipeline serves each layer as a ``(data, metadata)`` pair, both
+cycle-sorted. One walk visits the merge of the two sides in issue order
+(ties data first, as in the concatenated stream) with an open-row
+register per bank; it has a native kernel and a numpy twin.
 ``tests/dram/oracle.py`` holds an event-driven walk of the same
 semantics that the test suite checks this model against.
 """
@@ -23,17 +22,13 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.accel.trace import BlockStream
+from repro import obs
+from repro.accel.trace import BlockStream, empty_block_stream
 from repro.dram.mapping import AddressMapping, _shift_of
 from repro.dram.timing import DramConfig
 from repro.utils import native
 
-#: Fixed cycle span for composite (bank, cycle) sort keys, so a stream's
-#: sorted geometry can be memoized and merged against other streams.
-_KEY_SPAN = 1 << 41
-
-#: Bank-sorted ``(global bank, row, composite key)`` arrays of a stream.
-Geometry = Tuple[np.ndarray, np.ndarray, np.ndarray]
+_EMPTY_STREAM = empty_block_stream()
 
 
 @dataclass
@@ -76,9 +71,13 @@ class DramSim:
         shifts = (_shift_of(config.block_bytes), _shift_of(config.channels),
                   _shift_of(config.blocks_per_row),
                   _shift_of(config.banks_per_channel))
-        #: Power-of-two mapping shifts for the fused native geometry
-        #: kernel; None disables it (exotic non-power-of-two configs).
-        self._geom_shifts = shifts if min(shifts) >= 0 else None
+        #: Power-of-two mapping shifts for the native walk; None leaves
+        #: exotic non-power-of-two configs to the numpy twin.
+        self._shifts = shifts if min(shifts) >= 0 else None
+        #: The walk's output: per-channel requests and conflicts, then
+        #: one open-row register per bank.
+        self._counts = np.empty(
+            config.channels * (2 + config.banks_per_channel), np.int64)
 
     @staticmethod
     def _conflict_mask(sorted_bank: np.ndarray,
@@ -108,172 +107,87 @@ class DramSim:
         """Serve each entry of ``part_lists`` on a cold memory system.
 
         An entry is ``(data,)`` or ``(data, metadata)``, treated as the
-        concatenated stream without materializing it: the data side's
-        counts are memoized on the stream (:meth:`_stream_counts`), and
-        the metadata side adds :meth:`_insertion_counts`.
+        concatenated stream without materializing it: one walk visits
+        both sides in issue order.
         """
         return [self._serve(parts) for parts in part_lists]
 
     def _serve(self, parts: Sequence[BlockStream]) -> DramResult:
-        cfg = self.config
         parts = [p for p in parts if len(p)]
         if len(parts) > 2:
             raise ValueError("a DRAM entry is at most a (data, metadata) "
                              f"pair, got {len(parts)} non-empty parts")
-        if not parts:
-            requests = conflicts = np.zeros(cfg.channels, np.int64)
-        else:
-            lead = self._sorted_geom(parts[0])
-            requests, conflicts = self._stream_counts(parts[0], lead)
-            if len(parts) == 2:
-                req, con = self._insertion_counts(
-                    lead, self._sorted_geom(parts[1]))
-                requests = requests + req
-                conflicts = conflicts + con
+        requests, conflicts = self._walk(parts)
 
         # Activation penalties overlap with other banks' bursts; with B
         # banks, roughly (B-1)/B of each penalty hides under concurrent
         # transfers.
-        overlap = 1.0 / cfg.banks_per_channel
-        busy = requests * self._burst_cyc + conflicts * self._miss_cyc * overlap
-        n = int(requests.sum())
-        misses = int(conflicts.sum())
+        overlap = 1.0 / self.config.banks_per_channel
+        busy = [r * self._burst_cyc + c * self._miss_cyc * overlap
+                for r, c in zip(requests, conflicts)]
+        n = sum(requests)
+        misses = sum(conflicts)
         return DramResult(
             requests=n,
             row_hits=n - misses,
             row_misses=misses,
-            busy_cycles=float(busy.max()),
-            per_channel_requests=requests.tolist(),
-            per_channel_busy=busy.tolist(),
-            per_channel_row_misses=conflicts.tolist(),
+            busy_cycles=max(busy),
+            per_channel_requests=requests,
+            per_channel_busy=busy,
+            per_channel_row_misses=conflicts,
         )
 
-    def _sorted_geom(self, stream: BlockStream) -> Geometry:
-        """Bank-sorted geometry of a non-empty stream, memoized.
+    def _walk(self, parts: List[BlockStream]) -> Tuple[List[int], List[int]]:
+        """Per-channel (requests, row conflicts) of the issue-order walk
+        over the non-empty parts of a ``(data, metadata)`` entry.
 
-        The sort key is the composite ``(global bank, cycle)`` with a
-        fixed cycle span, so the result is independent of the stream it
-        is later merged with — layer data streams are shared across
-        every scheme in a sweep cell, and their geometry is computed
-        once. Relies on streams being immutable once built.
+        The native kernel expects each side cycle-sorted, as every
+        production stream is; when it reports a descent, that side is
+        stable-sorted by cycle (which keeps the walk's order) and the
+        walk runs again.
         """
+        if self._shifts is None:
+            return self._walk_numpy(parts)
+        sides = parts + [_EMPTY_STREAM] * (2 - len(parts))
+        channels = self.config.channels
+        sorted_sides = 0
+        while True:
+            data, meta = sides
+            rc = native.dram_walk((data.addrs, data.cycles),
+                                  (meta.addrs, meta.cycles),
+                                  self._shifts, self._counts)
+            if rc is None:
+                return self._walk_numpy(parts)
+            if rc == 0:
+                break
+            sorted_sides += 1
+            sides[rc - 1] = sides[rc - 1].sorted_by_cycle()
+        if sorted_sides:
+            obs.incr("dram.unsorted_side", sorted_sides)
+        counts = self._counts[:2 * channels].tolist()
+        return counts[:channels], counts[channels:]
+
+    def _walk_numpy(self, parts: List[BlockStream]
+                    ) -> Tuple[List[int], List[int]]:
+        """Numpy twin of the native walk: merge the parts by a stable
+        cycle sort, then a stable sort by global bank lines each bank's
+        accesses up in issue order for :meth:`_conflict_mask`."""
         cfg = self.config
-        key = (cfg.channels, cfg.banks_per_channel, cfg.row_bytes,
-               cfg.block_bytes)
-        cached = getattr(stream, "_dram_geom", None)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        last_cycle = int(stream.cycles.max())
-        if last_cycle >= _KEY_SPAN:
-            raise ValueError(f"issue cycle {last_cycle} is past the DRAM "
-                             f"model's limit of 2**41 cycles")
-        n = len(stream)
-        if self._geom_shifts is not None \
-                and bool(np.all(stream.cycles[1:] >= stream.cycles[:-1])):
-            # Cycle-sorted stream under power-of-two mapping: one fused
-            # native pass yields the bank-sorted geometry (stable
-            # counting sort by bank preserves issue order) plus the
-            # per-channel counts _stream_counts would re-derive.
-            got = native.geom_counts(stream.addrs, stream.cycles,
-                                     self._geom_shifts, _KEY_SPAN,
-                                     cfg.channels)
-            if got is not None:
-                gb_s, rows_s, key_s, req, con = got
-                geom = (gb_s, rows_s, key_s)
-                stream._dram_geom = (key, geom)
-                stream._dram_counts = (geom, req, con)
-                return geom
-        channels, banks, rows = self.mapping.decompose(stream.addrs)
+        if not parts:
+            return [0] * cfg.channels, [0] * cfg.channels
+        cycles = np.concatenate([p.cycles for p in parts])
+        addrs = np.concatenate([p.addrs for p in parts])
+        addrs = addrs[np.argsort(cycles, kind="stable")]
+        channels, banks, rows = self.mapping.decompose(addrs)
         gb = channels * cfg.banks_per_channel + banks
-        cyc_bits = max(1, last_cycle.bit_length())
-        gb_bits = max(1, int(gb.max()).bit_length())
-        idx_bits = max(1, int(n - 1).bit_length())
-        if gb_bits + cyc_bits + idx_bits <= 62:
-            packed = ((((gb << cyc_bits) | stream.cycles) << idx_bits)
-                      | np.arange(n, dtype=np.int64))
-            packed.sort()
-            order = packed & ((1 << idx_bits) - 1)
-            gb_sorted = packed >> (cyc_bits + idx_bits)
-            cyc_sorted = (packed >> idx_bits) & ((1 << cyc_bits) - 1)
-            geom = (gb_sorted, rows[order], gb_sorted * _KEY_SPAN + cyc_sorted)
-        else:
-            sort_key = gb * _KEY_SPAN + stream.cycles
-            order = np.argsort(sort_key, kind="stable")
-            geom = (gb[order], rows[order], sort_key[order])
-        stream._dram_geom = (key, geom)
-        return geom
-
-    def _stream_counts(self, stream: BlockStream, geom: Geometry):
-        """Per-channel (requests, row-conflicts) of one stream, memoized.
-
-        A layer's data stream is served (virtually concatenated with a
-        scheme's metadata) by every scheme in a sweep cell; its internal
-        conflict structure never changes, so it is computed once and
-        only the metadata *insertions* are accounted per scheme.
-        """
-        cached = getattr(stream, "_dram_counts", None)
-        if cached is not None and cached[0] is geom:
-            return cached[1], cached[2]
-        cfg = self.config
-        gb, rows, _ = geom
-        flags = self._conflict_mask(gb, rows)
-        conflicts = np.bincount(gb[flags] // cfg.banks_per_channel,
+        nbanks = cfg.channels * cfg.banks_per_channel
+        # Small integer keys let numpy radix-sort the bank order.
+        key_type = (np.uint8 if nbanks <= 1 << 8
+                    else np.uint16 if nbanks <= 1 << 16 else np.int64)
+        order = np.argsort(gb.astype(key_type), kind="stable")
+        gb_s = gb[order]
+        flags = self._conflict_mask(gb_s, rows[order])
+        conflicts = np.bincount(gb_s[flags] // cfg.banks_per_channel,
                                 minlength=cfg.channels)
-        requests = np.bincount(gb // cfg.banks_per_channel,
-                               minlength=cfg.channels)
-        stream._dram_counts = (geom, requests, conflicts)
-        return requests, conflicts
-
-    def _insertion_counts(self, lead: Geometry, meta: Geometry):
-        """Per-channel (requests, conflict delta) that merging ``meta``
-        into ``lead`` adds, without materializing the merge.
-
-        Each metadata access lands inside a bank's data sequence; its
-        own conflict flag depends on its in-bank predecessor, and the
-        data element that now follows an insertion run re-evaluates its
-        flag against the run's last row. Ties resolve data first, as in
-        the concatenated stream.
-        """
-        cfg = self.config
-        bpc = cfg.banks_per_channel
-        gb_a, rows_a, key_a = lead
-        gb_b, rows_b, key_b = meta
-        requests = np.zeros(cfg.channels, np.int64)
-        conflicts = np.zeros(cfg.channels, np.int64)
-        if native.insertion_scan(key_a, gb_a, rows_a, key_b, gb_b, rows_b,
-                                 bpc, requests, conflicts):
-            return requests, conflicts
-
-        na, nb = len(key_a), len(key_b)
-        requests += np.bincount(gb_b // bpc, minlength=cfg.channels)
-        ins = np.searchsorted(key_a, key_b, side="right")
-        p = ins - 1
-        same_prev = (p >= 0) & (gb_a[np.maximum(p, 0)] == gb_b)
-        run_first = np.empty(nb, dtype=bool)
-        run_first[0] = True
-        run_first[1:] = (ins[1:] != ins[:-1]) | (gb_b[1:] != gb_b[:-1])
-
-        # metadata elements' own conflict flags
-        flag_b = np.empty(nb, dtype=bool)
-        chain = np.flatnonzero(~run_first)
-        flag_b[chain] = rows_b[chain] != rows_b[chain - 1]
-        fi = np.flatnonzero(run_first)
-        with_prev = same_prev[fi]
-        flag_b[fi[with_prev]] = rows_b[fi[with_prev]] \
-            != rows_a[p[fi[with_prev]]]
-        flag_b[fi[~with_prev]] = True
-        conflicts += np.bincount(gb_b[flag_b] // bpc, minlength=cfg.channels)
-
-        # the data element following each insertion run re-evaluates
-        last = np.append(fi[1:], nb) - 1
-        f = ins[last]
-        valid = (f < na) & (gb_a[np.minimum(f, na - 1)] == gb_b[last])
-        fv = f[valid]
-        lv = last[valid]
-        old_flag = np.where(same_prev[lv],
-                            rows_a[fv] != rows_a[np.maximum(p[lv], 0)], True)
-        new_flag = rows_a[fv] != rows_b[lv]
-        delta = new_flag.astype(np.int64) - old_flag.astype(np.int64)
-        nz = delta != 0
-        np.add.at(conflicts, gb_b[lv[nz]] // bpc, delta[nz])
-        return requests, conflicts
+        requests = np.bincount(channels, minlength=cfg.channels)
+        return requests.tolist(), conflicts.tolist()

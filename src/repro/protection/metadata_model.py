@@ -154,7 +154,9 @@ def concat_to_stream(results: Sequence[CacheTrafficResult],
 
     Builds the columns with a single copy per result (no intermediate
     ``CacheTrafficResult`` concatenation) — the SGX path combines the
-    MAC and VN streams of every layer this way.
+    MAC and VN streams of every layer this way. Each result is
+    cycle-sorted, so a stable sort merges several into one cycle-sorted
+    stream that keeps every DRAM bank's ``(cycle, position)`` order.
     """
     results = [r for r in results if len(r)]
     n = sum(len(r) for r in results)
@@ -169,6 +171,9 @@ def concat_to_stream(results: Sequence[CacheTrafficResult],
         addrs[pos:pos + k] = np.frombuffer(r.stream_addrs, dtype=np.int64)
         writes[pos:pos + k] = np.frombuffer(r.stream_writes, dtype=np.int8)
         pos += k
+    if len(results) > 1:
+        order = np.argsort(cycles, kind="stable")
+        cycles, addrs, writes = cycles[order], addrs[order], writes[order]
     return BlockStream(
         cycles, addrs, writes,
         np.full(n, layer_id, dtype=np.int32),

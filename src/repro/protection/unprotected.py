@@ -20,11 +20,12 @@ class Unprotected(ProtectionScheme):
         del run
 
     def protect_layer(self, result: LayerResult) -> LayerProtection:
-        # Memoized expansion: the baseline shares the layer's block
-        # stream with every scheme evaluated on the same model run.
+        # Memoized cycle-sorted expansion: the baseline shares the
+        # layer's block stream with every scheme evaluated on the same
+        # model run.
         return LayerProtection(
             layer_id=result.layer_id,
-            data_stream=result.trace.to_blocks(),
+            data_stream=result.trace.sorted_blocks(),
             metadata_stream=empty_stream(),
         )
 

@@ -304,111 +304,78 @@ int drive_fused(
 
 /* ---- DRAM model --------------------------------------------------- */
 
-/* Data element following one metadata insertion run re-evaluates its
- * conflict flag against the run's last row.  `lv` is the run's last
- * metadata index, `f` the insertion point (index of that data
- * element), `gb` the run's global bank. */
-static void follower_fix(i64 lv, i64 f, i64 gb, const i64 *gb_a,
-                         const i64 *rows_a, const i64 *rows_b, i64 na,
-                         i64 bpc, i64 *conflicts)
-{
-    if (f >= na || gb_a[f] != gb)
-        return;
-    int had_prev = (f > 0) && (gb_a[f - 1] == gb);
-    int old_flag = had_prev ? (rows_a[f] != rows_a[f - 1]) : 1;
-    int new_flag = rows_a[f] != rows_b[lv];
-    conflicts[gb / bpc] += (i64)new_flag - (i64)old_flag;
-}
+/* Serve one block under power-of-two mapping: one request on its
+ * channel, and a row conflict when its bank's open row differs. */
+#define DRAM_STEP(addr)                                                  \
+    do {                                                                 \
+        i64 block_ = (addr) >> block_shift;                              \
+        i64 ch_ = block_ & ch_mask;                                      \
+        i64 local_ = block_ >> channel_shift;                            \
+        i64 gb_ = (ch_ << bank_shift) | ((local_ >> col_shift) & bank_mask); \
+        i64 row_ = local_ >> row_shift;                                  \
+        requests[ch_]++;                                                 \
+        conflicts[ch_] += open_row[gb_] != row_;                         \
+        open_row[gb_] = row_;                                            \
+    } while (0)
 
-/* Exact per-channel request/conflict counts that inserting a metadata
- * stream into a bank-sorted data stream adds: the merge scan behind
- * DramSim._insertion_counts, one pass instead of searchsorted plus a
- * dozen fancy-indexing passes.  Both sides are key-sorted; ties
- * resolve data-before-metadata (searchsorted side="right").  Adds into
- * caller-zeroed requests/conflicts[channels]. */
-void insertion_scan(const i64 *key_a, const i64 *gb_a, const i64 *rows_a,
-                    i64 na,
-                    const i64 *key_b, const i64 *gb_b, const i64 *rows_b,
-                    i64 nb,
-                    i64 bpc, i64 *requests, i64 *conflicts)
-{
-    i64 i = 0;                 /* insertion point: # data elems <= key */
-    i64 prev_ins = -1, prev_gb = -1;
-    for (i64 j = 0; j < nb; j++) {
-        i64 kb = key_b[j], gb = gb_b[j];
-        while (i < na && key_a[i] <= kb)
-            i++;
-        requests[gb / bpc]++;
-        int flag;
-        if (j == 0 || i != prev_ins || gb != prev_gb) {
-            /* new insertion run: close the previous one */
-            if (j > 0)
-                follower_fix(j - 1, prev_ins, prev_gb, gb_a, rows_a,
-                             rows_b, na, bpc, conflicts);
-            int same_prev = (i > 0) && (gb_a[i - 1] == gb);
-            flag = same_prev ? (rows_b[j] != rows_a[i - 1]) : 1;
-        } else {
-            flag = rows_b[j] != rows_b[j - 1];
-        }
-        conflicts[gb / bpc] += flag;
-        prev_ins = i;
-        prev_gb = gb;
-    }
-    if (nb > 0)
-        follower_fix(nb - 1, prev_ins, prev_gb, gb_a, rows_a, rows_b, na,
-                     bpc, conflicts);
-}
-
-/* Fused geometry pass for a cycle-sorted stream under power-of-two
- * mapping: address decomposition, stable counting sort by global bank
- * (input order within a bank is already issue order), composite sort
- * keys, and per-channel request/conflict counts — everything
- * DramSim._sorted_geom + _stream_counts produce, in two passes.
- * Outputs: gb/rows/key[n] (bank-sorted), requests/conflicts[channels]
- * (caller-zeroed). */
-int geom_counts(const i64 *addrs, const i64 *cycles, i64 n,
-                i64 block_shift, i64 channel_shift, i64 col_shift,
-                i64 bank_shift, i64 key_span,
-                i64 *gb_out, i64 *rows_out, i64 *key_out,
-                i64 *requests, i64 *conflicts)
+/* Issue-order walk behind DramSim._walk: merges a data side and a
+ * metadata side by cycle (ties data first, as in the concatenated
+ * stream), keeps one open-row register per global bank and counts
+ * requests and row conflicts per channel.  out[] holds channels
+ * request counts, then channels conflict counts, then the
+ * channels << bank_shift open-row registers (a row is an address
+ * shifted right by at least the block shift, so with blocks of 2 B or
+ * more no row equals the INT64_MIN "closed" mark).  Each side must be
+ * cycle-sorted: returns 0, or 1 / 2 when the data / metadata side's
+ * cycles descend (the counts are then partial). */
+int dram_walk(const i64 *addrs_a, const i64 *cycles_a, i64 na,
+              const i64 *addrs_b, const i64 *cycles_b, i64 nb,
+              i64 block_shift, i64 channel_shift, i64 col_shift,
+              i64 bank_shift, i64 *out)
 {
     i64 channels = (i64)1 << channel_shift;
-    i64 banks = (i64)1 << bank_shift;
-    i64 nbanks = channels * banks;
-    i64 *gb_tmp = (i64 *)malloc((size_t)(2 * n) * sizeof(i64));
-    i64 *offs = (i64 *)calloc((size_t)nbanks + 1, sizeof(i64));
-    if (!gb_tmp || !offs) {
-        free(gb_tmp);
-        free(offs);
-        return -1;
+    i64 *requests = out, *conflicts = out + channels;
+    i64 *open_row = out + 2 * channels;
+    i64 ch_mask = channels - 1;
+    i64 bank_mask = ((i64)1 << bank_shift) - 1;
+    i64 row_shift = col_shift + bank_shift;
+    for (i64 c = 0; c < 2 * channels; c++)
+        out[c] = 0;
+    for (i64 g = 0; g < channels << bank_shift; g++)
+        open_row[g] = INT64_MIN;
+    i64 i = 0, j = 0;
+    i64 last_a = INT64_MIN, last_b = INT64_MIN;
+    while (i < na && j < nb) {
+        i64 cb = cycles_b[j];
+        for (; i < na && cycles_a[i] <= cb; i++) {
+            if (cycles_a[i] < last_a)
+                return 1;
+            last_a = cycles_a[i];
+            DRAM_STEP(addrs_a[i]);
+        }
+        if (i == na)
+            break;
+        i64 ca = cycles_a[i];
+        for (; j < nb && cycles_b[j] < ca; j++) {
+            if (cycles_b[j] < last_b)
+                return 2;
+            last_b = cycles_b[j];
+            DRAM_STEP(addrs_b[j]);
+        }
     }
-    i64 *row_tmp = gb_tmp + n;
-    for (i64 k = 0; k < n; k++) {
-        i64 block = addrs[k] >> block_shift;
-        i64 ch = block & (channels - 1);
-        i64 local = block >> channel_shift;
-        i64 bank = (local >> col_shift) & (banks - 1);
-        i64 gb = ch * banks + bank;
-        gb_tmp[k] = gb;
-        row_tmp[k] = local >> (col_shift + bank_shift);
-        offs[gb + 1]++;
-        requests[ch]++;
+    for (; i < na; i++) {
+        if (cycles_a[i] < last_a)
+            return 1;
+        last_a = cycles_a[i];
+        DRAM_STEP(addrs_a[i]);
     }
-    for (i64 g = 0; g < nbanks; g++)
-        offs[g + 1] += offs[g];
-    for (i64 k = 0; k < n; k++) {
-        i64 g = gb_tmp[k];
-        i64 pos = offs[g]++;
-        gb_out[pos] = g;
-        rows_out[pos] = row_tmp[k];
-        key_out[pos] = g * key_span + cycles[k];
+    for (; j < nb; j++) {
+        if (cycles_b[j] < last_b)
+            return 2;
+        last_b = cycles_b[j];
+        DRAM_STEP(addrs_b[j]);
     }
-    for (i64 k = 0; k < n; k++) {
-        if (k == 0 || gb_out[k] != gb_out[k - 1]
-                || rows_out[k] != rows_out[k - 1])
-            conflicts[gb_out[k] >> bank_shift]++;
-    }
-    free(gb_tmp);
-    free(offs);
     return 0;
 }
+
+#undef DRAM_STEP

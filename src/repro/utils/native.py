@@ -4,9 +4,9 @@ The vectorized reuse-distance engine (:mod:`repro.protection.reuse_engine`)
 removes the per-access Python cost of the metadata cache drives, but the
 VN integrity-tree walk stays irreducibly sequential (a data-dependent
 state machine, reachable offline only through fixpoint iteration), and
-the DRAM model's per-layer counter spends most of its time in two
-passes numpy needs many array sweeps for: the bank sort of a data
-stream and the metadata insertion scan.  When a C compiler is available
+the DRAM model's per-layer counter is one issue-order walk with an
+open-row register per bank, which numpy can only express as a merge
+sort plus a bank sort.  When a C compiler is available
 this module builds ``_native_kernels.c`` and the hot paths run those
 loops in native code instead.
 
@@ -59,12 +59,8 @@ FALLBACKS = {
         "repro.protection.reuse_engine:drive",
         "repro.protection.metadata_model:VnTreeModel._process_engine",
     ],
-    "insertion_scan": [
-        "repro.dram.simulator:DramSim._insertion_counts",
-    ],
-    "geom_counts": [
-        "repro.dram.simulator:DramSim._sorted_geom",
-        "repro.dram.simulator:DramSim._stream_counts",
+    "dram_walk": [
+        "repro.dram.simulator:DramSim._walk_numpy",
     ],
 }
 
@@ -193,18 +189,12 @@ def _load():
         if faults.should_fail("native.load"):
             raise OSError("injected native-kernel load failure")
         lib = ctypes.CDLL(path)
-        lib.insertion_scan.restype = None
-        lib.insertion_scan.argtypes = [
-            _ptr, _ptr, _ptr, _i64,                         # data side
-            _ptr, _ptr, _ptr, _i64,                         # metadata side
-            _i64, _ptr, _ptr,                               # bpc, outs
-        ]
-        lib.geom_counts.restype = ctypes.c_int
-        lib.geom_counts.argtypes = [
-            _ptr, _ptr, _i64,                               # addrs/cycles
-            _i64, _i64, _i64, _i64, _i64,                   # shifts, span
-            _ptr, _ptr, _ptr,                               # geometry outs
-            _ptr, _ptr,                                     # count outs
+        lib.dram_walk.restype = ctypes.c_int
+        lib.dram_walk.argtypes = [
+            _ptr, _ptr, _i64,                               # data side
+            _ptr, _ptr, _i64,                               # metadata side
+            _i64, _i64, _i64, _i64,                         # shifts
+            _ptr,                                           # counts out
         ]
         lib.drive_fused.restype = ctypes.c_int
         lib.drive_fused.argtypes = [
@@ -413,54 +403,38 @@ def _c64(arr: np.ndarray) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def insertion_scan(key_a, gb_a, rows_a, key_b, gb_b, rows_b, bpc: int,
-                   requests: np.ndarray, conflicts: np.ndarray) -> bool:
-    """Native merge scan behind ``DramSim._insertion_counts``.
+def dram_walk(data: Tuple[np.ndarray, np.ndarray],
+              meta: Tuple[np.ndarray, np.ndarray],
+              shifts: Tuple[int, int, int, int],
+              out: np.ndarray) -> Optional[int]:
+    """Native issue-order walk behind ``DramSim._walk``.
 
-    Both sides must be key-sorted bank geometries.  Adds the metadata
-    request and conflict counts into ``requests``/``conflicts`` in
-    place; returns False when the kernel is unavailable (caller runs
-    the numpy scan).
+    ``data`` and ``meta`` are ``(addrs, cycles)`` pairs, each expected
+    cycle-sorted; ``shifts`` are the power-of-two mapping shifts
+    ``(block, channel, column, bank)``.  ``out`` is an int64 array of
+    ``2 * channels + banks`` entries: the kernel writes the per-channel
+    request counts, then the row-conflict counts, and keeps its
+    per-bank open-row registers in the rest.  Returns ``None`` when the
+    kernel is unavailable, otherwise the kernel's code: 0, or 1 / 2 when
+    the data / metadata side's cycles descend (the counts are then
+    partial).
     """
     lib = _load()
     if lib is None:
-        return False
-    key_a, gb_a, rows_a, key_b, gb_b, rows_b = (
-        _c64(a) for a in (key_a, gb_a, rows_a, key_b, gb_b, rows_b))
-    lib.insertion_scan(
-        _addr(key_a), _addr(gb_a), _addr(rows_a), len(key_a),
-        _addr(key_b), _addr(gb_b), _addr(rows_b), len(key_b),
-        int(bpc), _addr(requests), _addr(conflicts))
-    obs.incr("native.dram_batch.kernel")
-    return True
-
-
-def geom_counts(addrs: np.ndarray, cycles: np.ndarray,
-                shifts: Tuple[int, int, int, int], key_span: int,
-                channels: int):
-    """Fused decompose + bank counting-sort + per-channel counts for a
-    cycle-sorted stream (``DramSim._sorted_geom`` + ``_stream_counts``
-    in one native pass).  Returns ``(gb_sorted, rows_sorted, key_sorted,
-    requests, conflicts)`` or ``None`` when unavailable.
-    """
-    lib = _load()
-    n = len(addrs)
-    if lib is None or n == 0:
         return None
+    addrs_a, cycles_a = (_c64(a) for a in data)
+    addrs_b, cycles_b = (_c64(a) for a in meta)
     block_shift, channel_shift, col_shift, bank_shift = shifts
-    gb_s = np.empty(n, np.int64)
-    rows_s = np.empty(n, np.int64)
-    key_s = np.empty(n, np.int64)
-    requests = np.zeros(channels, np.int64)
-    conflicts = np.zeros(channels, np.int64)
-    addrs, cycles = _c64(addrs), _c64(cycles)
-    rc = lib.geom_counts(
-        _addr(addrs), _addr(cycles), n,
-        int(block_shift), int(channel_shift), int(col_shift),
-        int(bank_shift), int(key_span),
-        _addr(gb_s), _addr(rows_s), _addr(key_s),
-        _addr(requests), _addr(conflicts))
-    if rc != 0:
-        return None
-    obs.incr("native.dram_geom.kernel")
-    return gb_s, rows_s, key_s, requests, conflicts
+    channels = 1 << channel_shift
+    if len(addrs_a) != len(cycles_a) or len(addrs_b) != len(cycles_b):
+        raise ValueError("dram_walk: addrs and cycles differ in length")
+    if out.dtype != np.int64 or not out.flags.c_contiguous \
+            or len(out) < channels * (2 + (1 << bank_shift)):
+        raise ValueError("dram_walk: out must be a contiguous int64 "
+                         "array of 2 * channels + banks entries")
+    rc = lib.dram_walk(
+        _addr(addrs_a), _addr(cycles_a), len(addrs_a),
+        _addr(addrs_b), _addr(cycles_b), len(addrs_b),
+        block_shift, channel_shift, col_shift, bank_shift, _addr(out))
+    obs.incr("native.dram_walk.kernel")
+    return rc

@@ -158,6 +158,40 @@ class TestFastVsReference:
         for parts, result in zip(part_lists, got):
             _assert_matches_oracle(result, BlockStream.concat(parts))
 
+    def test_equal_cycles_keep_stream_order(self, tier):
+        """Long runs of same-cycle accesses to one bank on both sides:
+        only the stream's own order within a cycle (data first, then
+        metadata, each in position order) gives the oracle's conflict
+        count."""
+        sim = DramSim(SERVER_DRAM, freq_ghz=1.0)
+        rng = np.random.default_rng(3)
+        rows = SERVER_DRAM.blocks_per_row * SERVER_DRAM.banks_per_channel
+
+        def bank0(n, row_ids):
+            row = rng.choice(row_ids, n)
+            col = rng.integers(0, SERVER_DRAM.blocks_per_row, n)
+            addrs = (row * rows + col) * SERVER_DRAM.channels * 64
+            return _stream(addrs, cycles=np.sort(rng.integers(0, 40, n)))
+
+        data, meta = bank0(1000, [0, 1]), bank0(500, [1, 2])
+        got = sim.simulate_fast_batch_parts([(data, meta)])[0]
+        _assert_matches_oracle(got, BlockStream.concat([data, meta]))
+
+    def test_non_power_of_two_mapping(self):
+        """Three channels and six banks leave the shift-based kernel out;
+        the numpy twin serves the entry and matches the oracle."""
+        cfg = DramConfig(total_bandwidth_gbps=20.0, channels=3,
+                         banks_per_channel=6)
+        sim = DramSim(cfg, freq_ghz=1.0)
+        rng = np.random.default_rng(23)
+        parts = (_random_stream(rng, 900, sort_cycles=True),
+                 _random_stream(rng, 300, sort_cycles=True))
+        got = sim.simulate_fast_batch_parts([parts])[0]
+        ref = oracle.simulate(cfg, 1.0, BlockStream.concat(parts))
+        assert got.per_channel_requests == ref.per_channel_requests
+        assert got.per_channel_row_misses == ref.per_channel_row_misses
+        assert got.busy_cycles == pytest.approx(ref.busy_cycles, rel=1e-9)
+
 
 class TestBatchedFastModel:
     def test_batch_matches_per_stream(self, sim):
@@ -192,29 +226,30 @@ class TestBatchedFastModel:
             sim.simulate_fast_batch_parts([parts])
 
 
-class TestKeySpan:
-    @pytest.mark.parametrize("last", [2 ** 41, 2 ** 41 + 5])
-    def test_cycles_past_key_span_raise(self, sim, last):
-        stream = _stream([0, 64], cycles=[0, last])
-        with pytest.raises(ValueError, match=r"2\*\*41"):
-            sim.simulate_fast(stream)
+class TestLargeCycles:
+    """The walk compares cycles and never packs them into a sort key,
+    so no issue cycle is too large to serve."""
 
-    def test_cycles_below_key_span_serve(self, sim):
-        stream = _stream([0, 64], cycles=[0, 2 ** 41 - 1])
-        _assert_matches_oracle(sim.simulate_fast(stream), stream)
+    @pytest.mark.parametrize("last", [2 ** 41, 2 ** 62])
+    def test_large_cycles_serve(self, tier, last):
+        sim = DramSim(SERVER_DRAM, freq_ghz=1.0)
+        data = _stream([0, 64, 1 << 20], cycles=[0, last - 1, last])
+        meta = _stream([1 << 30, 128], cycles=[last - 1, last])
+        got = sim.simulate_fast_batch_parts([(data, meta)])[0]
+        _assert_matches_oracle(got, BlockStream.concat([data, meta]))
 
 
 class TestNativeBatchTiers:
-    """The native kernels (fused geometry pass, insertion merge scan)
-    must match the numpy tier bit for bit."""
+    """The native issue-order walk must match its numpy twin bit for
+    bit, on cycle-sorted sides (the production shape) and on unsorted
+    ones (the kernel reports the descent and the side is sorted)."""
 
     def _part_lists(self, seed):
         rng = np.random.default_rng(seed)
         part_lists = []
         for _ in range(6):
-            # Cycle-sorted data part (the geom_counts fast path) plus an
-            # unsorted metadata part (the packed-sort path), like the
-            # pipeline's (data, metadata) entries.
+            # A cycle-sorted data part plus an unsorted metadata part,
+            # which makes the kernel sort that side and walk again.
             parts = [_random_stream(rng, int(rng.integers(1, 1200)),
                                     sort_cycles=True)]
             m = int(rng.integers(0, 400))

@@ -17,9 +17,11 @@ import pytest
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
                                    os.pardir, "src"))
 
-#: 1.25 GiB. Measured ~965 MiB on a 2-vCPU Xeon host; 3157 MiB while
-#: every probe and every layer's streams stayed alive to the cell's end.
-FASTERRCNN_B16_PEAK_MIB = 1280
+#: 0.75 GiB. Measured 551-561 MiB on a 2-vCPU Xeon host since the DRAM
+#: model stopped memoizing a 24 B-per-block bank-sorted geometry on each
+#: layer stream (851 MiB with it); 3157 MiB while every probe and every
+#: layer's streams stayed alive to the cell's end.
+FASTERRCNN_B16_PEAK_MIB = 768
 
 #: The child reads its peak from ``VmHWM``, not ``ru_maxrss``: Linux
 #: folds the pre-exec image (here, the whole test process) into the

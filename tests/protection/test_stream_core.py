@@ -156,3 +156,58 @@ class TestSharedMacTraffic:
         for a, b in zip(replayed, standalone):
             _assert_streams_equal(a.metadata_stream, b.metadata_stream)
             assert a.data_bytes == b.data_bytes
+
+
+def _small_run():
+    from repro.accel.simulator import AcceleratorSim
+    from repro.accel.systolic import SystolicArray
+    from repro.tiling.tile import SramBudget
+
+    sim = AcceleratorSim(SystolicArray(16, 16), SramBudget.split(64 << 10))
+    return sim.run(Topology("t", [conv("c1", 34, 34, 3, 3, 8, 16),
+                                  conv("c2", 32, 32, 3, 3, 16, 16)]))
+
+
+class TestCycleSortedParts:
+    """Every (data, metadata) part the pipeline hands the DRAM model is
+    cycle-sorted, so its issue-order walk never sorts."""
+
+    def test_baseline_serves_the_shared_sorted_stream(self):
+        from repro.protection.unprotected import Unprotected
+
+        run = _small_run()
+        for result, row in zip(run.layers, Unprotected().protect_model(run)):
+            assert row.data_stream is result.trace.sorted_blocks()
+
+    def test_sgx_metadata_merges_mac_and_vn_by_cycle(self, monkeypatch):
+        """Small caches interleave MAC and VN traffic; the metadata
+        stream holds exactly MAC followed by VN, reordered by cycle."""
+        from repro.protection import sgx
+        from repro.protection.metadata_model import concat_to_stream
+
+        calls = []
+
+        def spy(results, layer_id):
+            stream = concat_to_stream(results, layer_id)
+            calls.append(([np.frombuffer(r.stream_cycles, np.int64).copy()
+                           for r in results],
+                          [np.frombuffer(r.stream_addrs, np.int64).copy()
+                           for r in results],
+                          [np.frombuffer(r.stream_writes, np.int8).copy()
+                           for r in results],
+                          stream))
+            return stream
+
+        monkeypatch.setattr(sgx, "concat_to_stream", spy)
+        sgx.SgxScheme(64, vn_cache_bytes=512,
+                      mac_cache_bytes=512).protect_model(_small_run())
+        assert any(all(len(c) for c in cycles) for cycles, *_ in calls)
+        for cycles, addrs, writes, stream in calls:
+            assert np.all(np.diff(stream.cycles) >= 0)
+            want = sorted(zip(np.concatenate(cycles).tolist(),
+                              np.concatenate(addrs).tolist(),
+                              np.concatenate(writes).astype(bool).tolist()))
+            got = sorted(zip(stream.cycles.tolist(),
+                             stream.addrs.astype(np.int64).tolist(),
+                             stream.writes.tolist()))
+            assert got == want
