@@ -1,7 +1,7 @@
 """Microbenchmarks for the columnar stream core's hot paths.
 
 Covers the three pipeline stages the columnar refactor vectorized:
-block expansion (``Trace.to_blocks``), protection-scheme traffic
+block expansion (``Trace.sorted_blocks``), protection-scheme traffic
 generation (``protect_model``), and DRAM service (``simulate_fast``),
 plus the end-to-end sweep cell. Each session's medians land in the git-ignored
 ``benchmarks/results/BENCH_streams.last.json`` (see ``conftest.py``).
@@ -28,16 +28,18 @@ def model_run():
 
 @pytest.fixture(scope="module")
 def block_stream(model_run):
-    return model_run.trace.to_blocks().sorted_by_cycle()
+    return model_run.trace.sorted_blocks()
 
 
 def test_to_blocks(benchmark, model_run, perf_record):
+    """The cycle-sorted expansion every scheme consumes (the key keeps
+    its historical name)."""
     trace = model_run.trace
 
     def expand():
         # Bypass the memo: benchmark the expansion, not the cache.
-        trace._memo.pop("blocks", None)
-        return trace.to_blocks()
+        trace.release_memos()
+        return trace.sorted_blocks()
 
     stream = benchmark(expand)
     assert len(stream) > 100_000

@@ -10,9 +10,12 @@ layer, and object-per-range bookkeeping would dominate runtime.
 :class:`TraceRange` remains the public per-range record — construction,
 iteration and ``trace.ranges`` materialize it on demand — but the hot
 paths (byte accounting, filtering, block expansion) run on the columns.
-Block expansion is fully vectorized (repeat + cumsum, no per-range
-loop) and memoized per trace revision, so every consumer of one layer's
-expanded stream in a scheme sweep shares a single expansion.
+The cycle-sorted expansion every scheme consumes
+(:func:`expand_sorted`) is one native k-way merge of the ranges' block
+runs, with a numpy twin (repeat + cumsum expansion, then a stable cycle
+sort) on hosts without the kernel. It is memoized per trace revision, so
+every consumer of one layer's expanded stream in a scheme sweep shares a
+single expansion.
 
 Columns grow in fixed-size **chunks** (:data:`CHUNK_ROWS` rows once a
 buffer outgrows its small-trace tier): appends never reallocate the
@@ -37,11 +40,12 @@ import enum
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
+from repro.utils import native
 from repro.utils.bitops import align_down
 from repro.utils.sorting import stable_order
 
@@ -181,6 +185,15 @@ def empty_block_stream() -> BlockStream:
     )
 
 
+def block_spans(addrs: np.ndarray,
+                nbytes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """First block address and block count of each range."""
+    first = addrs - addrs % BLOCK_BYTES
+    last = addrs + nbytes - 1
+    last -= last % BLOCK_BYTES
+    return first, (last - first) // BLOCK_BYTES + 1
+
+
 def expand_ranges(cycles: np.ndarray, addrs: np.ndarray, nbytes: np.ndarray,
                   writes: np.ndarray, layer_ids: np.ndarray,
                   durations: np.ndarray,
@@ -195,10 +208,7 @@ def expand_ranges(cycles: np.ndarray, addrs: np.ndarray, nbytes: np.ndarray,
     n = len(addrs)
     if n == 0:
         return empty_block_stream()
-    first = addrs - addrs % BLOCK_BYTES
-    last = addrs + nbytes - 1
-    last -= last % BLOCK_BYTES
-    counts = (last - first) // BLOCK_BYTES + 1
+    first, counts = block_spans(addrs, nbytes)
     total = int(counts.sum())
     starts = np.cumsum(counts) - counts
     within = np.arange(total, dtype=np.int64)
@@ -219,6 +229,27 @@ def expand_ranges(cycles: np.ndarray, addrs: np.ndarray, nbytes: np.ndarray,
         np.repeat(layer_ids, counts).astype(np.int32),
         None if kinds is None else np.repeat(kinds, counts).astype(np.int8),
     )
+
+
+def expand_sorted(columns: Sequence[np.ndarray]) -> BlockStream:
+    """Cycle-sorted block expansion of range columns.
+
+    ``columns`` are ``(cycles, addrs, nbytes, writes, kinds, layer_ids,
+    durations)`` in :meth:`RangeBuffer.arrays` order.  The result equals
+    ``expand_ranges(...).sorted_by_cycle()``: ties on a cycle keep range
+    order, then address order.  Each range's blocks are already in
+    ascending cycle order, so the native kernel merges the ranges'
+    runs instead of sorting the expansion; the numpy twin expands, then
+    sorts.
+    """
+    cycles, addrs, nbytes, writes, kinds, layer_ids, durations = columns
+    first, counts = block_spans(addrs, nbytes)
+    merged = native.expand_merge(cycles, first, counts, durations, writes,
+                                 kinds, layer_ids, BLOCK_BYTES)
+    if merged is not None:
+        return BlockStream(*merged)
+    return expand_ranges(cycles, addrs, nbytes, writes, layer_ids,
+                         durations, kinds).sorted_by_cycle()
 
 
 #: Rows per sealed column chunk.  42 bytes/row across the seven columns
@@ -490,12 +521,15 @@ class RangeBuffer:
 
 
 def _stream_bytes(value: object) -> int:
-    """Resident bytes of a memoized value, when it is a block stream.
+    """Resident bytes of the block streams a memoized value holds: the
+    value itself, or the members of a memoized tuple.
 
     Expanded block streams — not the compact range columns — dominate a
     long-sequence cell's footprint, so the residency gauge charges them
     for as long as a trace's memo keeps them alive.
     """
+    if isinstance(value, tuple):
+        return sum(_stream_bytes(item) for item in value)
     if not isinstance(value, BlockStream):
         return 0
     total = (value.cycles.nbytes + value.addrs.nbytes
@@ -705,7 +739,8 @@ class Trace:
     # -- block expansion --
 
     def to_blocks(self) -> BlockStream:
-        """Expand every range to block-granular accesses (memoized)."""
+        """Expand every range to block-granular accesses in range order
+        (memoized)."""
         def build() -> BlockStream:
             cycles, addrs, nbytes, writes, kinds, layer_ids, durations = \
                 self.buf.arrays()
@@ -717,4 +752,4 @@ class Trace:
         """Cycle-sorted expansion (memoized) — the per-layer base stream
         every protection scheme consumes."""
         return self.memo("sorted_blocks",
-                         lambda: self.to_blocks().sorted_by_cycle())
+                         lambda: expand_sorted(self.buf.arrays()))

@@ -31,7 +31,7 @@ def stream_from_lists(cycles: List[int], addrs: List[int], writes: List[bool],
 
     Retained for tests and ad-hoc construction; the pipeline's hot paths
     build streams columnar (:meth:`CacheTrafficResult.to_stream`,
-    :func:`repro.accel.trace.expand_ranges`) without list round-trips.
+    :func:`repro.accel.trace.expand_sorted`) without list round-trips.
     ``kind`` stamps every block with one access kind; ``None`` leaves
     the stream without a kind column.
     """

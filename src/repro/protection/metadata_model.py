@@ -38,7 +38,8 @@ from repro.accel.trace import (
     BlockStream,
     Trace,
     TraceRange,
-    expand_ranges,
+    block_spans,
+    expand_sorted,
     kind_code,
 )
 from repro.integrity.caches import MetadataCache
@@ -616,8 +617,7 @@ def expanded_data_stream(trace: Trace, unit_bytes: int) -> Tuple[BlockStream, in
         return trace.sorted_blocks(), 0
 
     def build() -> Tuple[BlockStream, int]:
-        base = trace.to_blocks()
-        cycles, addrs, nbytes, _, _, layer_ids, durations = \
+        cycles, addrs, nbytes, writes, kinds, layer_ids, durations = \
             trace.buf.arrays()
         end = addrs + nbytes
         head_base = addrs - addrs % unit_bytes
@@ -633,13 +633,21 @@ def expanded_data_stream(trace: Trace, unit_bytes: int) -> Tuple[BlockStream, in
         cand_nbytes[1::2] = tail
         mask = cand_nbytes > 0
         kept = int(mask.sum())
-        extra = expand_ranges(
-            np.repeat(cycles, 2)[mask], cand_addr[mask], cand_nbytes[mask],
-            np.zeros(kept, dtype=bool),
-            np.repeat(layer_ids, 2)[mask], np.repeat(durations, 2)[mask],
-            np.full(kept, kind_code(AccessKind.METADATA), dtype=np.int8))
-        combined = BlockStream.concat([base, extra]).sorted_by_cycle()
-        return combined, len(extra)
+        cand_addr = cand_addr[mask]
+        cand_nbytes = cand_nbytes[mask]
+        # Candidates follow the layer's ranges, so on equal cycles base
+        # blocks come before over-fetch blocks.
+        stream = expand_sorted((
+            np.concatenate([cycles, np.repeat(cycles, 2)[mask]]),
+            np.concatenate([addrs, cand_addr]),
+            np.concatenate([nbytes, cand_nbytes]),
+            np.concatenate([writes, np.zeros(kept, dtype=bool)]),
+            np.concatenate([kinds, np.full(
+                kept, kind_code(AccessKind.METADATA), dtype=np.int8)]),
+            np.concatenate([layer_ids, np.repeat(layer_ids, 2)[mask]]),
+            np.concatenate([durations, np.repeat(durations, 2)[mask]]),
+        ))
+        return stream, int(block_spans(cand_addr, cand_nbytes)[1].sum())
 
     return trace.memo(("protected", unit_bytes), build)
 

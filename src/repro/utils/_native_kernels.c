@@ -1,8 +1,9 @@
-/* Sequential LRU drive kernel for the metadata cache models.
+/* Native kernels behind repro.utils.native: the metadata cache drive,
+ * the DRAM issue-order walk and the cycle-sorted block expansion.
  *
- * Replicates repro.utils.lru.LruCache (fully-associative, write-back,
- * write-allocate LRU) access-for-access, including the exact event
- * emission order of the scalar drives in
+ * The drive replicates repro.utils.lru.LruCache (fully-associative,
+ * write-back, write-allocate LRU) access-for-access, including the
+ * exact event emission order of the scalar drives in
  * repro/protection/metadata_model.py:
  *
  *   - MAC discipline: miss fetch first, dirty-eviction writeback after;
@@ -12,9 +13,8 @@
  *
  * The cache is a doubly linked LRU list over slot arrays plus an
  * open-addressing hash table (linear probing, backward-shift delete).
- * Compiled on demand by repro.protection.drive_kernel; the vectorized
- * reuse-distance engine and the OrderedDict oracle remain the pure
- * Python paths when no C compiler is available.
+ * Every kernel has a pure numpy twin (the FALLBACKS manifest in
+ * native.py) that serves hosts without a C compiler.
  */
 
 #include <stdint.h>
@@ -379,3 +379,125 @@ int dram_walk(const i64 *addrs_a, const i64 *cycles_a, i64 na,
 }
 
 #undef DRAM_STEP
+
+/* ---- Block expansion ---------------------------------------------- */
+
+/* Heap order of two ranges: earlier next-block cycle first, then lower
+ * range index (the stable sort's tie order). */
+#define MERGE_BEFORE(ca, ra, cb, rb) ((ca) < (cb) || ((ca) == (cb) && (ra) < (rb)))
+
+/* Restore the min-heap below slot i (heap_r: range index, heap_c: its
+ * next block's cycle). */
+static void merge_sift_down(i64 *heap_r, i64 *heap_c, i64 size, i64 i)
+{
+    i64 r = heap_r[i], c = heap_c[i];
+    for (;;) {
+        i64 child = 2 * i + 1;
+        if (child >= size)
+            break;
+        if (child + 1 < size && MERGE_BEFORE(heap_c[child + 1],
+                heap_r[child + 1], heap_c[child], heap_r[child]))
+            child++;
+        if (!MERGE_BEFORE(heap_c[child], heap_r[child], c, r))
+            break;
+        heap_r[i] = heap_r[child];
+        heap_c[i] = heap_c[child];
+        i = child;
+    }
+    heap_r[i] = r;
+    heap_c[i] = c;
+}
+
+/* Cycle-sorted block expansion of n ranges, behind
+ * repro.accel.trace.expand_sorted.  Range r covers the blocks
+ * first[r] + block_bytes * j (j < counts[r]), issued at
+ * cycles[r] + (j * durations[r]) / counts[r]: non-decreasing in j, so
+ * every range is an ascending run and a k-way merge of the runs keyed
+ * (cycle, range index) yields exactly the stable cycle sort of the
+ * range-order expansion.  The minimum range emits blocks while they
+ * stay ahead of its heap children, so a long sequential run costs no
+ * heap operations.  The caller guarantees counts[r] >= 0,
+ * durations[r] >= 0, and that counts[r] * durations[r] and
+ * cycles[r] + durations[r] fit in an int64.  Returns 0, or -1 when the
+ * heap's scratch allocation fails (no output is then valid). */
+int expand_merge(const i64 *cycles, const i64 *first, const i64 *counts,
+                 const i64 *durations, const u8 *writes,
+                 const int8_t *kinds, const int32_t *layer_ids, i64 n,
+                 i64 block_bytes,
+                 i64 *out_cycles, i64 *out_addrs, u8 *out_writes,
+                 int8_t *out_kinds, int32_t *out_layer_ids)
+{
+    i64 *heap_r = (i64 *)malloc(sizeof(i64) * (n > 0 ? n : 1));
+    i64 *heap_c = (i64 *)malloc(sizeof(i64) * (n > 0 ? n : 1));
+    i64 *next = (i64 *)malloc(sizeof(i64) * (n > 0 ? n : 1));
+    if (!heap_r || !heap_c || !next) {
+        free(heap_r); free(heap_c); free(next);
+        return -1;
+    }
+    i64 size = 0;
+    for (i64 r = 0; r < n; r++) {
+        next[r] = 0;
+        if (counts[r] > 0) {
+            heap_r[size] = r;
+            heap_c[size] = cycles[r];
+            size++;
+        }
+    }
+    for (i64 i = size / 2 - 1; i >= 0; i--)
+        merge_sift_down(heap_r, heap_c, size, i);
+    i64 k = 0;
+    while (size > 0) {
+        i64 r = heap_r[0];
+        /* The heap children hold the next-smallest key. */
+        i64 lim_r = -1, lim_c = 0;
+        if (size > 1) {
+            i64 child = 1;
+            if (size > 2 && MERGE_BEFORE(heap_c[2], heap_r[2],
+                                         heap_c[1], heap_r[1]))
+                child = 2;
+            lim_r = heap_r[child];
+            lim_c = heap_c[child];
+        }
+        i64 count = counts[r], dur = durations[r], base = cycles[r];
+        i64 j = next[r];
+        /* offset = (j * dur) / count, advanced without a division per
+         * block: q + rem / count tracks j * dur / count exactly. */
+        i64 q = (j * dur) / count, rem = (j * dur) % count;
+        i64 step_q = dur / count, step_r = dur % count;
+        i64 addr = first[r] + j * block_bytes;
+        u8 wr = writes[r];
+        int8_t kind = kinds[r];
+        int32_t layer = layer_ids[r];
+        for (; j < count; j++) {
+            i64 cyc = base + q;
+            if (lim_r >= 0 && !MERGE_BEFORE(cyc, r, lim_c, lim_r))
+                break;
+            out_cycles[k] = cyc;
+            out_addrs[k] = addr;
+            out_writes[k] = wr;
+            out_kinds[k] = kind;
+            out_layer_ids[k] = layer;
+            k++;
+            addr += block_bytes;
+            q += step_q;
+            rem += step_r;
+            if (rem >= count) {
+                rem -= count;
+                q++;
+            }
+        }
+        next[r] = j;
+        if (j < count) {
+            heap_c[0] = base + q;
+        } else {
+            size--;
+            heap_r[0] = heap_r[size];
+            heap_c[0] = heap_c[size];
+        }
+        merge_sift_down(heap_r, heap_c, size, 0);
+    }
+    free(heap_r); free(heap_c); free(next);
+    return 0;
+}
+
+#undef MERGE_BEFORE

@@ -6,7 +6,9 @@ VN integrity-tree walk stays irreducibly sequential (a data-dependent
 state machine, reachable offline only through fixpoint iteration), and
 the DRAM model's per-layer counter is one issue-order walk with an
 open-row register per bank, which numpy can only express as a merge
-sort plus a bank sort.  When a C compiler is available
+sort plus a bank sort.  Likewise a layer's cycle-sorted block stream is
+a k-way merge of its ranges' ascending runs, which numpy can only
+express as a full expansion plus a sort.  When a C compiler is available
 this module builds ``_native_kernels.c`` and the hot paths run those
 loops in native code instead.
 
@@ -61,6 +63,10 @@ FALLBACKS = {
     ],
     "dram_walk": [
         "repro.dram.simulator:DramSim._walk_numpy",
+    ],
+    "expand_merge": [
+        "repro.accel.trace:expand_ranges",
+        "repro.accel.trace:BlockStream.sorted_by_cycle",
     ],
 }
 
@@ -195,6 +201,12 @@ def _load():
             _ptr, _ptr, _i64,                               # metadata side
             _i64, _i64, _i64, _i64,                         # shifts
             _ptr,                                           # counts out
+        ]
+        lib.expand_merge.restype = ctypes.c_int
+        lib.expand_merge.argtypes = [
+            _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr,       # range columns
+            _i64, _i64,                                     # n, block bytes
+            _ptr, _ptr, _ptr, _ptr, _ptr,                   # block columns
         ]
         lib.drive_fused.restype = ctypes.c_int
         lib.drive_fused.argtypes = [
@@ -438,3 +450,63 @@ def dram_walk(data: Tuple[np.ndarray, np.ndarray],
         block_shift, channel_shift, col_shift, bank_shift, _addr(out))
     obs.incr("native.dram_walk.kernel")
     return rc
+
+
+#: Bound on a range's ``count * duration`` and start cycle for the
+#: native expansion: below it no block cycle overflows an int64 (where
+#: numpy wraps, C signed overflow is undefined).
+_EXPAND_SAFE = 1 << 62
+
+
+def expand_merge(cycles: np.ndarray, first: np.ndarray, counts: np.ndarray,
+                 durations: np.ndarray, writes: np.ndarray,
+                 kinds: np.ndarray, layer_ids: np.ndarray,
+                 block_bytes: int) -> Optional[Tuple[np.ndarray, ...]]:
+    """Native cycle-sorted block expansion behind
+    ``repro.accel.trace.expand_sorted``.
+
+    Range ``r`` covers ``counts[r]`` blocks from address ``first[r]``,
+    issued across ``[cycles[r], cycles[r] + durations[r])``.  Returns
+    ``(cycles, addrs, writes, layer_ids, kinds)`` block columns in the
+    order of a stable cycle sort of the range-order expansion, or
+    ``None`` when the kernel is unavailable, a range's block arithmetic
+    could overflow (``native.expand_merge.overflow``) or the kernel's
+    scratch allocation fails (``native.expand_merge.alloc_failed``);
+    the caller then runs the numpy twin.
+    """
+    lib = _load()
+    if lib is None:
+        return None
+    n = len(counts)
+    if any(len(col) != n for col in (cycles, first, durations, writes,
+                                      kinds, layer_ids)):
+        raise ValueError("expand_merge: range columns differ in length")
+    cycles = np.ascontiguousarray(cycles, np.int64)
+    first = np.ascontiguousarray(first, np.int64)
+    counts = np.ascontiguousarray(counts, np.int64)
+    durations = np.ascontiguousarray(durations, np.int64)
+    if n and (int(counts.min()) < 0 or int(durations.min()) < 0
+              or int(cycles.max()) > _EXPAND_SAFE
+              or bool((durations > _EXPAND_SAFE
+                       // np.maximum(counts, 1)).any())):
+        obs.incr("native.expand_merge.overflow")
+        return None
+    writes = np.ascontiguousarray(writes, bool).view(np.uint8)
+    kinds = np.ascontiguousarray(kinds, np.int8)
+    layer_ids = np.ascontiguousarray(layer_ids, np.int32)
+    total = int(counts.sum())
+    out_cycles = np.empty(total, np.int64)
+    out_addrs = np.empty(total, np.uint64)
+    out_writes = np.empty(total, bool)
+    out_kinds = np.empty(total, np.int8)
+    out_layer_ids = np.empty(total, np.int32)
+    rc = lib.expand_merge(
+        _addr(cycles), _addr(first), _addr(counts), _addr(durations),
+        _addr(writes), _addr(kinds), _addr(layer_ids), n, block_bytes,
+        _addr(out_cycles), _addr(out_addrs), _addr(out_writes),
+        _addr(out_kinds), _addr(out_layer_ids))
+    if rc != 0:
+        obs.incr("native.expand_merge.alloc_failed")
+        return None
+    obs.incr("native.expand_merge.kernel")
+    return out_cycles, out_addrs, out_writes, out_layer_ids, out_kinds

@@ -17,11 +17,14 @@ import pytest
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
                                    os.pardir, "src"))
 
-#: 0.75 GiB. Measured 551-561 MiB on a 2-vCPU Xeon host since the DRAM
-#: model stopped memoizing a 24 B-per-block bank-sorted geometry on each
-#: layer stream (851 MiB with it); 3157 MiB while every probe and every
-#: layer's streams stayed alive to the cell's end.
-FASTERRCNN_B16_PEAK_MIB = 768
+#: 448 MiB. Measured 312-313 MiB on a 2-vCPU Xeon host since each
+#: layer's cycle-sorted stream is merged from its ranges (558 MiB while
+#: the unsorted expansion stayed memoized next to it and the sort built
+#: packed keys and an index); 851 MiB while the DRAM model memoized a
+#: 24 B-per-block bank-sorted geometry on each layer stream; 3157 MiB
+#: while every probe and every layer's streams stayed alive to the
+#: cell's end.
+FASTERRCNN_B16_PEAK_MIB = 448
 
 #: The child reads its peak from ``VmHWM``, not ``ru_maxrss``: Linux
 #: folds the pre-exec image (here, the whole test process) into the

@@ -4,8 +4,8 @@ Every public kernel in :mod:`repro.utils.native` must keep a registered
 pure-Python/numpy fallback (the ``FALLBACKS`` manifest) and match it
 exactly.  The broad equivalence suites live next to the models
 (``tests/protection/test_reuse_engine.py``, ``tests/dram``); this file
-pins the manifest itself and drives ``dram_walk`` head-to-head against
-its numpy twin.
+pins the manifest itself and drives ``dram_walk`` and ``expand_merge``
+head-to-head against their numpy twins.
 """
 
 import importlib
@@ -13,10 +13,18 @@ import importlib
 import numpy as np
 import pytest
 
-from repro.accel.trace import BlockStream
+from repro.accel.trace import (
+    AccessKind,
+    BlockStream,
+    Trace,
+    expand_ranges,
+    expand_sorted,
+    kind_code,
+)
 from repro.dram.simulator import DramSim
 from repro.dram.timing import SERVER_DRAM
 from repro import obs
+from repro.protection.metadata_model import expanded_data_stream
 from repro.utils import native
 from tests.dram import oracle
 
@@ -33,7 +41,7 @@ def _stream(addrs, cycles=None, writes=None):
 
 class TestFallbacksManifest:
     def test_every_entry_point_is_registered(self):
-        for entry in ("fused_drive", "dram_walk"):
+        for entry in ("fused_drive", "dram_walk", "expand_merge"):
             assert entry in native.FALLBACKS
             assert callable(getattr(native, entry))
 
@@ -103,3 +111,131 @@ class TestDramWalkParity:
         oracle_result = oracle.simulate(
             SERVER_DRAM, 1.0, BlockStream.concat(self._entries(seed)[0]))
         assert got[0].row_misses == oracle_result.row_misses
+
+
+_STREAM_COLUMNS = ("cycles", "addrs", "writes", "layer_ids", "kinds")
+
+
+def _assert_same_stream(got, want):
+    for name in _STREAM_COLUMNS:
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype, name
+        np.testing.assert_array_equal(g, w, err_msg=name)
+
+
+def _ranges(cycles, addrs, nbytes, durations):
+    """Range columns in ``RangeBuffer.arrays`` order, with writes,
+    kinds and layer ids varying per range."""
+    n = len(addrs)
+    return (np.asarray(cycles, np.int64), np.asarray(addrs, np.int64),
+            np.asarray(nbytes, np.int64), np.arange(n) % 2 == 1,
+            (np.arange(n) % 5).astype(np.int8),
+            (np.arange(n) % 3).astype(np.int64),
+            np.asarray(durations, np.int64))
+
+
+def _random_ranges(seed, n):
+    rng = np.random.default_rng(seed)
+    return _ranges(rng.integers(0, 400, n), rng.integers(0, 1 << 24, n),
+                   rng.integers(1, 5_000, n),
+                   rng.integers(0, 300, n) * (rng.random(n) < 0.7))
+
+
+def _twin(columns):
+    cycles, addrs, nbytes, writes, kinds, layer_ids, durations = columns
+    return expand_ranges(cycles, addrs, nbytes, writes, layer_ids,
+                         durations, kinds).sorted_by_cycle()
+
+
+def _counted(fn, *args):
+    recorder = obs.Recorder()
+    previous = obs.install(recorder)
+    try:
+        return fn(*args), recorder.counters
+    finally:
+        obs.install(previous)
+
+
+class TestExpandMergeParity:
+    """``expand_merge`` (through ``expand_sorted``) against the stable
+    cycle sort of the range-order expansion."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_kernel(self):
+        if not native.available():
+            pytest.skip("no native kernel in this environment")
+
+    CASES = {
+        "empty": _ranges([], [], [], []),
+        "single_block": _ranges([5, 3, 5, 0, 3], [0, 64, 130, 4096, 8191],
+                                [64, 1, 60, 64, 1], [0, 9, 100, 0, 4]),
+        "zero_duration": _ranges([10, 0, 10, 5], [0, 1 << 16, 100, 999],
+                                 [4096, 640, 3000, 64], [0, 0, 0, 0]),
+        "equal_cycles": _ranges([7, 7, 7, 7], [1 << 20, 0, 64, 1 << 12],
+                                [640, 300, 64, 2048], [40, 40, 0, 100]),
+        "descending_starts": _ranges([900, 600, 300, 0],
+                                     [0, 1 << 14, 1 << 15, 1 << 16],
+                                     [6400, 6400, 640, 64_000],
+                                     [1000, 1000, 10, 5000]),
+        "random_a": _random_ranges(3, 60),
+        "random_b": _random_ranges(29, 300),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_kernel_matches_numpy_twin(self, case):
+        columns = self.CASES[case]
+        got, counters = _counted(expand_sorted, columns)
+        assert counters["native.expand_merge.kernel"] == 1
+        _assert_same_stream(got, _twin(columns))
+
+    @pytest.mark.parametrize("unit_bytes", [512, 4096])
+    def test_overfetch_candidates(self, unit_bytes, monkeypatch):
+        rng = np.random.default_rng(unit_bytes)
+        n = 200
+        cycles = rng.integers(0, 2_000, n)
+        addrs = rng.integers(0, 1 << 22, n)
+        nbytes = rng.integers(1, 3_000, n)
+        writes = rng.integers(0, 2, n).astype(bool)
+        durations = rng.integers(0, 500, n)
+
+        def layer():
+            trace = Trace()
+            trace.emit_batch(cycles, addrs, nbytes, writes=writes,
+                             kind_codes=np.full(
+                                 n, kind_code(AccessKind.IFMAP), np.int8),
+                             layer_id=2, durations=durations)
+            return trace
+
+        (got, got_extra), counters = _counted(
+            expanded_data_stream, layer(), unit_bytes)
+        assert counters["native.expand_merge.kernel"] == 1
+        assert got_extra > 0
+        assert int((got.kinds == kind_code(AccessKind.METADATA)).sum()) \
+            == got_extra
+        monkeypatch.setattr(native, "_load", lambda: None)
+        want, want_extra = expanded_data_stream(layer(), unit_bytes)
+        assert got_extra == want_extra
+        _assert_same_stream(got, want)
+
+    @pytest.mark.parametrize("columns", [
+        # count * duration = 2 * (2**61 + 1) is past 2**62.
+        _ranges([0, 3], [0, 640], [128, 64], [(1 << 61) + 1, 0]),
+        _ranges([(1 << 62) + 1, 3], [0, 640], [128, 64], [5, 0]),
+    ], ids=["count_x_duration", "start_cycle"])
+    def test_overflowing_range_takes_the_twin(self, columns):
+        got, counters = _counted(expand_sorted, columns)
+        assert counters["native.expand_merge.overflow"] == 1
+        assert "native.expand_merge.kernel" not in counters
+        _assert_same_stream(got, _twin(columns))
+
+    def test_failed_allocation_takes_the_twin(self, monkeypatch):
+        class FailingLib:
+            @staticmethod
+            def expand_merge(*args):
+                return -1
+
+        monkeypatch.setattr(native, "_load", lambda: FailingLib)
+        columns = self.CASES["random_a"]
+        got, counters = _counted(expand_sorted, columns)
+        assert counters["native.expand_merge.alloc_failed"] == 1
+        _assert_same_stream(got, _twin(columns))
