@@ -19,11 +19,12 @@ LINE_BYTES = 64
 class MetadataCache:
     """A byte-capacity view over :class:`repro.utils.lru.LruCache`.
 
-    Batch drivers (the compiled kernel and the reuse-distance engine)
-    replace the whole contents per drive; the new state is kept as flat
-    arrays and folded into the ``OrderedDict`` lazily — the dict is only
-    needed when something observes it (``raw_lines``, ``access``,
-    ``probe``, ``flush``), not between back-to-back drives.
+    Batch drives (the compiled kernel or its scalar twin, see
+    :mod:`repro.protection.metadata_model`) replace the whole contents
+    per drive; the new state is kept as flat arrays and folded into the
+    ``OrderedDict`` lazily — the dict is only needed when something
+    observes it (``raw_lines``, ``access``, ``probe``, ``flush``), not
+    between back-to-back drives.
     """
 
     def __init__(self, capacity_bytes: int, line_bytes: int = LINE_BYTES):

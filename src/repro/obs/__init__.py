@@ -4,10 +4,9 @@ Zero-dependency observability for the whole runner stack.  The span API
 instruments the four pipeline stages (accelerator simulate / protect /
 DRAM / crypto) per layer and per cell; counters and gauges expose the
 load-bearing internals (result-store hits, eval-service memo tiers,
-reuse-engine resolution tiers, native-kernel selection, executor pool
-state); exporters render a whole sweep as a JSONL event log, an
-aggregated metrics summary, or a Chrome trace-event file that opens in
-Perfetto.
+native-kernel selection, executor pool state); exporters render a
+whole sweep as a JSONL event log, an aggregated metrics summary, or a
+Chrome trace-event file that opens in Perfetto.
 
 Typical use::
 

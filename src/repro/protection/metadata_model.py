@@ -6,28 +6,21 @@ duplicates are run-length compressed (sequential tile streams hit the
 same line 8 times in a row), and the compressed stream drives the LRU
 cache model.  Misses and dirty evictions become metadata DRAM accesses.
 
-Since PR 5 the LRU drives themselves are no longer scalar: the
-run-compressed line stream goes through (in order of preference)
-
-1. the compiled drive kernel (:mod:`repro.utils.native`) —
-   the scalar state machine in native code, built on demand when a C
-   compiler is available;
-2. the vectorized reuse-distance engine
-   (:mod:`repro.protection.reuse_engine`) — exact offline LRU via
-   stack-distance analysis, pure numpy; the VN tree walk is resolved by
-   a verified fixpoint iteration;
-3. the inlined ``OrderedDict`` drive — kept as the always-correct
-   oracle (it is the VN fixpoint's fallback for adversarial streams and
-   what the equivalence tests pin the fast paths against).
-
-All three tiers produce bit-identical ``CacheStats``, miss/writeback
-streams, and final cache contents (``tests/protection/test_reuse_engine``
-checks them against each other on adversarial streams).
+Every MAC and VN cache decision is one step of a fully associative,
+write-back, write-allocate LRU drive, and each drive has one production
+path per tier: the compiled ``fused_drive`` kernel
+(:mod:`repro.utils.native`), or, on hosts without a C compiler, its
+scalar twin :func:`drive_scalar`.  Both return the same
+:class:`~repro.utils.native.DriveOutput`, so one fold
+(:func:`_apply_drive_output`) serves either.  They are pinned
+access-for-access against an independent ``LruCache`` reference by
+``tests/protection/test_drive_tiers.py``.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,7 +36,6 @@ from repro.accel.trace import (
     kind_code,
 )
 from repro.integrity.caches import MetadataCache
-from repro.protection import reuse_engine
 from repro.utils import native
 from repro.protection.layout import (
     ENTRIES_PER_LINE,
@@ -220,24 +212,154 @@ def _check_line_bytes(line_bytes: int) -> int:
     return LINE_BYTES // line_bytes
 
 
+def _lru_lines(init) -> "OrderedDict[int, bool]":
+    """A private copy of a drive's initial LRU contents, from either
+    form :meth:`MetadataCache.drive_state` hands out (the live tag map,
+    or pending ``(tags, dirty)`` arrays), least recent first."""
+    if isinstance(init, tuple):
+        init = zip(init[0].tolist(), (init[1] != 0).tolist())
+    return OrderedDict(init)
+
+
+def _drive_output(events, stats, lines) -> native.DriveOutput:
+    cyc, addr, wr = events
+    n = len(lines)
+    return native.DriveOutput(
+        np.frombuffer(cyc, np.int64), np.frombuffer(addr, np.int64),
+        np.frombuffer(wr, np.uint8), stats,
+        np.fromiter(lines.keys(), np.int64, n),
+        np.fromiter(lines.values(), np.uint8, n))
+
+
+def drive_scalar(idx: np.ndarray, writes: np.ndarray, cycles: np.ndarray,
+                 line_bytes: int, mac: Optional[Tuple] = None,
+                 vn: Optional[Tuple] = None,
+                 ) -> Tuple[Optional[native.DriveOutput],
+                            Optional[native.DriveOutput]]:
+    """Scalar twin of :func:`repro.utils.native.fused_drive`.
+
+    Same arguments, same ``(mac_output, vn_output)`` pair of
+    :class:`~repro.utils.native.DriveOutput` (``None`` for a side not
+    driven). The loop transcribes the kernel's ``drive_fused`` access
+    for access: a MAC miss emits its fetch, then the dirty victim's
+    writeback; a VN miss emits the writeback, then the fetch, then walks
+    the leaf's tree ancestors ``node_base[l] + (leaf // node_div[l]) *
+    ratio`` up to the first cached node. The initial states are copied,
+    never mutated; the final states come back as arrays, exactly as the
+    kernel returns them.
+    """
+    lb = line_bytes
+    mac_on, vn_on = mac is not None, vn is not None
+    mac_base, mac_cap, mac_init = mac if mac_on else (0, 0, {})
+    vn_base, vn_cap, leaf_base, leaf_div, vn_init, node_base, node_div, \
+        ratio = vn if vn_on else (0, 0, 0, 1, {}, [], [], 1)
+    walk = list(zip(np.asarray(node_base, np.int64).tolist(),
+                    np.asarray(node_div, np.int64).tolist()))
+    m_lines, v_lines = _lru_lines(mac_init), _lru_lines(vn_init)
+    m_move, m_pop = m_lines.move_to_end, m_lines.popitem
+    v_move, v_pop = v_lines.move_to_end, v_lines.popitem
+    m_events = (array("q"), array("q"), array("B"))
+    v_events = (array("q"), array("q"), array("B"))
+    m_cyc, m_addr, m_wr = (col.append for col in m_events)
+    v_cyc, v_addr, v_wr = (col.append for col in v_events)
+    m_hits = m_misses = m_evictions = m_dirty = 0
+    v_hits = v_misses = v_evictions = v_dirty = 0
+    # Scalar twin tier: each LRU drive (and the VN tree walk, which
+    # depends on what the drive has cached so far) is a sequential state
+    # machine; this loop serves hosts without the compiled kernel and is
+    # pinned access-for-access to it and to the LruCache reference.
+    # repro: allow(hot-path-hygiene)
+    for line, wr, cyc in zip(idx.tolist(), writes.tolist(),
+                             cycles.tolist()):
+        if mac_on:
+            tag = mac_base + line
+            if tag in m_lines:
+                m_hits += 1
+                m_move(tag)
+                if wr:
+                    m_lines[tag] = True
+            else:
+                # MAC miss: the fetch surfaces before the writeback.
+                m_misses += 1
+                m_cyc(cyc)
+                m_addr(tag * lb)
+                m_wr(0)
+                if len(m_lines) >= mac_cap:
+                    old_tag, old_dirty = m_pop(last=False)
+                    m_evictions += 1
+                    if old_dirty:
+                        m_dirty += 1
+                        m_cyc(cyc)
+                        m_addr(old_tag * lb)
+                        m_wr(1)
+                m_lines[tag] = wr
+        if not vn_on:
+            continue
+        tag = vn_base + line
+        if tag in v_lines:
+            v_hits += 1
+            v_move(tag)
+            if wr:
+                v_lines[tag] = True
+            continue
+        # VN miss: the writeback surfaces before the fetch.
+        v_misses += 1
+        if len(v_lines) >= vn_cap:
+            old_tag, old_dirty = v_pop(last=False)
+            v_evictions += 1
+            if old_dirty:
+                v_dirty += 1
+                v_cyc(cyc)
+                v_addr(old_tag * lb)
+                v_wr(1)
+        v_lines[tag] = wr
+        v_cyc(cyc)
+        v_addr(tag * lb)
+        v_wr(0)
+        # Walk ancestors until a cached node (or the root) vouches.
+        leaf = leaf_base + line // leaf_div
+        for base, div in walk:
+            ntag = base + (leaf // div) * ratio
+            if ntag in v_lines:
+                v_hits += 1
+                v_move(ntag)
+                if wr:
+                    v_lines[ntag] = True
+                break
+            v_misses += 1
+            if len(v_lines) >= vn_cap:
+                old_tag, old_dirty = v_pop(last=False)
+                v_evictions += 1
+                if old_dirty:
+                    v_dirty += 1
+                    v_cyc(cyc)
+                    v_addr(old_tag * lb)
+                    v_wr(1)
+            v_lines[ntag] = wr
+            v_cyc(cyc)
+            v_addr(ntag * lb)
+            v_wr(0)
+    return (
+        _drive_output(m_events, (m_hits, m_misses, m_evictions, m_dirty),
+                      m_lines) if mac_on else None,
+        _drive_output(v_events, (v_hits, v_misses, v_evictions, v_dirty),
+                      v_lines) if vn_on else None,
+    )
+
+
+def _drive(idx, writes, cycles, line_bytes, mac=None, vn=None):
+    """One LRU drive: the native kernel, or its scalar twin."""
+    out = native.fused_drive(idx, writes, cycles, line_bytes, mac=mac, vn=vn)
+    if out is None:
+        out = drive_scalar(idx, writes, cycles, line_bytes, mac=mac, vn=vn)
+    return out
+
+
 def _apply_drive_output(cache: MetadataCache, out: CacheTrafficResult,
-                        result: "native.DriveOutput") -> None:
-    """Fold one kernel drive into the traffic result and cache state."""
+                        result: native.DriveOutput) -> None:
+    """Fold one drive into the traffic result and cache state."""
     out.extend_arrays(result.ev_cycles, result.ev_addrs, result.ev_writes,
                       misses=result.misses)
-    cache.note(result.hits, result.misses, result.evictions,
-               result.dirty_evictions)
-    cache.set_state_arrays(result.state_tags, result.state_dirty)
-
-
-def _apply_engine_result(cache: MetadataCache, out: CacheTrafficResult,
-                         result: "reuse_engine.DriveResult",
-                         cycles: np.ndarray, tags: np.ndarray,
-                         wb_first: bool) -> None:
-    """Fold one reuse-engine drive into the traffic result and state."""
-    _, ev_cyc, ev_addr, ev_wr = reuse_engine.assemble_events(
-        result, cycles, tags, cache.line_bytes, wb_first=wb_first)
-    out.extend_arrays(ev_cyc, ev_addr, ev_wr, misses=result.misses)
     cache.note(result.hits, result.misses, result.evictions,
                result.dirty_evictions)
     cache.set_state_arrays(result.state_tags, result.state_dirty)
@@ -259,21 +381,11 @@ class MacTableModel:
         idx, writes, cycles = _line_runs(stream, self.layout.unit_bytes)
         if ratio != 1:
             idx = idx * ratio
-        base = self._tag_base()
-        kernel = native.fused_drive(
+        result, _ = _drive(
             idx, writes, cycles, self.cache.line_bytes,
-            mac=(base, self.cache.capacity_lines,
+            mac=(self._tag_base(), self.cache.capacity_lines,
                  self.cache.drive_state()))
-        if kernel is not None:
-            _apply_drive_output(self.cache, out, kernel[0])
-            return
-        tags = base + idx
-        state = self.cache.raw_lines
-        result = reuse_engine.drive(
-            tags, writes, self.cache.capacity_lines,
-            list(state.keys()), list(state.values()))
-        _apply_engine_result(self.cache, out, result, cycles, tags,
-                             wb_first=False)
+        _apply_drive_output(self.cache, out, result)
 
     def flush(self, cycle: int, out: CacheTrafficResult) -> None:
         for addr in self.cache.flush():
@@ -293,127 +405,35 @@ class VnTreeModel:
     def __init__(self, layout: MetadataLayout, cache: MetadataCache):
         self.layout = layout
         self.cache = cache
-        self.tree_levels = layout.tree_levels
-        #: Per-level (base address, index divisor) so the walk computes
-        #: node addresses without re-deriving layout constants.
-        self._walk = [(layout.tree_node_addr(0, level), TREE_ARITY ** level)
-                      for level in range(1, self.tree_levels + 1)]
+        lb = cache.line_bytes
         #: VN-line index = line tag - the table's base tag (the layout
         #: keeps VN lines contiguous from the table base).
-        self._vn_base_tag = layout.vn_line_addr(0) // cache.line_bytes
+        self._vn_base_tag = layout.vn_line_addr(0) // lb
+        #: Per level, the node base tag and the leaf divisor, so the
+        #: walk computes node tags without re-deriving layout constants.
+        levels = range(1, layout.tree_levels + 1)
+        self._node_base = np.array(
+            [layout.tree_node_addr(0, level) // lb for level in levels],
+            np.int64)
+        self._node_div = np.array([TREE_ARITY ** level for level in levels],
+                                  np.int64)
 
-    def _walk_spec(self) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Per-level (node base tag, leaf divisor) arrays + tag ratio."""
-        lb = self.cache.line_bytes
-        node_base = np.array([base // lb for base, _ in self._walk], np.int64)
-        node_div = np.array([div for _, div in self._walk], np.int64)
-        return node_base, node_div, LINE_BYTES // lb
+    def _vn_spec(self) -> Tuple:
+        """The drive's ``vn`` argument: lines are tags above the VN base,
+        ``ratio`` tags per 64 B metadata line, so leaf = line // ratio."""
+        ratio = LINE_BYTES // self.cache.line_bytes
+        return (self._vn_base_tag, self.cache.capacity_lines, 0, ratio,
+                self.cache.drive_state(), self._node_base, self._node_div,
+                ratio)
 
     def process(self, stream: BlockStream, out: CacheTrafficResult) -> None:
         ratio = _check_line_bytes(self.cache.line_bytes)
         idx, writes, cycles = _line_runs(stream, self.layout.unit_bytes)
         if ratio != 1:
             idx = idx * ratio
-        base = self._vn_base_tag
-        node_base, node_div, _ = self._walk_spec()
-        kernel = native.fused_drive(
-            idx, writes, cycles, self.cache.line_bytes,
-            vn=(base, self.cache.capacity_lines, 0, ratio,
-                self.cache.drive_state(), node_base, node_div, ratio))
-        if kernel is not None:
-            _apply_drive_output(self.cache, out, kernel[1])
-            return
-        self._process_engine(base + idx, idx // ratio if ratio != 1 else idx,
-                             writes, cycles, out)
-
-    def _process_engine(self, tags: np.ndarray, leaf_idx: np.ndarray,
-                        writes: np.ndarray, cycles: np.ndarray,
-                        out: CacheTrafficResult) -> None:
-        """Reuse-distance fixpoint drive with the scalar-oracle fallback."""
-        node_base, node_div, ratio = self._walk_spec()
-
-        def node_tags(level: int, rid: np.ndarray) -> np.ndarray:
-            return (node_base[level - 1]
-                    + (leaf_idx[rid] // node_div[level - 1]) * ratio)
-
-        state = self.cache.raw_lines
-        vn = reuse_engine.drive_vn_tree(
-            tags, writes, self.cache.capacity_lines, self.tree_levels,
-            node_tags, list(state.keys()), list(state.values()))
-        if vn is not None:
-            seq_cycles = cycles[vn.run_of_pos] if len(vn.run_of_pos) else cycles
-            _apply_engine_result(self.cache, out, vn.result, seq_cycles,
-                                 vn.seq_tags, wb_first=True)
-            return
-        self._process_scalar(tags, writes, cycles, out)
-
-    def _process_scalar(self, tags, writes, cycles,
-                        out: CacheTrafficResult) -> None:
-        """The ``OrderedDict`` oracle drive (exact for any stream); used
-        when the VN fixpoint does not settle on an adversarial stream."""
-        obs.incr("reuse.vn_scalar_fallback")
-        od = self.cache.raw_lines
-        cap = self.cache.capacity_lines
-        lb = self.cache.line_bytes
-        move, pop = od.move_to_end, od.popitem
-        ap_c = out.stream_cycles.append
-        ap_a = out.stream_addrs.append
-        ap_w = out.stream_writes.append
-        walk = self._walk
-        base_tag = self._vn_base_tag
-        hits = misses = evictions = dirty = 0
-        # Scalar oracle tier: the data-dependent VN-tree walk state
-        # machine, kept as the reference the vectorized/native tiers are
-        # equivalence-tested against.
-        # repro: allow(hot-path-hygiene)
-        for tag, wr, cyc in zip(tags.tolist(), writes.tolist(),
-                                cycles.tolist()):
-            if tag in od:
-                hits += 1
-                move(tag)
-                if wr:
-                    od[tag] = True
-                continue
-            # VN-line miss: dirty eviction surfaces before the fetch.
-            misses += 1
-            if len(od) >= cap:
-                old_tag, old_dirty = pop(last=False)
-                evictions += 1
-                if old_dirty:
-                    dirty += 1
-                    ap_c(cyc)
-                    ap_a(old_tag * lb)
-                    ap_w(1)
-            od[tag] = wr
-            ap_c(cyc)
-            ap_a(tag * lb)
-            ap_w(0)
-            # Walk ancestors until a cached node (or the root) vouches.
-            leaf = (tag - base_tag) * lb // LINE_BYTES
-            for base, div in walk:
-                node = base + (leaf // div) * LINE_BYTES
-                ntag = node // lb
-                if ntag in od:
-                    hits += 1
-                    move(ntag)
-                    if wr:
-                        od[ntag] = True
-                    break
-                misses += 1
-                if len(od) >= cap:
-                    old_tag, old_dirty = pop(last=False)
-                    evictions += 1
-                    if old_dirty:
-                        dirty += 1
-                        ap_c(cyc)
-                        ap_a(old_tag * lb)
-                        ap_w(1)
-                od[ntag] = wr
-                ap_c(cyc)
-                ap_a(node)
-                ap_w(0)
-        out.misses += misses
-        self.cache.note(hits, misses, evictions, dirty)
+        _, result = _drive(idx, writes, cycles, self.cache.line_bytes,
+                           vn=self._vn_spec())
+        _apply_drive_output(self.cache, out, result)
 
     def flush(self, cycle: int, out: CacheTrafficResult) -> None:
         for addr in self.cache.flush():
@@ -437,54 +457,14 @@ def process_mac_vn(mac_model: MacTableModel, vn_model: VnTreeModel,
         mac_model.process(stream, mac_out)
         vn_model.process(stream, vn_out)
         return
-    layout = mac_model.layout
-    idx, writes, cycles = _line_runs(stream, layout.unit_bytes)
-    mac_base = layout.mac_line_addr(0) // LINE_BYTES
-    vn_base = layout.vn_line_addr(0) // LINE_BYTES
-    node_base, node_div, ratio = vn_model._walk_spec()
-
-    kernel = native.fused_drive(
+    idx, writes, cycles = _line_runs(stream, mac_model.layout.unit_bytes)
+    mac_result, vn_result = _drive(
         idx, writes, cycles, LINE_BYTES,
-        mac=(mac_base, mac_cache.capacity_lines, mac_cache.drive_state()),
-        vn=(vn_base, vn_cache.capacity_lines, 0, 1,
-            vn_cache.drive_state(), node_base, node_div, ratio))
-    if kernel is not None:
-        _apply_drive_output(mac_cache, mac_out, kernel[0])
-        _apply_drive_output(vn_cache, vn_out, kernel[1])
-        return
-
-    # Vectorized path: the occurrence chains depend only on the line-run
-    # equality structure, so MAC and VN share one link build.
-    mac_tags = mac_base + idx
-    mac_state = mac_cache.raw_lines
-    if len(mac_state):
-        mac_result = reuse_engine.drive(
-            mac_tags, writes, mac_cache.capacity_lines,
-            list(mac_state.keys()), list(mac_state.values()))
-        links = None
-    else:
-        links = reuse_engine.build_links(idx)
-        mac_result = reuse_engine.drive_links(
-            links, mac_tags, writes, mac_cache.capacity_lines)
-    _apply_engine_result(mac_cache, mac_out, mac_result, cycles, mac_tags,
-                         wb_first=False)
-
-    vn_tags = vn_base + idx
-
-    def node_tags(level: int, rid: np.ndarray) -> np.ndarray:
-        return node_base[level - 1] + idx[rid] // node_div[level - 1]
-
-    vn_state = vn_cache.raw_lines
-    vn = reuse_engine.drive_vn_tree(
-        vn_tags, writes, vn_cache.capacity_lines, vn_model.tree_levels,
-        node_tags, list(vn_state.keys()), list(vn_state.values()),
-        backbone=links if not len(vn_state) else None)
-    if vn is not None:
-        seq_cycles = cycles[vn.run_of_pos] if len(vn.run_of_pos) else cycles
-        _apply_engine_result(vn_cache, vn_out, vn.result, seq_cycles,
-                             vn.seq_tags, wb_first=True)
-    else:
-        vn_model._process_scalar(vn_tags, writes, cycles, vn_out)
+        mac=(mac_model._tag_base(), mac_cache.capacity_lines,
+             mac_cache.drive_state()),
+        vn=vn_model._vn_spec())
+    _apply_drive_output(mac_cache, mac_out, mac_result)
+    _apply_drive_output(vn_cache, vn_out, vn_result)
 
 
 #: Images a batched layer actually pushes through the stateful cache

@@ -1,23 +1,22 @@
 """On-demand compiled native kernels (optional accelerators).
 
-The vectorized reuse-distance engine (:mod:`repro.protection.reuse_engine`)
-removes the per-access Python cost of the metadata cache drives, but the
-VN integrity-tree walk stays irreducibly sequential (a data-dependent
-state machine, reachable offline only through fixpoint iteration), and
-the DRAM model's per-layer counter is one issue-order walk with an
-open-row register per bank, which numpy can only express as a merge
-sort plus a bank sort.  Likewise a layer's cycle-sorted block stream is
-a k-way merge of its ranges' ascending runs, which numpy can only
-express as a full expansion plus a sort.  When a C compiler is available
+The metadata cache drives are sequential LRU state machines (the VN
+integrity-tree walk depends on what the drive has cached so far), which
+Python can only run one access at a time.  The DRAM model's per-layer
+counter is one issue-order walk with an open-row register per bank,
+which numpy can only express as a merge sort plus a bank sort.
+Likewise a layer's cycle-sorted block stream is a k-way merge of its
+ranges' ascending runs, which numpy can only express as a full
+expansion plus a sort.  When a C compiler is available
 this module builds ``_native_kernels.c`` and the hot paths run those
 loops in native code instead.
 
 Everything degrades gracefully: no compiler (or
 ``REPRO_NO_NATIVE_KERNEL=1``) means :func:`available` is False and the
-callers use the pure numpy tiers, with the VN fixpoint falling back to
-the scalar oracle.  All tiers are pinned bit-identical by the
-equivalence suites in ``tests/protection/test_reuse_engine.py``,
-``tests/dram`` and ``tests/utils/test_native_parity.py``; the
+callers use the pure Python/numpy twins.  All tiers are pinned
+bit-identical by the equivalence suites in
+``tests/protection/test_drive_tiers.py``, ``tests/dram`` and
+``tests/utils/test_native_parity.py``; the
 ``FALLBACKS`` manifest below records which slow tier owns each kernel,
 and ``repro check``'s tier-parity rule fails the build if an entry
 point ships without one.
@@ -58,8 +57,7 @@ _SOURCE = os.path.join(os.path.dirname(__file__), "_native_kernels.c")
 #: path resolves, and an equivalence test in tests/ names the kernel.
 FALLBACKS = {
     "fused_drive": [
-        "repro.protection.reuse_engine:drive",
-        "repro.protection.metadata_model:VnTreeModel._process_engine",
+        "repro.protection.metadata_model:drive_scalar",
     ],
     "dram_walk": [
         "repro.dram.simulator:DramSim._walk_numpy",
@@ -277,7 +275,8 @@ def _scratch(name: str, size: int, dtype) -> np.ndarray:
 
 
 class DriveOutput:
-    """Events, stats and final state for one cache from a kernel run."""
+    """Events, stats and final state (LRU order) for one cache from a
+    drive: the kernel, or its scalar twin."""
 
     __slots__ = ("ev_cycles", "ev_addrs", "ev_writes", "hits", "misses",
                  "evictions", "dirty_evictions", "state_tags", "state_dirty")
@@ -290,12 +289,6 @@ class DriveOutput:
             (int(v) for v in stats)
         self.state_tags = state_tags
         self.state_dirty = state_dirty
-
-    @property
-    def state(self):
-        """(tag, dirty) pairs in LRU order (compatibility view)."""
-        return list(zip(self.state_tags.tolist(),
-                        (self.state_dirty != 0).tolist()))
 
 
 def fused_drive(idx: np.ndarray, writes: np.ndarray, cycles: np.ndarray,

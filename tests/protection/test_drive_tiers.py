@@ -1,0 +1,356 @@
+"""Parity of the LRU drive tiers against an independent reference.
+
+Every metadata cache decision is one step of a fully associative,
+write-back, write-allocate LRU drive, served by one production path per
+tier: the compiled ``fused_drive`` kernel, or its scalar twin
+:func:`repro.protection.metadata_model.drive_scalar`.  Each available
+tier must match a reference built on :meth:`LruCache.access` (and, at
+the model level, on :meth:`MetadataCache.access` over layout addresses)
+event for event: the same miss/writeback stream in the same order, the
+same statistics and the same final contents.  Inputs: randomized and
+adversarial tag streams, warm starts from either state form, MAC-only,
+VN-only and fused calls, flushes mid-stream, and 32 B cache lines.
+"""
+
+from collections import OrderedDict
+
+import numpy as np
+import pytest
+
+from repro.accel.trace import AccessKind, Trace, TraceRange
+from repro.integrity.caches import MetadataCache
+from repro.protection.layout import MetadataLayout
+from repro.protection.metadata_model import (
+    CacheTrafficResult,
+    MacTableModel,
+    VnTreeModel,
+    compress_runs,
+    drive_scalar,
+    process_mac_vn,
+)
+from repro.utils import native
+from repro.utils.lru import LruCache
+
+#: Raw-tag drives: VN leaves are the line indices themselves, tree
+#: levels sit in disjoint tag ranges above them.
+VN_WALK = (np.array([10_000, 20_000], np.int64), np.array([8, 64], np.int64))
+MAC_BASE, VN_BASE = 0, 0
+
+
+def _kernel_drive(*args, **kwargs):
+    out = native.fused_drive(*args, **kwargs)
+    assert out is not None, "kernel drive fell back"
+    return out
+
+
+@pytest.fixture(params=["scalar", "kernel"])
+def drive(request):
+    """Each available drive tier, called directly."""
+    if request.param == "kernel":
+        if not native.available():
+            pytest.skip("no compiled kernel on this host")
+        return _kernel_drive
+    return drive_scalar
+
+
+@pytest.fixture(params=["scalar", "kernel"])
+def tier(request, monkeypatch):
+    """Each available drive tier, serving the cache models."""
+    if request.param == "kernel":
+        if not native.available():
+            pytest.skip("no compiled kernel on this host")
+    else:
+        monkeypatch.setattr(native, "fused_drive", lambda *a, **k: None)
+    return request.param
+
+
+def _state(pairs, form):
+    """Initial contents in one of the forms ``drive_state()`` hands out."""
+    if form == "dict":
+        return OrderedDict(pairs)
+    return (np.array([t for t, _ in pairs], np.int64),
+            np.array([d for _, d in pairs], np.uint8))
+
+
+def reference_drive(idx, writes, cycles, line_bytes, mac=None, vn=None):
+    """``fused_drive``'s contract, one ``LruCache.access`` per lookup.
+
+    Returns ``(events, cache)`` per driven side, where ``events`` lists
+    ``(cycle, addr, is_writeback)`` in emission order."""
+
+    def warm(capacity, init):
+        cache = LruCache(capacity)
+        if isinstance(init, tuple):
+            init = zip(init[0].tolist(), (init[1] != 0).tolist())
+        cache.raw_lines.update(init)
+        return cache
+
+    runs = list(zip(idx.tolist(), writes.tolist(), cycles.tolist()))
+    mac_out = vn_out = None
+    if mac is not None:
+        base, capacity, init = mac
+        cache, events = warm(capacity, init), []
+        for line, wr, cyc in runs:
+            hit, wb = cache.access(base + line, write=bool(wr))
+            if not hit:
+                events.append((cyc, (base + line) * line_bytes, False))
+            if wb is not None:
+                events.append((cyc, wb * line_bytes, True))
+        mac_out = (events, cache)
+    if vn is not None:
+        base, capacity, leaf_base, leaf_div, init, node_base, node_div, \
+            ratio = vn
+        cache, events = warm(capacity, init), []
+        for line, wr, cyc in runs:
+            tag = base + line
+            for level in range(len(node_base) + 1):
+                if level:
+                    leaf = leaf_base + line // leaf_div
+                    tag = int(node_base[level - 1]
+                              + (leaf // node_div[level - 1]) * ratio)
+                hit, wb = cache.access(tag, write=bool(wr))
+                if wb is not None:
+                    events.append((cyc, wb * line_bytes, True))
+                if hit:
+                    break
+                events.append((cyc, tag * line_bytes, False))
+        vn_out = (events, cache)
+    return mac_out, vn_out
+
+
+def assert_drive_matches(got, want):
+    events, cache = want
+    assert list(zip(got.ev_cycles.tolist(), got.ev_addrs.tolist(),
+                    (got.ev_writes != 0).tolist())) == events
+    stats = cache.stats
+    assert (got.hits, got.misses, got.evictions, got.dirty_evictions) == \
+        (stats.hits, stats.misses, stats.evictions, stats.dirty_evictions)
+    assert list(zip(got.state_tags.tolist(),
+                    (got.state_dirty != 0).tolist())) == \
+        [(tag, bool(dirty)) for tag, dirty in cache.raw_lines.items()]
+
+
+def _specs(capacity, init=(), form="dict", sides=("mac", "vn")):
+    mac = (MAC_BASE, capacity, _state(init, form)) if "mac" in sides \
+        else None
+    vn = (VN_BASE, capacity, 0, 1, _state(init, form), *VN_WALK, 1) \
+        if "vn" in sides else None
+    return mac, vn
+
+
+def check_tier(drive, tags, writes, capacity, init=(), form="dict",
+               sides=("mac", "vn")):
+    tags = np.asarray(tags, np.int64)
+    writes = np.asarray(writes, bool)
+    cycles = np.arange(len(tags), dtype=np.int64) * 3
+    mac, vn = _specs(capacity, init, form, sides)
+    got = drive(tags, writes, cycles, 64, mac=mac, vn=vn)
+    want = reference_drive(tags, writes, cycles, 64, mac=mac, vn=vn)
+    for got_side, want_side in zip(got, want):
+        if want_side is None:
+            assert got_side is None
+        else:
+            assert_drive_matches(got_side, want_side)
+
+
+class TestDriveVsReference:
+    def test_randomized_streams(self, drive):
+        rng = np.random.default_rng(2025)
+        for draw in range(300):
+            n = int(rng.integers(0, 400))
+            ntags = int(rng.integers(1, 60))
+            capacity = int(rng.integers(1, 40))
+            tags = rng.integers(0, ntags, n)
+            writes = rng.integers(0, 2, n).astype(bool)
+            k = int(rng.integers(0, capacity + 1))
+            pool = rng.permutation(ntags + 30)[:k]
+            init = [(int(t), bool(rng.integers(0, 2))) for t in pool]
+            check_tier(drive, tags, writes, capacity, init,
+                       form=("dict", "arrays")[draw % 2])
+
+    @pytest.mark.parametrize("capacity", [1, 2, 7, 64])
+    def test_adversarial_patterns(self, drive, capacity):
+        rng = np.random.default_rng(capacity)
+        n = 300
+        patterns = {
+            "all_same": np.zeros(n, np.int64),
+            "all_distinct": np.arange(n),
+            "all_hits": np.arange(n) % max(1, capacity - 1) if capacity > 1
+            else np.zeros(n, np.int64),
+            "all_conflict_sweep": np.arange(n) % (capacity + 1),
+            "pingpong": (np.arange(n) // 2) % (capacity + 2),
+        }
+        for tags in patterns.values():
+            for writes in (np.zeros(n, bool), np.ones(n, bool),
+                           rng.integers(0, 2, n).astype(bool)):
+                check_tier(drive, tags, writes, capacity)
+
+    def test_interleaved_dirty_clean(self, drive):
+        # Alternating dirty/clean touches of two working sets that
+        # alternately fit and thrash.
+        tags = np.concatenate([np.tile(np.arange(4), 8),
+                               np.arange(64), np.tile(np.arange(4), 8)])
+        writes = (np.arange(len(tags)) % 3 == 0)
+        for capacity in (1, 4, 8, 32):
+            check_tier(drive, tags, writes, capacity)
+
+    @pytest.mark.parametrize("sides", [("mac",), ("vn",)],
+                             ids=["mac_only", "vn_only"])
+    def test_single_side_calls(self, drive, sides):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            n = int(rng.integers(0, 300))
+            tags = rng.integers(0, 50, n)
+            writes = rng.integers(0, 2, n).astype(bool)
+            check_tier(drive, tags, writes, int(rng.integers(1, 24)),
+                       sides=sides)
+
+    @pytest.mark.parametrize("form", ["dict", "arrays"])
+    def test_warm_start_from_each_state_form(self, drive, form):
+        """A second drive from the first one's final state, handed over
+        as the live tag map or as pending arrays, equals one drive over
+        both halves; the initial state is never mutated."""
+        rng = np.random.default_rng(5)
+        tags = rng.integers(0, 40, 400)
+        writes = rng.integers(0, 2, 400).astype(bool)
+        cycles = np.arange(400, dtype=np.int64)
+        capacity = 12
+        whole = drive(tags, writes, cycles, 64, *_specs(capacity))
+        half = drive(tags[:200], writes[:200], cycles[:200], 64,
+                     *_specs(capacity))
+        mac_init = [(t, bool(d)) for t, d in zip(
+            half[0].state_tags.tolist(), half[0].state_dirty.tolist())]
+        vn_init = [(t, bool(d)) for t, d in zip(
+            half[1].state_tags.tolist(), half[1].state_dirty.tolist())]
+        mac_state, vn_state = _state(mac_init, form), _state(vn_init, form)
+        rest = drive(tags[200:], writes[200:], cycles[200:], 64,
+                     mac=(MAC_BASE, capacity, mac_state),
+                     vn=(VN_BASE, capacity, 0, 1, vn_state, *VN_WALK, 1))
+        for side, init, state in ((0, mac_init, mac_state),
+                                  (1, vn_init, vn_state)):
+            if form == "dict":
+                assert list(state.items()) == init
+            for field in ("state_tags", "state_dirty"):
+                np.testing.assert_array_equal(getattr(rest[side], field),
+                                              getattr(whole[side], field))
+            np.testing.assert_array_equal(
+                np.concatenate([half[side].ev_addrs, rest[side].ev_addrs]),
+                whole[side].ev_addrs)
+            assert half[side].misses + rest[side].misses == \
+                whole[side].misses
+
+
+def _random_stream(seed, n=80):
+    rng = np.random.default_rng(seed)
+    trace = Trace([
+        TraceRange(int(rng.integers(0, 5_000)), int(rng.integers(0, 1 << 18)),
+                   int(rng.integers(1, 3_000)), bool(rng.integers(0, 2)),
+                   AccessKind.IFMAP, int(rng.integers(0, 3)),
+                   int(rng.integers(0, 200)))
+        for _ in range(n)
+    ])
+    return trace.sorted_blocks()
+
+
+class ReferenceModels:
+    """MAC table and VN tree driven by ``MetadataCache.access`` over
+    layout addresses, independent of the models' tag arithmetic."""
+
+    def __init__(self, layout, mac_bytes, vn_bytes, line_bytes=64):
+        self.layout = layout
+        self.mac = MetadataCache(mac_bytes, line_bytes)
+        self.vn = MetadataCache(vn_bytes, line_bytes)
+        self.mac_out = CacheTrafficResult()
+        self.vn_out = CacheTrafficResult()
+
+    def process(self, stream):
+        layout = self.layout
+        lines, writes, cycles = compress_runs(
+            layout.mac_line_addrs_vec(stream.addrs).astype(np.int64),
+            stream.writes, stream.cycles)
+        for addr, wr, cyc in zip(lines.tolist(), writes.tolist(),
+                                 cycles.tolist()):
+            hit, wb = self.mac.access(addr, write=wr)
+            if not hit:
+                self.mac_out.extend_miss(cyc, addr)
+            if wb is not None:
+                self.mac_out.extend_writeback(cyc, wb)
+        lines, writes, cycles = compress_runs(
+            layout.vn_line_addrs_vec(stream.addrs).astype(np.int64),
+            stream.writes, stream.cycles)
+        for addr, wr, cyc in zip(lines.tolist(), writes.tolist(),
+                                 cycles.tolist()):
+            leaf = layout.vn_line_index_of_addr(addr)
+            for level in range(layout.tree_levels + 1):
+                if level:
+                    addr = layout.tree_node_addr(leaf, level)
+                hit, wb = self.vn.access(addr, write=wr)
+                if wb is not None:
+                    self.vn_out.extend_writeback(cyc, wb)
+                if hit:
+                    break
+                self.vn_out.extend_miss(cyc, addr)
+
+    def flush(self, cycle):
+        for cache, out in ((self.mac, self.mac_out), (self.vn, self.vn_out)):
+            for addr in cache.flush():
+                out.extend_writeback(cycle, addr)
+
+
+def _snapshot(mac_cache, vn_cache, mac_out, vn_out):
+    stats = [(s.hits, s.misses, s.evictions, s.dirty_evictions,
+              s.flushed_lines, s.flush_writebacks)
+             for s in (mac_cache.stats, vn_cache.stats)]
+    return (stats,
+            [(list(o.stream_cycles), list(o.stream_addrs),
+              list(o.stream_writes), o.misses) for o in (mac_out, vn_out)],
+            list(mac_cache.raw_lines.items()),
+            list(vn_cache.raw_lines.items()))
+
+
+class TestModelsVsReference:
+    @pytest.mark.parametrize("between", ["pending", "synced", "flush"])
+    def test_fused_models_across_drives(self, tier, between):
+        """Two drives per model pair. The second starts from pending
+        arrays, from the live tag map (after something read it), or
+        from the empty cache a mid-stream flush leaves."""
+        layout = MetadataLayout(64)
+        for seed in range(6):
+            stream = _random_stream(seed)
+            mac = MacTableModel(layout, MetadataCache(512))
+            vn = VnTreeModel(layout, MetadataCache(1024))
+            mac_out, vn_out = CacheTrafficResult(), CacheTrafficResult()
+            ref = ReferenceModels(layout, 512, 1024)
+            for step in range(2):
+                process_mac_vn(mac, vn, stream, mac_out, vn_out)
+                ref.process(stream)
+                if step == 0 and between == "synced":
+                    assert mac.cache.raw_lines and vn.cache.raw_lines
+                elif step == 0 and between == "flush":
+                    mac.flush(99_999, mac_out)
+                    vn.flush(99_999, vn_out)
+                    ref.flush(99_999)
+            assert _snapshot(mac.cache, vn.cache, mac_out, vn_out) == \
+                _snapshot(ref.mac, ref.vn, ref.mac_out, ref.vn_out)
+
+    @pytest.mark.parametrize("unit_bytes", [64, 512])
+    @pytest.mark.parametrize("line_bytes", [64, 32])
+    def test_single_models(self, tier, unit_bytes, line_bytes):
+        """Single-model drives, also at 32 B cache lines (two tags per
+        64 B metadata line), which ``process_mac_vn`` splits into."""
+        layout = MetadataLayout(unit_bytes)
+        for seed in (11, 12):
+            stream = _random_stream(seed)
+            mac = MacTableModel(layout, MetadataCache(512, line_bytes))
+            vn = VnTreeModel(layout, MetadataCache(2048, line_bytes))
+            mac_out, vn_out = CacheTrafficResult(), CacheTrafficResult()
+            ref = ReferenceModels(layout, 512, 2048, line_bytes)
+            for _ in range(2):
+                if line_bytes == 64:
+                    mac.process(stream, mac_out)
+                    vn.process(stream, vn_out)
+                else:
+                    process_mac_vn(mac, vn, stream, mac_out, vn_out)
+                ref.process(stream)
+            assert _snapshot(mac.cache, vn.cache, mac_out, vn_out) == \
+                _snapshot(ref.mac, ref.vn, ref.mac_out, ref.vn_out)

@@ -3,7 +3,7 @@
 Every public kernel in :mod:`repro.utils.native` must keep a registered
 pure-Python/numpy fallback (the ``FALLBACKS`` manifest) and match it
 exactly.  The broad equivalence suites live next to the models
-(``tests/protection/test_reuse_engine.py``, ``tests/dram``); this file
+(``tests/protection/test_drive_tiers.py``, ``tests/dram``); this file
 pins the manifest itself and drives ``dram_walk`` and ``expand_merge``
 head-to-head against their numpy twins.
 """
