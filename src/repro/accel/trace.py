@@ -690,10 +690,9 @@ class Trace:
         """Drop every memoized value and return its bytes to the
         residency tally.
 
-        The block expansions go, and with them the metadata line runs
-        cached on those streams; the next consumer rebuilds what it
-        needs. Sweep cells call this once every scheme has
-        served a layer, so one layer's streams are alive at a time.
+        The block expansions go; the next consumer rebuilds what it
+        needs. Sweep cells call this once every scheme has served a
+        layer, so one layer's streams are alive at a time.
         """
         self._memo.clear()
         _account(-self._memo_owned)

@@ -1,10 +1,12 @@
 """Shared machinery for metadata-traffic generation (SGX/MGX models).
 
-The hot path: a layer's block stream is reduced to *protection units*,
-units map to metadata lines (8 entries per 64 B line), consecutive
-duplicates are run-length compressed (sequential tile streams hit the
-same line 8 times in a row), and the compressed stream drives the LRU
-cache model.  Misses and dirty evictions become metadata DRAM accesses.
+The hot path: a layer's block stream drives the LRU cache model
+directly.  Blocks map to protection units, units to metadata lines (8
+entries per 64 B line), so a block's line index is its address shifted
+right by ``log2(unit_bytes * 8)``; consecutive blocks on one line are
+one cache access (sequential tile streams hit the same line 8 times in
+a row), a run compression each drive does as it walks the stream.
+Misses and dirty evictions become metadata DRAM accesses.
 
 Every MAC and VN cache decision is one step of a fully associative,
 write-back, write-allocate LRU drive, and each drive has one production
@@ -174,34 +176,15 @@ def concat_to_stream(results: Sequence[CacheTrafficResult],
     )
 
 
-def _line_runs(stream: BlockStream,
-               unit_bytes: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run-compressed metadata *line indices* of a block stream.
-
-    The reduction is a pure function of the (immutable) stream, so it is
-    memoized on the stream object — every cache drive over the same
-    layer stream (MAC + VN, SGX + MGX, repeated benchmark rounds) shares
-    one reduction.  Returns ``(line_idx, writes, cycles)`` numpy arrays.
-    """
-    memo = getattr(stream, "_line_runs_memo", None)
-    if memo is None:
-        memo = {}
-        stream._line_runs_memo = memo
-    got = memo.get(unit_bytes)
-    if got is None:
-        div = unit_bytes * ENTRIES_PER_LINE
-        if div & (div - 1) == 0:
-            # Power-of-two unit: shift instead of a 64-bit divide.
-            line_idx = stream.addrs.astype(np.int64) >> (
-                div.bit_length() - 1)
-        else:
-            line_idx = ((stream.addrs // unit_bytes)
-                        // ENTRIES_PER_LINE).astype(np.int64)
-        runs, run_writes, run_cycles = compress_runs(
-            line_idx, stream.writes, stream.cycles)
-        got = (runs, run_writes, run_cycles.astype(np.int64))
-        memo[unit_bytes] = got
-    return got
+def _line_keys(stream: BlockStream,
+               unit_bytes: int) -> Tuple[np.ndarray, int]:
+    """Per-block drive keys and the shift that maps a key to its
+    metadata line index: the addresses themselves for a power-of-two
+    unit, otherwise precomputed line indices with shift 0."""
+    div = unit_bytes * ENTRIES_PER_LINE
+    if div & (div - 1) == 0:
+        return stream.addrs, div.bit_length() - 1
+    return stream.addrs // np.uint64(div), 0
 
 
 def _check_line_bytes(line_bytes: int) -> int:
@@ -231,23 +214,29 @@ def _drive_output(events, stats, lines) -> native.DriveOutput:
         np.fromiter(lines.values(), np.uint8, n))
 
 
-def drive_scalar(idx: np.ndarray, writes: np.ndarray, cycles: np.ndarray,
-                 line_bytes: int, mac: Optional[Tuple] = None,
-                 vn: Optional[Tuple] = None,
+def drive_scalar(keys: np.ndarray, writes: np.ndarray, cycles: np.ndarray,
+                 key_shift: int, idx_mul: int, line_bytes: int,
+                 mac: Optional[Tuple] = None, vn: Optional[Tuple] = None,
                  ) -> Tuple[Optional[native.DriveOutput],
                             Optional[native.DriveOutput]]:
     """Scalar twin of :func:`repro.utils.native.fused_drive`.
 
     Same arguments, same ``(mac_output, vn_output)`` pair of
     :class:`~repro.utils.native.DriveOutput` (``None`` for a side not
-    driven). The loop transcribes the kernel's ``drive_fused`` access
-    for access: a MAC miss emits its fetch, then the dirty victim's
+    driven). The blocks are first reduced to line runs, vectorized
+    (:func:`compress_runs` over ``key >> key_shift``); the loop over
+    the runs then transcribes the kernel's ``drive_fused`` access for
+    access: a MAC miss emits its fetch, then the dirty victim's
     writeback; a VN miss emits the writeback, then the fetch, then walks
     the leaf's tree ancestors ``node_base[l] + (leaf // node_div[l]) *
     ratio`` up to the first cached node. The initial states are copied,
     never mutated; the final states come back as arrays, exactly as the
     kernel returns them.
     """
+    idx, writes, cycles = compress_runs(
+        native.as_int64(keys).view(np.uint64) >> np.uint64(key_shift),
+        writes, cycles)
+    idx = idx.view(np.int64) * idx_mul
     lb = line_bytes
     mac_on, vn_on = mac is not None, vn is not None
     mac_base, mac_cap, mac_init = mac if mac_on else (0, 0, {})
@@ -347,11 +336,16 @@ def drive_scalar(idx: np.ndarray, writes: np.ndarray, cycles: np.ndarray,
     )
 
 
-def _drive(idx, writes, cycles, line_bytes, mac=None, vn=None):
-    """One LRU drive: the native kernel, or its scalar twin."""
-    out = native.fused_drive(idx, writes, cycles, line_bytes, mac=mac, vn=vn)
+def _drive(stream: BlockStream, unit_bytes: int, line_bytes: int,
+           mac=None, vn=None):
+    """One LRU drive over ``stream``'s metadata lines: the native
+    kernel, or its scalar twin."""
+    keys, shift = _line_keys(stream, unit_bytes)
+    args = (keys, stream.writes, stream.cycles, shift,
+            _check_line_bytes(line_bytes), line_bytes)
+    out = native.fused_drive(*args, mac=mac, vn=vn)
     if out is None:
-        out = drive_scalar(idx, writes, cycles, line_bytes, mac=mac, vn=vn)
+        out = drive_scalar(*args, mac=mac, vn=vn)
     return out
 
 
@@ -377,12 +371,8 @@ class MacTableModel:
         return self.layout.mac_line_addr(0) // self.cache.line_bytes
 
     def process(self, stream: BlockStream, out: CacheTrafficResult) -> None:
-        ratio = _check_line_bytes(self.cache.line_bytes)
-        idx, writes, cycles = _line_runs(stream, self.layout.unit_bytes)
-        if ratio != 1:
-            idx = idx * ratio
         result, _ = _drive(
-            idx, writes, cycles, self.cache.line_bytes,
+            stream, self.layout.unit_bytes, self.cache.line_bytes,
             mac=(self._tag_base(), self.cache.capacity_lines,
                  self.cache.drive_state()))
         _apply_drive_output(self.cache, out, result)
@@ -427,12 +417,8 @@ class VnTreeModel:
                 ratio)
 
     def process(self, stream: BlockStream, out: CacheTrafficResult) -> None:
-        ratio = _check_line_bytes(self.cache.line_bytes)
-        idx, writes, cycles = _line_runs(stream, self.layout.unit_bytes)
-        if ratio != 1:
-            idx = idx * ratio
-        _, result = _drive(idx, writes, cycles, self.cache.line_bytes,
-                           vn=self._vn_spec())
+        _, result = _drive(stream, self.layout.unit_bytes,
+                           self.cache.line_bytes, vn=self._vn_spec())
         _apply_drive_output(self.cache, out, result)
 
     def flush(self, cycle: int, out: CacheTrafficResult) -> None:
@@ -446,9 +432,9 @@ def process_mac_vn(mac_model: MacTableModel, vn_model: VnTreeModel,
     """Drive the MAC table and VN tree over ``stream`` in one pass.
 
     Both tables index by the same protection-unit line, so their run
-    boundaries coincide; one reduction feeds both LRU models.  The two
-    caches are independent, so per-model event order and cache behaviour
-    are identical to calling ``mac_model.process`` then
+    boundaries coincide; one walk of the stream feeds both LRU models.
+    The two caches are independent, so per-model event order and cache
+    behaviour are identical to calling ``mac_model.process`` then
     ``vn_model.process``.
     """
     mac_cache, vn_cache = mac_model.cache, vn_model.cache
@@ -457,9 +443,8 @@ def process_mac_vn(mac_model: MacTableModel, vn_model: VnTreeModel,
         mac_model.process(stream, mac_out)
         vn_model.process(stream, vn_out)
         return
-    idx, writes, cycles = _line_runs(stream, mac_model.layout.unit_bytes)
     mac_result, vn_result = _drive(
-        idx, writes, cycles, LINE_BYTES,
+        stream, mac_model.layout.unit_bytes, LINE_BYTES,
         mac=(mac_model._tag_base(), mac_cache.capacity_lines,
              mac_cache.drive_state()),
         vn=vn_model._vn_spec())

@@ -191,21 +191,25 @@ static int emit(Events *e, i64 cyc, i64 addr, int wr) {
     return 0;
 }
 
-/* Fused MAC + VN drive over one run-compressed line-index sequence.
+/* Fused MAC + VN drive over one block stream, run-compressed as it
+ * walks: consecutive blocks with equal key >> key_shift (logical) form
+ * one access, with their write flags OR'd and the first block's cycle.
  *
- * idx[i] is the metadata line index of run i; MAC tag = mac_base + idx,
- * VN tag = vn_base + idx, VN leaf = leaf_base + idx.  A non-positive
+ * The access's metadata line is line = (key >> key_shift) * idx_mul;
+ * MAC tag = mac_base + line, VN tag = vn_base + line.  A non-positive
  * mac_cap/vn_cap disables that side (callers bias tag bases so the
  * single-cache drives reuse this entry point).  The VN walk visits
  * levels 1..n_levels for leaf = leaf_base + line / leaf_div, with node
  * tag ``node_base[l-1] + (leaf / node_div[l-1]) * node_ratio``.
  *
- * Returns 0 on success, 1 when an event buffer overflowed (caller
- * retries with larger buffers), -1 on allocation failure.
+ * stats[8] receives the run count, also after an overflow (the walk
+ * then only counts), so the caller sizes its retry in runs.  Returns 0
+ * on success, 1 when an event buffer overflowed (caller retries with
+ * larger buffers), -1 on allocation failure.
  */
 int drive_fused(
-    const i64 *idx, const u8 *writes, const i64 *cycles, i64 n,
-    i64 line_bytes,
+    const i64 *keys, const u8 *writes, const i64 *cycles, i64 n,
+    i64 key_shift, i64 idx_mul, i64 line_bytes,
     i64 mac_base, i64 mac_cap,
     const i64 *mac_init_tags, const u8 *mac_init_dirty, i64 mac_init_len,
     i64 vn_base, i64 vn_cap, i64 leaf_base, i64 leaf_div,
@@ -224,6 +228,7 @@ int drive_fused(
     int use_mac = mac_cap > 0, use_vn = vn_cap > 0;
     Events mev = {mac_ev_cyc, mac_ev_addr, mac_ev_wr, 0, mac_ev_cap};
     Events vev = {vn_ev_cyc, vn_ev_addr, vn_ev_wr, 0, vn_ev_cap};
+    i64 runs = 0;
 
     if (use_mac) {
         if (cache_init(&mac, mac_cap, mac_init_len + n) < 0)
@@ -241,44 +246,40 @@ int drive_fused(
                    line_bytes);
     }
 
-    for (i64 i = 0; i < n && rc == 0; i++) {
-        i64 line = idx[i];
+    for (i64 i = 0; i < n;) {
+        u64 key = (u64)keys[i] >> key_shift;
         int wr = writes[i] != 0;
         i64 cyc = cycles[i];
-        if (use_mac) {
-            i64 wb = -1;
-            if (!cache_access(&mac, mac_base + line, wr, line_bytes, &wb)) {
-                if (emit(&mev, cyc, (mac_base + line) * line_bytes, 0) < 0
-                        || (wb >= 0 && emit(&mev, cyc, wb, 1) < 0)) {
-                    rc = 1;
-                    break;
-                }
-            }
+        for (i++; i < n && ((u64)keys[i] >> key_shift) == key; i++)
+            wr |= writes[i] != 0;
+        runs++;
+        if (rc != 0)
+            continue;
+        i64 line = (i64)key * idx_mul;
+        i64 wb = -1;
+        if (use_mac
+                && !cache_access(&mac, mac_base + line, wr, line_bytes, &wb)
+                && (emit(&mev, cyc, (mac_base + line) * line_bytes, 0) < 0
+                    || (wb >= 0 && emit(&mev, cyc, wb, 1) < 0))) {
+            rc = 1;
+            continue;
         }
-        if (use_vn) {
-            i64 wb = -1;
-            if (cache_access(&vn, vn_base + line, wr, line_bytes, &wb))
-                continue;
-            if (wb >= 0 && emit(&vev, cyc, wb, 1) < 0) { rc = 1; break; }
-            if (emit(&vev, cyc, (vn_base + line) * line_bytes, 0) < 0) {
+        /* The VN line, then its tree ancestors up to the first hit. */
+        for (i64 l = use_vn ? -1 : n_levels; l < n_levels; l++) {
+            i64 tag = l < 0 ? vn_base + line : node_base[l]
+                + ((leaf_base + line / leaf_div) / node_div[l]) * node_ratio;
+            wb = -1;
+            if (cache_access(&vn, tag, wr, line_bytes, &wb))
+                break;
+            if ((wb >= 0 && emit(&vev, cyc, wb, 1) < 0)
+                    || emit(&vev, cyc, tag * line_bytes, 0) < 0) {
                 rc = 1;
                 break;
-            }
-            i64 leaf = leaf_base + line / leaf_div;
-            for (i64 l = 0; l < n_levels; l++) {
-                i64 ntag = node_base[l] + (leaf / node_div[l]) * node_ratio;
-                wb = -1;
-                if (cache_access(&vn, ntag, wr, line_bytes, &wb))
-                    break;
-                if (wb >= 0 && emit(&vev, cyc, wb, 1) < 0) { rc = 1; break; }
-                if (emit(&vev, cyc, ntag * line_bytes, 0) < 0) {
-                    rc = 1;
-                    break;
-                }
             }
         }
     }
 
+    stats[8] = runs;
     *mac_ev_n = mev.n;
     *vn_ev_n = vev.n;
     if (use_mac) {

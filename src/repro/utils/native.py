@@ -208,8 +208,8 @@ def _load():
         ]
         lib.drive_fused.restype = ctypes.c_int
         lib.drive_fused.argtypes = [
-            _ptr, _ptr, _ptr, _i64,                         # idx/writes/cycles
-            _i64,                                           # line_bytes
+            _ptr, _ptr, _ptr, _i64,                         # block columns
+            _i64, _i64, _i64,                               # shift/mul/line
             _i64, _i64, _ptr, _ptr, _i64,                   # mac side
             _i64, _i64, _i64, _i64, _ptr, _ptr, _i64,       # vn side
             _i64, _ptr, _ptr, _i64,                         # walk spec
@@ -291,30 +291,34 @@ class DriveOutput:
         self.state_dirty = state_dirty
 
 
-def fused_drive(idx: np.ndarray, writes: np.ndarray, cycles: np.ndarray,
-                line_bytes: int,
+def fused_drive(keys: np.ndarray, writes: np.ndarray, cycles: np.ndarray,
+                key_shift: int, idx_mul: int, line_bytes: int,
                 mac: Optional[Tuple[int, int, Sequence]] = None,
                 vn: Optional[Tuple[int, int, int, int, Sequence,
                                    Sequence, Sequence, int]] = None,
                 ) -> Optional[Tuple[Optional[DriveOutput],
                                     Optional[DriveOutput]]]:
-    """Drive MAC and/or VN caches over one run sequence in native code.
+    """Drive MAC and/or VN caches over one block stream in native code.
 
-    ``mac`` is ``(tag_base, capacity_lines, init_state)``; ``vn`` is
+    ``keys`` are per-block keys (a stream's addresses, or precomputed
+    line indices with ``key_shift`` 0): consecutive blocks with equal
+    ``key >> key_shift`` (logical) are one access, whose write flag is
+    the OR of theirs and whose cycle is its first block's. The access's
+    metadata line index is ``(key >> key_shift) * idx_mul``. ``mac`` is
+    ``(tag_base, capacity_lines, init_state)``; ``vn`` is
     ``(tag_base, capacity_lines, leaf_base, leaf_div, init_state,
     node_base_tags, node_divs, node_ratio)`` where ``init_state`` is an
-    iterable of
-    ``(tag, dirty)`` in LRU order.  Returns ``None`` when the kernel is
-    unavailable, otherwise ``(mac_output, vn_output)``.
+    iterable of ``(tag, dirty)`` in LRU order.  Returns ``None`` when
+    the kernel is unavailable, otherwise ``(mac_output, vn_output)``.
     """
     lib = _load()
     if lib is None:
         obs.incr("native.drive.python_fallback")
         return None
-    n = len(idx)
-    idx = np.ascontiguousarray(idx, dtype=np.int64)
-    writes = np.ascontiguousarray(writes, dtype=np.uint8)
-    cycles = np.ascontiguousarray(cycles, dtype=np.int64)
+    n = len(keys)
+    keys = as_int64(keys)
+    writes = np.ascontiguousarray(writes, bool).view(np.uint8)
+    cycles = as_int64(cycles)
 
     if mac is not None:
         mac_base, mac_cap, mac_init = mac
@@ -334,9 +338,9 @@ def fused_drive(idx: np.ndarray, writes: np.ndarray, cycles: np.ndarray,
         vn_it, vn_id = _EMPTY64, _EMPTY8
         node_base = node_div = _EMPTY64
 
-    mac_ev_cap = 2 * n + 16
-    vn_ev_cap = 2 * n + 16
-    vn_ev_hard = 2 * n * (levels + 1) + 16
+    # Runs never outnumber blocks and emit at most two MAC events each;
+    # a VN overflow retries sized by the kernel's run count.
+    mac_ev_cap = vn_ev_cap = 2 * n + 16
     mac_state_cap = max(1, min(mac_cap, len(mac_it) + n)) if mac else 1
     vn_state_cap = max(1, min(vn_cap, len(vn_it) + n * (levels + 1))) \
         if vn else 1
@@ -350,7 +354,7 @@ def fused_drive(idx: np.ndarray, writes: np.ndarray, cycles: np.ndarray,
         v_wr = _scratch("vw", vn_ev_cap, np.uint8)
         m_n = _i64(0)
         v_n = _i64(0)
-        stats = np.zeros(8, np.int64)
+        stats = np.zeros(9, np.int64)
         ms_t = np.empty(mac_state_cap, np.int64)
         ms_d = np.empty(mac_state_cap, np.uint8)
         vs_t = np.empty(vn_state_cap, np.int64)
@@ -358,7 +362,8 @@ def fused_drive(idx: np.ndarray, writes: np.ndarray, cycles: np.ndarray,
         ms_n = _i64(0)
         vs_n = _i64(0)
         rc = lib.drive_fused(
-            _addr(idx), _addr(writes), _addr(cycles), n, line_bytes,
+            _addr(keys), _addr(writes), _addr(cycles), n, key_shift,
+            idx_mul, line_bytes,
             mac_base, mac_cap if mac else 0, _addr(mac_it), _addr(mac_id),
             len(mac_it),
             vn_base, vn_cap if vn else 0, leaf_base, leaf_div,
@@ -372,8 +377,9 @@ def fused_drive(idx: np.ndarray, writes: np.ndarray, cycles: np.ndarray,
             _addr(ms_t), _addr(ms_d), ctypes.byref(ms_n),
             _addr(vs_t), _addr(vs_d), ctypes.byref(vs_n),
         )
-        if rc == 1 and vn_ev_cap < vn_ev_hard:
-            vn_ev_cap = vn_ev_hard
+        vn_ev_worst = 2 * int(stats[8]) * (levels + 1) + 16
+        if rc == 1 and vn_ev_cap < vn_ev_worst:
+            vn_ev_cap = vn_ev_worst
             continue
         if rc != 0:
             obs.incr("native.drive.python_fallback")
@@ -391,13 +397,13 @@ def fused_drive(idx: np.ndarray, writes: np.ndarray, cycles: np.ndarray,
     if vn is not None:
         k = v_n.value
         vn_out = DriveOutput(v_cyc[:k].copy(), v_addr[:k].copy(),
-                             v_wr[:k].copy(), stats[4:],
+                             v_wr[:k].copy(), stats[4:8],
                              vs_t[:vs_n.value].copy(),
                              vs_d[:vs_n.value].copy())
     return mac_out, vn_out
 
 
-def _c64(arr: np.ndarray) -> np.ndarray:
+def as_int64(arr: np.ndarray) -> np.ndarray:
     """Contiguous int64 view (free for the internal int64 arrays; a
     uint64 address array reinterprets without copying)."""
     arr = np.ascontiguousarray(arr)
@@ -427,8 +433,8 @@ def dram_walk(data: Tuple[np.ndarray, np.ndarray],
     lib = _load()
     if lib is None:
         return None
-    addrs_a, cycles_a = (_c64(a) for a in data)
-    addrs_b, cycles_b = (_c64(a) for a in meta)
+    addrs_a, cycles_a = (as_int64(a) for a in data)
+    addrs_b, cycles_b = (as_int64(a) for a in meta)
     block_shift, channel_shift, col_shift, bank_shift = shifts
     channels = 1 << channel_shift
     if len(addrs_a) != len(cycles_a) or len(addrs_b) != len(cycles_b):

@@ -3,29 +3,38 @@
 Every metadata cache decision is one step of a fully associative,
 write-back, write-allocate LRU drive, served by one production path per
 tier: the compiled ``fused_drive`` kernel, or its scalar twin
-:func:`repro.protection.metadata_model.drive_scalar`.  Each available
-tier must match a reference built on :meth:`LruCache.access` (and, at
-the model level, on :meth:`MetadataCache.access` over layout addresses)
-event for event: the same miss/writeback stream in the same order, the
-same statistics and the same final contents.  Inputs: randomized and
-adversarial tag streams, warm starts from either state form, MAC-only,
-VN-only and fused calls, flushes mid-stream, and 32 B cache lines.
+:func:`repro.protection.metadata_model.drive_scalar`.  A drive takes a
+*block* stream: consecutive blocks whose ``key >> key_shift`` agree are
+one access, with their write flags OR'd and the first block's cycle.
+The reference compresses blocks to runs with its own
+``itertools.groupby`` loop, then drives :meth:`LruCache.access` (and,
+at the model level, :meth:`MetadataCache.access` over layout
+addresses).  Each available tier must match it event for event: the
+same miss/writeback stream in the same order, the same statistics and
+the same final contents.  Inputs: randomized and adversarial block
+streams at key shifts 0, 6, 9 and 12 (adjacent duplicate keys, writes
+inside and at the end of runs, equal cycles across runs), precomputed
+keys of a 192 B unit, warm starts from either state form, MAC-only,
+VN-only and fused calls, flushes mid-stream, 32 B cache lines
+(``idx_mul=2``), a VN walk that overflows the kernel's first event
+buffer, and a line run cut by an image boundary.
 """
 
+import itertools
 from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from repro.accel.trace import AccessKind, Trace, TraceRange
+from repro.accel.trace import AccessKind, BlockStream, Trace, TraceRange
 from repro.integrity.caches import MetadataCache
 from repro.protection.layout import MetadataLayout
 from repro.protection.metadata_model import (
     CacheTrafficResult,
     MacTableModel,
     VnTreeModel,
-    compress_runs,
     drive_scalar,
+    process_image_periodic,
     process_mac_vn,
 )
 from repro.utils import native
@@ -72,8 +81,23 @@ def _state(pairs, form):
             np.array([d for _, d in pairs], np.uint8))
 
 
-def reference_drive(idx, writes, cycles, line_bytes, mac=None, vn=None):
-    """``fused_drive``'s contract, one ``LruCache.access`` per lookup.
+def reference_runs(keys, writes, cycles, key_shift=0):
+    """``(key >> key_shift, any write, first cycle)`` per run of
+    consecutive blocks with equal ``key >> key_shift``."""
+    blocks = zip(np.asarray(keys).tolist(), np.asarray(writes).tolist(),
+                 np.asarray(cycles).tolist())
+    runs = []
+    for line, group in itertools.groupby(
+            blocks, key=lambda block: block[0] >> key_shift):
+        group = list(group)
+        runs.append((line, any(wr for _, wr, _ in group), group[0][2]))
+    return runs
+
+
+def reference_drive(keys, writes, cycles, key_shift, idx_mul, line_bytes,
+                    mac=None, vn=None):
+    """``fused_drive``'s contract: the blocks grouped into line runs,
+    then one ``LruCache.access`` per lookup.
 
     Returns ``(events, cache)`` per driven side, where ``events`` lists
     ``(cycle, addr, is_writeback)`` in emission order."""
@@ -85,7 +109,8 @@ def reference_drive(idx, writes, cycles, line_bytes, mac=None, vn=None):
         cache.raw_lines.update(init)
         return cache
 
-    runs = list(zip(idx.tolist(), writes.tolist(), cycles.tolist()))
+    runs = [(line * idx_mul, wr, cyc) for line, wr, cyc in
+            reference_runs(keys, writes, cycles, key_shift)]
     mac_out = vn_out = None
     if mac is not None:
         base, capacity, init = mac
@@ -138,35 +163,84 @@ def _specs(capacity, init=(), form="dict", sides=("mac", "vn")):
     return mac, vn
 
 
-def check_tier(drive, tags, writes, capacity, init=(), form="dict",
-               sides=("mac", "vn")):
-    tags = np.asarray(tags, np.int64)
+def _blocks(lines, key_shift, rng, max_repeat=3):
+    """Block keys for a line sequence: each line repeated 1 to
+    ``max_repeat`` times (adjacent duplicates), each block at a random
+    offset inside its line."""
+    lines = np.asarray(lines, np.int64)
+    keys = np.repeat(lines, rng.integers(1, max_repeat + 1, len(lines)))
+    return (keys << key_shift) | rng.integers(0, 1 << key_shift, len(keys))
+
+
+def check_tier(drive, keys, writes, capacity, init=(), form="dict",
+               sides=("mac", "vn"), key_shift=0, idx_mul=1, cycles=None,
+               spec=None):
+    keys = np.asarray(keys, np.int64)
     writes = np.asarray(writes, bool)
-    cycles = np.arange(len(tags), dtype=np.int64) * 3
-    mac, vn = _specs(capacity, init, form, sides)
-    got = drive(tags, writes, cycles, 64, mac=mac, vn=vn)
-    want = reference_drive(tags, writes, cycles, 64, mac=mac, vn=vn)
+    if cycles is None:
+        cycles = np.arange(len(keys), dtype=np.int64) * 3
+    mac, vn = spec or _specs(capacity, init, form, sides)
+    args = (keys, writes, cycles, key_shift, idx_mul, 64)
+    got = drive(*args, mac=mac, vn=vn)
+    want = reference_drive(*args, mac=mac, vn=vn)
     for got_side, want_side in zip(got, want):
         if want_side is None:
             assert got_side is None
         else:
             assert_drive_matches(got_side, want_side)
+    return want
 
 
 class TestDriveVsReference:
     def test_randomized_streams(self, drive):
         rng = np.random.default_rng(2025)
         for draw in range(300):
-            n = int(rng.integers(0, 400))
+            n = int(rng.integers(0, 200))
             ntags = int(rng.integers(1, 60))
             capacity = int(rng.integers(1, 40))
-            tags = rng.integers(0, ntags, n)
-            writes = rng.integers(0, 2, n).astype(bool)
+            shift = (0, 6, 9, 12)[draw % 4]
+            keys = _blocks(rng.integers(0, ntags, n), shift, rng)
+            writes = rng.integers(0, 2, len(keys)).astype(bool)
             k = int(rng.integers(0, capacity + 1))
             pool = rng.permutation(ntags + 30)[:k]
             init = [(int(t), bool(rng.integers(0, 2))) for t in pool]
-            check_tier(drive, tags, writes, capacity, init,
-                       form=("dict", "arrays")[draw % 2])
+            check_tier(drive, keys, writes, capacity, init,
+                       form=("dict", "arrays")[draw % 2], key_shift=shift,
+                       idx_mul=1 + (draw // 4) % 2)
+
+    @pytest.mark.parametrize("idx_mul", [1, 2])
+    @pytest.mark.parametrize("key_shift", [6, 9, 12])
+    def test_runs_of_blocks(self, drive, key_shift, idx_mul):
+        """Hand-built runs: a write mid-run and at a run's end dirties
+        the whole access, a run takes its first block's cycle, equal
+        cycles across runs keep the runs apart, and a key that only
+        differs below the shift stays in its run."""
+        lines = [3, 3, 3, 5, 5, 3, 7, 7, 7, 7, 5, 3, 3]
+        low = [0, 1, 9, 0, 4, 2, 0, 3, 3, 8, 0, 0, 1]
+        keys = [(line << key_shift) | (off % (1 << key_shift))
+                for line, off in zip(lines, low)]
+        writes = [0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0]
+        cycles = np.array([0, 1, 2, 2, 3, 3, 4, 4, 4, 5, 5, 5, 6],
+                          np.int64)
+        runs = reference_runs(keys, writes, cycles, key_shift)
+        assert runs == [(3, True, 0), (5, True, 2), (3, False, 3),
+                        (7, True, 4), (5, False, 5), (3, False, 5)]
+        for capacity in (1, 2, 8):
+            check_tier(drive, keys, writes, capacity, key_shift=key_shift,
+                       idx_mul=idx_mul, cycles=cycles)
+
+    def test_precomputed_keys_of_a_192b_unit(self, drive):
+        """A unit that is not a power of two hands the drive precomputed
+        line indices with shift 0: runs are equal adjacent indices."""
+        rng = np.random.default_rng(192)
+        for _ in range(20):
+            addrs = np.cumsum(rng.integers(0, 3, 300)) * 64
+            keys = addrs // (192 * 8)
+            writes = rng.integers(0, 2, len(keys)).astype(bool)
+            want = check_tier(drive, keys, writes, int(rng.integers(1, 12)),
+                              idx_mul=int(rng.integers(1, 3)))
+            assert want[0][1].stats.hits + want[0][1].stats.misses == \
+                len(reference_runs(keys, writes, np.zeros(len(keys))))
 
     @pytest.mark.parametrize("capacity", [1, 2, 7, 64])
     def test_adversarial_patterns(self, drive, capacity):
@@ -180,50 +254,57 @@ class TestDriveVsReference:
             "all_conflict_sweep": np.arange(n) % (capacity + 1),
             "pingpong": (np.arange(n) // 2) % (capacity + 2),
         }
-        for tags in patterns.values():
-            for writes in (np.zeros(n, bool), np.ones(n, bool),
-                           rng.integers(0, 2, n).astype(bool)):
-                check_tier(drive, tags, writes, capacity)
+        for shift, lines in zip(itertools.cycle((0, 6, 9, 12)),
+                                patterns.values()):
+            keys = _blocks(lines, shift, rng)
+            for writes in (np.zeros(len(keys), bool),
+                           np.ones(len(keys), bool),
+                           rng.integers(0, 2, len(keys)).astype(bool)):
+                check_tier(drive, keys, writes, capacity, key_shift=shift)
 
     def test_interleaved_dirty_clean(self, drive):
         # Alternating dirty/clean touches of two working sets that
         # alternately fit and thrash.
         tags = np.concatenate([np.tile(np.arange(4), 8),
                                np.arange(64), np.tile(np.arange(4), 8)])
-        writes = (np.arange(len(tags)) % 3 == 0)
+        keys = _blocks(tags, 9, np.random.default_rng(3))
+        writes = (np.arange(len(keys)) % 3 == 0)
         for capacity in (1, 4, 8, 32):
-            check_tier(drive, tags, writes, capacity)
+            check_tier(drive, keys, writes, capacity, key_shift=9)
 
     @pytest.mark.parametrize("sides", [("mac",), ("vn",)],
                              ids=["mac_only", "vn_only"])
     def test_single_side_calls(self, drive, sides):
         rng = np.random.default_rng(7)
         for _ in range(40):
-            n = int(rng.integers(0, 300))
-            tags = rng.integers(0, 50, n)
-            writes = rng.integers(0, 2, n).astype(bool)
-            check_tier(drive, tags, writes, int(rng.integers(1, 24)),
-                       sides=sides)
+            n = int(rng.integers(0, 150))
+            keys = _blocks(rng.integers(0, 50, n), 6, rng)
+            writes = rng.integers(0, 2, len(keys)).astype(bool)
+            check_tier(drive, keys, writes, int(rng.integers(1, 24)),
+                       sides=sides, key_shift=6)
 
     @pytest.mark.parametrize("form", ["dict", "arrays"])
     def test_warm_start_from_each_state_form(self, drive, form):
         """A second drive from the first one's final state, handed over
         as the live tag map or as pending arrays, equals one drive over
-        both halves; the initial state is never mutated."""
+        both halves (split between two runs); the initial state is never
+        mutated."""
         rng = np.random.default_rng(5)
         tags = rng.integers(0, 40, 400)
+        tags[200] = (tags[199] + 1) % 40
+        tags = (tags << 9) | rng.integers(0, 512, 400)
         writes = rng.integers(0, 2, 400).astype(bool)
         cycles = np.arange(400, dtype=np.int64)
         capacity = 12
-        whole = drive(tags, writes, cycles, 64, *_specs(capacity))
-        half = drive(tags[:200], writes[:200], cycles[:200], 64,
+        whole = drive(tags, writes, cycles, 9, 1, 64, *_specs(capacity))
+        half = drive(tags[:200], writes[:200], cycles[:200], 9, 1, 64,
                      *_specs(capacity))
         mac_init = [(t, bool(d)) for t, d in zip(
             half[0].state_tags.tolist(), half[0].state_dirty.tolist())]
         vn_init = [(t, bool(d)) for t, d in zip(
             half[1].state_tags.tolist(), half[1].state_dirty.tolist())]
         mac_state, vn_state = _state(mac_init, form), _state(vn_init, form)
-        rest = drive(tags[200:], writes[200:], cycles[200:], 64,
+        rest = drive(tags[200:], writes[200:], cycles[200:], 9, 1, 64,
                      mac=(MAC_BASE, capacity, mac_state),
                      vn=(VN_BASE, capacity, 0, 1, vn_state, *VN_WALK, 1))
         for side, init, state in ((0, mac_init, mac_state),
@@ -238,6 +319,27 @@ class TestDriveVsReference:
                 whole[side].ev_addrs)
             assert half[side].misses + rest[side].misses == \
                 whole[side].misses
+
+    def test_vn_walk_overflowing_the_first_event_buffer(self, drive,
+                                                         monkeypatch):
+        """A nine-level VN walk over cold, dirty lines emits up to 20
+        events per run, past the kernel's first buffer of two per
+        block; its retry is sized from the run count the kernel
+        reports, not from the block count."""
+        monkeypatch.setattr(native, "_scratch_bufs", {})
+        levels = 9
+        walk = (np.arange(1, levels + 1, dtype=np.int64) << 40,
+                8 ** np.arange(1, levels + 1, dtype=np.int64))
+        keys = (np.repeat(np.arange(0, 4000, 7, dtype=np.int64), 3) << 9) \
+            | 5
+        writes = np.ones(len(keys), bool)
+        spec = (None, (VN_BASE, 4, 0, 1, _state((), "dict"), *walk, 1))
+        want = check_tier(drive, keys, writes, 4, key_shift=9, spec=spec)
+        runs = len(keys) // 3
+        assert len(want[1][0]) > 2 * len(keys) + 16
+        if drive is _kernel_drive:
+            assert len(native._scratch_bufs["vc"]) == \
+                2 * runs * (levels + 1) + 16
 
 
 def _random_stream(seed, n=80):
@@ -265,21 +367,17 @@ class ReferenceModels:
 
     def process(self, stream):
         layout = self.layout
-        lines, writes, cycles = compress_runs(
-            layout.mac_line_addrs_vec(stream.addrs).astype(np.int64),
-            stream.writes, stream.cycles)
-        for addr, wr, cyc in zip(lines.tolist(), writes.tolist(),
-                                 cycles.tolist()):
+        for addr, wr, cyc in reference_runs(
+                layout.mac_line_addrs_vec(stream.addrs), stream.writes,
+                stream.cycles):
             hit, wb = self.mac.access(addr, write=wr)
             if not hit:
                 self.mac_out.extend_miss(cyc, addr)
             if wb is not None:
                 self.mac_out.extend_writeback(cyc, wb)
-        lines, writes, cycles = compress_runs(
-            layout.vn_line_addrs_vec(stream.addrs).astype(np.int64),
-            stream.writes, stream.cycles)
-        for addr, wr, cyc in zip(lines.tolist(), writes.tolist(),
-                                 cycles.tolist()):
+        for addr, wr, cyc in reference_runs(
+                layout.vn_line_addrs_vec(stream.addrs), stream.writes,
+                stream.cycles):
             leaf = layout.vn_line_index_of_addr(addr)
             for level in range(layout.tree_levels + 1):
                 if level:
@@ -313,9 +411,10 @@ class TestModelsVsReference:
     def test_fused_models_across_drives(self, tier, between):
         """Two drives per model pair. The second starts from pending
         arrays, from the live tag map (after something read it), or
-        from the empty cache a mid-stream flush leaves."""
-        layout = MetadataLayout(64)
-        for seed in range(6):
+        from the empty cache a mid-stream flush leaves. A 192 B unit
+        drives precomputed line indices."""
+        for unit_bytes, seed in itertools.product((64, 192), range(6)):
+            layout = MetadataLayout(unit_bytes)
             stream = _random_stream(seed)
             mac = MacTableModel(layout, MetadataCache(512))
             vn = VnTreeModel(layout, MetadataCache(1024))
@@ -333,7 +432,7 @@ class TestModelsVsReference:
             assert _snapshot(mac.cache, vn.cache, mac_out, vn_out) == \
                 _snapshot(ref.mac, ref.vn, ref.mac_out, ref.vn_out)
 
-    @pytest.mark.parametrize("unit_bytes", [64, 512])
+    @pytest.mark.parametrize("unit_bytes", [64, 192, 512])
     @pytest.mark.parametrize("line_bytes", [64, 32])
     def test_single_models(self, tier, unit_bytes, line_bytes):
         """Single-model drives, also at 32 B cache lines (two tags per
@@ -354,3 +453,37 @@ class TestModelsVsReference:
                 ref.process(stream)
             assert _snapshot(mac.cache, vn.cache, mac_out, vn_out) == \
                 _snapshot(ref.mac, ref.vn, ref.mac_out, ref.vn_out)
+
+    def test_line_run_cut_by_the_image_boundary(self, tier):
+        """``process_image_periodic`` drives image 0 and image 1 as two
+        calls, and run compression never crosses a call: a line run
+        straddling the cut stays two accesses."""
+        layout = MetadataLayout(64)
+        n = 16      # blocks 0-7 on line 0, 8-15 on line 1
+        stream = BlockStream(
+            np.arange(n, dtype=np.int64),
+            np.arange(n, dtype=np.uint64) * 64, np.arange(n) % 5 == 2,
+            np.zeros(n, np.int32))
+        mac = MacTableModel(layout, MetadataCache(512))
+        vn = VnTreeModel(layout, MetadataCache(1024))
+        mac_out, vn_out = CacheTrafficResult(), CacheTrafficResult()
+        ref = ReferenceModels(layout, 512, 1024)
+        process_image_periodic(
+            lambda sub: process_mac_vn(mac, vn, sub, mac_out, vn_out),
+            stream, batch=3, image_cycles=4, outs=(mac_out, vn_out))
+        for lo, hi in ((0, 4), (4, 8)):
+            ref.process(BlockStream(stream.cycles[lo:hi],
+                                    stream.addrs[lo:hi],
+                                    stream.writes[lo:hi],
+                                    stream.layer_ids[lo:hi]))
+        assert (mac.cache.stats.hits, mac.cache.stats.misses) == (1, 1)
+        assert vn.cache.stats.hits == 1
+        stats, streams, *state = _snapshot(mac.cache, vn.cache, mac_out,
+                                           vn_out)
+        want_stats, want_streams, *want_state = _snapshot(
+            ref.mac, ref.vn, ref.mac_out, ref.vn_out)
+        assert (stats, state) == (want_stats, want_state)
+        # Images 2+ replay image 1's increment after the two driven ones.
+        for got, want in zip(streams, want_streams):
+            k = len(want[0])
+            assert [col[:k] for col in got[:3]] == list(want[:3])
