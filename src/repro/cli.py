@@ -32,9 +32,8 @@ from typing import List, Optional
 
 from repro import obs
 from repro.core.config import npu_config
-from repro.core.metrics import compare_schemes
+from repro.core.metrics import METRICS, compare_schemes, figure_table
 from repro.core.pipeline import Pipeline
-from repro.core.sweep import METRICS as SWEEP_METRICS, SweepRunner
 from repro.models.zoo import (
     SEQ_DEFAULTS,
     TRANSFORMER_WORKLOADS,
@@ -47,6 +46,7 @@ from repro.models.zoo import (
 from repro.protection import SCHEME_NAMES, make_scheme
 from repro.runner.executor import SweepAborted
 from repro.runner.journal import SweepJournal
+from repro.runner.service import EvalService
 from repro.runner.store import ResultStore
 from repro.utils.report import format_table, percent
 
@@ -191,21 +191,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     recorder = obs.enable() if args.profile else obs.get()
-    runner = SweepRunner(
-        scheme_names=args.schemes, jobs=args.jobs, store=store,
-        derive=not args.no_derive,
-        retries=args.retries, cell_timeout=args.cell_timeout,
-        tolerant=True, resume=args.resume, max_failures=args.max_failures,
-        cell_progress=lambda done, total, request: print(
+    service = EvalService(
+        store=store, jobs=args.jobs, resume=args.resume,
+        progress=lambda done, total, request: print(
             f"  [{done}/{total}] computed {request.workload} on {args.npu}",
             file=sys.stderr))
+    names = list(workloads or WORKLOADS)
+    requests = [service.request(args.npu, workload, args.schemes,
+                                derive=not args.no_derive,
+                                retries=args.retries,
+                                timeout=args.cell_timeout)
+                for workload in names]
 
     started = time.time()
     try:
-        with obs.span("sweep", npu=args.npu,
-                      workloads=len(workloads) if workloads
-                      else len(WORKLOADS)):
-            results = runner.sweep(args.npu, workloads=workloads)
+        with obs.span("sweep", npu=args.npu, workloads=len(names)):
+            evaluated, failures = service.evaluate_tolerant(
+                requests, max_failures=args.max_failures)
     except SweepAborted as exc:
         print(f"error: {exc}", file=sys.stderr)
         for cell in exc.failures:
@@ -213,13 +215,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 1
     elapsed = time.time() - started
 
+    results = {name: result for name, result in zip(names, evaluated)
+               if result is not None}
     names = list(results)
     if not names:
         print("error: every grid cell failed", file=sys.stderr)
-        for cell in runner.failures:
+        for cell in failures:
             print(f"  FAILED {cell.describe()}", file=sys.stderr)
         return 1
-    tables = {metric: runner.figure_table(results, metric)
+    tables = {metric: figure_table(results, args.schemes, metric)
               for metric in args.metrics}
     for metric, table in tables.items():
         print(f"\n=== {metric} ({args.npu}, normalized to unprotected) ===")
@@ -227,16 +231,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             ["scheme"] + names + ["avg"],
             [[scheme] + values for scheme, values in table.items()]))
 
-    derived = runner.service.derived_hits
-    fallbacks = runner.service.derived_fallbacks
+    derived = service.derived_hits
+    fallbacks = service.derived_fallbacks
     derive_note = f", {derived} derived analytically" if derived else ""
     if fallbacks:
         derive_note += f", {fallbacks} derive fallbacks"
-    if runner.failures:
-        derive_note += f", {len(runner.failures)} FAILED"
-    if runner.service.persist_errors:
-        derive_note += \
-            f", {runner.service.persist_errors} persist errors"
+    if failures:
+        derive_note += f", {len(failures)} FAILED"
+    if service.persist_errors:
+        derive_note += f", {service.persist_errors} persist errors"
     if store is not None:
         last = store.summary().last_run
         served = last.get("hits", 0)
@@ -277,11 +280,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             export.write_jsonl(recorder, args.profile_events)
             print(f"wrote {args.profile_events}")
         obs.disable()
-    if runner.failures:
-        print(f"\n{len(runner.failures)} grid cell(s) FAILED "
+    if failures:
+        print(f"\n{len(failures)} grid cell(s) FAILED "
               f"(re-run with --resume to retry the transient ones):",
               file=sys.stderr)
-        for cell in runner.failures:
+        for cell in failures:
             print(f"  FAILED {cell.describe()}", file=sys.stderr)
         return 1
     return 0
@@ -504,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--jobs", type=int, default=1,
                          help="worker processes (1 = serial in-process)")
     sweep_p.add_argument("--metrics", nargs="+", default=["traffic", "performance"],
-                         choices=SWEEP_METRICS)
+                         choices=METRICS)
     sweep_p.add_argument("--csv", metavar="PATH", help="export tables as CSV")
     sweep_p.add_argument("--json", metavar="PATH", help="export tables as JSON")
     sweep_p.add_argument("--cache-dir", metavar="DIR",

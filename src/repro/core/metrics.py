@@ -58,6 +58,30 @@ class ComparisonResult:
         return list(self.runs)
 
 
+#: Per-scheme metrics a figure plots (and ``repro sweep --metrics``).
+METRICS = ("traffic", "performance", "traffic_overhead_pct", "slowdown_pct")
+
+
+def series(results: Dict[str, ComparisonResult], scheme: str,
+           metric: str = "traffic") -> List[float]:
+    """Per-workload values of one metric plus the trailing average,
+    figure-style; ``metric`` is one of :data:`METRICS`."""
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; known: {sorted(METRICS)}")
+    if not results:
+        raise ValueError("no results to aggregate")
+    values = [getattr(result, metric)(scheme) for result in results.values()]
+    return values + [sum(values) / len(values)]
+
+
+def figure_table(results: Dict[str, ComparisonResult],
+                 scheme_names: Iterable[str],
+                 metric: str = "traffic") -> Dict[str, List[float]]:
+    """One figure's full data: scheme -> :func:`series` (+avg)."""
+    return {scheme: series(results, scheme, metric)
+            for scheme in scheme_names}
+
+
 def compare_schemes(pipeline: Pipeline, topology: Topology,
                     scheme_names: Iterable[str],
                     schemes: Optional[Dict[str, ProtectionScheme]] = None,

@@ -12,11 +12,11 @@ serial, recompute-everything loop into a small evaluation service:
   by a SHA-256 fingerprint of (NPU config, workload, scheme set, code
   version), with atomic writes, corrupt-record eviction, and persistent
   hit/miss statistics (``repro cache stats``);
-- :mod:`repro.runner.executor` — a process-pool
-  :class:`~repro.runner.executor.GridExecutor` that shards grid cells
-  across workers with per-cell progress callbacks, deterministic
-  (request-order) results, and graceful fallback to serial in-process
-  execution when ``jobs <= 1`` or processes cannot be spawned;
+- :mod:`repro.runner.executor` — :class:`~repro.runner.executor.GridExecutor`,
+  one attempt queue whose rounds run on a process pool or inline (when
+  ``jobs <= 1`` or processes cannot be spawned), with per-cell
+  retries, progress callbacks and deterministic (request-order)
+  results;
 - :mod:`repro.runner.service` — :class:`~repro.runner.service.EvalService`,
   the batch front door: it fingerprints and dedupes requests, serves
   hits from memory or disk, dispatches only misses, and persists each
@@ -30,9 +30,9 @@ Quickstart::
     results = service.sweep("server")          # workload -> ComparisonResult
     print(results["resnet18"].traffic("seda"))
 
-:class:`~repro.core.sweep.SweepRunner`, the benchmark harness and the
-example scripts are all thin layers over this service; the ``repro
-sweep`` / ``repro cache`` CLI commands drive it directly.
+The benchmark harness and the example scripts are thin layers over
+this service; the ``repro sweep`` / ``repro cache`` CLI commands drive
+it directly.
 """
 
 from repro.runner.executor import EvalRequest, GridExecutor, default_jobs

@@ -1,4 +1,4 @@
-"""Grid executor: shard evaluation requests across a process pool.
+"""Grid executor: one attempt queue, run inline or on a process pool.
 
 The (NPU x workload x scheme) grid is embarrassingly parallel — every
 cell is an independent ``compare_schemes`` call — so the executor simply
@@ -7,9 +7,12 @@ request order.  Workers exchange only flat record dicts (see
 :mod:`repro.runner.records`), never live simulator objects, so nothing
 unpicklable crosses the process boundary.
 
-``jobs <= 1`` (or a single-cell grid, or an environment where spawning
-processes fails — sandboxes, exotic interpreters) degrades gracefully to
-serial in-process execution with identical results and callbacks.
+Every cell attempt passes through one loop: each round takes the queued
+``(cell, attempt)`` pairs and runs them inline, in queue order, or on a
+fresh process pool, in completion order.  Inline is the choice for
+``jobs <= 1``, a single-cell grid, or an environment where spawning
+processes fails (sandboxes, exotic interpreters); results and callbacks
+are identical either way.
 
 Failure model (see README "Failure model"):
 
@@ -17,18 +20,19 @@ Failure model (see README "Failure model"):
   cell's workload/NPU/schemes and the attempt number, classified
   transient or permanent.
 - :class:`EvalRequest` carries a per-cell retry/timeout policy:
-  transient failures retry up to ``retries`` times with exponential
-  backoff; a cell running past ``timeout`` seconds is interrupted on
-  the worker (``SIGALRM``) and classified transient.
-- A broken process pool (a worker SIGKILLed, say) is restarted up to
-  :attr:`GridExecutor.max_pool_restarts` times and only the unfinished
-  cells are resubmitted; after that the remainder degrades to serial.
+  transient failures go back on the queue up to ``retries`` times and
+  run at the end of their round, after an exponential backoff; a cell
+  running past ``timeout`` seconds is interrupted on the worker
+  (``SIGALRM``) and classified transient.
+- A broken process pool (a worker SIGKILLed, say) drains the cells that
+  finished and charges one transient attempt to each unfinished cell.
+  It is rebuilt up to :attr:`GridExecutor.max_pool_restarts` times;
+  after that the remaining rounds run inline.
 - With an ``on_failure`` callback installed the grid is
   *fault-tolerant*: exhausted cells become :class:`FailedCell` outcomes
   (``None`` in the returned list) instead of aborting the grid, and
   ``max_failures`` bounds the blast radius via :class:`SweepAborted`.
-  Without one, the first exhausted cell raises — the historical
-  contract.
+  Without one, the first exhausted cell re-raises its own error.
 """
 
 from __future__ import annotations
@@ -40,18 +44,22 @@ import signal
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, as_completed, wait
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import (
     Any,
     Callable,
     Dict,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
+    Union,
 )
 
 from repro import faults, obs
@@ -82,6 +90,12 @@ FailureFn = Callable[["FailedCell"], None]
 
 #: Backoff delays are capped here regardless of attempt count.
 MAX_BACKOFF_SECONDS = 5.0
+
+#: One pool round's futures, each mapped to its (request index, attempt).
+_Futures = Dict["Future[Dict[str, Any]]", Tuple[int, int]]
+
+#: What one attempt produced: its result record or the error it raised.
+_Outcome = Union[Dict[str, Any], BaseException]
 
 
 @dataclass(frozen=True)
@@ -190,16 +204,6 @@ class SweepAborted(RuntimeError):
         self.failures = list(failures)
 
 
-class _CallbackError(Exception):
-    """Wraps an exception raised by a caller's callback in the pool path.
-
-    Keeps caller failures (a full disk under ``ResultStore.put``, a
-    broken pipe under a progress print) distinguishable from pool-spawn
-    failures, which are the only thing the serial fallback is meant to
-    absorb.
-    """
-
-
 #: Failure types worth retrying when raised raw (not via CellError) —
 #: resource pressure and IPC trouble, not logic errors.
 _TRANSIENT_TYPES: Tuple[type, ...] = (
@@ -231,10 +235,9 @@ def _cell_deadline(seconds: Optional[float]) -> Iterator[None]:
     """Bound one attempt's wall time with ``SIGALRM``.
 
     Pool workers run tasks on their main thread, so the alarm is
-    deliverable there as well as in serial in-process runs.  On
-    platforms without ``SIGALRM`` (Windows) or off the main thread the
-    deadline silently degrades to "no timeout" — a looser contract
-    beats a crashed worker.
+    deliverable there as well as in inline runs.  On platforms without
+    ``SIGALRM`` (Windows) or off the main thread the deadline silently
+    degrades to "no timeout" — a looser contract beats a crashed worker.
     """
     if not seconds or not hasattr(signal, "SIGALRM") \
             or threading.current_thread() is not threading.main_thread():
@@ -396,21 +399,24 @@ def _ingest(record: Dict[str, Any]) -> Dict[str, Any]:
 
 
 class GridExecutor:
-    """Run evaluation requests, in parallel when it pays off."""
+    """Run evaluation requests through one attempt queue, in rounds run
+    inline or on a process pool; one resolver settles every outcome."""
 
-    #: Broken pools (a worker SIGKILLed or OOMed) are rebuilt and the
-    #: unfinished cells resubmitted this many times before the
-    #: remainder degrades to serial execution.
+    #: Broken pools (a worker SIGKILLed or OOMed) are rebuilt this many
+    #: times; after that the remaining rounds run inline.
     max_pool_restarts = 2
 
     def __init__(self, jobs: int = 1, progress: Optional[ProgressFn] = None):
         self.jobs = jobs
         self.progress = progress
-        # Per-run failure state; reset by run() and left readable
-        # afterwards (``failures``).
-        self._failed: Dict[int, FailedCell] = {}
+        # Per-run state, reset by run(); ``failures`` and ``attempts``
+        # stay readable afterwards.
+        self._requests: List[EvalRequest] = []
+        self._records: List[Optional[Dict[str, Any]]] = []
+        self._settled: Set[int] = set()
         self._failures: List[FailedCell] = []
         self._attempts: Dict[int, int] = {}
+        self._on_result: Optional[ResultFn] = None
         self._on_failure: Optional[FailureFn] = None
         self._max_failures: Optional[int] = None
         self._callback_error_logged = False
@@ -420,6 +426,12 @@ class GridExecutor:
         """Terminal cell failures from the most recent :meth:`run`."""
         return list(self._failures)
 
+    @property
+    def attempts(self) -> Mapping[int, int]:
+        """Attempts spent per request index in the most recent
+        :meth:`run` (a read-only view)."""
+        return MappingProxyType(self._attempts)
+
     def run(self, requests: Sequence[EvalRequest],
             on_result: Optional[ResultFn] = None,
             on_failure: Optional[FailureFn] = None,
@@ -427,17 +439,22 @@ class GridExecutor:
             ) -> List[Optional[Dict[str, Any]]]:
         """Evaluate every request; results are ordered like ``requests``.
 
-        ``on_result`` fires per cell in *completion* order (that is what
-        makes interrupted sweeps resumable — each finished cell can be
-        persisted before the grid completes); the returned list is
-        always in request order.
+        ``on_result`` fires exactly once per cell in *completion* order
+        (that is what makes interrupted sweeps resumable — each finished
+        cell can be persisted before the grid completes); the returned
+        list is always in request order.  A retried cell runs again at
+        the end of its round, after one backoff per round.
 
         With ``on_failure`` the grid is fault-tolerant: a cell whose
         attempts are exhausted yields a :class:`FailedCell` callback
         and a ``None`` slot instead of aborting the run, and
         ``max_failures`` (strictly more failures than this aborts with
         :class:`SweepAborted`) bounds the blast radius.  Without it the
-        first exhausted cell raises, exactly as before retries existed.
+        first exhausted cell re-raises its own error.
+
+        A broken pool is rebuilt up to :attr:`max_pool_restarts` times;
+        after that, as when no pool can be spawned at all, later rounds
+        run inline (``executor.pool_fallbacks``).
 
         Persisting callbacks may assume nothing about how many sweep
         processes run concurrently: ``ResultStore.put`` publishes
@@ -445,56 +462,194 @@ class GridExecutor:
         resumed or duplicated grid re-persisting a cell is harmless by
         contract, not by luck.
         """
-        requests = list(requests)
-        self._failed = {}
+        self._requests = list(requests)
+        self._records = [None] * len(self._requests)
+        self._settled = set()
         self._failures = []
         self._attempts = {}
+        self._on_result = on_result
         self._on_failure = on_failure
         self._max_failures = max_failures
         self._callback_error_logged = False
-        if not requests:
-            return []
-        # Cells finished before a mid-flight pool failure; the serial
-        # retry must not recompute them or refire their callbacks.
-        completed: Dict[int, Dict[str, Any]] = {}
-        if self.jobs > 1 and len(requests) > 1:
-            # A _CallbackError wraps a failure of the *caller's*
-            # on_result, not a pool problem: unwrap and re-raise the
-            # original (outside the handler, so its context is not
-            # rewritten into an exception chain).
-            callback_failure: Optional[BaseException] = None
-            try:
-                return self._run_pool(requests, on_result, completed)
-            except _CallbackError as exc:
-                if exc.__cause__ is None:   # defensive: always raised `from`
-                    raise
-                callback_failure = exc.__cause__
-            except (OSError, ImportError, PermissionError, BrokenProcessPool):
-                # No (working) subprocess support here — either pools
-                # cannot be spawned at all or restarts were exhausted;
-                # fall through to serial for the unfinished remainder.
+        queue = [(index, 1) for index in range(len(self._requests))]
+        pooled = self.jobs > 1 and len(queue) > 1
+        restarts = 0
+        while queue:
+            # One backoff per round: sleeping per cell would serialize
+            # the pool, and every cell in the round shares the round's
+            # worst delay anyway.
+            delay = max((self._backoff_delay(self._requests[index], attempt)
+                         for index, attempt in queue), default=0.0)
+            if delay > 0:
+                time.sleep(delay)
+            retry: List[Tuple[int, int]] = []
+            spawned = self._spawn(queue) if pooled else None
+            if pooled and spawned is None:
                 obs.incr("executor.pool_fallbacks")
-            if callback_failure is not None:
-                raise callback_failure
-        return self._run_serial(requests, on_result, completed)
+                pooled = False
+            if spawned is None:
+                for index, attempt in queue:
+                    payload = self._requests[index].payload(attempt=attempt)
+                    try:
+                        outcome: _Outcome = run_cell(payload)
+                    except Exception as error:
+                        outcome = error
+                    self._resolve(index, attempt, outcome, retry,
+                                  pooled=False)
+            elif self._pool_round(*spawned, queue, retry):
+                restarts += 1
+                obs.incr("executor.pool_restarts")
+                if restarts > self.max_pool_restarts:
+                    obs.incr("executor.pool_fallbacks")
+                    pooled = False
+            queue = retry
+        # The records belong to the caller from here on.
+        records, self._records = self._records, []
+        return records
 
-    # -- shared failure machinery --
+    # -- pool rounds --
 
-    def _resolved(self, completed: Dict[int, Dict[str, Any]]) -> int:
-        """Cells with a terminal outcome: a record or a FailedCell."""
-        return len(completed) + len(self._failed)
+    def _spawn(self, queue: Sequence[Tuple[int, int]]
+               ) -> Optional[Tuple[ProcessPoolExecutor, _Futures]]:
+        """A fresh pool running ``queue``, as ``(pool, futures)``.
 
-    def _notify(self, done: int, total: int, request: EvalRequest) -> None:
-        if self.progress is not None:
-            self.progress(done, total, request)
+        ``None`` when no pool can be spawned here (sandboxes, exotic
+        interpreters): nothing of the round has been settled, so it
+        runs inline instead.  A worker dying while the round is still
+        being submitted leaves a future carrying the break, so the
+        round settles like any broken pool.
+        """
+        workers = min(self.jobs, len(queue))
+        try:
+            pool = ProcessPoolExecutor(max_workers=workers)
+        except (OSError, ImportError):
+            return None
+        futures: _Futures = {}
+        try:
+            for index, attempt in queue:
+                payload = self._requests[index].payload(attempt=attempt)
+                futures[pool.submit(run_cell, payload)] = (index, attempt)
+        except BrokenProcessPool as broken:
+            future: "Future[Dict[str, Any]]" = Future()
+            future.set_exception(broken)
+            futures[future] = (index, attempt)
+        except (OSError, ImportError):
+            pool.shutdown(wait=True, cancel_futures=True)
+            return None
+        obs.gauge("executor.pool_workers", workers)
+        return pool, futures
 
-    def _should_retry(self, request: EvalRequest, attempt: int,
-                      error: BaseException) -> bool:
-        """True when ``error`` on try ``attempt`` deserves another try."""
-        if attempt > request.retries or not _is_transient(error):
-            return False
-        obs.incr("executor.retries")
+    def _pool_round(self, pool: ProcessPoolExecutor,
+                    futures: _Futures,
+                    queue: Sequence[Tuple[int, int]],
+                    retry: List[Tuple[int, int]]) -> bool:
+        """Settle one pool round in completion order; True if it broke.
+
+        A broken pool hands every unfinished future the same
+        :class:`BrokenProcessPool`, and nothing says which cell (if
+        any) killed it: the round drains what finished, then charges
+        one transient attempt to every cell left unsettled.
+        """
+        broken: Optional[BrokenProcessPool] = None
+        with pool:
+            try:
+                for future in as_completed(futures):
+                    index, attempt = futures[future]
+                    outcome = future.exception() or future.result()
+                    if isinstance(outcome, BrokenProcessPool):
+                        broken = outcome
+                        break
+                    self._resolve(index, attempt, outcome, retry,
+                                  pooled=True)
+            except BaseException:
+                # The grid failed mid-flight (a cell exhausted its
+                # attempts without on_failure, max_failures tripped,
+                # or a caller callback raised): keep what finished.
+                self._drain_finished(futures)
+                raise
+            if broken is None:
+                return False
+            self._drain_finished(futures)
+            requeued = {index for index, _ in retry}
+            for index, attempt in queue:
+                if index not in self._settled and index not in requeued:
+                    self._resolve(index, attempt, broken, retry, pooled=True)
         return True
+
+    def _drain_finished(self, futures: _Futures) -> None:
+        """Stop a failed round, settling every success it finished.
+
+        Cancels the cells still queued, so pool shutdown does not
+        compute (and then discard) the rest of the grid, waits for the
+        in-flight ones, then settles each finished, not yet settled
+        success — so a later round or a rerun resumes instead of
+        recomputing.  Runs on the failure path, so callbacks are
+        best-effort: a callback that raises here must not mask the
+        original error — but it must not vanish either, so every
+        suppressed exception counts on ``executor.callback_errors`` and
+        the first one is logged.  Progress fires with the updated count
+        per drained cell, so observers never see a stale total.
+        """
+        for future in futures:
+            future.cancel()
+        wait(list(futures))
+        for future, (index, attempt) in futures.items():
+            if index in self._settled or future.cancelled() \
+                    or future.exception() is not None:
+                continue
+            self._resolve(index, attempt, future.result(), [], pooled=True,
+                          best_effort=True)
+
+    # -- settling an attempt --
+
+    def _resolve(self, index: int, attempt: int, outcome: _Outcome,
+                 retry: List[Tuple[int, int]], pooled: bool,
+                 best_effort: bool = False) -> None:
+        """Settle one attempt's outcome — a record or the error it raised.
+
+        A success is ingested, handed to ``on_result`` and announced to
+        ``progress``.  A transient error with retry budget left queues
+        the next attempt on ``retry``.  Anything else is terminal: a
+        :class:`FailedCell` in fault-tolerant mode (crossing
+        ``max_failures`` aborts the grid), or the cell's own error
+        re-raised without ``on_failure``.  ``best_effort`` marks the
+        drain path, whose callback errors are counted, not raised.
+        """
+        self._attempts[index] = attempt
+        request = self._requests[index]
+        if not isinstance(outcome, BaseException):
+            self._records[index] = record = _ingest(outcome)
+            self._settled.add(index)
+            obs.incr("executor.cells_pool" if pooled
+                     else "executor.cells_serial")
+            self._call(self._on_result, best_effort, index, request, record)
+            self._call(self.progress, best_effort, len(self._settled),
+                       len(self._requests), request)
+            return
+        if attempt <= request.retries and _is_transient(outcome):
+            obs.incr("executor.retries")
+            retry.append((index, attempt + 1))
+            return
+        if self._on_failure is None:
+            raise outcome
+        cell = FailedCell(
+            index=index, workload=request.workload, npu=request.npu.name,
+            schemes=request.scheme_names,
+            error=f"{type(outcome).__name__}: {outcome}",
+            kind="transient" if _is_transient(outcome) else "permanent",
+            attempts=attempt)
+        self._settled.add(index)
+        self._failures.append(cell)
+        obs.incr("executor.failed_cells")
+        self._on_failure(cell)
+        if self._max_failures is not None \
+                and len(self._failures) > self._max_failures:
+            raise SweepAborted(
+                f"aborting after {len(self._failures)} failed cells "
+                f"(--max-failures {self._max_failures}); last: "
+                f"{cell.describe()}", self._failures)
+        self._call(self.progress, best_effort, len(self._settled),
+                   len(self._requests), request)
 
     @staticmethod
     def _backoff_delay(request: EvalRequest, attempt: int) -> float:
@@ -504,247 +659,23 @@ class GridExecutor:
         return min(request.backoff * 2.0 ** (attempt - 2),
                    MAX_BACKOFF_SECONDS)
 
-    def _finalize_failure(self, index: int, request: EvalRequest,
-                          attempt: int, error: BaseException,
-                          wrap_callbacks: bool = False) -> None:
-        """Record a terminal cell failure — or raise it, pre-retry style.
-
-        In fault-tolerant mode (``on_failure`` installed) the cell
-        becomes a :class:`FailedCell`; ``wrap_callbacks`` marks
-        callback exceptions as :class:`_CallbackError` on the pool path
-        so they are never mistaken for pool trouble.  Crossing
-        ``max_failures`` aborts the whole grid.
-        """
-        if self._on_failure is None:
-            raise error
-        cell = FailedCell(
-            index=index, workload=request.workload, npu=request.npu.name,
-            schemes=request.scheme_names,
-            error=f"{type(error).__name__}: {error}",
-            kind="transient" if _is_transient(error) else "permanent",
-            attempts=attempt)
-        self._failed[index] = cell
-        self._failures.append(cell)
-        obs.incr("executor.failed_cells")
+    def _call(self, callback: Optional[Callable[..., None]],
+              best_effort: bool, *args: Any) -> None:
+        """Run a caller callback; on the drain path (``best_effort``)
+        count its error on ``executor.callback_errors`` and log the
+        first one instead of raising."""
+        if callback is None:
+            return
+        if not best_effort:
+            callback(*args)
+            return
         try:
-            self._on_failure(cell)
-        except Exception as exc:
-            if wrap_callbacks:
-                raise _CallbackError() from exc
-            raise
-        if self._max_failures is not None \
-                and len(self._failures) > self._max_failures:
-            raise SweepAborted(
-                f"aborting after {len(self._failures)} failed cells "
-                f"(--max-failures {self._max_failures}); last: "
-                f"{cell.describe()}", self._failures)
-
-    def _count_callback_error(self, error: BaseException) -> None:
-        """Make a suppressed drain-path callback failure visible."""
-        obs.incr("executor.callback_errors")
-        if not self._callback_error_logged:
-            self._callback_error_logged = True
-            _log.warning(
-                "suppressed a callback error on the drain path (first "
-                "of possibly several; see executor.callback_errors): "
-                "%s: %s", type(error).__name__, error)
-
-    # -- execution strategies --
-
-    def _run_serial(self, requests: Sequence[EvalRequest],
-                    on_result: Optional[ResultFn],
-                    completed: Dict[int, Dict[str, Any]]
-                    ) -> List[Optional[Dict[str, Any]]]:
-        records: List[Optional[Dict[str, Any]]] = []
-        total = len(requests)
-        for index, request in enumerate(requests):
-            if index in completed:
-                records.append(completed[index])
-                continue
-            if index in self._failed:
-                records.append(None)
-                continue
-            attempt = self._attempts.get(index, 0) + 1
-            while True:
-                try:
-                    record = _ingest(run_cell(request.payload(attempt=attempt)))
-                except Exception as error:
-                    self._attempts[index] = attempt
-                    if self._should_retry(request, attempt, error):
-                        time.sleep(self._backoff_delay(request, attempt + 1))
-                        attempt += 1
-                        continue
-                    # Raises in non-tolerant mode (legacy contract).
-                    self._finalize_failure(index, request, attempt, error)
-                    records.append(None)
-                    self._notify(self._resolved(completed), total, request)
-                    break
-                self._attempts[index] = attempt
-                obs.incr("executor.cells_serial")
-                completed[index] = record
-                if on_result is not None:
-                    on_result(index, request, record)
-                self._notify(self._resolved(completed), total, request)
-                records.append(record)
-                break
-        return records
-
-    def _run_pool(self, requests: Sequence[EvalRequest],
-                  on_result: Optional[ResultFn],
-                  completed: Dict[int, Dict[str, Any]]
-                  ) -> List[Optional[Dict[str, Any]]]:
-        records: List[Optional[Dict[str, Any]]] = [None] * len(requests)
-        for index, done_record in completed.items():
-            records[index] = done_record
-        pending: List[Tuple[int, int]] = [
-            (index, self._attempts.get(index, 0) + 1)
-            for index in range(len(requests))
-            if index not in completed and index not in self._failed]
-        restarts = 0
-        total = len(requests)
-        while pending:
-            # One backoff per retry round: sleeping per-future would
-            # serialize the pool, and every cell in the round shares
-            # the round's worst delay anyway.
-            delay = max((self._backoff_delay(requests[index], attempt)
-                         for index, attempt in pending if attempt > 1),
-                        default=0.0)
-            if delay > 0:
-                time.sleep(delay)
-            workers = min(self.jobs, len(pending))
-            obs.gauge("executor.pool_workers", workers)
-            retry_round: List[Tuple[int, int]] = []
-            broken: Optional[BaseException] = None
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(run_cell,
-                                requests[index].payload(attempt=attempt)):
-                        (index, attempt)
-                    for index, attempt in pending}
-                try:
-                    for future in as_completed(futures):
-                        index, attempt = futures[future]
-                        self._attempts[index] = attempt
-                        error = future.exception()
-                        if error is None:
-                            record = _ingest(future.result())
-                            obs.incr("executor.cells_pool")
-                            records[index] = record
-                            completed[index] = record
-                            try:
-                                if on_result is not None:
-                                    on_result(index, requests[index], record)
-                                self._notify(self._resolved(completed),
-                                             total, requests[index])
-                            except Exception as exc:
-                                raise _CallbackError() from exc
-                            continue
-                        if isinstance(error, BrokenProcessPool):
-                            # The pool is dead; every unfinished future
-                            # carries this same exception and nothing
-                            # says which cell (if any) killed it.
-                            broken = error
-                            break
-                        if self._should_retry(requests[index], attempt,
-                                              error):
-                            retry_round.append((index, attempt + 1))
-                            continue
-                        self._finalize_failure(index, requests[index],
-                                               attempt, error,
-                                               wrap_callbacks=True)
-                        try:
-                            self._notify(self._resolved(completed), total,
-                                         requests[index])
-                        except Exception as exc:
-                            raise _CallbackError() from exc
-                except BaseException:
-                    # The grid failed mid-flight (a worker exhausted its
-                    # attempts in non-tolerant mode, max_failures
-                    # tripped, or a caller callback raised).  Fail fast
-                    # — cancel cells still in the queue so pool
-                    # shutdown doesn't compute (and then discard) the
-                    # rest of the grid — then wait for the in-flight
-                    # ones and drain every finished cell into
-                    # ``completed`` (persisting via on_result, best
-                    # effort), so a serial fallback or a rerun resumes
-                    # instead of recomputing.
-                    for future in futures:
-                        future.cancel()
-                    wait(list(futures))
-                    self._drain_finished(futures, requests, records,
-                                         completed, on_result)
-                    raise
-                if broken is None:
-                    pending = retry_round
-                    continue
-                # Broken pool: drain what finished, count one transient
-                # attempt against every unfinished cell (the killer is
-                # among them but anonymous), then rebuild the pool for
-                # just those cells — or, restarts exhausted, re-raise so
-                # run() degrades the remainder to serial.
-                for future in futures:
-                    future.cancel()
-                wait(list(futures))
-                self._drain_finished(futures, requests, records, completed,
-                                     on_result)
-                restarts += 1
-                obs.incr("executor.pool_restarts")
-                if restarts > self.max_pool_restarts:
-                    raise broken
-                retry_round = []
-                for index, attempt in futures.values():
-                    if index in completed or index in self._failed:
-                        continue
-                    self._attempts[index] = attempt
-                    if self._should_retry(requests[index], attempt, broken):
-                        retry_round.append((index, attempt + 1))
-                    else:
-                        self._finalize_failure(index, requests[index],
-                                               attempt, broken,
-                                               wrap_callbacks=True)
-                        try:
-                            self._notify(self._resolved(completed), total,
-                                         requests[index])
-                        except Exception as exc:
-                            raise _CallbackError() from exc
-                pending = retry_round
-        return records
-
-    def _drain_finished(self, futures: Dict[Any, Any],
-                        requests: Sequence[EvalRequest],
-                        records: List[Optional[Dict[str, Any]]],
-                        completed: Dict[int, Dict[str, Any]],
-                        on_result: Optional[ResultFn]) -> None:
-        """Collect every successfully finished, not-yet-recorded future.
-
-        Runs on the failure path, so callbacks are best-effort: a
-        callback that raises here must not mask the original error —
-        but it must not vanish either, so every suppressed exception
-        counts on ``executor.callback_errors`` and the first one is
-        logged.  Progress fires with the *updated* ``completed`` count
-        per drained cell, so observers never see a stale total (and a
-        subsequent serial resume continues monotonically from it).
-        """
-        total = len(requests)
-        for future, slot in futures.items():
-            # Futures map to an index (legacy direct callers) or an
-            # (index, attempt) pair (the retry scheduler).
-            index = slot[0] if isinstance(slot, tuple) else slot
-            if index in completed or not future.done() or future.cancelled():
-                continue
-            if future.exception() is not None:
-                continue
-            record = _ingest(future.result())
-            obs.incr("executor.cells_pool")
-            records[index] = record
-            completed[index] = record
-            if on_result is not None:
-                try:
-                    on_result(index, requests[index], record)
-                except Exception as exc:
-                    self._count_callback_error(exc)
-            try:
-                self._notify(self._resolved(completed), total,
-                             requests[index])
-            except Exception as exc:
-                self._count_callback_error(exc)
+            callback(*args)
+        except Exception as error:
+            obs.incr("executor.callback_errors")
+            if not self._callback_error_logged:
+                self._callback_error_logged = True
+                _log.warning(
+                    "suppressed a callback error on the drain path (first "
+                    "of possibly several; see executor.callback_errors): "
+                    "%s: %s", type(error).__name__, error)

@@ -204,7 +204,7 @@ class EvalService:
                         # which is how it keys its attempt counts.
                         self.journal.record_done(
                             key,
-                            attempts=self.executor._attempts.get(position, 1),
+                            attempts=self.executor.attempts.get(position, 1),
                             workload=_request.workload)
 
             def on_failure(cell: FailedCell) -> None:

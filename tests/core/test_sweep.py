@@ -1,53 +1,44 @@
-"""SweepRunner: memoization and aggregation."""
+"""Sweep aggregation: figure series and tables over a sweep's results."""
 
 import pytest
 
-from repro.core.sweep import SweepRunner
+from repro.core.metrics import METRICS, figure_table, series
+from repro.runner.service import EvalService
+
+SCHEMES = ["mgx-64b", "seda"]
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return SweepRunner(scheme_names=["mgx-64b", "seda"])
+def service():
+    return EvalService()
 
 
-class TestMemoization:
-    def test_compare_cached(self, runner):
-        first = runner.compare("edge", "lenet")
-        second = runner.compare("edge", "lenet")
-        assert first is second
-
-    def test_sweep_subset(self, runner):
-        results = runner.sweep("edge", workloads=["lenet", "dlrm"])
-        assert set(results) == {"lenet", "dlrm"}
-
-    def test_progress_callback(self, runner):
-        seen = []
-        runner.sweep("edge", workloads=["lenet"],
-                     progress=lambda npu, w: seen.append((npu, w)))
-        assert seen == [("edge", "lenet")]
+def sweep(service, workloads):
+    return service.sweep("edge", workloads=workloads, scheme_names=SCHEMES)
 
 
 class TestAggregation:
-    def test_series_has_average(self, runner):
-        results = runner.sweep("edge", workloads=["lenet", "dlrm"])
-        series = runner.series(results, "seda", "traffic")
-        assert len(series) == 3
-        assert series[-1] == pytest.approx(sum(series[:2]) / 2)
+    def test_series_has_average(self, service):
+        results = sweep(service, ["lenet", "dlrm"])
+        values = series(results, "seda", "traffic")
+        assert len(values) == 3
+        assert values[-1] == pytest.approx(sum(values[:2]) / 2)
 
-    def test_all_metrics_work(self, runner):
-        results = runner.sweep("edge", workloads=["lenet"])
-        for metric in ("traffic", "performance", "traffic_overhead_pct",
-                       "slowdown_pct"):
-            values = runner.series(results, "seda", metric)
+    def test_all_metrics_work(self, service):
+        results = sweep(service, ["lenet"])
+        assert METRICS == ("traffic", "performance", "traffic_overhead_pct",
+                           "slowdown_pct")
+        for metric in METRICS:
+            values = series(results, "seda", metric)
             assert len(values) == 2
 
-    def test_unknown_metric(self, runner):
-        results = runner.sweep("edge", workloads=["lenet"])
+    def test_unknown_metric(self, service):
+        results = sweep(service, ["lenet"])
         with pytest.raises(ValueError):
-            runner.series(results, "seda", "latency")
+            series(results, "seda", "latency")
 
-    def test_figure_table_shape(self, runner):
-        results = runner.sweep("edge", workloads=["lenet", "dlrm"])
-        table = runner.figure_table(results, "performance")
+    def test_figure_table_shape(self, service):
+        results = sweep(service, ["lenet", "dlrm"])
+        table = figure_table(results, SCHEMES, "performance")
         assert set(table) == {"mgx-64b", "seda"}
         assert all(len(v) == 3 for v in table.values())

@@ -1,7 +1,6 @@
 """GridExecutor under injected faults: retries, timeouts, tolerance,
-pool restarts, serial fallback."""
+pool restarts, inline fallback, journaled attempt counts."""
 
-from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -15,17 +14,32 @@ from repro.runner.executor import (
     SweepAborted,
     run_cell,
 )
+from repro.runner.service import EvalService
+from repro.runner.store import ResultStore, fingerprint
 
 from tests.faults.conftest import find_seed
+from tests.runner import fake_pool
+from tests.runner.fake_pool import BREAK_ON_SUBMIT, HOLD, OK, late
 
 SCHEMES = ("mgx-64b", "seda")
 WORKLOADS = ("lenet", "dlrm", "ncf")
 
 
-def grid(retries=0, timeout=None):
+def grid(retries=0, timeout=None, backoff=0.05):
     edge = npu_config("edge")
-    return [EvalRequest(edge, w, SCHEMES, retries=retries, timeout=timeout)
+    return [EvalRequest(edge, w, SCHEMES, retries=retries, timeout=timeout,
+                        backoff=backoff)
             for w in WORKLOADS]
+
+
+def transient(workload):
+    return CellError(f"{workload} flaked", workload=workload, npu="edge",
+                     schemes=SCHEMES, transient=True)
+
+
+def permanent(workload):
+    return CellError(f"{workload} poisoned", workload=workload, npu="edge",
+                     schemes=SCHEMES)
 
 
 def cell_key(request):
@@ -38,7 +52,7 @@ class TestRetries:
         executor = GridExecutor(jobs=1)
         records = executor.run(grid(retries=1)[:1])
         assert records[0]["workload"] == "lenet"
-        assert executor._attempts[0] == 2
+        assert executor.attempts[0] == 2
         assert recorder.counters["executor.retries"] == 1
         assert executor.failures == []
 
@@ -167,79 +181,164 @@ class TestPoolRestart:
 
     def test_injected_broken_pool_falls_back_to_serial(self, monkeypatch,
                                                        recorder):
-        # Restart budget exhausted (simulated): the executor must fall
-        # back to serial for the *unfinished* cells only, and the
-        # on_result callback of an already-completed cell never refires.
+        # Every pool round breaks until the restart budget is spent: the
+        # unfinished cells then run inline, and the on_result callback of
+        # the cell the first pool finished never refires.
+        def script(workload, attempt):
+            if workload == "lenet":
+                return OK
+            if workload == "ncf":
+                return HOLD
+            # Read after lenet in the first pool, alone in the rebuilds.
+            broken = BrokenProcessPool("injected")
+            return late(broken) if attempt == 1 else broken
+
+        pools = fake_pool.install(monkeypatch, script)
         executor = GridExecutor(jobs=2)
         fired = []
-
-        def breaking_pool(requests, on_result, completed):
-            record = run_cell(requests[0].payload())
-            record.pop("_obs", None)
-            completed[0] = record
-            if on_result is not None:
-                on_result(0, requests[0], record)
-            raise BrokenProcessPool("injected: restarts exhausted")
-
-        monkeypatch.setattr(executor, "_run_pool", breaking_pool)
         records = executor.run(
-            grid(), on_result=lambda i, req, rec: fired.append(i))
+            grid(retries=3, backoff=0),
+            on_result=lambda i, req, rec: fired.append(i))
         assert [r["workload"] for r in records] == list(WORKLOADS)
         assert fired == [0, 1, 2]  # exactly once per cell, no refires
+        # Three pools (the first and two rebuilds), each broken once and
+        # each charging one attempt; the fourth attempt runs inline.
+        assert [pool.submitted for pool in pools] == [
+            [("lenet", 1), ("dlrm", 1), ("ncf", 1)],
+            [("dlrm", 2), ("ncf", 2)],
+            [("dlrm", 3), ("ncf", 3)]]
+        assert dict(executor.attempts) == {0: 1, 1: 4, 2: 4}
+        assert recorder.counters["executor.pool_restarts"] == 3
         assert recorder.counters["executor.pool_fallbacks"] == 1
+        assert recorder.counters["executor.cells_pool"] == 1
+        assert recorder.counters["executor.cells_serial"] == 2
 
     def test_pool_worker_failure_partial_completion_serial_resume(
-            self, plan, monkeypatch):
-        # Pool dies after one cell completed *and* one cell failed
-        # terminally; the serial remainder must recompute only the
+            self, monkeypatch, recorder):
+        # The pool breaks after one cell completed *and* one cell failed
+        # terminally; the inline remainder must recompute only the
         # genuinely unfinished cell.
+        fake_pool.install(monkeypatch, lambda workload, attempt: {
+            "lenet": OK, "dlrm": late(permanent("dlrm")),
+            "ncf": late(BrokenProcessPool("injected"))}[workload])
         executor = GridExecutor(jobs=2)
+        executor.max_pool_restarts = 0
         failures = []
-
-        def breaking_pool(requests, on_result, completed):
-            record = run_cell(requests[0].payload())
-            record.pop("_obs", None)
-            completed[0] = record
-            executor._finalize_failure(
-                1, requests[1], 1,
-                CellError("poisoned", workload=requests[1].workload,
-                          npu="edge", schemes=requests[1].scheme_names))
-            raise BrokenProcessPool("injected")
-
-        monkeypatch.setattr(executor, "_run_pool", breaking_pool)
-        records = executor.run(grid(), on_failure=failures.append)
+        records = executor.run(grid(retries=1, backoff=0),
+                               on_failure=failures.append)
         assert records[0]["workload"] == "lenet"
         assert records[1] is None
         assert records[2]["workload"] == "ncf"
         assert [cell.index for cell in failures] == [1]
+        assert recorder.counters["executor.cells_serial"] == 1
+
+
+    def test_worker_death_during_submission_loses_no_cell(self, monkeypatch,
+                                                          recorder):
+        # The pool breaks while dlrm is being submitted, so ncf is never
+        # submitted at all: both are charged the break and retried.
+        pools = fake_pool.install(monkeypatch, lambda workload, attempt:
+                                  BREAK_ON_SUBMIT if (workload, attempt) ==
+                                  ("dlrm", 1) else OK)
+        executor = GridExecutor(jobs=2)
+        fired = []
+        records = executor.run(grid(retries=1, backoff=0),
+                               on_result=lambda i, req, rec: fired.append(i))
+        assert [r["workload"] for r in records] == list(WORKLOADS)
+        assert sorted(fired) == [0, 1, 2]
+        assert pools[0].submitted == [("lenet", 1), ("dlrm", 1)]
+        assert dict(executor.attempts) == {0: 1, 1: 2, 2: 2}
+        assert recorder.counters["executor.pool_restarts"] == 1
 
 
 class TestDrainCallbackCounting:
-    @staticmethod
-    def _finished_future(record):
-        future = Future()
-        future.set_result(record)
-        return future
-
     def test_drain_counts_and_logs_suppressed_callback_errors(
-            self, recorder, caplog):
-        executor = GridExecutor(jobs=2)
-        requests = grid()
-        futures = {
-            self._finished_future({"workload": "lenet"}): (0, 1),
-            self._finished_future({"workload": "dlrm"}): (1, 1),
-        }
-        records = [None] * len(requests)
+            self, monkeypatch, recorder, caplog):
+        # Both finished cells are still unread when ncf's permanent
+        # failure stops the grid; their persisting callbacks both fail.
+        fake_pool.install(monkeypatch, lambda workload, attempt: {
+            "lenet": late(OK), "dlrm": late(OK),
+            "ncf": permanent("ncf")}[workload])
+        drained = []
 
         def explode(index, request, record):
+            drained.append(record["workload"])
             raise OSError("disk full during drain")
 
         with caplog.at_level("WARNING", logger="repro.runner.executor"):
-            executor._drain_finished(futures, requests, records, {}, explode)
-        assert records[0] == {"workload": "lenet"}
-        assert records[1] == {"workload": "dlrm"}
+            with pytest.raises(CellError, match="ncf poisoned"):
+                GridExecutor(jobs=2).run(grid(), on_result=explode)
+        assert drained == ["lenet", "dlrm"]
         assert recorder.counters["executor.callback_errors"] == 2
         # Only the first suppressed error is logged.
         messages = [r for r in caplog.records
                     if "suppressed a callback error" in r.message]
         assert len(messages) == 1
+
+
+class TestInlineRetryRounds:
+    def test_inline_retry_runs_at_the_end_of_its_round(self, plan):
+        # lenet's first attempt fails; its retry waits for dlrm and ncf
+        # (one round), yet results stay in request order and progress
+        # strictly increases.
+        plan("cell:raise:@1")
+        fired, progress = [], []
+        executor = GridExecutor(
+            jobs=1, progress=lambda done, total, req: progress.append(done))
+        records = executor.run(
+            grid(retries=1), on_result=lambda i, req, rec: fired.append(i))
+        assert [r["workload"] for r in records] == list(WORKLOADS)
+        assert fired == [1, 2, 0]  # each exactly once
+        assert progress == [1, 2, 3]
+        assert dict(executor.attempts) == {0: 2, 1: 1, 2: 1}
+
+
+class TestJournaledAttempts:
+    """The journal records the attempt that actually finished a cell."""
+
+    @staticmethod
+    def _journaled(service, requests):
+        entries = service.journal.replay()
+        return {r.workload: entries[fingerprint(r.npu, r.workload,
+                                                r.scheme_names)]
+                for r in requests}
+
+    def test_retried_cell_journaled_with_its_second_attempt(self, plan,
+                                                            tmp_path):
+        plan("cell:raise:@1")
+        service = EvalService(store=ResultStore(tmp_path / "store"))
+        requests = grid(retries=1)[:1]
+        results, failures = service.evaluate_tolerant(requests)
+        assert failures == [] and results[0] is not None
+        entry = self._journaled(service, requests)["lenet"]
+        assert (entry.status, entry.attempts) == ("done", 2)
+
+    def test_cell_recovered_on_the_drain_path_keeps_its_attempt(
+            self, monkeypatch, tmp_path):
+        # Round 1: lenet and dlrm flake, ncf finishes.  Round 2: the pool
+        # breaks on dlrm's retry while lenet's retry (attempt 2) has
+        # finished unread, so lenet is settled by the drain.
+        def script(workload, attempt):
+            if workload == "ncf":
+                return OK
+            if attempt == 1:
+                return transient(workload)
+            return BrokenProcessPool("injected") if workload == "dlrm" \
+                else late(OK)
+
+        pools = fake_pool.install(monkeypatch, script)
+        service = EvalService(store=ResultStore(tmp_path / "store"), jobs=2)
+        requests = grid(retries=1, backoff=0)
+        results, failures = service.evaluate_tolerant(requests)
+        # A round queues its retries in completion order.
+        assert [sorted(pool.submitted) for pool in pools] == [
+            [("dlrm", 1), ("lenet", 1), ("ncf", 1)],
+            [("dlrm", 2), ("lenet", 2)]]
+        assert [cell.workload for cell in failures] == ["dlrm"]
+        journaled = self._journaled(service, requests)
+        assert (journaled["lenet"].status, journaled["lenet"].attempts) == \
+            ("done", 2)
+        assert (journaled["dlrm"].status, journaled["dlrm"].attempts) == \
+            ("failed", 2)
+        assert journaled["ncf"].attempts == 1
+        assert results[0] is not None and results[1] is None

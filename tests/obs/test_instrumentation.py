@@ -1,9 +1,12 @@
 """The instrumented stack records what it claims to record.
 
-Pipeline stage spans, executor cell spans across the serial / pool /
+Pipeline stage spans, executor cell spans across the inline / pool /
 fallback paths, worker-snapshot marshalling through ``_obs``, and the
 service-level cache counters.
 """
+
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import pytest
 
@@ -13,8 +16,16 @@ from repro.core.pipeline import Pipeline
 from repro.models.layer import conv, gemm
 from repro.models.topology import Topology
 from repro.protection import make_scheme
-from repro.runner.executor import EvalRequest, GridExecutor, run_cell
+from repro.runner.executor import (
+    CellError,
+    EvalRequest,
+    GridExecutor,
+    run_cell,
+)
 from repro.runner.service import EvalService
+
+from tests.runner import fake_pool
+from tests.runner.fake_pool import HOLD, NO_SPAWN, OK, late
 
 SCHEMES = ("mgx-64b", "seda")
 
@@ -113,65 +124,51 @@ class TestExecutorIngestion:
 
     def test_pool_fallback_neither_drops_nor_duplicates(self, monkeypatch):
         recorder = obs.enable()
-        executor = GridExecutor(jobs=2)
-
-        def boom(requests, on_result, completed):
-            raise OSError("no processes here")
-
-        monkeypatch.setattr(executor, "_run_pool", boom)
-        executor.run(grid())
+        fake_pool.install(monkeypatch, NO_SPAWN)
+        GridExecutor(jobs=2).run(grid())
         cells = [e for e in recorder.spans if e["name"] == "cell"]
         assert sorted(c["args"]["workload"] for c in cells) == \
             ["dlrm", "lenet", "ncf"]
         assert recorder.counters["executor.pool_fallbacks"] == 1
         assert recorder.counters["executor.cells_serial"] == 3
 
-    def test_partial_pool_then_serial_resume_keeps_spans_exact(self):
-        """A pool that dies after finishing one cell: the resume must
-        not re-record that cell's spans nor lose the others'."""
-        from repro.runner.executor import _ingest
-
+    def test_partial_pool_then_serial_resume_keeps_spans_exact(
+            self, monkeypatch):
+        """A pool that breaks after finishing one cell, with no restart
+        left: the inline rounds must not re-record that cell's spans nor
+        lose the others'."""
         recorder = obs.enable()
+        fake_pool.install(monkeypatch, lambda workload, attempt: {
+            "lenet": OK, "dlrm": late(BrokenProcessPool("lost")),
+            "ncf": HOLD}[workload])
         executor = GridExecutor(jobs=2)
-        requests = grid()
-
-        def dying_pool(reqs, on_result, completed):
-            completed[0] = _ingest(run_cell(reqs[0].payload()))
-            raise OSError("pool lost")
-
-        executor._run_pool = dying_pool
-        records = executor.run(requests)
+        executor.max_pool_restarts = 0
+        records = executor.run([replace(r, retries=1) for r in grid()])
         assert [r["workload"] for r in records] == ["lenet", "dlrm",
                                                     "ncf"]
         cells = [e for e in recorder.spans if e["name"] == "cell"]
         workloads = [c["args"]["workload"] for c in cells]
         assert sorted(workloads) == ["dlrm", "lenet", "ncf"]
         assert len(workloads) == len(set(workloads))  # no duplicates
+        assert recorder.counters["executor.cells_pool"] == 1
+        assert recorder.counters["executor.cells_serial"] == 2
 
-    def test_drain_finished_absorbs_worker_snapshots(self):
+    def test_drain_finished_absorbs_worker_snapshots(self, monkeypatch):
         """Cells recovered on the failure path keep their telemetry."""
-        from concurrent.futures import Future
-
         recorder = obs.enable()
-        worker = obs.Recorder()
-        previous = obs.install(worker)
-        try:
-            with obs.span("cell", workload="lenet", npu="edge",
-                          schemes="seda"):
-                pass
-        finally:
-            obs.install(previous)
-        future = Future()
-        future.set_result({"workload": "lenet",
-                           "_obs": worker.snapshot()})
-        requests = grid()
-        records = [None] * len(requests)
-        completed = {}
-        GridExecutor(jobs=2)._drain_finished(
-            {future: 0}, requests, records, completed, None)
-        assert "_obs" not in completed[0]
+        fake_pool.install(monkeypatch, lambda workload, attempt: {
+            "lenet": late(OK),
+            "dlrm": CellError("poisoned", workload="dlrm", npu="edge",
+                              schemes=SCHEMES),
+            "ncf": HOLD}[workload])
+        drained = []
+        with pytest.raises(CellError, match="poisoned"):
+            GridExecutor(jobs=2).run(
+                grid(), on_result=lambda i, req, rec: drained.append(rec))
+        assert [record["workload"] for record in drained] == ["lenet"]
+        assert "_obs" not in drained[0]
         cells = [e for e in recorder.spans if e["name"] == "cell"]
-        assert len(cells) == 1
+        assert [c["args"]["workload"] for c in cells] == ["lenet"]
         assert recorder.counters["executor.cells_pool"] == 1
 
 

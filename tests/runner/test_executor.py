@@ -1,9 +1,11 @@
-"""GridExecutor: parallel == serial, ordering, callbacks, fallback."""
+"""GridExecutor: parallel == inline, ordering, callbacks, fallback."""
 
-from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 
 import pytest
 
+from repro import obs
 from repro.core.config import npu_config
 from repro.runner.executor import (
     CellError,
@@ -11,6 +13,9 @@ from repro.runner.executor import (
     GridExecutor,
     run_cell,
 )
+
+from tests.runner import fake_pool
+from tests.runner.fake_pool import HOLD, NO_SPAWN, OK, late
 
 SCHEMES = ("mgx-64b", "seda")
 
@@ -62,12 +67,12 @@ class TestParallel:
 
     def test_single_request_stays_serial(self, monkeypatch):
         # A one-cell grid must not pay process-pool startup.
-        executor = GridExecutor(jobs=8)
-        monkeypatch.setattr(
-            executor, "_run_pool",
-            lambda *a, **k: pytest.fail("pool used for one cell"))
-        records = executor.run(grid()[:1])
+        pools = fake_pool.install(
+            monkeypatch, lambda workload, attempt: pytest.fail(
+                "pool used for one cell"))
+        records = GridExecutor(jobs=8).run(grid()[:1])
         assert records[0]["workload"] == "lenet"
+        assert pools == []
 
     def test_on_result_error_propagates(self):
         # A failing persistence callback (e.g. disk full) must surface
@@ -80,14 +85,17 @@ class TestParallel:
             GridExecutor(jobs=2).run(grid(), on_result=explode)
 
     def test_pool_failure_falls_back_to_serial(self, monkeypatch):
-        executor = GridExecutor(jobs=2)
-
-        def boom(requests, on_result, completed):
-            raise OSError("no processes here")
-
-        monkeypatch.setattr(executor, "_run_pool", boom)
-        records = executor.run(grid())
+        # No pool can be spawned: the same round runs inline.
+        fake_pool.install(monkeypatch, NO_SPAWN)
+        recorder = obs.install(obs.Recorder())
+        try:
+            records = GridExecutor(jobs=2).run(grid())
+            counters = obs.get().counters
+        finally:
+            obs.install(recorder)
         assert [r["workload"] for r in records] == ["lenet", "dlrm", "ncf"]
+        assert counters["executor.pool_fallbacks"] == 1
+        assert counters["executor.cells_serial"] == 3
 
     def test_worker_failure_propagates(self):
         # Worker exceptions surface as CellError naming the cell (the
@@ -164,86 +172,84 @@ class TestPipelineMemoCap:
             obs.install(recorder)
 
 
+def permanent(workload):
+    return CellError(f"{workload} poisoned", workload=workload, npu="edge",
+                     schemes=SCHEMES)
+
+
 class TestDrainFinished:
     """Regression: a mid-grid worker failure used to drop cells that had
     already finished but were not yet yielded by as_completed, so resume
-    re-ran them."""
+    re-ran them.  The scripted pool finishes lenet only after the round's
+    first read — dlrm's permanent failure — so lenet is still unread when
+    the non-tolerant grid stops; ncf never starts."""
 
-    @staticmethod
-    def _future(result=None, exception=None, cancel=False):
-        future = Future()
-        if cancel:
-            future.cancel()
-            future.set_running_or_notify_cancel()
-        elif exception is not None:
-            future.set_exception(exception)
-        elif result is not None:
-            future.set_result(result)
-        return future
+    SCRIPT = {"lenet": late(OK), "dlrm": permanent("dlrm"), "ncf": HOLD}
 
-    def _setup(self):
-        requests = grid()
-        done = self._future({"workload": "lenet"})
-        failed = self._future(exception=ValueError("worker died"))
-        pending = self._future(cancel=True)
-        futures = {done: 0, failed: 1, pending: 2}
-        records = [None] * len(requests)
-        completed = {}
-        return requests, futures, records, completed
+    def _run(self, monkeypatch, script=None, on_result=None, progress=None):
+        script = script or self.SCRIPT
+        fake_pool.install(monkeypatch,
+                          lambda workload, attempt: script[workload])
+        executor = GridExecutor(jobs=2, progress=progress)
+        with pytest.raises(CellError, match="dlrm poisoned"):
+            executor.run(grid(), on_result=on_result)
+        return executor
 
-    def test_finished_cells_recovered_and_persisted(self):
-        requests, futures, records, completed = self._setup()
+    def test_finished_cells_recovered_and_persisted(self, monkeypatch):
         persisted = []
-        GridExecutor(jobs=2)._drain_finished(
-            futures, requests, records, completed,
-            lambda index, request, record: persisted.append(index))
-        assert completed == {0: {"workload": "lenet"}}
-        assert records[0] == {"workload": "lenet"}
-        assert records[1] is None and records[2] is None
+        executor = self._run(
+            monkeypatch, on_result=lambda index, request, record:
+            persisted.append((index, record["workload"])))
+        assert persisted == [(0, "lenet")]
+        assert dict(executor.attempts) == {0: 1, 1: 1}  # ncf never ran
+
+    def test_already_recorded_cells_not_refired(self, monkeypatch):
+        # lenet is read (and persisted) first; the failure behind it
+        # must not fire lenet's callback a second time on the drain.
+        persisted = []
+        self._run(monkeypatch,
+                  script={"lenet": OK, "dlrm": late(permanent("dlrm")),
+                          "ncf": HOLD},
+                  on_result=lambda index, request, record:
+                  persisted.append(index))
         assert persisted == [0]
 
-    def test_already_recorded_cells_not_refired(self):
-        requests, futures, records, completed = self._setup()
-        completed[0] = records[0] = {"workload": "lenet"}
-        persisted = []
-        GridExecutor(jobs=2)._drain_finished(
-            futures, requests, records, completed,
-            lambda index, request, record: persisted.append(index))
-        assert persisted == []
-
-    def test_callback_errors_do_not_mask_original_failure(self):
-        requests, futures, records, completed = self._setup()
+    def test_callback_errors_do_not_mask_original_failure(self,
+                                                          monkeypatch):
+        fired = []
 
         def explode(index, request, record):
+            fired.append(index)
             raise OSError("disk full during drain")
 
-        GridExecutor(jobs=2)._drain_finished(futures, requests, records,
-                                             completed, explode)
-        assert completed == {0: {"workload": "lenet"}}  # still recovered
+        recorder = obs.install(obs.Recorder())
+        try:
+            self._run(monkeypatch, on_result=explode)  # raises CellError
+            counters = obs.get().counters
+        finally:
+            obs.install(recorder)
+        assert fired == [0]  # still recovered
+        assert counters["executor.callback_errors"] == 1
 
-    def test_drain_fires_progress_with_updated_counts(self):
+    def test_drain_fires_progress_with_updated_counts(self, monkeypatch):
         """Regression: a worker failure mid-drain used to leave progress
         observers with stale ``completed`` counts — recovered cells were
         persisted but never announced."""
-        requests, futures, records, completed = self._setup()
         seen = []
-        executor = GridExecutor(
-            jobs=2, progress=lambda done, total, req: seen.append((done,
-                                                                   total)))
-        executor._drain_finished(futures, requests, records, completed,
-                                 None)
-        assert seen == [(1, 3)]
+        self._run(monkeypatch, progress=lambda done, total, req:
+                  seen.append((done, total, req.workload)))
+        assert seen == [(1, 3, "lenet")]
 
-    def test_drain_progress_errors_are_best_effort(self):
-        requests, futures, records, completed = self._setup()
+    def test_drain_progress_errors_are_best_effort(self, monkeypatch):
+        persisted = []
 
         def bad_progress(done, total, request):
             raise RuntimeError("progress pipe closed")
 
-        executor = GridExecutor(jobs=2, progress=bad_progress)
-        executor._drain_finished(futures, requests, records, completed,
-                                 None)
-        assert completed == {0: {"workload": "lenet"}}
+        self._run(monkeypatch, progress=bad_progress,
+                  on_result=lambda index, request, record:
+                  persisted.append(index))
+        assert persisted == [0]
 
 
 class TestMonotoneProgress:
@@ -261,21 +267,23 @@ class TestMonotoneProgress:
         assert seen == sorted(seen)
         assert len(seen) == len(set(seen))  # strictly increasing
 
-    def test_serial_resume_continues_from_drained_counts(self):
-        """A pool that dies after completing some cells resumes serially
-        with progress continuing from the drained count."""
+    def test_serial_resume_continues_from_drained_counts(self,
+                                                         monkeypatch):
+        """A pool that breaks after finishing one cell, with no restart
+        left: the unfinished cells run inline, and progress continues
+        from the pool's count."""
         seen = []
+        pools = fake_pool.install(
+            monkeypatch, lambda workload, attempt: {
+                "lenet": OK, "dlrm": late(BrokenProcessPool("lost")),
+                "ncf": HOLD}[workload])
         executor = GridExecutor(
             jobs=2, progress=lambda done, total, req: seen.append(done))
-        requests = grid()
-
-        def dying_pool(reqs, on_result, completed):
-            record = run_cell(reqs[0].payload())
-            completed[0] = record
-            executor._notify(len(completed), len(reqs), reqs[0])
-            raise OSError("pool lost")
-
-        executor._run_pool = dying_pool
-        records = executor.run(requests, on_result=None)
+        executor.max_pool_restarts = 0
+        requests = [replace(r, retries=1) for r in grid()]
+        records = executor.run(requests)
         assert [r["workload"] for r in records] == ["lenet", "dlrm", "ncf"]
         assert seen == [1, 2, 3]
+        assert len(pools) == 1
+        # The break charged one attempt to each unfinished cell.
+        assert dict(executor.attempts) == {0: 1, 1: 2, 2: 2}
