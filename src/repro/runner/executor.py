@@ -27,7 +27,8 @@ Failure model (see README "Failure model"):
 - A broken process pool (a worker SIGKILLed, say) drains the cells that
   finished and charges one transient attempt to each unfinished cell.
   It is rebuilt up to :attr:`GridExecutor.max_pool_restarts` times;
-  after that the remaining rounds run inline.
+  after that the remaining rounds run inline — at once, without
+  ``on_failure``, if the charge left a cell with no retries.
 - With an ``on_failure`` callback installed the grid is
   *fault-tolerant*: exhausted cells become :class:`FailedCell` outcomes
   (``None`` in the returned list) instead of aborting the grid, and
@@ -454,7 +455,8 @@ class GridExecutor:
 
         A broken pool is rebuilt up to :attr:`max_pool_restarts` times;
         after that, as when no pool can be spawned at all, later rounds
-        run inline (``executor.pool_fallbacks``).
+        run inline (``executor.pool_fallbacks``); see
+        :meth:`_charge_break` for a break that exhausts a cell.
 
         Persisting callbacks may assume nothing about how many sweep
         processes run concurrently: ``ResultStore.put`` publishes
@@ -496,12 +498,15 @@ class GridExecutor:
                         outcome = error
                     self._resolve(index, attempt, outcome, retry,
                                   pooled=False)
-            elif self._pool_round(*spawned, queue, retry):
-                restarts += 1
-                obs.incr("executor.pool_restarts")
-                if restarts > self.max_pool_restarts:
-                    obs.incr("executor.pool_fallbacks")
-                    pooled = False
+            else:
+                broken = self._pool_round(*spawned, retry)
+                if broken is not None:
+                    restarts += 1
+                    obs.incr("executor.pool_restarts")
+                    rebuild = self._charge_break(queue, broken, retry)
+                    if not rebuild or restarts > self.max_pool_restarts:
+                        obs.incr("executor.pool_fallbacks")
+                        pooled = False
             queue = retry
         # The records belong to the caller from here on.
         records, self._records = self._records, []
@@ -541,24 +546,18 @@ class GridExecutor:
 
     def _pool_round(self, pool: ProcessPoolExecutor,
                     futures: _Futures,
-                    queue: Sequence[Tuple[int, int]],
-                    retry: List[Tuple[int, int]]) -> bool:
-        """Settle one pool round in completion order; True if it broke.
-
-        A broken pool hands every unfinished future the same
-        :class:`BrokenProcessPool`, and nothing says which cell (if
-        any) killed it: the round drains what finished, then charges
-        one transient attempt to every cell left unsettled.
-        """
-        broken: Optional[BrokenProcessPool] = None
+                    retry: List[Tuple[int, int]]
+                    ) -> Optional[BrokenProcessPool]:
+        """Settle one pool round in completion order; the break, if the
+        pool broke (after draining the cells that finished)."""
         with pool:
             try:
                 for future in as_completed(futures):
                     index, attempt = futures[future]
                     outcome = future.exception() or future.result()
                     if isinstance(outcome, BrokenProcessPool):
-                        broken = outcome
-                        break
+                        self._drain_finished(futures)
+                        return outcome
                     self._resolve(index, attempt, outcome, retry,
                                   pooled=True)
             except BaseException:
@@ -567,14 +566,28 @@ class GridExecutor:
                 # or a caller callback raised): keep what finished.
                 self._drain_finished(futures)
                 raise
-            if broken is None:
-                return False
-            self._drain_finished(futures)
-            requeued = {index for index, _ in retry}
-            for index, attempt in queue:
-                if index not in self._settled and index not in requeued:
-                    self._resolve(index, attempt, broken, retry, pooled=True)
-        return True
+        return None
+
+    def _charge_break(self, queue: Sequence[Tuple[int, int]],
+                      broken: BrokenProcessPool,
+                      retry: List[Tuple[int, int]]) -> bool:
+        """Charge one transient attempt to each cell a broken pool left
+        unsettled (nothing says which cell, if any, killed it); False
+        when the remaining rounds must run inline.  Without
+        ``on_failure`` a cell the charge exhausts is queued anyway, not
+        blamed for a crash that may not be its own, and runs inline."""
+        requeued = {index for index, _ in retry}
+        rebuild = True
+        for index, attempt in queue:
+            if index in self._settled or index in requeued:
+                continue
+            if self._on_failure is None \
+                    and attempt > self._requests[index].retries:
+                retry.append((index, attempt + 1))
+                rebuild = False
+            else:
+                self._resolve(index, attempt, broken, retry, pooled=True)
+        return rebuild
 
     def _drain_finished(self, futures: _Futures) -> None:
         """Stop a failed round, settling every success it finished.

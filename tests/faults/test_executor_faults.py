@@ -179,8 +179,65 @@ class TestPoolRestart:
         assert executor.failures == []
         assert recorder.counters["executor.pool_restarts"] == 1
 
+    def test_sigkilled_worker_without_retries_finishes_inline(self, plan,
+                                                              recorder):
+        # A non-tolerant grid with no retries (EvalService.evaluate's
+        # defaults): the same lone kill must not abort it; the cells the
+        # dead pool left unfinished run inline at attempt 2.
+        keys = [cell_key(r) for r in grid()]
+
+        def only_lenet_attempt_one(seed):
+            probe = FaultPlan.parse(f"seed={seed},cell:kill:0.4")
+            draws = {(k, a): bool(probe.triggered("cell", k, a))
+                     for k in keys for a in range(1, 7)}
+            return draws[("edge:lenet", 1)] and \
+                sum(draws.values()) == 1
+
+        plan(f"seed={find_seed(only_lenet_attempt_one)},cell:kill:0.4")
+        executor = GridExecutor(jobs=2)
+        records = executor.run(grid())
+        assert [r["workload"] for r in records] == list(WORKLOADS)
+        assert executor.attempts[0] == 2
+        assert recorder.counters["executor.pool_restarts"] == 1
+        assert recorder.counters["executor.pool_fallbacks"] == 1
+
     def test_injected_broken_pool_falls_back_to_serial(self, monkeypatch,
                                                        recorder):
+        # Non-tolerant, no retries: a break must not abort the grid.  The
+        # unfinished cells run inline, and the on_result callback of the
+        # cell the pool finished never refires.
+        pools = fake_pool.install(monkeypatch, lambda workload, attempt: {
+            "lenet": OK, "dlrm": late(BrokenProcessPool("injected")),
+            "ncf": HOLD}[workload])
+        executor = GridExecutor(jobs=2)
+        fired = []
+        records = executor.run(
+            grid(), on_result=lambda i, req, rec: fired.append(i))
+        assert [r["workload"] for r in records] == list(WORKLOADS)
+        assert fired == [0, 1, 2]  # exactly once per cell, no refires
+        assert len(pools) == 1  # no rebuild: the next round runs inline
+        assert dict(executor.attempts) == {0: 1, 1: 2, 2: 2}
+        assert recorder.counters["executor.pool_restarts"] == 1
+        assert recorder.counters["executor.pool_fallbacks"] == 1
+        assert recorder.counters["executor.cells_pool"] == 1
+        assert recorder.counters["executor.cells_serial"] == 2
+
+    def test_inline_failure_after_a_break_raises_its_own_error(
+            self, monkeypatch, plan):
+        # The break sends dlrm inline; the second cell attempt this
+        # process runs (lenet ran in the fake pool) is dlrm's, and its
+        # own permanent failure is what a non-tolerant grid raises.
+        fake_pool.install(monkeypatch, lambda workload, attempt: {
+            "lenet": OK, "dlrm": late(BrokenProcessPool("injected")),
+            "ncf": HOLD}[workload])
+        plan("cell:permanent:@2")
+        with pytest.raises(CellError, match=r"dlrm .*attempt 2.*"
+                           r"FaultPermanent") as raised:
+            GridExecutor(jobs=2).run(grid())
+        assert not raised.value.transient
+
+    def test_pool_rebuilt_until_restarts_run_out_then_inline(
+            self, monkeypatch, recorder):
         # Every pool round breaks until the restart budget is spent: the
         # unfinished cells then run inline, and the on_result callback of
         # the cell the first pool finished never refires.
@@ -256,7 +313,7 @@ class TestDrainCallbackCounting:
             self, monkeypatch, recorder, caplog):
         # Both finished cells are still unread when ncf's permanent
         # failure stops the grid; their persisting callbacks both fail.
-        fake_pool.install(monkeypatch, lambda workload, attempt: {
+        pools = fake_pool.install(monkeypatch, lambda workload, attempt: {
             "lenet": late(OK), "dlrm": late(OK),
             "ncf": permanent("ncf")}[workload])
         drained = []
@@ -269,6 +326,7 @@ class TestDrainCallbackCounting:
             with pytest.raises(CellError, match="ncf poisoned"):
                 GridExecutor(jobs=2).run(grid(), on_result=explode)
         assert drained == ["lenet", "dlrm"]
+        assert pools[0].unread_at_drain == 2
         assert recorder.counters["executor.callback_errors"] == 2
         # Only the first suppressed error is logged.
         messages = [r for r in caplog.records
@@ -334,6 +392,7 @@ class TestJournaledAttempts:
         assert [sorted(pool.submitted) for pool in pools] == [
             [("dlrm", 1), ("lenet", 1), ("ncf", 1)],
             [("dlrm", 2), ("lenet", 2)]]
+        assert pools[1].unread_at_drain == 1
         assert [cell.workload for cell in failures] == ["dlrm"]
         journaled = self._journaled(service, requests)
         assert (journaled["lenet"].status, journaled["lenet"].attempts) == \

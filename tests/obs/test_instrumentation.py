@@ -6,7 +6,6 @@ service-level cache counters.
 """
 
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
 
 import pytest
 
@@ -134,16 +133,14 @@ class TestExecutorIngestion:
 
     def test_partial_pool_then_serial_resume_keeps_spans_exact(
             self, monkeypatch):
-        """A pool that breaks after finishing one cell, with no restart
-        left: the inline rounds must not re-record that cell's spans nor
-        lose the others'."""
+        """A pool that breaks after finishing one cell, in a grid with
+        no retries: the inline round must not re-record that cell's
+        spans nor lose the others'."""
         recorder = obs.enable()
         fake_pool.install(monkeypatch, lambda workload, attempt: {
             "lenet": OK, "dlrm": late(BrokenProcessPool("lost")),
             "ncf": HOLD}[workload])
-        executor = GridExecutor(jobs=2)
-        executor.max_pool_restarts = 0
-        records = executor.run([replace(r, retries=1) for r in grid()])
+        records = GridExecutor(jobs=2).run(grid())
         assert [r["workload"] for r in records] == ["lenet", "dlrm",
                                                     "ncf"]
         cells = [e for e in recorder.spans if e["name"] == "cell"]
@@ -156,7 +153,7 @@ class TestExecutorIngestion:
     def test_drain_finished_absorbs_worker_snapshots(self, monkeypatch):
         """Cells recovered on the failure path keep their telemetry."""
         recorder = obs.enable()
-        fake_pool.install(monkeypatch, lambda workload, attempt: {
+        pools = fake_pool.install(monkeypatch, lambda workload, attempt: {
             "lenet": late(OK),
             "dlrm": CellError("poisoned", workload="dlrm", npu="edge",
                               schemes=SCHEMES),
@@ -166,6 +163,7 @@ class TestExecutorIngestion:
             GridExecutor(jobs=2).run(
                 grid(), on_result=lambda i, req, rec: drained.append(rec))
         assert [record["workload"] for record in drained] == ["lenet"]
+        assert pools[0].unread_at_drain == 1
         assert "_obs" not in drained[0]
         cells = [e for e in recorder.spans if e["name"] == "cell"]
         assert [c["args"]["workload"] for c in cells] == ["lenet"]

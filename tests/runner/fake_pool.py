@@ -14,14 +14,19 @@ settle as ``script(workload, attempt)`` says:
 - ``BREAK_ON_SUBMIT`` — ``submit`` itself raises
   :class:`BrokenProcessPool`, as when a worker dies mid-submission;
 - ``late(outcome)`` — ``outcome``, but only once the executor has read
-  its first outcome of the round (or at once, in a round where nothing
-  else has finished), so the future is still unread when a failure read
-  first stops the round: the drain path.
+  its first outcome of the round (through ``exception()`` or
+  ``result()``; at once, in a round where nothing else has finished),
+  so the future is still unread when a failure read first stops the
+  round: the drain path.
 
 Futures finishing at submit are yielded by ``as_completed`` in no
 particular order among themselves; late ones follow in submission
 order.  ``install`` returns the list of pools built, each holding its
-``submitted`` ``(workload, attempt)`` pairs.  :data:`NO_SPAWN` in place
+``submitted`` ``(workload, attempt)`` pairs and ``unread_at_drain``:
+the late futures that had finished but were still unread when the
+executor cancelled the round, i.e. the cells its drain path had to
+settle.  Drain tests assert it, so a fake that stopped reaching the
+drain path would fail them rather than pass them vacuously.  :data:`NO_SPAWN` in place
 of a script makes every pool construction fail as on a host that cannot
 spawn processes.
 """
@@ -45,16 +50,26 @@ NO_SPAWN = object()
 
 
 class _Future(Future):
-    def __init__(self, pool):
+    def __init__(self, pool, late):
         super().__init__()
         self._pool = pool
+        self._late = late
+        self._read = False
 
     def exception(self, timeout=None):
-        error = super().exception(timeout)
+        return self._first_read(super().exception, timeout)
+
+    def result(self, timeout=None):
+        return self._first_read(super().result, timeout)
+
+    def _first_read(self, read, timeout):
+        self._read = True
         self._pool.release_late()
-        return error
+        return read(timeout)
 
     def cancel(self):
+        if self._late and self.done() and not self._read:
+            self._pool.unread_at_drain += 1
         # A real pool's manager moves cancelled work to the notified
         # state; without it, wait() on a cancelled future never returns.
         cancelled = super().cancel()
@@ -83,6 +98,7 @@ def install(monkeypatch, script):
             self.submitted = []
             self._futures = []
             self._late = []
+            self.unread_at_drain = 0
             pools.append(self)
 
         def submit(self, fn, payload):
@@ -90,7 +106,7 @@ def install(monkeypatch, script):
             outcome = script(payload["workload"], payload["attempt"])
             if outcome == BREAK_ON_SUBMIT:
                 raise BrokenProcessPool("a worker died mid-submission")
-            future = _Future(self)
+            future = _Future(self, late=isinstance(outcome, tuple))
             self._futures.append(future)
             if isinstance(outcome, tuple):
                 self._late.append((future, outcome[1], fn, payload))

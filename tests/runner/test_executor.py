@@ -1,7 +1,6 @@
 """GridExecutor: parallel == inline, ordering, callbacks, fallback."""
 
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
 
 import pytest
 
@@ -186,13 +185,15 @@ class TestDrainFinished:
 
     SCRIPT = {"lenet": late(OK), "dlrm": permanent("dlrm"), "ncf": HOLD}
 
-    def _run(self, monkeypatch, script=None, on_result=None, progress=None):
+    def _run(self, monkeypatch, script=None, on_result=None, progress=None,
+             drained=1):
         script = script or self.SCRIPT
-        fake_pool.install(monkeypatch,
-                          lambda workload, attempt: script[workload])
+        pools = fake_pool.install(monkeypatch,
+                                  lambda workload, attempt: script[workload])
         executor = GridExecutor(jobs=2, progress=progress)
         with pytest.raises(CellError, match="dlrm poisoned"):
             executor.run(grid(), on_result=on_result)
+        assert pools[0].unread_at_drain == drained
         return executor
 
     def test_finished_cells_recovered_and_persisted(self, monkeypatch):
@@ -209,7 +210,7 @@ class TestDrainFinished:
         persisted = []
         self._run(monkeypatch,
                   script={"lenet": OK, "dlrm": late(permanent("dlrm")),
-                          "ncf": HOLD},
+                          "ncf": HOLD}, drained=0,
                   on_result=lambda index, request, record:
                   persisted.append(index))
         assert persisted == [0]
@@ -269,9 +270,9 @@ class TestMonotoneProgress:
 
     def test_serial_resume_continues_from_drained_counts(self,
                                                          monkeypatch):
-        """A pool that breaks after finishing one cell, with no restart
-        left: the unfinished cells run inline, and progress continues
-        from the pool's count."""
+        """A pool that breaks after finishing one cell, in a grid with
+        no retries: the unfinished cells run inline, and progress
+        continues from the pool's count."""
         seen = []
         pools = fake_pool.install(
             monkeypatch, lambda workload, attempt: {
@@ -279,9 +280,7 @@ class TestMonotoneProgress:
                 "ncf": HOLD}[workload])
         executor = GridExecutor(
             jobs=2, progress=lambda done, total, req: seen.append(done))
-        executor.max_pool_restarts = 0
-        requests = [replace(r, retries=1) for r in grid()]
-        records = executor.run(requests)
+        records = executor.run(grid())
         assert [r["workload"] for r in records] == ["lenet", "dlrm", "ncf"]
         assert seen == [1, 2, 3]
         assert len(pools) == 1
