@@ -40,7 +40,8 @@ import enum
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Protocol,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -176,6 +177,25 @@ class BlockStream:
             np.concatenate([s.layer_ids for s in streams]),
             kinds,
         )
+
+
+class TrafficSide(Protocol):
+    """One cycle-sorted side of a layer's DRAM traffic: a
+    :class:`BlockStream` (data, over-fetch, layer MACs) or a metadata
+    cache's traffic
+    (:class:`repro.protection.metadata_model.CacheTrafficResult`). The
+    DRAM walk reads only these columns."""
+
+    @property
+    def cycles(self) -> np.ndarray: ...
+
+    @property
+    def addrs(self) -> np.ndarray: ...
+
+    @property
+    def writes(self) -> np.ndarray: ...
+
+    def __len__(self) -> int: ...
 
 
 def empty_block_stream() -> BlockStream:

@@ -16,6 +16,7 @@ from repro.core.pipeline import CollectedRow, Pipeline, SchemeRun
 from repro.models.topology import Topology
 from repro.protection import make_scheme
 from repro.protection.base import ProtectionScheme
+from repro.protection.metadata_model import SharedTrafficModel
 
 
 def normalized_traffic(scheme_run: SchemeRun, baseline_run: SchemeRun) -> float:
@@ -92,8 +93,9 @@ def compare_schemes(pipeline: Pipeline, topology: Topology,
     The accelerator simulation (stage 1) runs once and is shared across
     schemes — only the protection and DRAM stages differ. The cell runs
     layer-major: every scheme protects a layer and has DRAM serve it,
-    then that layer's memoized block streams are released before the
-    next layer is expanded, so one layer's streams are alive at a time.
+    then that layer's memoized block streams and shared MAC traffic are
+    released before the next layer is expanded, so one layer's streams
+    are alive at a time.
     The schemes keep their cache state from layer to layer and run in a
     fixed order, so the records equal whole-model runs bit for bit.
     ``collect``, when given, is filled with one :class:`CollectedRow`
@@ -115,6 +117,8 @@ def compare_schemes(pipeline: Pipeline, topology: Topology,
                                              collect=rows, layers=window))
         for layer in model_run.layers[window.start:window.stop]:
             layer.trace.release_memos()
+            SharedTrafficModel.release_layer(model_run.scheme_memo,
+                                             layer.layer_id)
     merged = [dataclasses.replace(
         scheme_parts[0],
         layers=[row for part in scheme_parts for row in part.layers])

@@ -159,19 +159,21 @@ class Pipeline:
         timing row.
         """
         run = model_run if model_run is not None else self.simulate_model(topology)
-        # Each layer's expanded base block stream is memoized on its
-        # trace, so when ``model_run`` is shared across schemes (the
-        # sweep path) the expansion happens once, not once per scheme.
+        # Each layer's expanded block stream (and over-fetch side) is
+        # memoized on its trace, so when ``model_run`` is shared across
+        # schemes (the sweep path) the expansion happens once, not once
+        # per scheme.
         with obs.span("protect", scheme=scheme.name, workload=topology.name):
             protections = scheme.protect_model(run, layers)
         engine = scheme.crypto_engine()
 
-        # Each layer is served on a cold memory system, its data and
-        # metadata streams as one virtually concatenated stream.
+        # Each layer is served on a cold memory system, its data,
+        # over-fetch and metadata sides as one virtually concatenated
+        # stream.
         with obs.span("dram", scheme=scheme.name, workload=topology.name,
                       layers=len(protections)):
             dram_results = self.dram.simulate_fast_batch_parts(
-                [(p.data_stream, p.metadata_stream) for p in protections])
+                [p.sides for p in protections])
 
         if collect is not None:
             collect.extend(

@@ -7,10 +7,12 @@ data-bus occupancy is ``requests * burst``, and row-buffer conflicts
 (counted exactly, in issue order, per bank) add an activation penalty
 discounted by bank-level overlap.
 
-The pipeline serves each layer as a ``(data, metadata)`` pair, both
-cycle-sorted. One walk visits the merge of the two sides in issue order
-(ties data first, as in the concatenated stream) with an open-row
-register per bank; it has a native kernel and a numpy twin.
+The pipeline serves each layer as up to four cycle-sorted sides: data
+and over-fetch blocks, then MAC and VN traffic (SGX); data, over-fetch
+and MAC (MGX); data and layer MACs (SeDA). One walk visits their merge
+in issue order, keyed ``(cycle, side index)`` so a lower side wins
+ties, as in the sides' concatenated stream, with an open-row register
+per bank; it has a native kernel and a numpy twin.
 ``tests/dram/oracle.py`` holds an event-driven walk of the same
 semantics that the test suite checks this model against.
 """
@@ -23,12 +25,13 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.accel.trace import BlockStream, empty_block_stream
+from repro.accel.trace import BlockStream, TrafficSide
 from repro.dram.mapping import AddressMapping, _shift_of
 from repro.dram.timing import DramConfig
 from repro.utils import native
 
-_EMPTY_STREAM = empty_block_stream()
+#: A side's ``(addrs, cycles)`` columns, as the walk reads them.
+_Columns = Tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -103,21 +106,24 @@ class DramSim:
         return self.simulate_fast_batch_parts([(stream,)])[0]
 
     def simulate_fast_batch_parts(
-            self, part_lists: List[Sequence[BlockStream]]) -> List[DramResult]:
+            self, part_lists: List[Sequence[TrafficSide]]) -> List[DramResult]:
         """Serve each entry of ``part_lists`` on a cold memory system.
 
-        An entry is ``(data,)`` or ``(data, metadata)``, treated as the
-        concatenated stream without materializing it: one walk visits
-        both sides in issue order.
+        An entry is up to :data:`~repro.utils.native.WALK_MAX_SIDES`
+        cycle-sorted sides, treated as their concatenated stream
+        without materializing it: one walk visits the sides' merge in
+        issue order, a lower side first on equal cycles.
         """
         return [self._serve(parts) for parts in part_lists]
 
-    def _serve(self, parts: Sequence[BlockStream]) -> DramResult:
-        parts = [p for p in parts if len(p)]
-        if len(parts) > 2:
-            raise ValueError("a DRAM entry is at most a (data, metadata) "
-                             f"pair, got {len(parts)} non-empty parts")
-        requests, conflicts = self._walk(parts)
+    def _serve(self, parts: Sequence[TrafficSide]) -> DramResult:
+        if len(parts) > native.WALK_MAX_SIDES:
+            raise ValueError(
+                f"a DRAM entry is at most {native.WALK_MAX_SIDES} sides "
+                f"(data, over-fetch, MAC, VN), got {len(parts)}")
+        requests, conflicts = self._walk(
+            [(native.as_int64(p.addrs), native.as_int64(p.cycles))
+             for p in parts if len(p)])
 
         # Activation penalties overlap with other banks' bursts; with B
         # banks, roughly (B-1)/B of each penalty hides under concurrent
@@ -137,46 +143,45 @@ class DramSim:
             per_channel_row_misses=conflicts,
         )
 
-    def _walk(self, parts: List[BlockStream]) -> Tuple[List[int], List[int]]:
+    def _walk(self, sides: List[_Columns]) -> Tuple[List[int], List[int]]:
         """Per-channel (requests, row conflicts) of the issue-order walk
-        over the non-empty parts of a ``(data, metadata)`` entry.
+        over an entry's non-empty ``(addrs, cycles)`` sides.
 
         The native kernel expects each side cycle-sorted, as every
-        production stream is; when it reports a descent, that side is
+        production side is; when it reports a descent, that side is
         stable-sorted by cycle (which keeps the walk's order) and the
         walk runs again.
         """
         if self._shifts is None:
-            return self._walk_numpy(parts)
-        sides = parts + [_EMPTY_STREAM] * (2 - len(parts))
+            return self._walk_numpy(sides)
         channels = self.config.channels
         sorted_sides = 0
         while True:
-            data, meta = sides
-            rc = native.dram_walk((data.addrs, data.cycles),
-                                  (meta.addrs, meta.cycles),
-                                  self._shifts, self._counts)
+            rc = native.dram_walk(sides, self._shifts, self._counts)
             if rc is None:
-                return self._walk_numpy(parts)
+                return self._walk_numpy(sides)
             if rc == 0:
                 break
             sorted_sides += 1
-            sides[rc - 1] = sides[rc - 1].sorted_by_cycle()
+            addrs, cycles = sides[rc - 1]
+            order = np.argsort(cycles, kind="stable")
+            sides[rc - 1] = (addrs[order], cycles[order])
         if sorted_sides:
             obs.incr("dram.unsorted_side", sorted_sides)
         counts = self._counts[:2 * channels].tolist()
         return counts[:channels], counts[channels:]
 
-    def _walk_numpy(self, parts: List[BlockStream]
+    def _walk_numpy(self, sides: List[_Columns]
                     ) -> Tuple[List[int], List[int]]:
-        """Numpy twin of the native walk: merge the parts by a stable
-        cycle sort, then a stable sort by global bank lines each bank's
-        accesses up in issue order for :meth:`_conflict_mask`."""
+        """Numpy twin of the native walk: merge the sides by a stable
+        cycle sort of their concatenation, then a stable sort by global
+        bank lines each bank's accesses up in issue order for
+        :meth:`_conflict_mask`."""
         cfg = self.config
-        if not parts:
+        if not sides:
             return [0] * cfg.channels, [0] * cfg.channels
-        cycles = np.concatenate([p.cycles for p in parts])
-        addrs = np.concatenate([p.addrs for p in parts])
+        addrs = np.concatenate([a for a, _ in sides])
+        cycles = np.concatenate([c for _, c in sides])
         addrs = addrs[np.argsort(cycles, kind="stable")]
         channels, banks, rows = self.mapping.decompose(addrs)
         gb = channels * cfg.banks_per_channel + banks

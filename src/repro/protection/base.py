@@ -6,54 +6,32 @@ import abc
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro import obs
 from repro.accel.simulator import LayerResult, ModelRun
 from repro.accel.trace import (
-    AccessKind,
+    BLOCK_BYTES,
     BlockStream,
-    empty_block_stream,
-    kind_code,
+    TrafficSide,
 )
 from repro.crypto.engine import CryptoEngineModel
 from repro.protection.metadata_model import CacheTrafficResult
 
 
-def empty_stream() -> BlockStream:
-    return empty_block_stream()
-
-
-def stream_from_lists(cycles: List[int], addrs: List[int], writes: List[bool],
-                      layer_id: int,
-                      kind: Optional[AccessKind] = None) -> BlockStream:
-    """Build a stream from parallel Python lists.
-
-    Retained for tests and ad-hoc construction; the pipeline's hot paths
-    build streams columnar (:meth:`CacheTrafficResult.to_stream`,
-    :func:`repro.accel.trace.expand_sorted`) without list round-trips.
-    ``kind`` stamps every block with one access kind; ``None`` leaves
-    the stream without a kind column.
-    """
-    n = len(addrs)
-    if len(cycles) != n or len(writes) != n:
-        raise ValueError("parallel metadata lists must match in length")
-    return BlockStream(
-        np.asarray(cycles, dtype=np.int64),
-        np.asarray(addrs, dtype=np.uint64),
-        np.asarray(writes, dtype=bool),
-        np.full(n, layer_id, dtype=np.int32),
-        None if kind is None else np.full(n, kind_code(kind), dtype=np.int8),
-    )
-
-
 @dataclass
 class LayerProtection:
-    """What a scheme adds to one layer's traffic and timing."""
+    """What a scheme adds to one layer's traffic and timing.
+
+    Traffic is held as cycle-sorted sides that are never concatenated:
+    the data sides (the layer's shared sorted block stream, then, at a
+    coarse unit, its over-fetch blocks) and the metadata sides (MAC and
+    VN traffic, or layer MACs). The DRAM model walks their merge keyed
+    ``(cycle, side index)`` (:attr:`sides`), the issue order of their
+    concatenation stably sorted by cycle.
+    """
 
     layer_id: int
-    data_stream: BlockStream            # original data blocks (+ over-fetch)
-    metadata_stream: BlockStream        # MAC / VN / tree traffic
+    data_sides: Tuple[BlockStream, ...] = ()
+    metadata_sides: Tuple[TrafficSide, ...] = ()
     crypto_bytes: int = 0               # bytes requiring OTP material
     mac_computations: int = 0           # hash-engine invocations
     overfetch_blocks: int = 0           # data blocks fetched only for verification
@@ -61,12 +39,17 @@ class LayerProtection:
     is_flush: bool = False              # end-of-model metadata drain, not a layer
 
     @property
+    def sides(self) -> Tuple[TrafficSide, ...]:
+        """Every side in DRAM tie order: data, over-fetch, metadata."""
+        return self.data_sides + self.metadata_sides
+
+    @property
     def data_bytes(self) -> int:
-        return self.data_stream.total_bytes
+        return sum(len(side) for side in self.data_sides) * BLOCK_BYTES
 
     @property
     def metadata_bytes(self) -> int:
-        return self.metadata_stream.total_bytes
+        return sum(len(side) for side in self.metadata_sides) * BLOCK_BYTES
 
     @property
     def total_bytes(self) -> int:
@@ -134,11 +117,13 @@ class ProtectionScheme(abc.ABC):
         self._last_cycle = 0
         self._last_layer = 0
 
-    def _note_stream(self, data_stream: BlockStream, layer_id: int) -> None:
+    def _note_sides(self, sides: Sequence[BlockStream],
+                    layer_id: int) -> None:
         """Track the latest issue cycle and layer, so residual flush
         traffic lands at the end of the model's timeline."""
-        if len(data_stream):
-            self._last_cycle = int(data_stream.cycles.max())
+        last = [int(side.cycles.max()) for side in sides if len(side)]
+        if last:
+            self._last_cycle = max(last)
         self._last_layer = layer_id
 
     def finish_model(self) -> Optional[LayerProtection]:
@@ -156,9 +141,7 @@ class ProtectionScheme(abc.ABC):
         if not len(out):
             return None
         return LayerProtection(layer_id=self._last_layer,
-                               data_stream=empty_stream(),
-                               metadata_stream=out.to_stream(self._last_layer),
-                               is_flush=True)
+                               metadata_sides=(out,), is_flush=True)
 
     def protect_model(self, run: ModelRun,
                       layers: Optional[range] = None) -> List[LayerProtection]:

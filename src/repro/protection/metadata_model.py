@@ -17,11 +17,18 @@ scalar twin :func:`drive_scalar`.  Both return the same
 (:func:`_apply_drive_output`) serves either.  They are pinned
 access-for-access against an independent ``LruCache`` reference by
 ``tests/protection/test_drive_tiers.py``.
+
+A layer's traffic is never concatenated: its data blocks (the shared
+cycle-sorted expansion, :meth:`Trace.sorted_blocks`), its over-fetch
+blocks at a coarse unit (:func:`overfetch_side`) and each cache's
+metadata traffic (:class:`CacheTrafficResult`) are separate
+cycle-sorted *sides*.  The drives and the DRAM walk merge them keyed
+``(cycle, side index)``, which is the order of their concatenation
+stably sorted by cycle.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple
 
@@ -32,8 +39,6 @@ from repro.accel.trace import (
     AccessKind,
     BlockStream,
     Trace,
-    TraceRange,
-    block_spans,
     expand_sorted,
     kind_code,
 )
@@ -45,7 +50,6 @@ from repro.protection.layout import (
     MetadataLayout,
     TREE_ARITY,
 )
-from repro.utils.bitops import align_down, align_up
 
 
 def compress_runs(values: np.ndarray, writes: np.ndarray,
@@ -67,124 +71,78 @@ def compress_runs(values: np.ndarray, writes: np.ndarray,
 
 
 class CacheTrafficResult:
-    """Metadata stream produced by driving one cache model.
+    """Metadata traffic produced by driving one cache model: one
+    cycle-sorted side of a layer's DRAM traffic.
 
-    Columnar: parallel flat buffers (``array`` columns) that convert to
-    a :class:`BlockStream` in one shot via :meth:`to_stream` — no
-    per-entry Python objects.  Construction and :meth:`extend_arrays`
-    ingest any array-like (numpy arrays from the vectorized drives,
-    plain lists from tests) without per-element Python conversion.
+    Drives append their event arrays as they come, without a copy; the
+    ``cycles``, ``addrs`` and ``writes`` columns join them with one
+    concatenation per column on first read.  The DRAM walk merges the
+    side with the layer's others, so it never becomes a
+    :class:`BlockStream`.
     """
 
-    __slots__ = ("stream_cycles", "stream_addrs", "stream_writes", "misses")
+    __slots__ = ("_parts", "misses")
 
-    def __init__(self, stream_cycles: Sequence[int] = (),
-                 stream_addrs: Sequence[int] = (),
-                 stream_writes: Sequence[bool] = (), misses: int = 0):
-        self.stream_cycles = self._int_column(stream_cycles)
-        self.stream_addrs = self._int_column(stream_addrs)
-        self.stream_writes = self._flag_column(stream_writes)
-        self.misses = misses
-
-    @staticmethod
-    def _int_column(values) -> array:
-        col = array("q")
-        if len(values):
-            col.frombytes(
-                np.ascontiguousarray(values, dtype=np.int64).tobytes())
-        return col
-
-    @staticmethod
-    def _flag_column(values) -> array:
-        col = array("b")
-        if len(values):
-            flags = np.ascontiguousarray(values)
-            if flags.dtype != np.int8:
-                flags = flags.astype(bool).astype(np.int8)
-            col.frombytes(flags.tobytes())
-        return col
+    def __init__(self) -> None:
+        self._parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.misses = 0
 
     def __len__(self) -> int:
-        return len(self.stream_addrs)
+        return sum(len(part[0]) for part in self._parts)
 
-    def extend_miss(self, cycle: int, addr: int) -> None:
-        self.stream_cycles.append(cycle)
-        self.stream_addrs.append(addr)
-        self.stream_writes.append(0)
-        self.misses += 1
+    def _columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if not self._parts:
+            self._parts.append((np.empty(0, np.int64),
+                                np.empty(0, np.int64), np.empty(0, bool)))
+        elif len(self._parts) > 1:
+            self._parts[:] = [tuple(np.concatenate(column)
+                                    for column in zip(*self._parts))]
+        return self._parts[0]
 
-    def extend_writeback(self, cycle: int, addr: int) -> None:
-        self.stream_cycles.append(cycle)
-        self.stream_addrs.append(addr)
-        self.stream_writes.append(1)
+    @property
+    def cycles(self) -> np.ndarray:
+        return self._columns()[0]
+
+    @property
+    def addrs(self) -> np.ndarray:
+        return self._columns()[1]
+
+    @property
+    def writes(self) -> np.ndarray:
+        return self._columns()[2]
+
+    def rows_since(self, mark: int
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Columns of the entries appended after the first ``mark``."""
+        return tuple(column[mark:] for column in self._columns())
 
     def extend_arrays(self, cycles, addrs, writes, misses: int = 0) -> None:
-        """Columnar append of parallel array-likes (one C-level copy)."""
+        """Append parallel event columns; the arrays are kept, not
+        copied, so callers hand over arrays they no longer write."""
         if len(cycles):
-            self.stream_cycles.frombytes(
-                np.ascontiguousarray(cycles, dtype=np.int64).tobytes())
-            self.stream_addrs.frombytes(
-                np.ascontiguousarray(addrs, dtype=np.int64).tobytes())
-            flags = np.ascontiguousarray(writes)
-            if flags.dtype != np.int8:
-                flags = flags.astype(bool).astype(np.int8)
-            self.stream_writes.frombytes(flags.tobytes())
+            writes = np.asarray(writes)
+            self._parts.append((
+                native.as_int64(cycles), native.as_int64(addrs),
+                writes.view(bool) if writes.dtype == np.uint8
+                else writes.astype(bool, copy=False)))
         self.misses += misses
 
     def extend_from(self, other: "CacheTrafficResult") -> None:
-        """Columnar append of another result's entries (C-level extend)."""
-        self.stream_cycles.extend(other.stream_cycles)
-        self.stream_addrs.extend(other.stream_addrs)
-        self.stream_writes.extend(other.stream_writes)
+        self._parts.extend(other._parts)
         self.misses += other.misses
 
-    def to_stream(self, layer_id: int) -> BlockStream:
-        """One-shot columnar conversion to a :class:`BlockStream`."""
-        return concat_to_stream([self], layer_id)
 
-
-def concat_to_stream(results: Sequence[CacheTrafficResult],
-                     layer_id: int) -> BlockStream:
-    """One :class:`BlockStream` from several traffic results.
-
-    Builds the columns with a single copy per result (no intermediate
-    ``CacheTrafficResult`` concatenation) — the SGX path combines the
-    MAC and VN streams of every layer this way. Each result is
-    cycle-sorted, so a stable sort merges several into one cycle-sorted
-    stream that keeps every DRAM bank's ``(cycle, position)`` order.
-    """
-    results = [r for r in results if len(r)]
-    n = sum(len(r) for r in results)
-    cycles = np.empty(n, np.int64)
-    addrs = np.empty(n, np.uint64)
-    writes = np.empty(n, bool)
-    pos = 0
-    for r in results:
-        k = len(r)
-        cycles[pos:pos + k] = np.frombuffer(r.stream_cycles,
-                                            dtype=np.int64)
-        addrs[pos:pos + k] = np.frombuffer(r.stream_addrs, dtype=np.int64)
-        writes[pos:pos + k] = np.frombuffer(r.stream_writes, dtype=np.int8)
-        pos += k
-    if len(results) > 1:
-        order = np.argsort(cycles, kind="stable")
-        cycles, addrs, writes = cycles[order], addrs[order], writes[order]
-    return BlockStream(
-        cycles, addrs, writes,
-        np.full(n, layer_id, dtype=np.int32),
-        np.full(n, kind_code(AccessKind.METADATA), dtype=np.int8),
-    )
-
-
-def _line_keys(stream: BlockStream,
-               unit_bytes: int) -> Tuple[np.ndarray, int]:
-    """Per-block drive keys and the shift that maps a key to its
-    metadata line index: the addresses themselves for a power-of-two
-    unit, otherwise precomputed line indices with shift 0."""
+def _drive_columns(sides: Sequence[BlockStream], unit_bytes: int):
+    """Per-side ``(keys, writes, cycles)`` drive columns and the shift
+    that maps a key to its metadata line index: the addresses
+    themselves for a power-of-two unit, otherwise precomputed line
+    indices with shift 0."""
     div = unit_bytes * ENTRIES_PER_LINE
     if div & (div - 1) == 0:
-        return stream.addrs, div.bit_length() - 1
-    return stream.addrs // np.uint64(div), 0
+        return ([(side.addrs, side.writes, side.cycles) for side in sides],
+                div.bit_length() - 1)
+    return ([(side.addrs // np.uint64(div), side.writes, side.cycles)
+             for side in sides], 0)
 
 
 def _check_line_bytes(line_bytes: int) -> int:
@@ -208,13 +166,28 @@ def _drive_output(events, stats, lines) -> native.DriveOutput:
     cyc, addr, wr = events
     n = len(lines)
     return native.DriveOutput(
-        np.frombuffer(cyc, np.int64), np.frombuffer(addr, np.int64),
-        np.frombuffer(wr, np.uint8), stats,
+        np.array(cyc, np.int64), np.array(addr, np.int64),
+        np.array(wr, np.uint8), stats,
         np.fromiter(lines.keys(), np.int64, n),
         np.fromiter(lines.values(), np.uint8, n))
 
 
-def drive_scalar(keys: np.ndarray, writes: np.ndarray, cycles: np.ndarray,
+def _merge_sides(sides) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(keys, writes, cycles)`` of the sides' ``(cycle, side)`` merge:
+    the stable cycle sort of their concatenation."""
+    if len(sides) > native.DRIVE_MAX_SIDES:
+        raise ValueError(f"a drive merges at most {native.DRIVE_MAX_SIDES} "
+                         f"block sides, got {len(sides)}")
+    keys, writes, cycles = (np.concatenate(column) for column in zip(
+        *[(native.as_int64(k), np.asarray(w, bool), native.as_int64(c))
+          for k, w, c in sides]))
+    if len(cycles) > 1 and bool((cycles[1:] < cycles[:-1]).any()):
+        order = np.argsort(cycles, kind="stable")
+        keys, writes, cycles = keys[order], writes[order], cycles[order]
+    return keys, writes, cycles
+
+
+def drive_scalar(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
                  key_shift: int, idx_mul: int, line_bytes: int,
                  mac: Optional[Tuple] = None, vn: Optional[Tuple] = None,
                  ) -> Tuple[Optional[native.DriveOutput],
@@ -223,7 +196,9 @@ def drive_scalar(keys: np.ndarray, writes: np.ndarray, cycles: np.ndarray,
 
     Same arguments, same ``(mac_output, vn_output)`` pair of
     :class:`~repro.utils.native.DriveOutput` (``None`` for a side not
-    driven). The blocks are first reduced to line runs, vectorized
+    driven). The block sides are merged into one array (a stable cycle
+    sort of their concatenation, which is the kernel's ``(cycle,
+    side)`` merge) and reduced to line runs, vectorized
     (:func:`compress_runs` over ``key >> key_shift``); the loop over
     the runs then transcribes the kernel's ``drive_fused`` access for
     access: a MAC miss emits its fetch, then the dirty victim's
@@ -233,6 +208,7 @@ def drive_scalar(keys: np.ndarray, writes: np.ndarray, cycles: np.ndarray,
     never mutated; the final states come back as arrays, exactly as the
     kernel returns them.
     """
+    keys, writes, cycles = _merge_sides(sides)
     idx, writes, cycles = compress_runs(
         native.as_int64(keys).view(np.uint64) >> np.uint64(key_shift),
         writes, cycles)
@@ -247,8 +223,8 @@ def drive_scalar(keys: np.ndarray, writes: np.ndarray, cycles: np.ndarray,
     m_lines, v_lines = _lru_lines(mac_init), _lru_lines(vn_init)
     m_move, m_pop = m_lines.move_to_end, m_lines.popitem
     v_move, v_pop = v_lines.move_to_end, v_lines.popitem
-    m_events = (array("q"), array("q"), array("B"))
-    v_events = (array("q"), array("q"), array("B"))
+    m_events: Tuple[List[int], List[int], List[int]] = ([], [], [])
+    v_events: Tuple[List[int], List[int], List[int]] = ([], [], [])
     m_cyc, m_addr, m_wr = (col.append for col in m_events)
     v_cyc, v_addr, v_wr = (col.append for col in v_events)
     m_hits = m_misses = m_evictions = m_dirty = 0
@@ -336,17 +312,24 @@ def drive_scalar(keys: np.ndarray, writes: np.ndarray, cycles: np.ndarray,
     )
 
 
-def _drive(stream: BlockStream, unit_bytes: int, line_bytes: int,
+def _drive(sides: Sequence[BlockStream], unit_bytes: int, line_bytes: int,
            mac=None, vn=None):
-    """One LRU drive over ``stream``'s metadata lines: the native
-    kernel, or its scalar twin."""
-    keys, shift = _line_keys(stream, unit_bytes)
-    args = (keys, stream.writes, stream.cycles, shift,
-            _check_line_bytes(line_bytes), line_bytes)
+    """One LRU drive over the metadata lines of a layer's merged block
+    sides: the native kernel, or its scalar twin."""
+    columns, shift = _drive_columns(sides, unit_bytes)
+    args = (columns, shift, _check_line_bytes(line_bytes), line_bytes)
     out = native.fused_drive(*args, mac=mac, vn=vn)
     if out is None:
         out = drive_scalar(*args, mac=mac, vn=vn)
     return out
+
+
+def _flush(cache: MetadataCache, cycle: int,
+           out: CacheTrafficResult) -> None:
+    """Write every dirty line back at ``cycle`` and empty the cache."""
+    addrs = cache.flush()
+    out.extend_arrays(np.full(len(addrs), cycle, np.int64),
+                      np.array(addrs, np.int64), np.ones(len(addrs), bool))
 
 
 def _apply_drive_output(cache: MetadataCache, out: CacheTrafficResult,
@@ -370,16 +353,16 @@ class MacTableModel:
         """MAC tag of line index 0 (tags advance by the line ratio)."""
         return self.layout.mac_line_addr(0) // self.cache.line_bytes
 
-    def process(self, stream: BlockStream, out: CacheTrafficResult) -> None:
+    def process(self, sides: Sequence[BlockStream],
+                out: CacheTrafficResult) -> None:
         result, _ = _drive(
-            stream, self.layout.unit_bytes, self.cache.line_bytes,
+            sides, self.layout.unit_bytes, self.cache.line_bytes,
             mac=(self._tag_base(), self.cache.capacity_lines,
                  self.cache.drive_state()))
         _apply_drive_output(self.cache, out, result)
 
     def flush(self, cycle: int, out: CacheTrafficResult) -> None:
-        for addr in self.cache.flush():
-            out.extend_writeback(cycle, addr)
+        _flush(self.cache, cycle, out)
 
 
 class VnTreeModel:
@@ -416,20 +399,22 @@ class VnTreeModel:
                 self.cache.drive_state(), self._node_base, self._node_div,
                 ratio)
 
-    def process(self, stream: BlockStream, out: CacheTrafficResult) -> None:
-        _, result = _drive(stream, self.layout.unit_bytes,
+    def process(self, sides: Sequence[BlockStream],
+                out: CacheTrafficResult) -> None:
+        _, result = _drive(sides, self.layout.unit_bytes,
                            self.cache.line_bytes, vn=self._vn_spec())
         _apply_drive_output(self.cache, out, result)
 
     def flush(self, cycle: int, out: CacheTrafficResult) -> None:
-        for addr in self.cache.flush():
-            out.extend_writeback(cycle, addr)
+        _flush(self.cache, cycle, out)
 
 
 def process_mac_vn(mac_model: MacTableModel, vn_model: VnTreeModel,
-                   stream: BlockStream, mac_out: CacheTrafficResult,
+                   sides: Sequence[BlockStream],
+                   mac_out: CacheTrafficResult,
                    vn_out: CacheTrafficResult) -> None:
-    """Drive the MAC table and VN tree over ``stream`` in one pass.
+    """Drive the MAC table and VN tree over a layer's merged block
+    ``sides`` in one pass.
 
     Both tables index by the same protection-unit line, so their run
     boundaries coincide; one walk of the stream feeds both LRU models.
@@ -440,11 +425,11 @@ def process_mac_vn(mac_model: MacTableModel, vn_model: VnTreeModel,
     mac_cache, vn_cache = mac_model.cache, vn_model.cache
     if (mac_cache.line_bytes != LINE_BYTES
             or vn_cache.line_bytes != LINE_BYTES):
-        mac_model.process(stream, mac_out)
-        vn_model.process(stream, vn_out)
+        mac_model.process(sides, mac_out)
+        vn_model.process(sides, vn_out)
         return
     mac_result, vn_result = _drive(
-        stream, mac_model.layout.unit_bytes, LINE_BYTES,
+        sides, mac_model.layout.unit_bytes, LINE_BYTES,
         mac=(mac_model._tag_base(), mac_cache.capacity_lines,
              mac_cache.drive_state()),
         vn=vn_model._vn_spec())
@@ -465,19 +450,19 @@ def _stream_slice(stream: BlockStream, start: int, stop: int) -> BlockStream:
         None if stream.kinds is None else stream.kinds[start:stop])
 
 
-def process_image_periodic(drive, stream: BlockStream, batch: int,
+def process_image_periodic(drive, sides: Sequence[BlockStream], batch: int,
                            image_cycles: int,
                            outs: Sequence[CacheTrafficResult],
                            start_cycle: int = 0) -> None:
-    """Image-periodic steady-state cache traffic for a batched stream.
+    """Image-periodic steady-state cache traffic for a batched layer.
 
-    ``drive(sub_stream)`` must push ``sub_stream`` through the live
-    cache models, appending traffic to every result in ``outs``. The
-    batched data stream is an exact per-image replica of image 0's
-    schedule (see ``AcceleratorSim._replicate_batch``), but LRU cache
-    state is history-dependent, so metadata traffic is *not* — instead
-    of walking every image, the model simulates image 0 cold and image 1
-    against image 0's final cache state, then replicates image 1's
+    ``drive(sub_sides)`` must push the block sides ``sub_sides``
+    through the live cache models, appending traffic to every result in
+    ``outs``. The batched data stream is an exact per-image replica of
+    image 0's schedule (see ``AcceleratorSim._replicate_batch``), but
+    LRU cache state is history-dependent, so metadata traffic is *not* —
+    instead of walking every image, the model simulates image 0 cold and
+    image 1 against image 0's final cache state, then replicates image 1's
     traffic increment for each remaining image, advancing only the
     cycles (steady-state images touch a stationary metadata working
     set — the cache has already filtered the per-image pattern, and its
@@ -491,30 +476,28 @@ def process_image_periodic(drive, stream: BlockStream, batch: int,
     ``start_cycle`` is the layer's position on the model's global
     timeline (:attr:`LayerResult.start_cycle`): image ``i`` occupies
     cycles ``[start_cycle + i * image_cycles, start_cycle + (i + 1) *
-    image_cycles)``, so the image boundaries the stream is cut at are
-    offsets from it.
+    image_cycles)``, so the image boundaries the sides are cut at are
+    offsets from it. Every side is cut at the same bounds, so each
+    drive sees one image's slice of the sides' merge.
     """
-    if batch <= _SIMULATED_IMAGES or not len(stream):
-        drive(stream)
+    if batch <= _SIMULATED_IMAGES or not any(len(side) for side in sides):
+        drive(sides)
         return
-    cut0 = int(np.searchsorted(stream.cycles, start_cycle + image_cycles,
-                               side="left"))
-    cut1 = int(np.searchsorted(stream.cycles, start_cycle + 2 * image_cycles,
-                               side="left"))
-    drive(_stream_slice(stream, 0, cut0))
+    # Every side is cut at the same image bounds.
+    cuts = [np.searchsorted(side.cycles, (start_cycle + image_cycles,
+                                          start_cycle + 2 * image_cycles),
+                            side="left").tolist() for side in sides]
+    drive(tuple(_stream_slice(side, 0, cut0)
+                for side, (cut0, _) in zip(sides, cuts)))
     marks = [(len(out), out.misses) for out in outs]
-    drive(_stream_slice(stream, cut0, cut1))
+    drive(tuple(_stream_slice(side, cut0, cut1)
+                for side, (cut0, cut1) in zip(sides, cuts)))
     reps = batch - _SIMULATED_IMAGES
     for out, (mark, misses_mark) in zip(outs, marks):
-        inc = len(out) - mark
+        inc_cycles, inc_addrs, inc_writes = out.rows_since(mark)
+        inc = len(inc_cycles)
         if inc == 0:
             continue
-        inc_cycles = np.frombuffer(out.stream_cycles,
-                                   dtype=np.int64)[mark:].copy()
-        inc_addrs = np.frombuffer(out.stream_addrs,
-                                  dtype=np.int64)[mark:].copy()
-        inc_writes = np.frombuffer(out.stream_writes,
-                                   dtype=np.int8)[mark:].copy()
         shifts = np.repeat(
             np.arange(1, reps + 1, dtype=np.int64) * image_cycles, inc)
         out.extend_arrays(np.tile(inc_cycles, reps) + shifts,
@@ -546,7 +529,16 @@ class SharedTrafficModel:
     def store(self, layer_id: int, out: CacheTrafficResult) -> None:
         self.memo[(self.key, "layer", layer_id)] = out
 
-    def process_layer(self, stream: BlockStream, layer_id: int,
+    @staticmethod
+    def release_layer(memo: dict, layer_id: int) -> None:
+        """Drop every model's traffic memoized for one layer; the
+        end-of-model flush entries stay. A layer-major cell calls this
+        once all its schemes have served the layer, so no replay is
+        left to need it."""
+        for key in [k for k in memo if k[1:] == ("layer", layer_id)]:
+            del memo[key]
+
+    def process_layer(self, sides: Sequence[BlockStream], layer_id: int,
                       batch: int = 1, image_cycles: int = 0,
                       start_cycle: int = 0) -> CacheTrafficResult:
         got = self.peek(layer_id)
@@ -554,7 +546,7 @@ class SharedTrafficModel:
             got = CacheTrafficResult()
             process_image_periodic(
                 lambda sub: self.inner.process(sub, got),
-                stream, batch, image_cycles, (got,), start_cycle)
+                sides, batch, image_cycles, (got,), start_cycle)
             self.store(layer_id, got)
         else:
             obs.incr("shared_traffic.replays")
@@ -570,78 +562,50 @@ class SharedTrafficModel:
         out.extend_from(got)
 
 
-def expanded_data_stream(trace: Trace, unit_bytes: int) -> Tuple[BlockStream, int]:
-    """Cycle-sorted (data + over-fetch) stream for one layer's trace.
+def overfetch_side(trace: Trace, unit_bytes: int) -> BlockStream:
+    """Cycle-sorted over-fetch blocks of one layer at a coarse unit.
 
-    Returns ``(stream, overfetch_blocks)``. Memoized on the trace, so
-    every scheme sharing a protection-unit size in a sweep cell reuses
-    one expansion; 64 B units degenerate to the layer's plain sorted
-    stream, shared with the schemes that never over-fetch.
+    Verifying (or re-MACing, for writes) a partially touched unit needs
+    the untouched remainder of that unit fetched from DRAM: per range, a
+    head candidate from the unit's start up to the range and a tail
+    candidate from the range's end to the unit's end, each issued like
+    its range and read-only. The candidates alone are expanded, in
+    range order (head, then tail), so the side is a small fraction of
+    the layer's blocks. Memoized on the trace per unit: every scheme of
+    a sweep cell at one unit size shares one expansion.
     """
-    if unit_bytes <= LINE_BYTES:
-        return trace.sorted_blocks(), 0
-
-    def build() -> Tuple[BlockStream, int]:
-        cycles, addrs, nbytes, writes, kinds, layer_ids, durations = \
-            trace.buf.arrays()
+    def build() -> BlockStream:
+        cycles, addrs, nbytes, _, _, layer_ids, durations = trace.buf.arrays()
         end = addrs + nbytes
         head_base = addrs - addrs % unit_bytes
-        tail = (-end) % unit_bytes
-        # Interleave head/tail candidates per range so the expansion
-        # order matches the per-range reference (head_i, tail_i, ...).
         n = len(addrs)
         cand_addr = np.empty(2 * n, dtype=np.int64)
         cand_addr[0::2] = head_base
         cand_addr[1::2] = end
         cand_nbytes = np.empty(2 * n, dtype=np.int64)
         cand_nbytes[0::2] = addrs - head_base
-        cand_nbytes[1::2] = tail
+        cand_nbytes[1::2] = (-end) % unit_bytes
         mask = cand_nbytes > 0
         kept = int(mask.sum())
-        cand_addr = cand_addr[mask]
-        cand_nbytes = cand_nbytes[mask]
-        # Candidates follow the layer's ranges, so on equal cycles base
-        # blocks come before over-fetch blocks.
-        stream = expand_sorted((
-            np.concatenate([cycles, np.repeat(cycles, 2)[mask]]),
-            np.concatenate([addrs, cand_addr]),
-            np.concatenate([nbytes, cand_nbytes]),
-            np.concatenate([writes, np.zeros(kept, dtype=bool)]),
-            np.concatenate([kinds, np.full(
-                kept, kind_code(AccessKind.METADATA), dtype=np.int8)]),
-            np.concatenate([layer_ids, np.repeat(layer_ids, 2)[mask]]),
-            np.concatenate([durations, np.repeat(durations, 2)[mask]]),
-        ))
-        return stream, int(block_spans(cand_addr, cand_nbytes)[1].sum())
+        return expand_sorted((
+            np.repeat(cycles, 2)[mask], cand_addr[mask], cand_nbytes[mask],
+            np.zeros(kept, dtype=bool),
+            np.full(kept, kind_code(AccessKind.METADATA), dtype=np.int8),
+            np.repeat(layer_ids, 2)[mask], np.repeat(durations, 2)[mask]))
 
-    return trace.memo(("protected", unit_bytes), build)
+    return trace.memo(("overfetch", unit_bytes), build)
 
 
-def overfetch_ranges(ranges, unit_bytes: int):
-    """Extra read ranges a coarse protection unit forces at range edges.
+def data_sides(trace: Trace, unit_bytes: int) -> Tuple[BlockStream, ...]:
+    """One layer's data traffic under a ``unit_bytes`` protection unit,
+    as cycle-sorted sides.
 
-    Verifying (or re-MACing, for writes) a partially touched unit needs
-    the untouched remainder of that unit fetched from DRAM. Returns the
-    extra ranges; empty for 64 B units, where every access is unit-sized.
-
-    This is the per-range reference used by tests; the pipeline goes
-    through the vectorized :func:`expanded_data_stream`.
+    The first side is the layer's shared sorted expansion
+    (:meth:`Trace.sorted_blocks`), the same arrays every scheme reads;
+    a unit above one 64 B block adds its :func:`overfetch_side`. Their
+    ``(cycle, side)`` merge is the stable cycle sort of the ranges'
+    expansion followed by the over-fetch candidates'.
     """
     if unit_bytes <= LINE_BYTES:
-        return []
-    extras: List[TraceRange] = []
-    for r in ranges:
-        start = r.addr
-        end = r.addr + r.nbytes
-        head_base = align_down(start, unit_bytes)
-        head = start - head_base
-        if head:
-            extras.append(TraceRange(r.cycle, head_base, head, write=False,
-                                     kind=AccessKind.METADATA,
-                                     layer_id=r.layer_id, duration=r.duration))
-        tail = align_up(end, unit_bytes) - end
-        if tail:
-            extras.append(TraceRange(r.cycle, end, tail, write=False,
-                                     kind=AccessKind.METADATA,
-                                     layer_id=r.layer_id, duration=r.duration))
-    return extras
+        return (trace.sorted_blocks(),)
+    return trace.sorted_blocks(), overfetch_side(trace, unit_bytes)

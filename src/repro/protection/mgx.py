@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.accel.simulator import LayerResult, ModelRun
+from repro.accel.trace import BLOCK_BYTES
 from repro.crypto.engine import CryptoEngineModel, parallel_engines
 from repro.integrity.caches import MAC_CACHE_BYTES, MetadataCache
 from repro.protection.base import (
@@ -24,8 +25,7 @@ from repro.protection.layout import MetadataLayout
 from repro.protection.metadata_model import (
     MacTableModel,
     SharedTrafficModel,
-    concat_to_stream,
-    expanded_data_stream,
+    data_sides,
 )
 from repro.protection.sgx import DEFAULT_AES_ENGINES
 
@@ -56,23 +56,23 @@ class MgxScheme(ProtectionScheme):
     def protect_layer(self, result: LayerResult) -> LayerProtection:
         if self._mac_model is None:
             raise RuntimeError("begin_model must be called before protect_layer")
-        data_stream, overfetch_blocks = expanded_data_stream(
-            result.trace, self.unit_bytes)
+        sides = data_sides(result.trace, self.unit_bytes)
 
         mac_out = self._mac_model.process_layer(
-            data_stream, result.layer_id, batch=result.layer.batch,
+            sides, result.layer_id, batch=result.layer.batch,
             image_cycles=result.compute_cycles // result.layer.batch,
             start_cycle=result.start_cycle)
 
-        self._note_stream(data_stream, result.layer_id)
+        self._note_sides(sides, result.layer_id)
+        blocks = sum(len(side) for side in sides)
         return LayerProtection(
             layer_id=result.layer_id,
-            data_stream=data_stream,
-            metadata_stream=concat_to_stream([mac_out], result.layer_id),
-            crypto_bytes=data_stream.total_bytes,
-            mac_computations=len(data_stream),
-            overfetch_blocks=overfetch_blocks,
-            aes_invocations=data_stream.total_bytes // 16,
+            data_sides=sides,
+            metadata_sides=(mac_out,),
+            crypto_bytes=blocks * BLOCK_BYTES,
+            mac_computations=blocks,
+            overfetch_blocks=blocks - len(sides[0]),
+            aes_invocations=blocks * BLOCK_BYTES // 16,
         )
 
     def crypto_engine(self) -> CryptoEngineModel:

@@ -23,7 +23,7 @@ hardware cost, and the security gap.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from repro.protection.base import (
     LayerProtection,
     ProtectionScheme,
     SchemeSummary,
-    empty_stream,
 )
 from repro.tiling.overlap import analyze_overlap
 from repro.utils.bitops import ceil_div
@@ -69,16 +68,16 @@ class SecuratorScheme(ProtectionScheme):
         data_stream = result.trace.sorted_blocks()
         if len(data_stream):
             line = _LAYER_MAC_BASE + result.layer_id * BLOCK_BYTES
-            metadata = BlockStream(
+            metadata: Tuple[BlockStream, ...] = (BlockStream(
                 np.array([int(data_stream.cycles[0]),
                           int(data_stream.cycles[-1])], dtype=np.int64),
                 np.array([line, line + BLOCK_BYTES], dtype=np.uint64),
                 np.array([False, True]),
                 np.full(2, result.layer_id, dtype=np.int32),
                 np.full(2, kind_code(AccessKind.METADATA), dtype=np.int8),
-            )
+            ),)
         else:
-            metadata = empty_stream()
+            metadata = ()
 
         # MAC engine work: one hash per fetched 32 B block, including the
         # redundant overlap re-hashes SeDA's optBlk avoids.
@@ -86,8 +85,8 @@ class SecuratorScheme(ProtectionScheme):
         redundant = self._redundant_macs.get(result.layer_id, 0)
         return LayerProtection(
             layer_id=result.layer_id,
-            data_stream=data_stream,
-            metadata_stream=metadata,
+            data_sides=(data_stream,),
+            metadata_sides=metadata,
             crypto_bytes=data_stream.total_bytes,
             mac_computations=fetched_blocks + redundant,
             overfetch_blocks=0,

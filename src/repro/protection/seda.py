@@ -23,7 +23,7 @@ lane count sized to the accelerator's peak bandwidth demand (that is the
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from repro.protection.base import (
     LayerProtection,
     ProtectionScheme,
     SchemeSummary,
-    empty_stream,
 )
 from repro.protection.layout import MetadataLayout
 from repro.tiling.optblk import OptBlockChoice, search_optblk_model
@@ -86,7 +85,7 @@ class SedaScheme(ProtectionScheme):
             # line this layer writes (its ofmap MAC) is exactly the line
             # layer i+1 will read.
             read_line = _LAYER_MAC_BASE + result.layer_id * BLOCK_BYTES
-            metadata = BlockStream(
+            metadata: Tuple[BlockStream, ...] = (BlockStream(
                 np.array([int(data_stream.cycles[0]),
                           int(data_stream.cycles[-1])], dtype=np.int64),
                 np.array([read_line, read_line + BLOCK_BYTES],
@@ -94,16 +93,16 @@ class SedaScheme(ProtectionScheme):
                 np.array([False, True]),
                 np.full(2, result.layer_id, dtype=np.int32),
                 np.full(2, kind_code(AccessKind.METADATA), dtype=np.int8),
-            )
+            ),)
         else:
-            metadata = empty_stream()
+            metadata = ()
 
         choice = self._optblk.get(result.layer_id)
         mac_computations = choice.mac_computations if choice else len(data_stream)
         return LayerProtection(
             layer_id=result.layer_id,
-            data_stream=data_stream,
-            metadata_stream=metadata,
+            data_sides=(data_stream,),
+            metadata_sides=metadata,
             crypto_bytes=data_stream.total_bytes,
             mac_computations=mac_computations,
             overfetch_blocks=0,

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.accel.simulator import LayerResult, ModelRun
+from repro.accel.trace import BLOCK_BYTES
 from repro.crypto.engine import CryptoEngineModel, parallel_engines
 from repro.integrity.caches import (
     MAC_CACHE_BYTES,
@@ -37,8 +38,7 @@ from repro.protection.metadata_model import (
     MacTableModel,
     SharedTrafficModel,
     VnTreeModel,
-    concat_to_stream,
-    expanded_data_stream,
+    data_sides,
     process_image_periodic,
     process_mac_vn,
 )
@@ -80,8 +80,7 @@ class SgxScheme(ProtectionScheme):
     def protect_layer(self, result: LayerResult) -> LayerProtection:
         if self._mac_model is None or self._vn_model is None:
             raise RuntimeError("begin_model must be called before protect_layer")
-        data_stream, overfetch_blocks = expanded_data_stream(
-            result.trace, self.unit_bytes)
+        sides = data_sides(result.trace, self.unit_bytes)
         batch = result.layer.batch
         image_cycles = result.compute_cycles // batch
         start_cycle = result.start_cycle
@@ -99,24 +98,24 @@ class SgxScheme(ProtectionScheme):
                 lambda sub: process_mac_vn(self._mac_model.inner,
                                            self._vn_model, sub,
                                            mac_out, vn_out),
-                data_stream, batch, image_cycles, (mac_out, vn_out),
+                sides, batch, image_cycles, (mac_out, vn_out),
                 start_cycle)
             self._mac_model.store(result.layer_id, mac_out)
         else:
             process_image_periodic(
                 lambda sub: self._vn_model.process(sub, vn_out),
-                data_stream, batch, image_cycles, (vn_out,), start_cycle)
+                sides, batch, image_cycles, (vn_out,), start_cycle)
 
-        self._note_stream(data_stream, result.layer_id)
+        self._note_sides(sides, result.layer_id)
+        blocks = sum(len(side) for side in sides)
         return LayerProtection(
             layer_id=result.layer_id,
-            data_stream=data_stream,
-            metadata_stream=concat_to_stream([mac_out, vn_out],
-                                             result.layer_id),
-            crypto_bytes=data_stream.total_bytes,
-            mac_computations=len(data_stream),
-            overfetch_blocks=overfetch_blocks,
-            aes_invocations=data_stream.total_bytes // 16,
+            data_sides=sides,
+            metadata_sides=(mac_out, vn_out),
+            crypto_bytes=blocks * BLOCK_BYTES,
+            mac_computations=blocks,
+            overfetch_blocks=blocks - len(sides[0]),
+            aes_invocations=blocks * BLOCK_BYTES // 16,
         )
 
     def crypto_engine(self) -> CryptoEngineModel:

@@ -7,7 +7,6 @@ from repro.protection.base import (
     LayerProtection,
     ProtectionScheme,
     SchemeSummary,
-    empty_stream,
 )
 
 
@@ -25,8 +24,7 @@ class Unprotected(ProtectionScheme):
         # model run.
         return LayerProtection(
             layer_id=result.layer_id,
-            data_stream=result.trace.sorted_blocks(),
-            metadata_stream=empty_stream(),
+            data_sides=(result.trace.sorted_blocks(),),
         )
 
     def summary(self) -> SchemeSummary:

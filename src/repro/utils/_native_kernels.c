@@ -11,6 +11,10 @@
  *     then the integrity-tree ancestor walk up to the first cached
  *     node (or the on-chip root).
  *
+ * The drive and the walk each merge a few cycle-sorted sides as they
+ * go (ties to the lower side), so a layer's traffic classes are never
+ * concatenated and sorted.
+ *
  * The cache is a doubly linked LRU list over slot arrays plus an
  * open-addressing hash table (linear probing, backward-shift delete).
  * Every kernel has a pure numpy twin (the FALLBACKS manifest in
@@ -191,13 +195,53 @@ static int emit(Events *e, i64 cyc, i64 addr, int wr) {
     return 0;
 }
 
-/* Fused MAC + VN drive over one block stream, run-compressed as it
- * walks: consecutive blocks with equal key >> key_shift (logical) form
- * one access, with their write flags OR'd and the first block's cycle.
+/* One fused drive: both caches, their event buffers and the VN
+ * tree's layout. */
+typedef struct {
+    Cache mac, vn;
+    int use_mac, use_vn;
+    Events mev, vev;
+    i64 line_bytes, mac_base, vn_base, leaf_base, leaf_div;
+    i64 n_levels, node_ratio;
+    const i64 *node_base, *node_div;
+} Drive;
+
+/* One access of metadata line ``line``: the MAC lookup, then the VN
+ * line and its tree ancestors up to the first hit.  Returns 0, or 1
+ * when an event buffer overflowed. */
+static int drive_access(Drive *d, i64 line, int wr, i64 cyc)
+{
+    i64 lb = d->line_bytes;
+    i64 wb = -1;
+    if (d->use_mac
+            && !cache_access(&d->mac, d->mac_base + line, wr, lb, &wb)
+            && (emit(&d->mev, cyc, (d->mac_base + line) * lb, 0) < 0
+                || (wb >= 0 && emit(&d->mev, cyc, wb, 1) < 0)))
+        return 1;
+    for (i64 l = d->use_vn ? -1 : d->n_levels; l < d->n_levels; l++) {
+        i64 tag = l < 0 ? d->vn_base + line : d->node_base[l]
+            + ((d->leaf_base + line / d->leaf_div) / d->node_div[l])
+            * d->node_ratio;
+        wb = -1;
+        if (cache_access(&d->vn, tag, wr, lb, &wb))
+            break;
+        if ((wb >= 0 && emit(&d->vev, cyc, wb, 1) < 0)
+                || emit(&d->vev, cyc, tag * lb, 0) < 0)
+            return 1;
+    }
+    return 0;
+}
+
+/* Fused MAC + VN drive over the merge of two cycle-sorted block sides
+ * (a layer's data and over-fetch blocks), keyed (cycle, side): side a
+ * wins equal cycles.  The merged sequence is run-compressed as it is
+ * walked, also across the side boundary: consecutive blocks with equal
+ * key >> key_shift (logical) form one access, with their write flags
+ * OR'd and the first block's cycle.
  *
  * The access's metadata line is line = (key >> key_shift) * idx_mul;
  * MAC tag = mac_base + line, VN tag = vn_base + line.  A non-positive
- * mac_cap/vn_cap disables that side (callers bias tag bases so the
+ * mac_cap/vn_cap disables that cache (callers bias tag bases so the
  * single-cache drives reuse this entry point).  The VN walk visits
  * levels 1..n_levels for leaf = leaf_base + line / leaf_div, with node
  * tag ``node_base[l-1] + (leaf / node_div[l-1]) * node_ratio``.
@@ -205,10 +249,12 @@ static int emit(Events *e, i64 cyc, i64 addr, int wr) {
  * stats[8] receives the run count, also after an overflow (the walk
  * then only counts), so the caller sizes its retry in runs.  Returns 0
  * on success, 1 when an event buffer overflowed (caller retries with
- * larger buffers), -1 on allocation failure.
+ * larger buffers), 2 / 3 when side a's / side b's cycles descend (no
+ * output is then valid), -1 on allocation failure.
  */
 int drive_fused(
-    const i64 *keys, const u8 *writes, const i64 *cycles, i64 n,
+    const i64 *keys_a, const u8 *writes_a, const i64 *cycles_a, i64 na,
+    const i64 *keys_b, const u8 *writes_b, const i64 *cycles_b, i64 nb,
     i64 key_shift, i64 idx_mul, i64 line_bytes,
     i64 mac_base, i64 mac_cap,
     const i64 *mac_init_tags, const u8 *mac_init_dirty, i64 mac_init_len,
@@ -223,79 +269,103 @@ int drive_fused(
     i64 *mac_state_tags, u8 *mac_state_dirty, i64 *mac_state_len,
     i64 *vn_state_tags, u8 *vn_state_dirty, i64 *vn_state_len)
 {
-    Cache mac, vn;
+    Drive d = {
+        .use_mac = mac_cap > 0, .use_vn = vn_cap > 0,
+        .mev = {mac_ev_cyc, mac_ev_addr, mac_ev_wr, 0, mac_ev_cap},
+        .vev = {vn_ev_cyc, vn_ev_addr, vn_ev_wr, 0, vn_ev_cap},
+        .line_bytes = line_bytes, .mac_base = mac_base, .vn_base = vn_base,
+        .leaf_base = leaf_base, .leaf_div = leaf_div,
+        .n_levels = n_levels, .node_ratio = node_ratio,
+        .node_base = node_base, .node_div = node_div,
+    };
+    const i64 *keys[2] = {keys_a, keys_b};
+    const u8 *writes[2] = {writes_a, writes_b};
+    const i64 *cycles[2] = {cycles_a, cycles_b};
+    i64 len[2] = {na, nb}, pos[2] = {0, 0};
+    i64 last[2] = {INT64_MIN, INT64_MIN};
+    i64 total = na + nb;
     int rc = 0;
-    int use_mac = mac_cap > 0, use_vn = vn_cap > 0;
-    Events mev = {mac_ev_cyc, mac_ev_addr, mac_ev_wr, 0, mac_ev_cap};
-    Events vev = {vn_ev_cyc, vn_ev_addr, vn_ev_wr, 0, vn_ev_cap};
     i64 runs = 0;
+    u64 run_key = 0;
+    int run_wr = 0;
+    i64 run_cyc = 0;
 
-    if (use_mac) {
-        if (cache_init(&mac, mac_cap, mac_init_len + n) < 0)
+    if (d.use_mac) {
+        if (cache_init(&d.mac, mac_cap, mac_init_len + total) < 0)
             return -1;
-        cache_load(&mac, mac_init_tags, mac_init_dirty, mac_init_len,
+        cache_load(&d.mac, mac_init_tags, mac_init_dirty, mac_init_len,
                    line_bytes);
     }
-    if (use_vn) {
-        if (cache_init(&vn, vn_cap,
-                       vn_init_len + n * (n_levels + 1)) < 0) {
-            if (use_mac) cache_free(&mac);
+    if (d.use_vn) {
+        if (cache_init(&d.vn, vn_cap,
+                       vn_init_len + total * (n_levels + 1)) < 0) {
+            if (d.use_mac) cache_free(&d.mac);
             return -1;
         }
-        cache_load(&vn, vn_init_tags, vn_init_dirty, vn_init_len,
+        cache_load(&d.vn, vn_init_tags, vn_init_dirty, vn_init_len,
                    line_bytes);
     }
 
-    for (i64 i = 0; i < n;) {
-        u64 key = (u64)keys[i] >> key_shift;
-        int wr = writes[i] != 0;
-        i64 cyc = cycles[i];
-        for (i++; i < n && ((u64)keys[i] >> key_shift) == key; i++)
-            wr |= writes[i] != 0;
-        runs++;
-        if (rc != 0)
-            continue;
-        i64 line = (i64)key * idx_mul;
-        i64 wb = -1;
-        if (use_mac
-                && !cache_access(&mac, mac_base + line, wr, line_bytes, &wb)
-                && (emit(&mev, cyc, (mac_base + line) * line_bytes, 0) < 0
-                    || (wb >= 0 && emit(&mev, cyc, wb, 1) < 0))) {
-            rc = 1;
-            continue;
-        }
-        /* The VN line, then its tree ancestors up to the first hit. */
-        for (i64 l = use_vn ? -1 : n_levels; l < n_levels; l++) {
-            i64 tag = l < 0 ? vn_base + line : node_base[l]
-                + ((leaf_base + line / leaf_div) / node_div[l]) * node_ratio;
-            wb = -1;
-            if (cache_access(&vn, tag, wr, line_bytes, &wb))
+    while (rc < 2 && (pos[0] < len[0] || pos[1] < len[1])) {
+        /* The side holding the merge's next block runs up to the other
+         * side's head: through its cycle for side a, below it for
+         * side b. */
+        int s = pos[0] < len[0]
+            ? pos[1] < len[1] && cycles[1][pos[1]] < cycles[0][pos[0]]
+            : 1;
+        int o = 1 - s;
+        /* Side b stops one cycle short of side a's head, which is
+         * strictly above its own, so the limit cannot underflow. */
+        i64 lim = pos[o] < len[o] ? cycles[o][pos[o]] - s : INT64_MAX;
+        const i64 *cyc = cycles[s], *key = keys[s];
+        const u8 *wr = writes[s];
+        i64 i = pos[s], n = len[s], prev = last[s];
+        for (; i < n; i++) {
+            i64 c = cyc[i];
+            if (c > lim)
                 break;
-            if ((wb >= 0 && emit(&vev, cyc, wb, 1) < 0)
-                    || emit(&vev, cyc, tag * line_bytes, 0) < 0) {
-                rc = 1;
+            if (c < prev) {
+                rc = 2 + s;
                 break;
             }
+            prev = c;
+            u64 k = (u64)key[i] >> key_shift;
+            if (k == run_key && runs) {
+                run_wr |= wr[i] != 0;
+                continue;
+            }
+            if (runs && rc == 0)
+                rc = drive_access(&d, (i64)run_key * idx_mul, run_wr,
+                                  run_cyc);
+            run_key = k;
+            run_wr = wr[i] != 0;
+            run_cyc = c;
+            runs++;
         }
+        pos[s] = i;
+        last[s] = prev;
     }
+    if (runs && rc == 0)
+        rc = drive_access(&d, (i64)run_key * idx_mul, run_wr, run_cyc);
 
     stats[8] = runs;
-    *mac_ev_n = mev.n;
-    *vn_ev_n = vev.n;
-    if (use_mac) {
-        stats[0] = mac.hits; stats[1] = mac.misses;
-        stats[2] = mac.evictions; stats[3] = mac.dirty_evictions;
-        *mac_state_len = cache_dump(&mac, mac_state_tags, mac_state_dirty);
-        cache_free(&mac);
+    *mac_ev_n = d.mev.n;
+    *vn_ev_n = d.vev.n;
+    if (d.use_mac) {
+        stats[0] = d.mac.hits; stats[1] = d.mac.misses;
+        stats[2] = d.mac.evictions; stats[3] = d.mac.dirty_evictions;
+        *mac_state_len = cache_dump(&d.mac, mac_state_tags,
+                                    mac_state_dirty);
+        cache_free(&d.mac);
     } else {
         stats[0] = stats[1] = stats[2] = stats[3] = 0;
         *mac_state_len = 0;
     }
-    if (use_vn) {
-        stats[4] = vn.hits; stats[5] = vn.misses;
-        stats[6] = vn.evictions; stats[7] = vn.dirty_evictions;
-        *vn_state_len = cache_dump(&vn, vn_state_tags, vn_state_dirty);
-        cache_free(&vn);
+    if (d.use_vn) {
+        stats[4] = d.vn.hits; stats[5] = d.vn.misses;
+        stats[6] = d.vn.evictions; stats[7] = d.vn.dirty_evictions;
+        *vn_state_len = cache_dump(&d.vn, vn_state_tags, vn_state_dirty);
+        cache_free(&d.vn);
     } else {
         stats[4] = stats[5] = stats[6] = stats[7] = 0;
         *vn_state_len = 0;
@@ -319,18 +389,27 @@ int drive_fused(
         open_row[gb_] = row_;                                            \
     } while (0)
 
-/* Issue-order walk behind DramSim._walk: merges a data side and a
- * metadata side by cycle (ties data first, as in the concatenated
- * stream), keeps one open-row register per global bank and counts
- * requests and row conflicts per channel.  out[] holds channels
- * request counts, then channels conflict counts, then the
- * channels << bank_shift open-row registers (a row is an address
- * shifted right by at least the block shift, so with blocks of 2 B or
- * more no row equals the INT64_MIN "closed" mark).  Each side must be
- * cycle-sorted: returns 0, or 1 / 2 when the data / metadata side's
- * cycles descend (the counts are then partial). */
-int dram_walk(const i64 *addrs_a, const i64 *cycles_a, i64 na,
-              const i64 *addrs_b, const i64 *cycles_b, i64 nb,
+/* Most sides one walk merges: a layer's data and over-fetch blocks,
+ * then its MAC and VN traffic. */
+#define DRAM_MAX_SIDES 4
+
+/* Whether side a's head block precedes side b's in the merge. */
+#define SIDE_BEFORE(a, b) \
+    (head[a] < head[b] || (head[a] == head[b] && (a) < (b)))
+
+/* Issue-order walk behind DramSim._walk: merges k cycle-sorted sides
+ * (side s: lens[s] blocks at addrs[s], issued at cycles[s]) keyed
+ * (cycle, side index), so a lower side wins equal cycles, as in the
+ * sides' concatenated stream.  It keeps one open-row register per
+ * global bank and counts requests and row conflicts per channel.
+ * out[] holds channels request counts, then channels conflict counts,
+ * then the channels << bank_shift open-row registers (a row is an
+ * address shifted right by at least the block shift, so with blocks of
+ * 2 B or more no row equals the INT64_MIN "closed" mark).  Returns 0,
+ * s + 1 when side s's cycles descend (the counts are then partial), or
+ * -1 when k exceeds DRAM_MAX_SIDES. */
+int dram_walk(const i64 *const *addrs, const i64 *const *cycles,
+              const i64 *lens, i64 k,
               i64 block_shift, i64 channel_shift, i64 col_shift,
               i64 bank_shift, i64 *out)
 {
@@ -340,45 +419,69 @@ int dram_walk(const i64 *addrs_a, const i64 *cycles_a, i64 na,
     i64 ch_mask = channels - 1;
     i64 bank_mask = ((i64)1 << bank_shift) - 1;
     i64 row_shift = col_shift + bank_shift;
+    /* Per side: next block, last cycle seen, next block's cycle.  The
+     * sides with blocks left sit in order[0..live), sorted by their
+     * head block's place in the merge. */
+    i64 pos[DRAM_MAX_SIDES], last[DRAM_MAX_SIDES], head[DRAM_MAX_SIDES];
+    i64 order[DRAM_MAX_SIDES], live = 0;
+    if (k < 0 || k > DRAM_MAX_SIDES)
+        return -1;
     for (i64 c = 0; c < 2 * channels; c++)
         out[c] = 0;
     for (i64 g = 0; g < channels << bank_shift; g++)
         open_row[g] = INT64_MIN;
-    i64 i = 0, j = 0;
-    i64 last_a = INT64_MIN, last_b = INT64_MIN;
-    while (i < na && j < nb) {
-        i64 cb = cycles_b[j];
-        for (; i < na && cycles_a[i] <= cb; i++) {
-            if (cycles_a[i] < last_a)
-                return 1;
-            last_a = cycles_a[i];
-            DRAM_STEP(addrs_a[i]);
-        }
-        if (i == na)
-            break;
-        i64 ca = cycles_a[i];
-        for (; j < nb && cycles_b[j] < ca; j++) {
-            if (cycles_b[j] < last_b)
-                return 2;
-            last_b = cycles_b[j];
-            DRAM_STEP(addrs_b[j]);
-        }
+    for (i64 s = 0; s < k; s++) {
+        pos[s] = 0;
+        last[s] = INT64_MIN;
+        if (lens[s] <= 0)
+            continue;
+        head[s] = cycles[s][0];
+        i64 j = live++;
+        for (; j > 0 && SIDE_BEFORE(s, order[j - 1]); j--)
+            order[j] = order[j - 1];
+        order[j] = s;
     }
-    for (; i < na; i++) {
-        if (cycles_a[i] < last_a)
-            return 1;
-        last_a = cycles_a[i];
-        DRAM_STEP(addrs_a[i]);
-    }
-    for (; j < nb; j++) {
-        if (cycles_b[j] < last_b)
-            return 2;
-        last_b = cycles_b[j];
-        DRAM_STEP(addrs_b[j]);
+    while (live > 0) {
+        /* The first side runs through the last cycle that still
+         * precedes the second side's head: that head's cycle when the
+         * first is the lower side, one less otherwise (then strictly
+         * above its own head, so it cannot underflow). */
+        i64 s = order[0], lim = INT64_MAX;
+        if (live > 1) {
+            i64 r = order[1];
+            lim = s < r ? head[r] : head[r] - 1;
+        }
+        const i64 *cyc = cycles[s], *addr = addrs[s];
+        i64 i = pos[s], n = lens[s], prev = last[s];
+        for (; i < n; i++) {
+            i64 ci = cyc[i];
+            if (ci > lim)
+                break;
+            if (ci < prev)
+                return (int)s + 1;
+            prev = ci;
+            DRAM_STEP(addr[i]);
+        }
+        pos[s] = i;
+        last[s] = prev;
+        if (i < n) {
+            /* Side s now follows the second side, and maybe more. */
+            head[s] = cyc[i];
+            order[0] = order[1];
+            i64 j = 1;
+            for (; j + 1 < live && SIDE_BEFORE(order[j + 1], s); j++)
+                order[j] = order[j + 1];
+            order[j] = s;
+        } else {
+            live--;
+            for (i64 j = 0; j < live; j++)
+                order[j] = order[j + 1];
+        }
     }
     return 0;
 }
 
+#undef SIDE_BEFORE
 #undef DRAM_STEP
 
 /* ---- Block expansion ---------------------------------------------- */

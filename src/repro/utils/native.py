@@ -195,8 +195,7 @@ def _load():
         lib = ctypes.CDLL(path)
         lib.dram_walk.restype = ctypes.c_int
         lib.dram_walk.argtypes = [
-            _ptr, _ptr, _i64,                               # data side
-            _ptr, _ptr, _i64,                               # metadata side
+            _ptr, _ptr, _ptr, _i64,                         # k sides
             _i64, _i64, _i64, _i64,                         # shifts
             _ptr,                                           # counts out
         ]
@@ -208,7 +207,8 @@ def _load():
         ]
         lib.drive_fused.restype = ctypes.c_int
         lib.drive_fused.argtypes = [
-            _ptr, _ptr, _ptr, _i64,                         # block columns
+            _ptr, _ptr, _ptr, _i64,                         # data side
+            _ptr, _ptr, _ptr, _i64,                         # over-fetch side
             _i64, _i64, _i64,                               # shift/mul/line
             _i64, _i64, _ptr, _ptr, _i64,                   # mac side
             _i64, _i64, _i64, _i64, _ptr, _ptr, _i64,       # vn side
@@ -291,34 +291,52 @@ class DriveOutput:
         self.state_dirty = state_dirty
 
 
-def fused_drive(keys: np.ndarray, writes: np.ndarray, cycles: np.ndarray,
+#: Most block sides one drive merges: a layer's data and over-fetch
+#: blocks.
+DRIVE_MAX_SIDES = 2
+
+
+def fused_drive(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
                 key_shift: int, idx_mul: int, line_bytes: int,
                 mac: Optional[Tuple[int, int, Sequence]] = None,
                 vn: Optional[Tuple[int, int, int, int, Sequence,
                                    Sequence, Sequence, int]] = None,
                 ) -> Optional[Tuple[Optional[DriveOutput],
                                     Optional[DriveOutput]]]:
-    """Drive MAC and/or VN caches over one block stream in native code.
+    """Drive MAC and/or VN caches over a layer's block sides in native
+    code.
 
-    ``keys`` are per-block keys (a stream's addresses, or precomputed
-    line indices with ``key_shift`` 0): consecutive blocks with equal
-    ``key >> key_shift`` (logical) are one access, whose write flag is
-    the OR of theirs and whose cycle is its first block's. The access's
-    metadata line index is ``(key >> key_shift) * idx_mul``. ``mac`` is
-    ``(tag_base, capacity_lines, init_state)``; ``vn`` is
+    ``sides`` holds one or two ``(keys, writes, cycles)`` block sides,
+    each expected cycle-sorted (a layer's data, then its over-fetch);
+    the kernel walks their merge keyed ``(cycle, side)``, so the first
+    side wins equal cycles.  ``keys`` are per-block keys (a stream's
+    addresses, or precomputed line indices with ``key_shift`` 0):
+    consecutive blocks of the merge with equal ``key >> key_shift``
+    (logical) are one access, also across the side boundary; its write
+    flag is the OR of theirs and its cycle is its first block's. The
+    access's metadata line index is ``(key >> key_shift) * idx_mul``.
+    ``mac`` is ``(tag_base, capacity_lines, init_state)``; ``vn`` is
     ``(tag_base, capacity_lines, leaf_base, leaf_div, init_state,
     node_base_tags, node_divs, node_ratio)`` where ``init_state`` is an
-    iterable of ``(tag, dirty)`` in LRU order.  Returns ``None`` when
-    the kernel is unavailable, otherwise ``(mac_output, vn_output)``.
+    iterable of ``(tag, dirty)`` in LRU order.  A side whose cycles
+    descend is reported by the kernel, stable-sorted
+    (``native.drive.unsorted_side``) and the drive retried.  Returns
+    ``None`` when the kernel is unavailable, otherwise ``(mac_output,
+    vn_output)``.
     """
     lib = _load()
     if lib is None:
         obs.incr("native.drive.python_fallback")
         return None
-    n = len(keys)
-    keys = as_int64(keys)
-    writes = np.ascontiguousarray(writes, bool).view(np.uint8)
-    cycles = as_int64(cycles)
+    if not 1 <= len(sides) <= DRIVE_MAX_SIDES:
+        raise ValueError(f"fused_drive: 1 to {DRIVE_MAX_SIDES} block "
+                         f"sides, got {len(sides)}")
+    cols = [(as_int64(keys), np.ascontiguousarray(writes, bool).view(
+        np.uint8), as_int64(cycles)) for keys, writes, cycles in sides]
+    if any(len(c) != len(k) or len(w) != len(k) for k, w, c in cols):
+        raise ValueError("fused_drive: a side's columns differ in length")
+    cols += [(_EMPTY64, _EMPTY8, _EMPTY64)] * (DRIVE_MAX_SIDES - len(cols))
+    n = sum(len(k) for k, _, _ in cols)
 
     if mac is not None:
         mac_base, mac_cap, mac_init = mac
@@ -361,9 +379,11 @@ def fused_drive(keys: np.ndarray, writes: np.ndarray, cycles: np.ndarray,
         vs_d = np.empty(vn_state_cap, np.uint8)
         ms_n = _i64(0)
         vs_n = _i64(0)
+        (keys_a, wr_a, cyc_a), (keys_b, wr_b, cyc_b) = cols
         rc = lib.drive_fused(
-            _addr(keys), _addr(writes), _addr(cycles), n, key_shift,
-            idx_mul, line_bytes,
+            _addr(keys_a), _addr(wr_a), _addr(cyc_a), len(keys_a),
+            _addr(keys_b), _addr(wr_b), _addr(cyc_b), len(keys_b),
+            key_shift, idx_mul, line_bytes,
             mac_base, mac_cap if mac else 0, _addr(mac_it), _addr(mac_id),
             len(mac_it),
             vn_base, vn_cap if vn else 0, leaf_base, leaf_div,
@@ -377,6 +397,15 @@ def fused_drive(keys: np.ndarray, writes: np.ndarray, cycles: np.ndarray,
             _addr(ms_t), _addr(ms_d), ctypes.byref(ms_n),
             _addr(vs_t), _addr(vs_d), ctypes.byref(vs_n),
         )
+        if rc in (2, 3):
+            # Stable-sorting the descending side keeps the merge's
+            # order: the drive then walks the stable cycle sort of the
+            # sides' concatenation.
+            obs.incr("native.drive.unsorted_side")
+            keys, wr, cyc = cols[rc - 2]
+            order = np.argsort(cyc, kind="stable")
+            cols[rc - 2] = (keys[order], wr[order], cyc[order])
+            continue
         vn_ev_worst = 2 * int(stats[8]) * (levels + 1) + 16
         if rc == 1 and vn_ev_cap < vn_ev_worst:
             vn_ev_cap = vn_ev_worst
@@ -414,38 +443,49 @@ def as_int64(arr: np.ndarray) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def dram_walk(data: Tuple[np.ndarray, np.ndarray],
-              meta: Tuple[np.ndarray, np.ndarray],
+#: Most sides one DRAM walk merges: a layer's data and over-fetch
+#: blocks, then its MAC and VN traffic (``DRAM_MAX_SIDES`` in the
+#: kernel).
+WALK_MAX_SIDES = 4
+
+
+def dram_walk(sides: Sequence[Tuple[np.ndarray, np.ndarray]],
               shifts: Tuple[int, int, int, int],
               out: np.ndarray) -> Optional[int]:
     """Native issue-order walk behind ``DramSim._walk``.
 
-    ``data`` and ``meta`` are ``(addrs, cycles)`` pairs, each expected
-    cycle-sorted; ``shifts`` are the power-of-two mapping shifts
-    ``(block, channel, column, bank)``.  ``out`` is an int64 array of
-    ``2 * channels + banks`` entries: the kernel writes the per-channel
-    request counts, then the row-conflict counts, and keeps its
-    per-bank open-row registers in the rest.  Returns ``None`` when the
-    kernel is unavailable, otherwise the kernel's code: 0, or 1 / 2 when
-    the data / metadata side's cycles descend (the counts are then
-    partial).
+    ``sides`` holds up to :data:`WALK_MAX_SIDES` ``(addrs, cycles)``
+    pairs, each expected cycle-sorted; the walk visits their merge
+    keyed ``(cycle, side index)``, so a lower side wins equal cycles.
+    ``shifts`` are the power-of-two mapping shifts ``(block, channel,
+    column, bank)``.  ``out`` is an int64 array of ``2 * channels +
+    banks`` entries: the kernel writes the per-channel request counts,
+    then the row-conflict counts, and keeps its per-bank open-row
+    registers in the rest.  Returns ``None`` when the kernel is
+    unavailable, otherwise the kernel's code: 0, or ``s + 1`` when side
+    ``s``'s cycles descend (the counts are then partial).
     """
     lib = _load()
     if lib is None:
         return None
-    addrs_a, cycles_a = (as_int64(a) for a in data)
-    addrs_b, cycles_b = (as_int64(a) for a in meta)
+    if len(sides) > WALK_MAX_SIDES:
+        raise ValueError(f"dram_walk: at most {WALK_MAX_SIDES} sides, "
+                         f"got {len(sides)}")
+    pairs = [(as_int64(addrs), as_int64(cycles)) for addrs, cycles in sides]
+    if any(len(addrs) != len(cycles) for addrs, cycles in pairs):
+        raise ValueError("dram_walk: addrs and cycles differ in length")
     block_shift, channel_shift, col_shift, bank_shift = shifts
     channels = 1 << channel_shift
-    if len(addrs_a) != len(cycles_a) or len(addrs_b) != len(cycles_b):
-        raise ValueError("dram_walk: addrs and cycles differ in length")
     if out.dtype != np.int64 or not out.flags.c_contiguous \
             or len(out) < channels * (2 + (1 << bank_shift)):
         raise ValueError("dram_walk: out must be a contiguous int64 "
                          "array of 2 * channels + banks entries")
+    k = len(pairs)
+    addr_ptrs = np.array([_addr(a) for a, _ in pairs] or [0], np.uintp)
+    cycle_ptrs = np.array([_addr(c) for _, c in pairs] or [0], np.uintp)
+    lens = np.array([len(a) for a, _ in pairs] or [0], np.int64)
     rc = lib.dram_walk(
-        _addr(addrs_a), _addr(cycles_a), len(addrs_a),
-        _addr(addrs_b), _addr(cycles_b), len(addrs_b),
+        _addr(addr_ptrs), _addr(cycle_ptrs), _addr(lens), k,
         block_shift, channel_shift, col_shift, bank_shift, _addr(out))
     obs.incr("native.dram_walk.kernel")
     return rc

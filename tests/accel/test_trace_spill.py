@@ -22,7 +22,7 @@ from repro.core.metrics import compare_schemes
 from repro.core.pipeline import Pipeline
 from repro.models.zoo import get_workload
 from repro.protection import SCHEME_NAMES
-from repro.protection.metadata_model import expanded_data_stream
+from repro.protection.metadata_model import overfetch_side
 
 #: Pinned peak for one full gpt2@s4096 sweep cell (every scheme) under
 #: the chunked trace core with layer-major cells: measured ~28 MiB (it
@@ -82,20 +82,19 @@ class TestResidencyAccounting:
         assert resident_trace_bytes() == columns_only
 
     def test_memoized_overfetch_stream_is_charged(self):
-        # The 512 B over-fetch stream is memoized inside a tuple; its
-        # bytes must enter the tally on top of the plain expansions.
+        # The 512 B over-fetch side is memoized next to the plain
+        # expansions; its bytes must enter the tally on top of them.
         trace = Trace()
         _emit_bulk(trace, _bulk_columns(2_000))
         columns_only = resident_trace_bytes()
         trace.to_blocks()
         trace.sorted_blocks()
         before = resident_trace_bytes()
-        stream, overfetch = expanded_data_stream(trace, 512)
-        assert overfetch > 0
-        stream_bytes = sum(getattr(stream, name).nbytes for name in
-                           ("cycles", "addrs", "writes", "layer_ids",
-                            "kinds"))
-        assert resident_trace_bytes() >= before + stream_bytes
+        side = overfetch_side(trace, 512)
+        assert len(side) > 0
+        side_bytes = sum(getattr(side, name).nbytes for name in
+                         ("cycles", "addrs", "writes", "layer_ids", "kinds"))
+        assert resident_trace_bytes() >= before + side_bytes
         trace.release_memos()
         assert resident_trace_bytes() == columns_only
 

@@ -1,8 +1,8 @@
 """Layer-major sweep cells: the evaluation order never changes a record.
 
 ``compare_schemes`` runs a cell layer by layer: every scheme protects a
-layer and has DRAM serve it, then the layer's block streams are freed
-before the next layer is expanded. Schemes that share a MAC table
+layer and has DRAM serve it, then the layer's block streams and shared
+MAC traffic are freed before the next layer is expanded. Schemes that share a MAC table
 replay whichever of them reached a layer first, so a record must not
 depend on the scheme order, and must equal a standalone whole-model
 ``Pipeline.run`` on a fresh model run.
@@ -11,11 +11,13 @@ depend on the scheme order, and must equal a standalone whole-model
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.config import npu_config
 from repro.core.metrics import compare_schemes
 from repro.core.pipeline import Pipeline
 from repro.models.zoo import get_workload
 from repro.protection import SCHEME_NAMES, make_scheme
+from repro.protection.metadata_model import SharedTrafficModel
 from repro.runner.records import scheme_run_to_dict
 
 #: A CNN, a batched cell (images 0 and 1 go through the metadata
@@ -45,9 +47,12 @@ def test_scheme_order_never_changes_a_record(spec):
         assert scheme_run_to_dict(standalone) == default[name], name
 
 
-def _assert_streams_equal(a, b):
-    for column in ("cycles", "addrs", "writes", "layer_ids"):
-        np.testing.assert_array_equal(getattr(a, column), getattr(b, column))
+def _assert_sides_equal(a, b):
+    assert len(a) == len(b)
+    for got, want in zip(a, b):
+        for column in ("cycles", "addrs", "writes"):
+            np.testing.assert_array_equal(getattr(got, column),
+                                          getattr(want, column))
 
 
 def test_layer_windows_concatenate_to_the_whole_model():
@@ -65,8 +70,8 @@ def test_layer_windows_concatenate_to_the_whole_model():
                 got.overfetch_blocks) == (want.layer_id, want.is_flush,
                                           want.crypto_bytes,
                                           want.overfetch_blocks)
-        _assert_streams_equal(got.data_stream, want.data_stream)
-        _assert_streams_equal(got.metadata_stream, want.metadata_stream)
+        _assert_sides_equal(got.data_sides, want.data_sides)
+        _assert_sides_equal(got.metadata_sides, want.metadata_sides)
 
 
 def test_a_finished_cell_holds_no_layer_stream():
@@ -76,3 +81,39 @@ def test_a_finished_cell_holds_no_layer_stream():
     run = result.baseline.model_run
     assert all(layer.trace._memo == {} and layer.trace._memo_owned == 0
                for layer in run.layers)
+
+
+def test_shared_mac_traffic_lives_one_layer(monkeypatch):
+    """A layer-major cell drops a layer's shared MAC traffic with its
+    streams: while a scheme stores a layer's MAC traffic, the memo holds
+    that layer's alone, and the finished cell keeps only the flush
+    entries. Whole-model runs over one shared model run still replay
+    it, and every record equals theirs."""
+    pipeline = Pipeline(npu_config("edge"))
+    topology = get_workload("mobilenet@b4")
+    held = []
+    store = SharedTrafficModel.store
+
+    def spy(self, layer_id, out):
+        store(self, layer_id, out)
+        held.append({key[2] for key in self.memo if key[1] == "layer"})
+
+    monkeypatch.setattr(SharedTrafficModel, "store", spy)
+    result = compare_schemes(pipeline, topology, SCHEME_NAMES)
+    assert len(held) == 2 * len(topology)      # 64 B and 512 B tables
+    assert all(len(layers) == 1 for layers in held)
+    memo = result.baseline.model_run.scheme_memo
+    assert memo and all(key[1] == "flush" for key in memo)
+
+    recorder = obs.Recorder()
+    previous = obs.install(recorder)
+    try:
+        run = pipeline.simulate_model(topology)
+        whole = {name: scheme_run_to_dict(pipeline.run(
+            topology, make_scheme(name), model_run=run))
+            for name in SCHEME_NAMES}
+    finally:
+        obs.install(previous)
+    assert recorder.counters["shared_traffic.replays"] == 2 * len(topology)
+    records = _records(result)
+    assert all(whole[name] == records[name] for name in SCHEME_NAMES)

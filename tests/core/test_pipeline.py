@@ -92,11 +92,9 @@ class _EmptyStreamScheme:
     name = "empty-stream"
 
     def protect_model(self, run, layers=None):
-        from repro.protection.base import LayerProtection, empty_stream
+        from repro.protection.base import LayerProtection
         window = range(len(run.layers)) if layers is None else layers
-        return [LayerProtection(layer_id=layer.layer_id,
-                                data_stream=empty_stream(),
-                                metadata_stream=empty_stream())
+        return [LayerProtection(layer_id=layer.layer_id)
                 for layer in run.layers[window.start:window.stop]]
 
     def crypto_engine(self):

@@ -10,16 +10,14 @@ from repro.dram.simulator import DramSim
 from repro.dram.timing import DramConfig, SERVER_DRAM
 from repro.utils import native
 from tests.dram import oracle
+from tests.streams import stream_from_lists
 
 
 def _stream(addrs, cycles=None, writes=None):
     n = len(addrs)
-    return BlockStream(
-        np.asarray(cycles if cycles is not None else np.zeros(n), np.int64),
-        np.asarray(addrs, np.uint64),
-        np.asarray(writes if writes is not None else np.zeros(n, bool), bool),
-        np.zeros(n, np.int32),
-    )
+    return stream_from_lists(
+        np.zeros(n, np.int64) if cycles is None else cycles, addrs,
+        np.zeros(n, bool) if writes is None else writes, layer_id=0)
 
 
 def _random_stream(rng, n, sort_cycles=False):
@@ -158,6 +156,25 @@ class TestFastVsReference:
         for parts, result in zip(part_lists, got):
             _assert_matches_oracle(result, BlockStream.concat(parts))
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_k_sides_agree(self, k, tier):
+        """Entries of k cycle-sorted sides (data, over-fetch, MAC, VN)
+        drawn from a few cycles, so every cycle ties across all sides,
+        match the oracle on the sides' concatenation; an empty side
+        anywhere changes nothing."""
+        rng = np.random.default_rng(k)
+        sim = DramSim(SERVER_DRAM, freq_ghz=1.0)
+        part_lists = []
+        for _ in range(5):
+            part_lists.append([_stream(
+                rng.integers(0, 1 << 16, n).astype(np.uint64) * 64,
+                cycles=np.sort(rng.integers(0, 12, n)))
+                for n in rng.integers(1, 400, k)])
+        part_lists.append([_stream([])] + part_lists[0][1:])
+        got = sim.simulate_fast_batch_parts(part_lists)
+        for parts, result in zip(part_lists, got):
+            _assert_matches_oracle(result, BlockStream.concat(parts))
+
     def test_equal_cycles_keep_stream_order(self, tier):
         """Long runs of same-cycle accesses to one bank on both sides:
         only the stream's own order within a cycle (data first, then
@@ -220,9 +237,9 @@ class TestBatchedFastModel:
         assert results[0].requests == 0
         assert results[1].requests == 2
 
-    def test_more_than_two_parts_rejected(self, sim):
-        parts = [_stream([0]), _stream([64]), _stream([128])]
-        with pytest.raises(ValueError, match="data, metadata"):
+    def test_more_than_four_parts_rejected(self, sim):
+        parts = [_stream([64 * i]) for i in range(5)]
+        with pytest.raises(ValueError, match="at most 4 sides"):
             sim.simulate_fast_batch_parts([parts])
 
 

@@ -3,8 +3,10 @@
 The derived server ``fasterrcnn@b16`` cell is the zoo's largest: its
 probes simulate fasterrcnn in full at batch 1, 2 and 3. Each probe is
 reduced to its record and integers before the next one runs, and a
-cell frees each layer's block streams once every scheme has used them,
-so the peak is one probe's trace columns plus one layer's streams.
+cell frees each layer's block streams and shared MAC traffic once
+every scheme has used them, so the peak is one probe's trace columns
+plus one layer's streams. The fully simulated ``alexnet@b16`` cell
+(derivation off) pins the same for one batched model run.
 """
 
 import json
@@ -17,24 +19,34 @@ import pytest
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
                                    os.pardir, "src"))
 
-#: 448 MiB. Measured 312-313 MiB on a 2-vCPU Xeon host since each
-#: layer's cycle-sorted stream is merged from its ranges (558 MiB while
-#: the unsorted expansion stayed memoized next to it and the sort built
-#: packed keys and an index); 851 MiB while the DRAM model memoized a
-#: 24 B-per-block bank-sorted geometry on each layer stream; 3157 MiB
-#: while every probe and every layer's streams stayed alive to the
-#: cell's end.
-FASTERRCNN_B16_PEAK_MIB = 448
+#: 288 MiB. Measured 201-203 MiB on a 2-vCPU Xeon host since a coarse
+#: unit's over-fetch is a small side of the shared sorted stream and
+#: metadata traffic stays in per-class numpy sides (301 MiB while every
+#: 512 B scheme re-expanded its layer with the over-fetch merged in, and
+#: MAC and VN traffic were concatenated and sorted; 312-313 MiB once
+#: each layer's cycle-sorted stream was merged from its ranges); 558 MiB
+#: while the unsorted expansion stayed memoized next to it and the sort
+#: built packed keys and an index; 851 MiB while the DRAM model
+#: memoized a 24 B-per-block bank-sorted geometry on each layer stream;
+#: 3157 MiB while every probe and every layer's streams stayed alive to
+#: the cell's end.
+FASTERRCNN_B16_PEAK_MIB = 288
+
+#: 440 MiB. ``alexnet@b16`` with derivation off simulates all 16
+#: images: measured 307 MiB on the same host (483-484 MiB while the
+#: 512 B schemes re-expanded each layer and MAC and VN traffic were
+#: concatenated and sorted).
+ALEXNET_B16_FULL_PEAK_MIB = 440
 
 #: The child reads its peak from ``VmHWM``, not ``ru_maxrss``: Linux
 #: folds the pre-exec image (here, the whole test process) into the
 #: child's ``ru_maxrss``, while ``VmHWM`` belongs to the child's own
 #: address space.
 _CELL = """
-import json
+import json, sys
 from repro.runner import EvalService
 service = EvalService()
-service.compare("server", "fasterrcnn@b16")
+service.compare("server", sys.argv[1], derive=sys.argv[2] == "derive")
 with open("/proc/self/status") as handle:
     hwm_kib = next(int(line.split()[1]) for line in handle
                    if line.startswith("VmHWM:"))
@@ -43,16 +55,31 @@ print(json.dumps({"derived": service.derived_hits,
 """
 
 
-@pytest.mark.slow
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                    reason="needs Linux /proc for the peak RSS")
-def test_derived_fasterrcnn_b16_cell_peak_rss():
+def _cell_peak(workload, mode):
     env = {key: value for key, value in os.environ.items()
            if key not in ("REPRO_TRACE", "REPRO_FAULTS")}
     env["PYTHONPATH"] = SRC
-    out = subprocess.run([sys.executable, "-c", _CELL], env=env,
-                         capture_output=True, text=True, timeout=600,
-                         check=True)
-    result = json.loads(out.stdout.strip().splitlines()[-1])
+    out = subprocess.run([sys.executable, "-c", _CELL, workload, mode],
+                         env=env, capture_output=True, text=True,
+                         timeout=600, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                                reason="needs Linux /proc for the peak RSS")
+
+
+@pytest.mark.slow
+@needs_proc
+def test_derived_fasterrcnn_b16_cell_peak_rss():
+    result = _cell_peak("fasterrcnn@b16", "derive")
     assert result["derived"] == 1
     assert result["peak_mib"] < FASTERRCNN_B16_PEAK_MIB
+
+
+@pytest.mark.slow
+@needs_proc
+def test_simulated_alexnet_b16_cell_peak_rss():
+    result = _cell_peak("alexnet@b16", "simulate")
+    assert result["derived"] == 0
+    assert result["peak_mib"] < ALEXNET_B16_FULL_PEAK_MIB

@@ -1,23 +1,25 @@
 """Every DRAM timing row of a real pipeline run against the oracle.
 
-The pipeline serves each layer as a ``(data, metadata)`` pair through
-``DramSim.simulate_fast_batch_parts``. Here every entry it sends is
-replayed through the event-driven oracle on the concatenated stream.
+The pipeline serves each layer as up to four cycle-sorted sides (data,
+over-fetch, MAC, VN) through ``DramSim.simulate_fast_batch_parts``.
+Here every entry it sends is replayed through the event-driven oracle
+on the sides' concatenated stream.
 """
 
 import pytest
 
-from repro.accel.trace import BlockStream
 from repro.core.config import npu_config
 from repro.core.pipeline import Pipeline
 from repro.models.zoo import get_workload
 from repro.protection import make_scheme
 from tests.dram import oracle
+from tests.streams import merge_sides
 
 CASES = [
     ("server", "resnet18", "sgx-64b"),
     ("edge", "mobilenet@b4", "mgx-64b"),
     ("edge", "gpt2@s128", "mgx-64b"),
+    ("edge", "lenet", "sgx-512b"),
 ]
 
 
@@ -38,11 +40,11 @@ def test_timing_rows_match_oracle(npu, workload, scheme):
     run = pipeline.run(get_workload(workload), make_scheme(scheme))
 
     assert len(served) == len(run.layers)
-    assert any(len(parts[1]) for parts, _ in served)
+    assert any(len(side) for parts, _ in served for side in parts[1:])
     for (parts, got), timing in zip(served, run.layers):
         assert timing.dram_cycles == got.busy_cycles
         ref = oracle.simulate(dram.config, dram.freq_ghz,
-                              BlockStream.concat(parts))
+                              merge_sides(parts))
         assert got.requests == ref.requests
         assert got.row_hits == ref.row_hits
         assert got.row_misses == ref.row_misses

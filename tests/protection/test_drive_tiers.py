@@ -4,9 +4,11 @@ Every metadata cache decision is one step of a fully associative,
 write-back, write-allocate LRU drive, served by one production path per
 tier: the compiled ``fused_drive`` kernel, or its scalar twin
 :func:`repro.protection.metadata_model.drive_scalar`.  A drive takes a
-*block* stream: consecutive blocks whose ``key >> key_shift`` agree are
-one access, with their write flags OR'd and the first block's cycle.
-The reference compresses blocks to runs with its own
+layer's *block* sides (data, then over-fetch) and walks their merge
+keyed ``(cycle, side)``: consecutive blocks whose ``key >> key_shift``
+agree are one access, also across the side boundary, with their write
+flags OR'd and the first block's cycle.  The reference merges the
+sides with a stable sort, compresses blocks to runs with its own
 ``itertools.groupby`` loop, then drives :meth:`LruCache.access` (and,
 at the model level, :meth:`MetadataCache.access` over layout
 addresses).  Each available tier must match it event for event: the
@@ -17,7 +19,10 @@ inside and at the end of runs, equal cycles across runs), precomputed
 keys of a 192 B unit, warm starts from either state form, MAC-only,
 VN-only and fused calls, flushes mid-stream, 32 B cache lines
 (``idx_mul=2``), a VN walk that overflows the kernel's first event
-buffer, and a line run cut by an image boundary.
+buffer, and a line run cut by an image boundary.  Two-side inputs: an
+over-fetch block tying a data block's cycle, a line run spanning both
+sides, an empty side of either kind, a descending side, and both sides
+cut at the same image bounds.
 """
 
 import itertools
@@ -26,6 +31,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.accel.trace import AccessKind, BlockStream, Trace, TraceRange
 from repro.integrity.caches import MetadataCache
 from repro.protection.layout import MetadataLayout
@@ -33,12 +39,14 @@ from repro.protection.metadata_model import (
     CacheTrafficResult,
     MacTableModel,
     VnTreeModel,
+    data_sides,
     drive_scalar,
     process_image_periodic,
     process_mac_vn,
 )
 from repro.utils import native
 from repro.utils.lru import LruCache
+from tests.streams import EventLog, events, merge_sides
 
 #: Raw-tag drives: VN leaves are the line indices themselves, tree
 #: levels sit in disjoint tag ranges above them.
@@ -94,13 +102,27 @@ def reference_runs(keys, writes, cycles, key_shift=0):
     return runs
 
 
-def reference_drive(keys, writes, cycles, key_shift, idx_mul, line_bytes,
-                    mac=None, vn=None):
-    """``fused_drive``'s contract: the blocks grouped into line runs,
-    then one ``LruCache.access`` per lookup.
+def reference_merge(sides):
+    """The blocks of ``(keys, writes, cycles)`` sides in drive order:
+    a stable sort of their concatenation by cycle, so a lower side wins
+    equal cycles (and a side whose cycles descend is sorted first)."""
+    blocks = [block for keys, writes, cycles in sides
+              for block in zip(np.asarray(keys).tolist(),
+                               np.asarray(writes).tolist(),
+                               np.asarray(cycles).tolist())]
+    blocks.sort(key=lambda block: block[2])
+    return ([k for k, _, _ in blocks], [w for _, w, _ in blocks],
+            [c for _, _, c in blocks])
+
+
+def reference_drive(sides, key_shift, idx_mul, line_bytes, mac=None,
+                    vn=None):
+    """``fused_drive``'s contract: the sides' blocks merged by cycle,
+    grouped into line runs, then one ``LruCache.access`` per lookup.
 
     Returns ``(events, cache)`` per driven side, where ``events`` lists
     ``(cycle, addr, is_writeback)`` in emission order."""
+    keys, writes, cycles = reference_merge(sides)
 
     def warm(capacity, init):
         cache = LruCache(capacity)
@@ -174,13 +196,19 @@ def _blocks(lines, key_shift, rng, max_repeat=3):
 
 def check_tier(drive, keys, writes, capacity, init=(), form="dict",
                sides=("mac", "vn"), key_shift=0, idx_mul=1, cycles=None,
-               spec=None):
+               spec=None, extra=None):
+    """One drive tier against the reference over a data side, plus an
+    over-fetch side ``extra`` (``(keys, writes, cycles)``) when given."""
     keys = np.asarray(keys, np.int64)
     writes = np.asarray(writes, bool)
     if cycles is None:
         cycles = np.arange(len(keys), dtype=np.int64) * 3
     mac, vn = spec or _specs(capacity, init, form, sides)
-    args = (keys, writes, cycles, key_shift, idx_mul, 64)
+    blocks = [(keys, writes, np.asarray(cycles, np.int64))]
+    if extra is not None:
+        blocks.append(tuple(np.asarray(col, dtype) for col, dtype in
+                            zip(extra, (np.int64, bool, np.int64))))
+    args = (blocks, key_shift, idx_mul, 64)
     got = drive(*args, mac=mac, vn=vn)
     want = reference_drive(*args, mac=mac, vn=vn)
     for got_side, want_side in zip(got, want):
@@ -296,15 +324,15 @@ class TestDriveVsReference:
         writes = rng.integers(0, 2, 400).astype(bool)
         cycles = np.arange(400, dtype=np.int64)
         capacity = 12
-        whole = drive(tags, writes, cycles, 9, 1, 64, *_specs(capacity))
-        half = drive(tags[:200], writes[:200], cycles[:200], 9, 1, 64,
+        whole = drive([(tags, writes, cycles)], 9, 1, 64, *_specs(capacity))
+        half = drive([(tags[:200], writes[:200], cycles[:200])], 9, 1, 64,
                      *_specs(capacity))
         mac_init = [(t, bool(d)) for t, d in zip(
             half[0].state_tags.tolist(), half[0].state_dirty.tolist())]
         vn_init = [(t, bool(d)) for t, d in zip(
             half[1].state_tags.tolist(), half[1].state_dirty.tolist())]
         mac_state, vn_state = _state(mac_init, form), _state(vn_init, form)
-        rest = drive(tags[200:], writes[200:], cycles[200:], 9, 1, 64,
+        rest = drive([(tags[200:], writes[200:], cycles[200:])], 9, 1, 64,
                      mac=(MAC_BASE, capacity, mac_state),
                      vn=(VN_BASE, capacity, 0, 1, vn_state, *VN_WALK, 1))
         for side, init, state in ((0, mac_init, mac_state),
@@ -342,6 +370,113 @@ class TestDriveVsReference:
                 2 * runs * (levels + 1) + 16
 
 
+class TestDriveSides:
+    """A drive over a layer's data and over-fetch sides walks their
+    ``(cycle, side)`` merge: the data side wins equal cycles, and a
+    line run carries on across the side boundary."""
+
+    @pytest.mark.parametrize("idx_mul", [1, 2])
+    @pytest.mark.parametrize("key_shift", [6, 9, 12])
+    def test_overfetch_block_tying_a_data_block(self, drive, key_shift,
+                                                idx_mul):
+        data = ([1, 1, 3, 3], [0, 1, 0, 0], [0, 5, 5, 9])
+        extra = ([3, 2], [0, 0], [5, 9])
+        data_keys, extra_keys = ([line << key_shift for line in side[0]]
+                                 for side in (data, extra))
+        merged = reference_merge([(data_keys, *data[1:]),
+                                  (extra_keys, *extra[1:])])
+        # The over-fetch block at cycle 5 follows both data blocks at
+        # cycle 5, so line 3's run spans data, over-fetch, data.
+        assert reference_runs(*merged, key_shift) == \
+            [(1, True, 0), (3, False, 5), (2, False, 9)]
+        for capacity in (1, 2, 8):
+            check_tier(drive, data_keys, data[1], capacity,
+                       key_shift=key_shift, idx_mul=idx_mul,
+                       cycles=data[2], extra=(extra_keys, *extra[1:]))
+
+    def test_line_run_spanning_both_sides(self, drive):
+        """Data ends on line 7, over-fetch starts on it: one access,
+        dirtied by the data side's write, at the data block's cycle."""
+        data_keys = np.array([5, 7, 7], np.int64) << 9
+        extra_keys = (np.array([7, 7, 8], np.int64) << 9) | 64
+        merged = reference_merge([(data_keys, [0, 0, 1], [0, 1, 2]),
+                                  (extra_keys, [0, 0, 0], [3, 3, 4])])
+        assert reference_runs(*merged, 9) == \
+            [(5, False, 0), (7, True, 1), (8, False, 4)]
+        for capacity in (1, 4):
+            check_tier(drive, data_keys, [0, 0, 1], capacity, key_shift=9,
+                       cycles=[0, 1, 2],
+                       extra=(extra_keys, [0, 0, 0], [3, 3, 4]))
+
+    @pytest.mark.parametrize("empty", ["data", "overfetch"])
+    def test_an_empty_side(self, drive, empty):
+        rng = np.random.default_rng(4)
+        keys = _blocks(rng.integers(0, 30, 120), 9, rng)
+        writes = rng.integers(0, 2, len(keys)).astype(bool)
+        cycles = np.sort(rng.integers(0, 50, len(keys)))
+        none = (np.empty(0, np.int64), np.empty(0, bool),
+                np.empty(0, np.int64))
+        if empty == "data":
+            check_tier(drive, none[0], none[1], 6, key_shift=9,
+                       cycles=none[2], extra=(keys, writes, cycles))
+        else:
+            check_tier(drive, keys, writes, 6, key_shift=9, cycles=cycles,
+                       extra=none)
+
+    def test_randomized_sides(self, drive):
+        """Two cycle-sorted sides drawn from few cycles (so ties across
+        sides are common) at key shifts 0, 6, 9 and 12, and precomputed
+        line indices of a 192 B unit."""
+        rng = np.random.default_rng(2026)
+        for draw in range(120):
+            shift = (0, 6, 9, 12)[draw % 4]
+            sides = []
+            for n in rng.integers(0, 80, 2):
+                keys = _blocks(rng.integers(0, 20, n), shift, rng)
+                sides.append((keys,
+                              rng.integers(0, 2, len(keys)).astype(bool),
+                              np.sort(rng.integers(0, 40, len(keys)))))
+            if draw % 5 == 0:
+                # A 192 B unit: line indices with shift 0.
+                shift = 0
+                sides = [(np.cumsum(rng.integers(0, 3, len(k))) * 64
+                          // (192 * 8), w, c) for k, w, c in sides]
+            (keys, writes, cycles), extra = sides
+            check_tier(drive, keys, writes, int(rng.integers(1, 12)),
+                       key_shift=shift, idx_mul=1 + draw % 2,
+                       cycles=cycles, extra=extra)
+
+    @pytest.mark.parametrize("descending", [0, 1])
+    def test_a_descending_side_is_sorted(self, drive, descending):
+        """A side whose cycles descend is stable-sorted before the walk,
+        so the drive equals the reference's stable sort of the sides'
+        concatenation; the kernel reports it and retries."""
+        rng = np.random.default_rng(9)
+        sides = []
+        for _ in range(2):
+            keys = _blocks(rng.integers(0, 25, 90), 6, rng)
+            sides.append((keys, rng.integers(0, 2, len(keys)).astype(bool),
+                          np.sort(rng.integers(0, 30, len(keys)))))
+        keys, writes, cycles = sides[descending]
+        sides[descending] = (keys, writes, cycles[::-1].copy())
+        recorder = obs.Recorder()
+        previous = obs.install(recorder)
+        try:
+            (keys, writes, cycles), extra = sides
+            check_tier(drive, keys, writes, 5, key_shift=6, cycles=cycles,
+                       extra=extra)
+        finally:
+            obs.install(previous)
+        if drive is _kernel_drive:
+            assert recorder.counters["native.drive.unsorted_side"] == 1
+
+    def test_more_than_two_sides_rejected(self, drive):
+        side = (np.zeros(1, np.int64), np.zeros(1, bool),
+                np.zeros(1, np.int64))
+        with pytest.raises(ValueError, match="sides"):
+            drive([side] * 3, 0, 1, 64, *_specs(4))
+
+
 def _random_stream(seed, n=80):
     rng = np.random.default_rng(seed)
     trace = Trace([
@@ -362,8 +497,8 @@ class ReferenceModels:
         self.layout = layout
         self.mac = MetadataCache(mac_bytes, line_bytes)
         self.vn = MetadataCache(vn_bytes, line_bytes)
-        self.mac_out = CacheTrafficResult()
-        self.vn_out = CacheTrafficResult()
+        self.mac_out = EventLog()
+        self.vn_out = EventLog()
 
     def process(self, stream):
         layout = self.layout
@@ -400,8 +535,7 @@ def _snapshot(mac_cache, vn_cache, mac_out, vn_out):
               s.flushed_lines, s.flush_writebacks)
              for s in (mac_cache.stats, vn_cache.stats)]
     return (stats,
-            [(list(o.stream_cycles), list(o.stream_addrs),
-              list(o.stream_writes), o.misses) for o in (mac_out, vn_out)],
+            [events(o) for o in (mac_out, vn_out)],
             list(mac_cache.raw_lines.items()),
             list(vn_cache.raw_lines.items()))
 
@@ -421,7 +555,7 @@ class TestModelsVsReference:
             mac_out, vn_out = CacheTrafficResult(), CacheTrafficResult()
             ref = ReferenceModels(layout, 512, 1024)
             for step in range(2):
-                process_mac_vn(mac, vn, stream, mac_out, vn_out)
+                process_mac_vn(mac, vn, (stream,), mac_out, vn_out)
                 ref.process(stream)
                 if step == 0 and between == "synced":
                     assert mac.cache.raw_lines and vn.cache.raw_lines
@@ -446,13 +580,49 @@ class TestModelsVsReference:
             ref = ReferenceModels(layout, 512, 2048, line_bytes)
             for _ in range(2):
                 if line_bytes == 64:
-                    mac.process(stream, mac_out)
-                    vn.process(stream, vn_out)
+                    mac.process((stream,), mac_out)
+                    vn.process((stream,), vn_out)
                 else:
-                    process_mac_vn(mac, vn, stream, mac_out, vn_out)
+                    process_mac_vn(mac, vn, (stream,), mac_out, vn_out)
                 ref.process(stream)
             assert _snapshot(mac.cache, vn.cache, mac_out, vn_out) == \
                 _snapshot(ref.mac, ref.vn, ref.mac_out, ref.vn_out)
+
+    def test_sides_cut_at_the_same_image_bounds(self, tier):
+        """A 512 B layer's data and over-fetch sides through
+        ``process_image_periodic``: both are cut at the same image
+        bounds, so each driven image equals the reference over that
+        image's slice of the sides' merge."""
+        layout = MetadataLayout(512)
+        trace = Trace([
+            TraceRange(64 * i, 700 * i + 96, 900, i % 3 == 0,
+                       AccessKind.IFMAP, 0, 40)
+            for i in range(24)
+        ])
+        sides = data_sides(trace, 512)
+        assert all(len(side) for side in sides)
+        merged = merge_sides(sides)
+        mac = MacTableModel(layout, MetadataCache(256))
+        vn = VnTreeModel(layout, MetadataCache(512))
+        mac_out, vn_out = CacheTrafficResult(), CacheTrafficResult()
+        ref = ReferenceModels(layout, 256, 512)
+        process_image_periodic(
+            lambda sub: process_mac_vn(mac, vn, sub, mac_out, vn_out),
+            sides, batch=4, image_cycles=500, outs=(mac_out, vn_out))
+        for lo, hi in ((0, 500), (500, 1000)):
+            keep = (merged.cycles >= lo) & (merged.cycles < hi)
+            ref.process(BlockStream(merged.cycles[keep], merged.addrs[keep],
+                                    merged.writes[keep],
+                                    merged.layer_ids[keep]))
+        stats, streams, *state = _snapshot(mac.cache, vn.cache, mac_out,
+                                           vn_out)
+        want_stats, want_streams, *want_state = _snapshot(
+            ref.mac, ref.vn, ref.mac_out, ref.vn_out)
+        assert (stats, state) == (want_stats, want_state)
+        for got, want in zip(streams, want_streams):
+            k = len(want[0])
+            assert len(got[0]) > k
+            assert [col[:k] for col in got[:3]] == list(want[:3])
 
     def test_line_run_cut_by_the_image_boundary(self, tier):
         """``process_image_periodic`` drives image 0 and image 1 as two
@@ -470,7 +640,7 @@ class TestModelsVsReference:
         ref = ReferenceModels(layout, 512, 1024)
         process_image_periodic(
             lambda sub: process_mac_vn(mac, vn, sub, mac_out, vn_out),
-            stream, batch=3, image_cycles=4, outs=(mac_out, vn_out))
+            (stream,), batch=3, image_cycles=4, outs=(mac_out, vn_out))
         for lo, hi in ((0, 4), (4, 8)):
             ref.process(BlockStream(stream.cycles[lo:hi],
                                     stream.addrs[lo:hi],

@@ -15,6 +15,7 @@ from repro.models.layer import conv, gemm
 from repro.models.topology import Topology
 from repro.protection import SCHEME_NAMES, make_scheme
 from repro.tiling.tile import SramBudget
+from tests.streams import merge_sides
 
 
 @st.composite
@@ -69,7 +70,7 @@ class TestSchemeInvariants:
         run = _run_model(topology)
         for name in SCHEME_NAMES:
             for protection in make_scheme(name).protect_model(run):
-                stream = protection.metadata_stream
+                stream = merge_sides(protection.metadata_sides)
                 if len(stream):
                     assert int(stream.addrs.min()) >= METADATA_BASE
 
@@ -92,8 +93,8 @@ class TestSchemeInvariants:
         run = _run_model(topology)
         for name in ("sgx-64b", "mgx-64b"):
             protections = make_scheme(name).protect_model(run)
-            reads = sum(int((~p.metadata_stream.writes).sum())
-                        for p in protections)
-            writes = sum(int(p.metadata_stream.writes.sum())
-                         for p in protections)
+            reads = sum(int((~side.writes).sum())
+                        for p in protections for side in p.metadata_sides)
+            writes = sum(int(side.writes.sum())
+                         for p in protections for side in p.metadata_sides)
             assert writes <= reads

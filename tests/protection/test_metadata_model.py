@@ -3,7 +3,7 @@ over-fetch."""
 
 import numpy as np
 
-from repro.accel.trace import AccessKind, Trace, TraceRange
+from repro.accel.trace import AccessKind, Trace, TraceRange, kind_code
 from repro.integrity.caches import MetadataCache
 from repro.protection.layout import MetadataLayout
 from repro.protection.metadata_model import (
@@ -11,7 +11,8 @@ from repro.protection.metadata_model import (
     MacTableModel,
     VnTreeModel,
     compress_runs,
-    overfetch_ranges,
+    data_sides,
+    overfetch_side,
 )
 
 
@@ -61,8 +62,8 @@ class TestMacTableModel:
         layout = MetadataLayout(64)
         model = MacTableModel(layout, MetadataCache(8 << 10))
         stream = _stream([64 * i for i in range(256)])
-        out = CacheTrafficResult([], [], [])
-        model.process(stream, out)
+        out = CacheTrafficResult()
+        model.process((stream,), out)
         assert out.misses == 256 // 8
 
     def test_writes_produce_writebacks_eventually(self):
@@ -71,19 +72,19 @@ class TestMacTableModel:
         model = MacTableModel(layout, cache)
         stream = _stream([64 * 8 * i for i in range(4)],
                          writes=[True] * 4)
-        out = CacheTrafficResult([], [], [])
-        model.process(stream, out)
+        out = CacheTrafficResult()
+        model.process((stream,), out)
         model.flush(99, out)
-        writes = sum(out.stream_writes)
+        writes = int(out.writes.sum())
         assert writes == 4  # every dirtied line written back exactly once
 
     def test_metadata_addresses_in_mac_table(self):
         layout = MetadataLayout(64)
         model = MacTableModel(layout, MetadataCache(8 << 10))
         stream = _stream([0, 64 * 100])
-        out = CacheTrafficResult([], [], [])
-        model.process(stream, out)
-        for addr in out.stream_addrs:
+        out = CacheTrafficResult()
+        model.process((stream,), out)
+        for addr in out.addrs:
             assert addr >= layout.mac_line_addr(0)
 
 
@@ -92,8 +93,8 @@ class TestVnTreeModel:
         layout = MetadataLayout(64)
         model = VnTreeModel(layout, MetadataCache(16 << 10))
         stream = _stream([0])
-        out = CacheTrafficResult([], [], [])
-        model.process(stream, out)
+        out = CacheTrafficResult()
+        model.process((stream,), out)
         # First access: VN line miss + every tree level missed.
         assert out.misses == 1 + layout.tree_levels
 
@@ -103,8 +104,8 @@ class TestVnTreeModel:
         model = VnTreeModel(layout, MetadataCache(16 << 10))
         # 64 sequential VN lines (8*64 units) share low tree ancestors.
         stream = _stream([64 * u for u in range(8 * 64)])
-        out = CacheTrafficResult([], [], [])
-        model.process(stream, out)
+        out = CacheTrafficResult()
+        model.process((stream,), out)
         cold_walk = 1 + layout.tree_levels
         # Far fewer than a cold walk per VN line.
         assert out.misses < 64 * cold_walk / 2
@@ -112,36 +113,36 @@ class TestVnTreeModel:
     def test_hits_produce_no_traffic(self):
         layout = MetadataLayout(64)
         model = VnTreeModel(layout, MetadataCache(16 << 10))
-        out = CacheTrafficResult([], [], [])
-        model.process(_stream([0]), out)
-        first = len(out.stream_addrs)
-        model.process(_stream([0]), out)
-        assert len(out.stream_addrs) == first
+        out = CacheTrafficResult()
+        model.process((_stream([0]),), out)
+        first = len(out.addrs)
+        model.process((_stream([0]),), out)
+        assert len(out.addrs) == first
+
+
+def _overfetch(*ranges, unit_bytes=512):
+    return overfetch_side(Trace(list(ranges)), unit_bytes)
 
 
 class TestOverfetch:
     def test_64b_units_never_overfetch(self):
-        ranges = [TraceRange(0, 100, 200, False, AccessKind.IFMAP, 0)]
-        assert overfetch_ranges(ranges, 64) == []
+        trace = Trace([TraceRange(0, 100, 200, False, AccessKind.IFMAP, 0)])
+        assert data_sides(trace, 64) == (trace.sorted_blocks(),)
 
     def test_aligned_range_no_overfetch(self):
-        ranges = [TraceRange(0, 512, 1024, False, AccessKind.IFMAP, 0)]
-        assert overfetch_ranges(ranges, 512) == []
+        side = _overfetch(TraceRange(0, 512, 1024, False, AccessKind.IFMAP, 0))
+        assert len(side) == 0
 
     def test_partial_head_and_tail(self):
-        ranges = [TraceRange(0, 256, 512, False, AccessKind.IFMAP, 0)]
-        extras = overfetch_ranges(ranges, 512)
-        assert len(extras) == 2
-        head, tail = extras
-        assert head.addr == 0 and head.nbytes == 256
-        assert tail.addr == 768 and tail.nbytes == 256
+        side = _overfetch(TraceRange(0, 256, 512, False, AccessKind.IFMAP, 0))
+        # Head [0, 256) then tail [768, 1024), four blocks each.
+        assert side.addrs.tolist() == [0, 64, 128, 192, 768, 832, 896, 960]
 
     def test_overfetch_is_reads(self):
-        ranges = [TraceRange(0, 256, 512, True, AccessKind.OFMAP, 0)]
-        extras = overfetch_ranges(ranges, 512)
-        assert all(not r.write for r in extras)  # RMW fetches
+        side = _overfetch(TraceRange(0, 256, 512, True, AccessKind.OFMAP, 0))
+        assert len(side) and not side.writes.any()  # RMW fetches
+        assert set(side.kinds.tolist()) == {kind_code(AccessKind.METADATA)}
 
     def test_overfetch_bytes_bounded(self):
-        ranges = [TraceRange(0, 300, 100, False, AccessKind.IFMAP, 0)]
-        extras = overfetch_ranges(ranges, 512)
-        assert sum(r.nbytes for r in extras) < 2 * 512
+        side = _overfetch(TraceRange(0, 300, 100, False, AccessKind.IFMAP, 0))
+        assert 0 < side.total_bytes < 2 * 512

@@ -118,7 +118,8 @@ class TestSeda:
     def test_metadata_is_per_layer_constant(self, model_run):
         scheme = SedaScheme(layer_macs_offchip=True)
         protections = scheme.protect_model(model_run)
-        metadata_blocks = sum(len(p.metadata_stream) for p in protections)
+        metadata_blocks = sum(len(side) for p in protections
+                              for side in p.metadata_sides)
         assert metadata_blocks == 2 * len(model_run.layers)
 
     def test_onchip_variant_zero_traffic(self, model_run):

@@ -25,7 +25,8 @@ class TestTraffic:
     def test_layer_mac_traffic_only(self, tiled_run):
         scheme = SecuratorScheme()
         protections = scheme.protect_model(tiled_run)
-        metadata_blocks = sum(len(p.metadata_stream) for p in protections)
+        metadata_blocks = sum(len(side) for p in protections
+                              for side in p.metadata_sides)
         assert metadata_blocks == 2 * len(tiled_run.layers)
 
     def test_traffic_near_seda(self, tiled_run):

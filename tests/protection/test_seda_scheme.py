@@ -9,6 +9,7 @@ from repro.models.topology import Topology
 from repro.models.zoo import get_workload
 from repro.protection.seda import SedaScheme
 from repro.tiling.tile import SramBudget
+from tests.streams import merge_sides
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +60,8 @@ class TestStorageVariants:
         scheme = SedaScheme(layer_macs_offchip=True)
         protections = scheme.protect_model(run)
         lines = [
-            [int(a) for a in p.metadata_stream.addrs] for p in protections
+            [int(a) for a in merge_sides(p.metadata_sides).addrs]
+            for p in protections
         ]
         addrs = {a for pair in lines for a in pair}
         # n+1 distinct lines chain the layers together.
@@ -73,8 +75,8 @@ class TestStorageVariants:
         """The layer-MAC read issues at layer start, the write at end."""
         scheme = SedaScheme(layer_macs_offchip=True)
         for protection in scheme.protect_model(run):
-            stream = protection.metadata_stream
-            data = protection.data_stream
+            stream = merge_sides(protection.metadata_sides)
+            data = merge_sides(protection.data_sides)
             assert stream.cycles[0] == data.cycles.min()
             assert stream.cycles[1] == data.cycles.max()
 

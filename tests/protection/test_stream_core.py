@@ -1,10 +1,16 @@
 """Equivalence of the vectorized protection fast paths to the reference
-implementations: over-fetch expansion, fused MAC+VN drive, shared MAC
-traffic replay."""
+implementations: a layer's data and over-fetch sides, fused MAC+VN
+drive, shared MAC traffic replay."""
 
 import numpy as np
 
-from repro.accel.trace import AccessKind, BlockStream, Trace, TraceRange
+from repro.accel.trace import (
+    AccessKind,
+    BlockStream,
+    Trace,
+    TraceRange,
+    kind_code,
+)
 from repro.integrity.caches import MetadataCache
 from repro.models.layer import conv
 from repro.models.topology import Topology
@@ -13,10 +19,11 @@ from repro.protection.metadata_model import (
     CacheTrafficResult,
     MacTableModel,
     VnTreeModel,
-    expanded_data_stream,
-    overfetch_ranges,
+    compress_runs,
+    data_sides,
     process_mac_vn,
 )
+from tests.streams import EventLog, events, merge_sides, overfetch_ranges
 
 
 def _random_trace(seed, n=120):
@@ -42,22 +49,29 @@ def _assert_streams_equal(a: BlockStream, b: BlockStream):
 
 class TestExpandedDataStream:
     def test_matches_per_range_overfetch(self):
+        """The merge of a layer's data and over-fetch sides is the
+        stable cycle sort of the ranges' expansion followed by the
+        per-range over-fetch reference's."""
         for seed in range(4):
             trace = _random_trace(seed)
             for unit in (64, 512, 4096):
-                got, got_blocks = expanded_data_stream(trace, unit)
+                sides = data_sides(trace, unit)
                 extras = overfetch_ranges(trace.ranges, unit)
                 want = Trace(trace.ranges + extras) \
                     .to_blocks().sorted_by_cycle()
-                _assert_streams_equal(got, want)
-                assert got_blocks == sum(r.num_blocks for r in extras)
+                _assert_streams_equal(merge_sides(sides), want)
+                assert sum(len(side) for side in sides[1:]) == \
+                    sum(r.num_blocks for r in extras)
 
     def test_memoized_per_unit(self):
         trace = _random_trace(0)
-        assert expanded_data_stream(trace, 512)[0] is \
-            expanded_data_stream(trace, 512)[0]
-        # 64 B units degenerate to the shared sorted stream.
-        assert expanded_data_stream(trace, 64)[0] is trace.sorted_blocks()
+        coarse = data_sides(trace, 512)
+        assert coarse[1] is data_sides(trace, 512)[1]
+        assert coarse[1] is not data_sides(trace, 4096)[1]
+        # Every unit reads the layer's one shared sorted stream; 64 B
+        # units have no over-fetch side at all.
+        assert coarse[0] is trace.sorted_blocks()
+        assert data_sides(trace, 64) == (trace.sorted_blocks(),)
 
 
 class TestFusedMacVn:
@@ -66,10 +80,9 @@ class TestFusedMacVn:
         pre-columnar implementation did it."""
         mac_cache = MetadataCache(mac_bytes)
         vn_cache = MetadataCache(vn_bytes)
-        mac_out = CacheTrafficResult()
-        vn_out = CacheTrafficResult()
+        mac_out = EventLog()
+        vn_out = EventLog()
         lines = layout.mac_line_addrs_vec(stream.addrs).astype(np.uint64)
-        from repro.protection.metadata_model import compress_runs
         rl, rw, rc = compress_runs(lines, stream.writes, stream.cycles)
         for i in range(len(rl)):
             hit, wb = mac_cache.access(int(rl[i]), write=bool(rw[i]))
@@ -111,12 +124,9 @@ class TestFusedMacVn:
             vn_model = VnTreeModel(layout, MetadataCache(vn_bytes))
             got_mac = CacheTrafficResult()
             got_vn = CacheTrafficResult()
-            process_mac_vn(mac_model, vn_model, stream, got_mac, got_vn)
+            process_mac_vn(mac_model, vn_model, (stream,), got_mac, got_vn)
             for got, want in ((got_mac, want_mac), (got_vn, want_vn)):
-                assert list(got.stream_cycles) == list(want.stream_cycles)
-                assert list(got.stream_addrs) == list(want.stream_addrs)
-                assert list(got.stream_writes) == list(want.stream_writes)
-                assert got.misses == want.misses
+                assert events(got) == events(want)
 
     def test_single_models_match_reference(self):
         layout = MetadataLayout(64)
@@ -124,12 +134,12 @@ class TestFusedMacVn:
         want_mac, want_vn = self._reference(layout, stream, 512, 1024)
         mac_model = MacTableModel(layout, MetadataCache(512))
         got_mac = CacheTrafficResult()
-        mac_model.process(stream, got_mac)
+        mac_model.process((stream,), got_mac)
         vn_model = VnTreeModel(layout, MetadataCache(1024))
         got_vn = CacheTrafficResult()
-        vn_model.process(stream, got_vn)
-        assert list(got_mac.stream_addrs) == list(want_mac.stream_addrs)
-        assert list(got_vn.stream_addrs) == list(want_vn.stream_addrs)
+        vn_model.process((stream,), got_vn)
+        assert events(got_mac) == events(want_mac)
+        assert events(got_vn) == events(want_vn)
 
 
 class TestSharedMacTraffic:
@@ -154,7 +164,8 @@ class TestSharedMacTraffic:
 
         assert len(replayed) == len(standalone)
         for a, b in zip(replayed, standalone):
-            _assert_streams_equal(a.metadata_stream, b.metadata_stream)
+            assert [events(side) for side in a.metadata_sides] == \
+                [events(side) for side in b.metadata_sides]
             assert a.data_bytes == b.data_bytes
 
 
@@ -169,45 +180,64 @@ def _small_run():
 
 
 class TestCycleSortedParts:
-    """Every (data, metadata) part the pipeline hands the DRAM model is
-    cycle-sorted, so its issue-order walk never sorts."""
+    """Every side the pipeline hands the DRAM model is cycle-sorted, so
+    its issue-order walk never sorts."""
 
     def test_baseline_serves_the_shared_sorted_stream(self):
         from repro.protection.unprotected import Unprotected
 
         run = _small_run()
         for result, row in zip(run.layers, Unprotected().protect_model(run)):
-            assert row.data_stream is result.trace.sorted_blocks()
+            assert len(row.data_sides) == 1
+            assert row.data_sides[0] is result.trace.sorted_blocks()
+            assert row.metadata_sides == ()
 
-    def test_sgx_metadata_merges_mac_and_vn_by_cycle(self, monkeypatch):
+    def test_sgx_metadata_merges_mac_and_vn_by_cycle(self):
         """Small caches interleave MAC and VN traffic; the metadata
-        stream holds exactly MAC followed by VN, reordered by cycle."""
+        sides are MAC then VN, each cycle-sorted, and the DRAM model
+        serves them as the stable cycle sort of their concatenation."""
+        from repro.dram.simulator import DramSim
+        from repro.dram.timing import SERVER_DRAM
         from repro.protection import sgx
-        from repro.protection.metadata_model import concat_to_stream
 
-        calls = []
+        rows = sgx.SgxScheme(64, vn_cache_bytes=512,
+                             mac_cache_bytes=512).protect_model(_small_run())
+        sim = DramSim(SERVER_DRAM, freq_ghz=1.0)
+        both = 0
+        for row in rows:
+            if row.is_flush:
+                assert len(row.metadata_sides) == 1
+                continue
+            mac, vn = row.metadata_sides
+            both += bool(len(mac) and len(vn))
+            for side in row.sides:
+                assert np.all(np.diff(side.cycles) >= 0)
+            assert sim.simulate_fast_batch_parts([row.sides])[0] == \
+                sim.simulate_fast(merge_sides(row.sides))
+        assert both
 
-        def spy(results, layer_id):
-            stream = concat_to_stream(results, layer_id)
-            calls.append(([np.frombuffer(r.stream_cycles, np.int64).copy()
-                           for r in results],
-                          [np.frombuffer(r.stream_addrs, np.int64).copy()
-                           for r in results],
-                          [np.frombuffer(r.stream_writes, np.int8).copy()
-                           for r in results],
-                          stream))
-            return stream
+    def test_coarse_unit_reuses_the_sorted_blocks(self):
+        """A 512 B scheme's data side is the layer's shared sorted
+        stream, the very arrays the baseline reads, and its over-fetch
+        side holds only the over-fetch blocks: read-only, metadata
+        kind, exactly the per-range reference's blocks."""
+        from repro.protection.mgx import MgxScheme
+        from repro.protection.sgx import SgxScheme
 
-        monkeypatch.setattr(sgx, "concat_to_stream", spy)
-        sgx.SgxScheme(64, vn_cache_bytes=512,
-                      mac_cache_bytes=512).protect_model(_small_run())
-        assert any(all(len(c) for c in cycles) for cycles, *_ in calls)
-        for cycles, addrs, writes, stream in calls:
-            assert np.all(np.diff(stream.cycles) >= 0)
-            want = sorted(zip(np.concatenate(cycles).tolist(),
-                              np.concatenate(addrs).tolist(),
-                              np.concatenate(writes).astype(bool).tolist()))
-            got = sorted(zip(stream.cycles.tolist(),
-                             stream.addrs.astype(np.int64).tolist(),
-                             stream.writes.tolist()))
-            assert got == want
+        run = _small_run()
+        for scheme in (SgxScheme(512), MgxScheme(512)):
+            rows = scheme.protect_model(run)
+            for result, row in zip(run.layers, rows):
+                base = result.trace.sorted_blocks()
+                data, overfetch = row.data_sides
+                assert data is base
+                assert all(getattr(data, name) is getattr(base, name)
+                           for name in ("cycles", "addrs", "writes",
+                                        "layer_ids", "kinds"))
+                assert len(overfetch) == row.overfetch_blocks > 0
+                assert not overfetch.writes.any()
+                assert set(overfetch.kinds.tolist()) == \
+                    {kind_code(AccessKind.METADATA)}
+                want = Trace(overfetch_ranges(result.trace.ranges, 512)) \
+                    .to_blocks().sorted_by_cycle()
+                _assert_streams_equal(overfetch, want)

@@ -1,0 +1,120 @@
+"""Test-side stream helpers.
+
+The pipeline never builds a stream from Python lists, never joins a
+layer's traffic sides into one stream, and never expands over-fetch
+range by range; tests that want those shapes build them here.
+"""
+
+from typing import List, Optional, Sequence
+
+import numpy as np
+
+from repro.accel.trace import AccessKind, BlockStream, TraceRange, kind_code
+from repro.protection.layout import LINE_BYTES
+from repro.utils.bitops import align_down, align_up
+
+
+def stream_from_lists(cycles: List[int], addrs: List[int], writes: List[bool],
+                      layer_id: int,
+                      kind: Optional[AccessKind] = None) -> BlockStream:
+    """A stream from parallel Python lists. ``kind`` stamps every block
+    with one access kind; ``None`` leaves the stream without a kind
+    column."""
+    n = len(addrs)
+    if len(cycles) != n or len(writes) != n:
+        raise ValueError("parallel metadata lists must match in length")
+    return BlockStream(
+        np.asarray(cycles, dtype=np.int64),
+        np.asarray(addrs, dtype=np.uint64),
+        np.asarray(writes, dtype=bool),
+        np.full(n, layer_id, dtype=np.int32),
+        None if kind is None else np.full(n, kind_code(kind), dtype=np.int8),
+    )
+
+
+def merge_sides(sides: Sequence, layer_id: int = 0) -> BlockStream:
+    """One stream from a layer's cycle-sorted traffic sides, in the
+    order the drives and the DRAM walk visit them: keyed ``(cycle, side
+    index)``, i.e. the stable cycle sort of the sides' concatenation.
+
+    Metadata cache traffic has no layer or kind column; its blocks take
+    ``layer_id``, and the result keeps a kind column only when every
+    side has one.
+    """
+    sides = list(sides)
+    cycles = np.concatenate([np.asarray(s.cycles, np.int64) for s in sides]
+                            or [np.empty(0, np.int64)])
+    addrs = np.concatenate([np.asarray(s.addrs).astype(np.uint64)
+                            for s in sides] or [np.empty(0, np.uint64)])
+    writes = np.concatenate([np.asarray(s.writes, bool) for s in sides]
+                            or [np.empty(0, bool)])
+    layer_ids = np.concatenate(
+        [s.layer_ids if hasattr(s, "layer_ids")
+         else np.full(len(s), layer_id, np.int32) for s in sides]
+        or [np.empty(0, np.int32)]).astype(np.int32)
+    kinds = None
+    if all(getattr(s, "kinds", None) is not None for s in sides):
+        kinds = np.concatenate([s.kinds for s in sides]
+                               or [np.empty(0, np.int8)])
+    order = np.argsort(cycles, kind="stable")
+    return BlockStream(cycles[order], addrs[order], writes[order],
+                       layer_ids[order],
+                       None if kinds is None else kinds[order])
+
+
+def overfetch_ranges(ranges, unit_bytes: int) -> List[TraceRange]:
+    """Per-range reference of the over-fetch a coarse protection unit
+    forces at range edges: the untouched head and tail of every
+    partially touched unit, read-only, issued like their range. Empty
+    for 64 B units, where every access is unit-sized."""
+    if unit_bytes <= LINE_BYTES:
+        return []
+    extras: List[TraceRange] = []
+    for r in ranges:
+        start = r.addr
+        end = r.addr + r.nbytes
+        head_base = align_down(start, unit_bytes)
+        head = start - head_base
+        if head:
+            extras.append(TraceRange(r.cycle, head_base, head, write=False,
+                                     kind=AccessKind.METADATA,
+                                     layer_id=r.layer_id, duration=r.duration))
+        tail = align_up(end, unit_bytes) - end
+        if tail:
+            extras.append(TraceRange(r.cycle, end, tail, write=False,
+                                     kind=AccessKind.METADATA,
+                                     layer_id=r.layer_id, duration=r.duration))
+    return extras
+
+
+class EventLog:
+    """A reference cache model's metadata events, one append each, in
+    the columns a :class:`CacheTrafficResult` exposes."""
+
+    def __init__(self):
+        self.cycles: List[int] = []
+        self.addrs: List[int] = []
+        self.writes: List[bool] = []
+        self.misses = 0
+
+    def __len__(self):
+        return len(self.addrs)
+
+    def extend_miss(self, cycle: int, addr: int) -> None:
+        self.cycles.append(cycle)
+        self.addrs.append(addr)
+        self.writes.append(False)
+        self.misses += 1
+
+    def extend_writeback(self, cycle: int, addr: int) -> None:
+        self.cycles.append(cycle)
+        self.addrs.append(addr)
+        self.writes.append(True)
+
+
+def events(result) -> tuple:
+    """``(cycles, addrs, writes, misses)`` of a traffic result or an
+    :class:`EventLog`, as plain lists."""
+    return (np.asarray(result.cycles, np.int64).tolist(),
+            np.asarray(result.addrs, np.int64).tolist(),
+            np.asarray(result.writes, bool).tolist(), result.misses)

@@ -4,8 +4,8 @@ Every public kernel in :mod:`repro.utils.native` must keep a registered
 pure-Python/numpy fallback (the ``FALLBACKS`` manifest) and match it
 exactly.  The broad equivalence suites live next to the models
 (``tests/protection/test_drive_tiers.py``, ``tests/dram``); this file
-pins the manifest itself and drives ``dram_walk`` and ``expand_merge``
-head-to-head against their numpy twins.
+pins the manifest itself and drives ``dram_walk`` (over one to four
+sides) and ``expand_merge`` head-to-head against their numpy twins.
 """
 
 import importlib
@@ -24,19 +24,17 @@ from repro.accel.trace import (
 from repro.dram.simulator import DramSim
 from repro.dram.timing import SERVER_DRAM
 from repro import obs
-from repro.protection.metadata_model import expanded_data_stream
+from repro.protection.metadata_model import overfetch_side
 from repro.utils import native
 from tests.dram import oracle
+from tests.streams import stream_from_lists
 
 
 def _stream(addrs, cycles=None, writes=None):
     n = len(addrs)
-    return BlockStream(
-        np.asarray(cycles if cycles is not None else np.zeros(n), np.int64),
-        np.asarray(addrs, np.uint64),
-        np.asarray(writes if writes is not None else np.zeros(n, bool), bool),
-        np.zeros(n, np.int32),
-    )
+    return stream_from_lists(
+        np.zeros(n, np.int64) if cycles is None else cycles, addrs,
+        np.zeros(n, bool) if writes is None else writes, layer_id=0)
 
 
 class TestFallbacksManifest:
@@ -111,6 +109,71 @@ class TestDramWalkParity:
         oracle_result = oracle.simulate(
             SERVER_DRAM, 1.0, BlockStream.concat(self._entries(seed)[0]))
         assert got[0].row_misses == oracle_result.row_misses
+
+
+class TestDramWalkSides:
+    """``dram_walk`` over k = 1 to 4 sides (data, over-fetch, MAC, VN)
+    against ``DramSim._walk_numpy`` and the oracle on the sides'
+    concatenation."""
+
+    @staticmethod
+    def _sides(seed, k, descending=None):
+        """k sides on few cycles and one bank's two rows, so every cycle
+        ties across all sides and the tie order decides the conflicts;
+        side ``descending`` has its cycles reversed."""
+        rng = np.random.default_rng(seed)
+        sides = []
+        for s in range(k):
+            n = int(rng.integers(20, 200))
+            rows = rng.integers(0, 2, n).astype(np.uint64)
+            cycles = np.sort(rng.integers(0, 8, n))
+            if s == descending:
+                cycles = cycles[::-1].copy()
+            sides.append(_stream(rows << np.uint64(20), cycles=cycles))
+        return sides
+
+    @staticmethod
+    def _serve(sides):
+        sim = DramSim(SERVER_DRAM, freq_ghz=1.0)
+        got, counters = _counted(sim.simulate_fast_batch_parts, [sides])
+        return got[0], counters
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_equal_cycles_across_all_sides(self, k, monkeypatch):
+        if not native.available():
+            pytest.skip("no native kernel in this environment")
+        sides = self._sides(k, k)
+        got, counters = self._serve(sides)
+        assert counters["native.dram_walk.kernel"] == 1
+        assert "dram.unsorted_side" not in counters
+        monkeypatch.setattr(native, "_load", lambda: None)
+        assert self._serve(sides)[0] == got
+        want = oracle.simulate(SERVER_DRAM, 1.0, BlockStream.concat(sides))
+        assert (got.requests, got.row_misses) == (want.requests,
+                                                  want.row_misses)
+
+    @pytest.mark.parametrize("k,descending",
+                             [(k, s) for k in (1, 2, 3, 4) for s in range(k)])
+    def test_a_descending_side_at_each_index(self, k, descending,
+                                             monkeypatch):
+        if not native.available():
+            pytest.skip("no native kernel in this environment")
+        sides = self._sides(10 + k, k, descending)
+        got, counters = self._serve(sides)
+        assert counters["dram.unsorted_side"] == 1
+        monkeypatch.setattr(native, "_load", lambda: None)
+        assert self._serve(sides)[0] == got
+        want = oracle.simulate(SERVER_DRAM, 1.0, BlockStream.concat(sides))
+        assert (got.requests, got.row_misses) == (want.requests,
+                                                  want.row_misses)
+
+    def test_more_than_four_sides_rejected(self):
+        if not native.available():
+            pytest.skip("no native kernel in this environment")
+        side = (np.zeros(1, np.int64), np.zeros(1, np.int64))
+        with pytest.raises(ValueError, match="at most 4 sides"):
+            native.dram_walk([side] * 5, (6, 2, 5, 3),
+                             np.zeros(64, np.int64))
 
 
 _STREAM_COLUMNS = ("cycles", "addrs", "writes", "layer_ids", "kinds")
@@ -206,16 +269,12 @@ class TestExpandMergeParity:
                              layer_id=2, durations=durations)
             return trace
 
-        (got, got_extra), counters = _counted(
-            expanded_data_stream, layer(), unit_bytes)
+        got, counters = _counted(overfetch_side, layer(), unit_bytes)
         assert counters["native.expand_merge.kernel"] == 1
-        assert got_extra > 0
-        assert int((got.kinds == kind_code(AccessKind.METADATA)).sum()) \
-            == got_extra
+        assert len(got) > 0
+        assert bool((got.kinds == kind_code(AccessKind.METADATA)).all())
         monkeypatch.setattr(native, "_load", lambda: None)
-        want, want_extra = expanded_data_stream(layer(), unit_bytes)
-        assert got_extra == want_extra
-        _assert_same_stream(got, want)
+        _assert_same_stream(got, overfetch_side(layer(), unit_bytes))
 
     @pytest.mark.parametrize("columns", [
         # count * duration = 2 * (2**61 + 1) is past 2**62.
