@@ -1,7 +1,7 @@
 """Microbenchmarks for the columnar stream core's hot paths.
 
 Covers the three pipeline stages the columnar refactor vectorized:
-block expansion (``Trace.sorted_blocks``), protection-scheme traffic
+block expansion (``Trace.windows``), protection-scheme traffic
 generation (``protect_model``), and DRAM service (``simulate_fast``),
 plus the end-to-end sweep cell. Each session's medians land in the git-ignored
 ``benchmarks/results/BENCH_streams.last.json`` (see ``conftest.py``).
@@ -9,6 +9,7 @@ plus the end-to-end sweep cell. Each session's medians land in the git-ignored
 
 import pytest
 
+from repro.accel.trace import BlockStream
 from repro.core.config import npu_config
 from repro.core.pipeline import Pipeline
 from repro.dram.simulator import DramSim
@@ -28,21 +29,20 @@ def model_run():
 
 @pytest.fixture(scope="module")
 def block_stream(model_run):
-    return model_run.trace.sorted_blocks()
+    return BlockStream.concat(window.blocks
+                              for window in model_run.trace.windows())
 
 
 def test_to_blocks(benchmark, model_run, perf_record):
-    """The cycle-sorted expansion every scheme consumes (the key keeps
-    its historical name)."""
+    """The cycle-sorted expansion every scheme consumes, window by
+    window (the key keeps its historical name)."""
     trace = model_run.trace
 
     def expand():
-        # Bypass the memo: benchmark the expansion, not the cache.
-        trace.release_memos()
-        return trace.sorted_blocks()
+        return sum(len(window.blocks) for window in trace.windows())
 
-    stream = benchmark(expand)
-    assert len(stream) > 100_000
+    blocks = benchmark(expand)
+    assert blocks > 100_000
     perf_record("to_blocks", benchmark)
 
 

@@ -10,12 +10,13 @@ layer, and object-per-range bookkeeping would dominate runtime.
 :class:`TraceRange` remains the public per-range record — construction,
 iteration and ``trace.ranges`` materialize it on demand — but the hot
 paths (byte accounting, filtering, block expansion) run on the columns.
-The cycle-sorted expansion every scheme consumes
-(:func:`expand_sorted`) is one native k-way merge of the ranges' block
-runs, with a numpy twin (repeat + cumsum expansion, then a stable cycle
-sort) on hosts without the kernel. It is memoized per trace revision, so
-every consumer of one layer's expanded stream in a scheme sweep shares a
-single expansion.
+The cycle-sorted expansion every scheme consumes is served in cycle
+windows of at most :data:`WINDOW_BLOCKS` blocks (:meth:`Trace.windows`):
+a resumable native k-way merge of the ranges' block runs
+(:class:`ExpandCursor`), with a numpy twin (repeat + cumsum expansion of
+each window's blocks, then a stable cycle sort) on hosts without the
+kernel. Every scheme of a sweep cell reads one window's blocks before
+the next window is expanded, so a layer is never expanded whole.
 
 Columns grow in fixed-size **chunks** (:data:`CHUNK_ROWS` rows once a
 buffer outgrows its small-trace tier): appends never reallocate the
@@ -31,7 +32,8 @@ the ``trace.peak_resident_bytes`` gauge in :mod:`repro.obs` (see
 
 BlockStreams are treated as immutable once built: transformations
 (:meth:`BlockStream.sorted_by_cycle`, :meth:`BlockStream.concat`)
-return new streams, which is what makes the memoized sharing safe.
+return new streams, which is what makes sharing a window's blocks
+across schemes safe.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ import enum
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, List, Optional, Protocol,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Protocol, Sequence, Tuple)
 
 import numpy as np
 
@@ -251,25 +253,167 @@ def expand_ranges(cycles: np.ndarray, addrs: np.ndarray, nbytes: np.ndarray,
     )
 
 
-def expand_sorted(columns: Sequence[np.ndarray]) -> BlockStream:
-    """Cycle-sorted block expansion of range columns.
+#: Most data blocks one cycle window of a layer holds (2.9 MiB of block
+#: columns at 22 B per block): a layer is expanded, protected and served
+#: one window at a time (:meth:`Trace.windows`). A single issue cycle
+#: holding more blocks than this stays whole, so it widens its window.
+WINDOW_BLOCKS = 1 << 17
+
+#: Issue-cycle bound of a window without an upper cut.
+_NO_STOP = np.iinfo(np.int64).max
+
+
+class ExpandCursor:
+    """Resumable cycle-sorted block expansion of range columns.
 
     ``columns`` are ``(cycles, addrs, nbytes, writes, kinds, layer_ids,
-    durations)`` in :meth:`RangeBuffer.arrays` order.  The result equals
-    ``expand_ranges(...).sorted_by_cycle()``: ties on a cycle keep range
-    order, then address order.  Each range's blocks are already in
-    ascending cycle order, so the native kernel merges the ranges'
-    runs instead of sorting the expansion; the numpy twin expands, then
-    sorts.
+    durations)`` in :meth:`RangeBuffer.arrays` order. Successive
+    :meth:`take` calls return consecutive pieces of
+    ``expand_ranges(...).sorted_by_cycle()``: ties on a cycle keep
+    range order, then address order. Each range's blocks are already in
+    ascending cycle order, so the native kernel merges the ranges' runs
+    and keeps its heap between calls; the numpy twin
+    (:meth:`_take_numpy`) keeps how many blocks each range has emitted
+    and expands, then sorts, only the blocks a call returns.
     """
-    cycles, addrs, nbytes, writes, kinds, layer_ids, durations = columns
-    first, counts = block_spans(addrs, nbytes)
-    merged = native.expand_merge(cycles, first, counts, durations, writes,
-                                 kinds, layer_ids, BLOCK_BYTES)
-    if merged is not None:
-        return BlockStream(*merged)
-    return expand_ranges(cycles, addrs, nbytes, writes, layer_ids,
-                         durations, kinds).sorted_by_cycle()
+
+    __slots__ = ("total", "emitted", "_state", "_cols", "_next")
+
+    def __init__(self, columns: Sequence[np.ndarray]):
+        cycles, addrs, nbytes, writes, kinds, layer_ids, durations = columns
+        first, counts = block_spans(addrs, nbytes)
+        self.total = int(counts.sum())
+        self.emitted = 0
+        self._state = native.expand_cursor(cycles, first, counts, durations,
+                                           writes, kinds, layer_ids,
+                                           BLOCK_BYTES)
+        self._cols = None
+        self._next = None
+        if self._state is None:
+            self._cols = (native.as_int64(cycles), native.as_int64(first),
+                          native.as_int64(counts), native.as_int64(durations),
+                          np.asarray(writes, bool), np.asarray(kinds, np.int8),
+                          np.asarray(layer_ids).astype(np.int32))
+            self._next = np.zeros(len(counts), np.int64)
+
+    def take(self, stop: int, cap: int) -> BlockStream:
+        """The expansion's next blocks issued before cycle ``stop``, at
+        most ``cap`` of them."""
+        cap = max(0, min(cap, self.total - self.emitted))
+        if self._state is not None:
+            out = native.expand_merge(self._state, stop, cap)
+        elif cap:
+            out = self._take_numpy(stop, cap)
+        else:
+            return empty_block_stream()
+        self.emitted += len(out[0])
+        return BlockStream(*out)
+
+    def peek(self) -> Optional[int]:
+        """Issue cycle of the next block, or ``None`` once every block
+        has been taken."""
+        if self.emitted >= self.total:
+            return None
+        if self._state is not None:
+            return native.expand_peek(self._state)
+        cycles, _, counts, durations = self._cols[:4]
+        left = self._next < counts
+        nxt = self._next[left]
+        return int((cycles[left] + nxt * durations[left]
+                    // counts[left]).min())
+
+    def _below(self, stop: int) -> np.ndarray:
+        """Per range, how many of its blocks issue before ``stop``:
+        block ``j`` issues at ``cycle + j * duration // count``, below
+        ``stop`` exactly when ``j * duration < (stop - cycle) * count``."""
+        cycles, _, counts, durations = self._cols[:4]
+        room = np.clip(stop - cycles, 0, durations + 1)
+        timed = -(-(room * counts) // np.maximum(durations, 1))
+        return np.where(durations > 0, np.minimum(counts, timed),
+                        np.where(room > 0, counts, 0))
+
+    def _take_numpy(self, stop: int, cap: int
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                               np.ndarray, np.ndarray]:
+        """Numpy twin of the native cursor: expand every range's untaken
+        blocks below ``stop`` (lowering ``stop`` first while that would
+        be far more than ``cap``), stable-sort them by cycle and keep
+        the first ``cap``."""
+        cycles, first, counts, durations, writes, kinds, layer_ids = \
+            self._cols
+        take = self._below(stop) - self._next
+        low = self.peek()
+        while int(take.sum()) > 4 * cap and stop - low > 1:
+            mid = low + (stop - low) // 2
+            below = self._below(mid) - self._next
+            if int(below.sum()) < cap:
+                low = mid
+            else:
+                stop, take = mid, below
+        ranges = np.repeat(np.arange(len(counts)), take)
+        j = np.arange(len(ranges), dtype=np.int64)
+        j -= np.repeat(np.cumsum(take) - take - self._next, take)
+        block_cycles = cycles[ranges] + j * durations[ranges] // counts[ranges]
+        order = np.argsort(block_cycles, kind="stable")[:cap]
+        ranges = ranges[order]
+        self._next += np.bincount(ranges, minlength=len(counts))
+        return (block_cycles[order],
+                (first[ranges] + j[order] * BLOCK_BYTES).astype(np.uint64),
+                writes[ranges], layer_ids[ranges], kinds[ranges])
+
+
+class TraceWindow:
+    """One cycle window ``[lo, hi)`` of a layer's traffic.
+
+    ``blocks`` are the layer's data blocks issued in the window, a
+    piece of its cycle-sorted expansion; ``lo`` is ``None`` for the
+    first window and ``hi`` ``None`` for the last. ``segment`` counts
+    the extra cuts (:meth:`Trace.windows`) below the window.
+    ``first_block`` marks the window holding the layer's first data
+    block and ``done`` the window after which none is left; ``last`` is
+    the layer's last window. ``layer`` is what the windows were cut for
+    (the :class:`~repro.accel.simulator.LayerResult`), and ``state`` a
+    dict shared by every window of the layer, where consumers keep what
+    they carry from one window to the next.
+    """
+
+    __slots__ = ("layer", "index", "lo", "hi", "segment", "blocks",
+                 "first_block", "done", "last", "state", "layer_blocks",
+                 "_cursors", "_sides")
+
+    def __init__(self, layer, index, lo, hi, segment, blocks, first_block,
+                 done, last, state, layer_blocks, cursors):
+        self.layer = layer
+        self.index = index
+        self.lo = lo
+        self.hi = hi
+        self.segment = segment
+        self.blocks = blocks
+        self.first_block = first_block
+        self.done = done
+        self.last = last
+        self.state = state
+        #: Data blocks of the whole layer.
+        self.layer_blocks = layer_blocks
+        self._cursors = cursors
+        self._sides: Dict[object, BlockStream] = {}
+
+    def side(self, key: object,
+             columns: Callable[[], Sequence[np.ndarray]]) -> BlockStream:
+        """This window's piece of another cycle-sorted expansion of the
+        layer, cut at the same bounds: ``columns()`` gives its range
+        columns the first time the layer is asked for ``key``."""
+        side = self._sides.get(key)
+        if side is None:
+            cursor = self._cursors.get(key)
+            if cursor is None:
+                cursor = self._cursors[key] = ExpandCursor(columns())
+                while self.lo is not None and cursor.peek() is not None \
+                        and cursor.peek() < self.lo:
+                    cursor.take(self.lo, WINDOW_BLOCKS)
+            side = self._sides[key] = cursor.take(
+                _NO_STOP if self.hi is None else self.hi, cursor.total)
+        return side
 
 
 #: Rows per sealed column chunk.  42 bytes/row across the seven columns
@@ -541,15 +685,12 @@ class RangeBuffer:
 
 
 def _stream_bytes(value: object) -> int:
-    """Resident bytes of the block streams a memoized value holds: the
-    value itself, or the members of a memoized tuple.
+    """Resident bytes of a memoized value that is a block stream.
 
     Expanded block streams — not the compact range columns — dominate a
-    long-sequence cell's footprint, so the residency gauge charges them
-    for as long as a trace's memo keeps them alive.
+    trace's footprint, so the residency gauge charges them for as long
+    as a trace's memo keeps them alive.
     """
-    if isinstance(value, tuple):
-        return sum(_stream_bytes(item) for item in value)
     if not isinstance(value, BlockStream):
         return 0
     total = (value.cycles.nbytes + value.addrs.nbytes
@@ -688,11 +829,8 @@ class Trace:
     # -- memoization --
 
     def memo(self, key: object, build: Callable[[], object]):
-        """Cache ``build()`` under ``key`` until the trace next mutates.
-
-        Consumers (block expansion, protection-scheme overfetch) use this
-        to share derived streams across every scheme in a sweep cell.
-        """
+        """Cache ``build()`` under ``key`` until the trace next mutates
+        (the range-order expansion and the per-range view use this)."""
         entry = self._memo.get(key)
         if entry is not None and entry[0] == self.buf.version:
             return entry[1]
@@ -708,11 +846,11 @@ class Trace:
 
     def release_memos(self) -> None:
         """Drop every memoized value and return its bytes to the
-        residency tally.
+        residency tally; the next consumer rebuilds what it needs.
 
-        The block expansions go; the next consumer rebuilds what it
-        needs. Sweep cells call this once every scheme has served a
-        layer, so one layer's streams are alive at a time.
+        The pipeline memoizes nothing here: it reads a layer's blocks
+        window by window (:meth:`windows`). The memos serve inspection
+        (:attr:`ranges`, :meth:`to_blocks`).
         """
         self._memo.clear()
         _account(-self._memo_owned)
@@ -767,8 +905,43 @@ class Trace:
                                  durations, kinds)
         return self.memo("blocks", build)
 
-    def sorted_blocks(self) -> BlockStream:
-        """Cycle-sorted expansion (memoized) — the per-layer base stream
-        every protection scheme consumes."""
-        return self.memo("sorted_blocks",
-                         lambda: expand_sorted(self.buf.arrays()))
+    def windows(self, cuts: Sequence[int] = (),
+                owner: object = None) -> Iterator[TraceWindow]:
+        """Serve the trace's cycle-sorted block expansion as consecutive
+        :class:`TraceWindow` s, each of at most :data:`WINDOW_BLOCKS`
+        blocks and cut at every cycle in ``cuts`` (ascending).
+
+        Windows end at a cycle boundary, so every block of one issue
+        cycle lands in one window, and the expansion's cursor carries
+        from each window to the next: the windows' blocks concatenate
+        to the whole expansion, and one window's blocks are alive at a
+        time. ``owner`` becomes each window's ``layer``.
+        """
+        cursor = ExpandCursor(self.buf.arrays())
+        state: Dict[object, object] = {}
+        cursors: Dict[object, ExpandCursor] = {}
+        lo: Optional[int] = None
+        index = 0
+        for segment, hi in enumerate([*cuts, None]):
+            stop = _NO_STOP if hi is None else hi
+            while True:
+                first = cursor.emitted == 0
+                parts = [cursor.take(stop, WINDOW_BLOCKS)]
+                # Never split an issue cycle between two windows.
+                while len(parts[-1]) == WINDOW_BLOCKS \
+                        and cursor.peek() == int(parts[-1].cycles[-1]):
+                    parts.append(cursor.take(int(parts[-1].cycles[-1]) + 1,
+                                             WINDOW_BLOCKS))
+                blocks = parts[0] if len(parts) == 1 else \
+                    BlockStream.concat(parts)
+                nxt = cursor.peek()
+                closed = nxt is None or nxt >= stop
+                bound = hi if closed else nxt
+                yield TraceWindow(owner, index, lo, bound, segment, blocks,
+                                  first and len(blocks) > 0, nxt is None,
+                                  closed and hi is None, state,
+                                  cursor.total, cursors)
+                index += 1
+                lo = bound
+                if closed:
+                    break

@@ -16,7 +16,7 @@ from repro.core.pipeline import CollectedRow, Pipeline, SchemeRun
 from repro.models.topology import Topology
 from repro.protection import make_scheme
 from repro.protection.base import ProtectionScheme
-from repro.protection.metadata_model import SharedTrafficModel
+from repro.protection.metadata_model import SharedTrafficModel, layer_windows
 
 
 def normalized_traffic(scheme_run: SchemeRun, baseline_run: SchemeRun) -> float:
@@ -92,12 +92,15 @@ def compare_schemes(pipeline: Pipeline, topology: Topology,
 
     The accelerator simulation (stage 1) runs once and is shared across
     schemes — only the protection and DRAM stages differ. The cell runs
-    layer-major: every scheme protects a layer and has DRAM serve it,
-    then that layer's memoized block streams and shared MAC traffic are
-    released before the next layer is expanded, so one layer's streams
-    are alive at a time.
-    The schemes keep their cache state from layer to layer and run in a
-    fixed order, so the records equal whole-model runs bit for bit.
+    layer by layer, and each layer window by window
+    (:func:`~repro.protection.metadata_model.layer_windows`): every
+    scheme protects a window and has DRAM serve it, then the window's
+    shared MAC traffic is released and the next window is expanded, so
+    one window's block streams and metadata are alive at a time, and
+    MGX replays SGX's MAC traffic window by window.
+    The schemes keep their cache state, and DRAM its open rows, from
+    window to window and run in a fixed order, so the records equal
+    whole-model runs bit for bit.
     ``collect``, when given, is filled with one :class:`CollectedRow`
     list per scheme (the baseline under key ``"baseline"``) — the probe
     data the analytic ``@bN`` derivation consumes.
@@ -108,17 +111,18 @@ def compare_schemes(pipeline: Pipeline, topology: Topology,
          else make_scheme(name))
         for name in scheme_names]
     parts: List[List[SchemeRun]] = [[] for _ in entries]
-    count = len(model_run.layers)
-    for window in [range(i, i + 1) for i in range(count)] or [range(0)]:
+    for layer in model_run.layers:
+        for window in layer_windows(layer):
+            for (name, scheme), scheme_parts in zip(entries, parts):
+                rows = None if collect is None else collect.setdefault(name, [])
+                scheme_parts.append(pipeline.run(topology, scheme,
+                                                 model_run=model_run,
+                                                 collect=rows, window=window))
+            SharedTrafficModel.release_window(model_run.scheme_memo, window)
+    if not model_run.layers:
         for (name, scheme), scheme_parts in zip(entries, parts):
-            rows = None if collect is None else collect.setdefault(name, [])
             scheme_parts.append(pipeline.run(topology, scheme,
-                                             model_run=model_run,
-                                             collect=rows, layers=window))
-        for layer in model_run.layers[window.start:window.stop]:
-            layer.trace.release_memos()
-            SharedTrafficModel.release_layer(model_run.scheme_memo,
-                                             layer.layer_id)
+                                             model_run=model_run))
     merged = [dataclasses.replace(
         scheme_parts[0],
         layers=[row for part in scheme_parts for row in part.layers])

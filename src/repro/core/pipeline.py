@@ -18,14 +18,16 @@ whichever resource saturates becomes the layer's critical path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro import obs
 from repro.accel.simulator import AcceleratorSim, ModelRun
+from repro.accel.trace import TraceWindow
 from repro.core.config import NpuConfig
-from repro.dram.simulator import DramResult, DramSim
+from repro.dram.simulator import DramResult, DramSim, WalkState
 from repro.models.topology import Topology
-from repro.protection.base import ProtectionScheme
+from repro.protection.base import LayerProtection, ProtectionScheme
+from repro.protection.metadata_model import layer_windows
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,22 @@ class SchemeRun:
         return histogram
 
 
+class _LayerTotals:
+    """One scheme's sums over a layer's windows so far: the DRAM walk's
+    state and the protection rows' byte counts."""
+
+    __slots__ = ("walk", "data_bytes", "metadata_bytes", "crypto_bytes")
+
+    def __init__(self, walk: WalkState):
+        self.walk = walk
+        self.data_bytes = self.metadata_bytes = self.crypto_bytes = 0
+
+    def add(self, protection: LayerProtection) -> None:
+        self.data_bytes += protection.data_bytes
+        self.metadata_bytes += protection.metadata_bytes
+        self.crypto_bytes += protection.crypto_bytes
+
+
 class Pipeline:
     """Accelerator -> protection -> DRAM evaluation pipeline for one NPU."""
 
@@ -148,43 +166,74 @@ class Pipeline:
     def run(self, topology: Topology, scheme: ProtectionScheme,
             model_run: Optional[ModelRun] = None,
             collect: Optional[List[CollectedRow]] = None,
-            layers: Optional[range] = None) -> SchemeRun:
+            layers: Optional[range] = None,
+            window: Optional[TraceWindow] = None) -> SchemeRun:
         """Full pipeline for one workload under one protection scheme.
 
-        ``layers`` restricts the run to a window of consecutive layer
-        indices (see :meth:`ProtectionScheme.protect_model`) and the
-        result holds that window's timing rows only; windows run in
-        layer order concatenate to the whole-model run exactly.
-        ``collect``, when given, receives one :class:`CollectedRow` per
-        timing row.
+        Each layer is protected and served one cycle window at a time
+        (:func:`~repro.protection.metadata_model.layer_windows`), so one
+        window's block streams are alive at a time. ``layers``
+        restricts the run to consecutive layer indices, ``window`` to
+        one window of one layer; the result holds the timing rows of
+        the layers that end in the run. Runs over consecutive layers,
+        or windows, in order concatenate to the whole-model run
+        exactly: a layer's DRAM walk and byte counts carry from window
+        to window in the window's per-layer state, and its row is made
+        after its last window. ``collect``, when given, receives one
+        :class:`CollectedRow` per timing row.
         """
         run = model_run if model_run is not None else self.simulate_model(topology)
-        # Each layer's expanded block stream (and over-fetch side) is
-        # memoized on its trace, so when ``model_run`` is shared across
-        # schemes (the sweep path) the expansion happens once, not once
-        # per scheme.
-        with obs.span("protect", scheme=scheme.name, workload=topology.name):
-            protections = scheme.protect_model(run, layers)
-        engine = scheme.crypto_engine()
+        if window is not None:
+            windows: Iterable[TraceWindow] = (window,)
+        else:
+            span = range(len(run.layers)) if layers is None else layers
+            windows = (w for result in run.layers[span.start:span.stop]
+                       for w in layer_windows(result))
+        timings: List[LayerTiming] = []
+        for part in windows:
+            self._serve(topology, run, scheme, part, collect, timings)
+        return SchemeRun(npu=self.npu, workload=topology.name,
+                         scheme_name=scheme.name, layers=timings,
+                         model_run=run, batch=topology.batch,
+                         seq=topology.seq)
 
-        # Each layer is served on a cold memory system, its data,
-        # over-fetch and metadata sides as one virtually concatenated
-        # stream.
+    def _serve(self, topology: Topology, run: ModelRun,
+               scheme: ProtectionScheme, window: TraceWindow,
+               collect: Optional[List[CollectedRow]],
+               timings: List[LayerTiming]) -> None:
+        """Protect and serve one window; append the rows it completes:
+        the layer's after its last window, then any flush row."""
+        with obs.span("protect", scheme=scheme.name, workload=topology.name):
+            protections = scheme.protect_model(run, window=window)
+        totals = window.state.get(scheme)
+        if totals is None:
+            totals = window.state[scheme] = \
+                _LayerTotals(self.dram.walk_state())
+        # The window's data, over-fetch and metadata sides are served as
+        # one virtually concatenated stream, the layer's row from the
+        # memory state its earlier windows left; a flush row on a cold
+        # memory system.
+        rows = [(p, _LayerTotals(self.dram.walk_state()) if p.is_flush
+                 else totals) for p in protections]
         with obs.span("dram", scheme=scheme.name, workload=topology.name,
                       layers=len(protections)):
-            dram_results = self.dram.simulate_fast_batch_parts(
-                [p.sides for p in protections])
-
-        if collect is not None:
-            collect.extend(
-                CollectedRow(p.layer_id, p.is_flush, p.data_bytes,
-                             p.metadata_bytes, p.crypto_bytes, dram)
-                for p, dram in zip(protections, dram_results))
-
-        timings: List[LayerTiming] = []
+            self.dram.simulate_fast_batch_parts(
+                [p.sides for p, _ in rows], [sums.walk for _, sums in rows])
+        for protection, sums in rows:
+            sums.add(protection)
+        finished = [(p, sums) for p, sums in rows
+                    if p.is_flush or window.last]
+        if not finished:
+            return
+        engine = scheme.crypto_engine()
         with obs.span("crypto", scheme=scheme.name, workload=topology.name):
-            for protection, dram_result in zip(protections, dram_results):
+            for protection, sums in finished:
                 layer_id = protection.layer_id
+                dram_result = self.dram.finish(sums.walk)
+                if collect is not None:
+                    collect.append(CollectedRow(
+                        layer_id, protection.is_flush, sums.data_bytes,
+                        sums.metadata_bytes, sums.crypto_bytes, dram_result))
                 # A flush record is explicit (``is_flush``): a real
                 # layer whose data stream happens to be empty keeps its
                 # name and its compute cycles instead of degenerating
@@ -197,11 +246,11 @@ class Pipeline:
                     name = f"(flush:{layer_id})"
 
                 crypto = 0.0
-                if engine is not None and protection.crypto_bytes:
+                if engine is not None and sums.crypto_bytes:
                     # Throughput-limited OTP generation; the pipeline
                     # latency (engine fill) is hidden under
                     # communication.
-                    crypto = protection.crypto_bytes / engine.bytes_per_cycle
+                    crypto = sums.crypto_bytes / engine.bytes_per_cycle
 
                 timings.append(LayerTiming(
                     layer_id=layer_id,
@@ -209,11 +258,7 @@ class Pipeline:
                     compute_cycles=compute,
                     dram_cycles=dram_result.busy_cycles,
                     crypto_cycles=crypto,
-                    data_bytes=protection.data_bytes,
-                    metadata_bytes=protection.metadata_bytes,
+                    data_bytes=sums.data_bytes,
+                    metadata_bytes=sums.metadata_bytes,
                     row_hit_rate=dram_result.row_hit_rate,
                 ))
-        return SchemeRun(npu=self.npu, workload=topology.name,
-                         scheme_name=scheme.name, layers=timings,
-                         model_run=run, batch=topology.batch,
-                         seq=topology.seq)

@@ -5,7 +5,8 @@ needs: per-channel data-bus occupancy plus row-buffer hit/miss behaviour
 per bank. :meth:`repro.dram.simulator.DramSim.simulate_fast_batch_parts`
 is the one production path: it walks the merge of each layer's
 cycle-sorted traffic sides (data, over-fetch, MAC, VN) in issue order,
-counts requests and row conflicts per channel, and turns them into busy
+window by window from the open rows a ``WalkState`` carries, counts
+requests and row conflicts per channel, and turns them into busy
 cycles.
 An event-driven walk of the same semantics lives in ``tests/dram`` as
 the oracle the model is checked against.

@@ -13,14 +13,21 @@ and MAC (MGX); data and layer MACs (SeDA). One walk visits their merge
 in issue order, keyed ``(cycle, side index)`` so a lower side wins
 ties, as in the sides' concatenated stream, with an open-row register
 per bank; it has a native kernel and a numpy twin.
-``tests/dram/oracle.py`` holds an event-driven walk of the same
+
+A layer arrives in cycle windows (:meth:`repro.accel.trace.Trace.
+windows`), every side cut at the same cycle bounds, so the windows'
+merges concatenate to the layer's. A :class:`WalkState` carries the
+open-row registers and the per-channel counts from one window's walk
+to the next, and :meth:`DramSim.finish` turns them into the layer's
+:class:`DramResult`, exactly the result of one walk over the whole
+layer. ``tests/dram/oracle.py`` holds an event-driven walk of the same
 semantics that the test suite checks this model against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,8 +37,12 @@ from repro.dram.mapping import AddressMapping, _shift_of
 from repro.dram.timing import DramConfig
 from repro.utils import native
 
-#: A side's ``(addrs, cycles)`` columns, as the walk reads them.
-_Columns = Tuple[np.ndarray, np.ndarray]
+#: The open-row register of a closed bank.
+_CLOSED = np.iinfo(np.int64).min
+
+#: A side's ``(addrs, cycles)`` columns, as the walk reads them, maybe
+#: followed by their data addresses (:func:`repro.utils.native.column_ptrs`).
+_Columns = Tuple
 
 
 @dataclass
@@ -59,6 +70,29 @@ class DramResult:
         return self.requests * 64
 
 
+class WalkState:
+    """Where an issue-order walk stands between windows of one layer.
+
+    ``regs`` is the native walk's in/out array: this walk's per-channel
+    request and conflict counts, then one open-row register per bank
+    (``INT64_MIN``: closed, as on a cold memory system). ``requests``
+    and ``conflicts`` sum the counts of every walk so far.
+    """
+
+    __slots__ = ("regs", "regs_addr", "requests", "conflicts")
+
+    def __init__(self, channels: int, banks_per_channel: int):
+        self.regs = np.full(channels * (2 + banks_per_channel), _CLOSED,
+                            np.int64)
+        self.regs_addr = self.regs.ctypes.data
+        self.requests = [0] * channels
+        self.conflicts = [0] * channels
+
+    def open_rows(self) -> np.ndarray:
+        """The per-bank open-row registers (a view)."""
+        return self.regs[2 * len(self.requests):]
+
+
 class DramSim:
     """DRAM timing simulator for one configuration and NPU clock."""
 
@@ -77,10 +111,10 @@ class DramSim:
         #: Power-of-two mapping shifts for the native walk; None leaves
         #: exotic non-power-of-two configs to the numpy twin.
         self._shifts = shifts if min(shifts) >= 0 else None
-        #: The walk's output: per-channel requests and conflicts, then
-        #: one open-row register per bank.
-        self._counts = np.empty(
-            config.channels * (2 + config.banks_per_channel), np.int64)
+
+    def walk_state(self) -> WalkState:
+        """A cold memory system: every bank closed, nothing counted."""
+        return WalkState(self.config.channels, self.config.banks_per_channel)
 
     @staticmethod
     def _conflict_mask(sorted_bank: np.ndarray,
@@ -106,25 +140,50 @@ class DramSim:
         return self.simulate_fast_batch_parts([(stream,)])[0]
 
     def simulate_fast_batch_parts(
-            self, part_lists: List[Sequence[TrafficSide]]) -> List[DramResult]:
-        """Serve each entry of ``part_lists`` on a cold memory system.
+            self, part_lists: List[Sequence[TrafficSide]],
+            states: Optional[Sequence[WalkState]] = None
+            ) -> List[DramResult]:
+        """Serve each entry of ``part_lists`` on a cold memory system,
+        or from the matching entry of ``states``.
 
         An entry is up to :data:`~repro.utils.native.WALK_MAX_SIDES`
         cycle-sorted sides, treated as their concatenated stream
         without materializing it: one walk visits the sides' merge in
-        issue order, a lower side first on equal cycles.
+        issue order, a lower side first on equal cycles. A state's walk
+        starts from its open rows and leaves them, and its counts, for
+        the entry's next window (:meth:`finish`); the result is what
+        this entry alone added.
         """
-        return [self._serve(parts) for parts in part_lists]
+        if states is None:
+            states = [self.walk_state() for _ in part_lists]
+        return [self._serve(parts, state)
+                for parts, state in zip(part_lists, states)]
 
-    def _serve(self, parts: Sequence[TrafficSide]) -> DramResult:
+    def finish(self, state: WalkState) -> DramResult:
+        """The result of every walk ``state`` has carried."""
+        return self._result(state.requests, state.conflicts)
+
+    def _serve(self, parts: Sequence[TrafficSide],
+               state: WalkState) -> DramResult:
         if len(parts) > native.WALK_MAX_SIDES:
             raise ValueError(
                 f"a DRAM entry is at most {native.WALK_MAX_SIDES} sides "
                 f"(data, over-fetch, MAC, VN), got {len(parts)}")
-        requests, conflicts = self._walk(
-            [(native.as_int64(p.addrs), native.as_int64(p.cycles))
-             for p in parts if len(p)])
+        sides = []
+        for part in parts:
+            if len(part):
+                ptrs = native.column_ptrs(part) \
+                    if isinstance(part, BlockStream) else None
+                sides.append((native.as_int64(part.addrs),
+                              native.as_int64(part.cycles),
+                              *(ptrs[:2] if ptrs else ())))
+        requests, conflicts = self._walk(sides, state)
+        state.requests = [a + b for a, b in zip(state.requests, requests)]
+        state.conflicts = [a + b for a, b in zip(state.conflicts, conflicts)]
+        return self._result(requests, conflicts)
 
+    def _result(self, requests: List[int],
+                conflicts: List[int]) -> DramResult:
         # Activation penalties overlap with other banks' bursts; with B
         # banks, roughly (B-1)/B of each penalty hides under concurrent
         # transfers.
@@ -143,45 +202,52 @@ class DramSim:
             per_channel_row_misses=conflicts,
         )
 
-    def _walk(self, sides: List[_Columns]) -> Tuple[List[int], List[int]]:
+    def _walk(self, sides: List[_Columns],
+              state: WalkState) -> Tuple[List[int], List[int]]:
         """Per-channel (requests, row conflicts) of the issue-order walk
-        over an entry's non-empty ``(addrs, cycles)`` sides.
+        over an entry's non-empty ``(addrs, cycles)`` sides, from and
+        into ``state``'s open rows.
 
         The native kernel expects each side cycle-sorted, as every
         production side is; when it reports a descent, that side is
         stable-sorted by cycle (which keeps the walk's order) and the
-        walk runs again.
+        walk runs again from the open rows it started with.
         """
         if self._shifts is None:
-            return self._walk_numpy(sides)
+            return self._walk_numpy(sides, state.open_rows())
         channels = self.config.channels
+        regs = state.regs
+        start = regs[2 * channels:].copy()
         sorted_sides = 0
         while True:
-            rc = native.dram_walk(sides, self._shifts, self._counts)
+            rc = native.dram_walk(sides, self._shifts, regs, state.regs_addr)
             if rc is None:
-                return self._walk_numpy(sides)
+                return self._walk_numpy(sides, state.open_rows())
             if rc == 0:
                 break
             sorted_sides += 1
-            addrs, cycles = sides[rc - 1]
+            regs[2 * channels:] = start
+            addrs, cycles = sides[rc - 1][:2]
             order = np.argsort(cycles, kind="stable")
             sides[rc - 1] = (addrs[order], cycles[order])
         if sorted_sides:
             obs.incr("dram.unsorted_side", sorted_sides)
-        counts = self._counts[:2 * channels].tolist()
+        counts = regs[:2 * channels].tolist()
         return counts[:channels], counts[channels:]
 
-    def _walk_numpy(self, sides: List[_Columns]
+    def _walk_numpy(self, sides: List[_Columns], open_rows: np.ndarray
                     ) -> Tuple[List[int], List[int]]:
         """Numpy twin of the native walk: merge the sides by a stable
         cycle sort of their concatenation, then a stable sort by global
         bank lines each bank's accesses up in issue order for
-        :meth:`_conflict_mask`."""
+        :meth:`_conflict_mask`; a bank's first access conflicts unless
+        it hits the row ``open_rows`` holds, and its last leaves its row
+        there."""
         cfg = self.config
         if not sides:
             return [0] * cfg.channels, [0] * cfg.channels
-        addrs = np.concatenate([a for a, _ in sides])
-        cycles = np.concatenate([c for _, c in sides])
+        addrs = np.concatenate([side[0] for side in sides])
+        cycles = np.concatenate([side[1] for side in sides])
         addrs = addrs[np.argsort(cycles, kind="stable")]
         channels, banks, rows = self.mapping.decompose(addrs)
         gb = channels * cfg.banks_per_channel + banks
@@ -191,7 +257,12 @@ class DramSim:
                     else np.uint16 if nbanks <= 1 << 16 else np.int64)
         order = np.argsort(gb.astype(key_type), kind="stable")
         gb_s = gb[order]
-        flags = self._conflict_mask(gb_s, rows[order])
+        rows_s = np.asarray(rows[order], np.int64)
+        flags = self._conflict_mask(gb_s, rows_s)
+        firsts = np.flatnonzero(np.diff(gb_s, prepend=-1))
+        flags[firsts] = rows_s[firsts] != open_rows[gb_s[firsts]]
+        lasts = np.append(firsts[1:] - 1, len(gb_s) - 1)
+        open_rows[gb_s[lasts]] = rows_s[lasts]
         conflicts = np.bincount(gb_s[flags] // cfg.banks_per_channel,
                                 minlength=cfg.channels)
         requests = np.bincount(channels, minlength=cfg.channels)

@@ -6,15 +6,20 @@ import abc
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.accel.simulator import LayerResult, ModelRun
 from repro.accel.trace import (
     BLOCK_BYTES,
+    AccessKind,
     BlockStream,
+    TraceWindow,
     TrafficSide,
+    kind_code,
 )
 from repro.crypto.engine import CryptoEngineModel
-from repro.protection.metadata_model import CacheTrafficResult
+from repro.protection.metadata_model import CacheTrafficResult, layer_windows
 
 
 @dataclass
@@ -22,11 +27,13 @@ class LayerProtection:
     """What a scheme adds to one layer's traffic and timing.
 
     Traffic is held as cycle-sorted sides that are never concatenated:
-    the data sides (the layer's shared sorted block stream, then, at a
-    coarse unit, its over-fetch blocks) and the metadata sides (MAC and
-    VN traffic, or layer MACs). The DRAM model walks their merge keyed
+    the data sides (the window's shared data blocks, then, at a coarse
+    unit, its over-fetch blocks) and the metadata sides (MAC and VN
+    traffic, or layer MACs). The DRAM model walks their merge keyed
     ``(cycle, side index)`` (:attr:`sides`), the issue order of their
-    concatenation stably sorted by cycle.
+    concatenation stably sorted by cycle. A pipeline row covers one
+    cycle window of a layer (:meth:`ProtectionScheme.protect_window`);
+    :meth:`join` makes a whole layer's row of its windows' rows.
     """
 
     layer_id: int
@@ -54,6 +61,54 @@ class LayerProtection:
     @property
     def total_bytes(self) -> int:
         return self.data_bytes + self.metadata_bytes
+
+    @staticmethod
+    def join(rows: Sequence["LayerProtection"]) -> "LayerProtection":
+        """One row of consecutive windows' rows of a layer: each side
+        the concatenation of the windows' pieces (cycle-sorted, since
+        the windows are), every count summed."""
+        if len(rows) == 1:
+            return rows[0]
+        first = rows[0]
+
+        def joined(sides):
+            if isinstance(sides[0], CacheTrafficResult):
+                out = CacheTrafficResult()
+                for side in sides:
+                    out.extend_from(side)
+                return out
+            return BlockStream.concat(sides)
+
+        return LayerProtection(
+            layer_id=first.layer_id,
+            data_sides=tuple(joined(sides) for sides in
+                             zip(*(row.data_sides for row in rows))),
+            metadata_sides=tuple(joined(sides) for sides in
+                                 zip(*(row.metadata_sides for row in rows))),
+            crypto_bytes=sum(row.crypto_bytes for row in rows),
+            mac_computations=sum(row.mac_computations for row in rows),
+            overfetch_blocks=sum(row.overfetch_blocks for row in rows),
+            aes_invocations=sum(row.aes_invocations for row in rows),
+            is_flush=first.is_flush,
+        )
+
+
+def layer_mac_side(window: TraceWindow, line: int) -> BlockStream:
+    """One window's share of a layer-MAC scheme's metadata: the read of
+    MAC line ``line`` at the layer's first data block and the write of
+    the next line at its last, each in the window holding that block."""
+    blocks = window.blocks
+    events = []
+    if window.first_block:
+        events.append((int(blocks.cycles[0]), line, False))
+    if window.done and len(blocks):
+        events.append((int(blocks.cycles[-1]), line + BLOCK_BYTES, True))
+    cycles, addrs, writes = zip(*events) if events else ((), (), ())
+    return BlockStream(
+        np.array(cycles, dtype=np.int64), np.array(addrs, dtype=np.uint64),
+        np.array(writes, dtype=bool),
+        np.full(len(events), window.layer.layer_id, dtype=np.int32),
+        np.full(len(events), kind_code(AccessKind.METADATA), dtype=np.int8))
 
 
 @dataclass(frozen=True)
@@ -96,8 +151,17 @@ class ProtectionScheme(abc.ABC):
         """Reset per-model state and size engines for this run."""
 
     @abc.abstractmethod
+    def protect_window(self, window: TraceWindow) -> LayerProtection:
+        """Metadata traffic and crypto cost for one cycle window of a
+        layer (:func:`repro.protection.metadata_model.layer_windows`).
+        Windows arrive in order, layer by layer; quantities counted
+        once per layer go to the layer's first window."""
+
     def protect_layer(self, result: LayerResult) -> LayerProtection:
-        """Metadata traffic and crypto cost for one layer."""
+        """Metadata traffic and crypto cost for one whole layer: its
+        windows' rows joined (:meth:`LayerProtection.join`)."""
+        return LayerProtection.join([self.protect_window(window)
+                                     for window in layer_windows(result)])
 
     @abc.abstractmethod
     def summary(self) -> SchemeSummary:
@@ -120,8 +184,10 @@ class ProtectionScheme(abc.ABC):
     def _note_sides(self, sides: Sequence[BlockStream],
                     layer_id: int) -> None:
         """Track the latest issue cycle and layer, so residual flush
-        traffic lands at the end of the model's timeline."""
-        last = [int(side.cycles.max()) for side in sides if len(side)]
+        traffic lands at the end of the model's timeline (sides are
+        cycle-sorted and windows come in cycle order, so the last
+        non-empty window's last blocks hold the layer's latest cycle)."""
+        last = [int(side.cycles[-1]) for side in sides if len(side)]
         if last:
             self._last_cycle = max(last)
         self._last_layer = layer_id
@@ -144,28 +210,44 @@ class ProtectionScheme(abc.ABC):
                                metadata_sides=(out,), is_flush=True)
 
     def protect_model(self, run: ModelRun,
-                      layers: Optional[range] = None) -> List[LayerProtection]:
-        """Run a window of consecutive layers through the scheme.
+                      layers: Optional[range] = None,
+                      window: Optional[TraceWindow] = None
+                      ) -> List[LayerProtection]:
+        """Run a window of consecutive layers through the scheme, or one
+        cycle window of one layer.
 
-        ``layers`` holds layer indices (default: the whole model). The
-        window that starts at layer 0 resets the scheme
-        (:meth:`begin_model`); the window that reaches the last layer
+        ``layers`` holds layer indices (default: the whole model) and
+        yields one row per layer (:meth:`protect_layer`); ``window``
+        instead yields that window's row (:meth:`protect_window`). The
+        call that starts layer 0 resets the scheme
+        (:meth:`begin_model`); the call that ends the last layer
         appends the end-of-model flush row. Scheme state (metadata
-        caches) carries from one window to the next, so protecting a
-        model layer by layer yields exactly the rows of one whole-model
-        call.
+        caches) carries from one call to the next, so protecting a
+        model layer by layer, or window by window, yields exactly the
+        rows of one whole-model call, split.
         """
-        window = range(len(run.layers)) if layers is None else layers
-        if window.start == 0:
+        if window is not None:
+            first = run.layers[0] is window.layer and window.index == 0
+            final = run.layers[-1] is window.layer and window.last
+        else:
+            span = range(len(run.layers)) if layers is None else layers
+            first = span.start == 0
+            final = span.stop >= len(run.layers)
+        if first:
             self.begin_model(run)
-        results = []
-        for layer in run.layers[window.start:window.stop]:
-            # One span per layer is the sanctioned stage granularity.
-            # repro: allow(obs-noop-discipline)
+        if window is not None:
             with obs.span("protect.layer", scheme=self.name,
-                          layer=layer.layer_id):
-                results.append(self.protect_layer(layer))
-        if window.stop >= len(run.layers):
+                          layer=window.layer.layer_id, window=window.index):
+                results = [self.protect_window(window)]
+        else:
+            results = []
+            for layer in run.layers[span.start:span.stop]:
+                # One span per layer is the sanctioned stage granularity.
+                # repro: allow(obs-noop-discipline)
+                with obs.span("protect.layer", scheme=self.name,
+                              layer=layer.layer_id):
+                    results.append(self.protect_layer(layer))
+        if final:
             tail = self.finish_model()
             if tail is not None:
                 results.append(tail)

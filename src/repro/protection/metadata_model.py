@@ -19,18 +19,23 @@ access-for-access against an independent ``LruCache`` reference by
 ``tests/protection/test_drive_tiers.py``.
 
 A layer's traffic is never concatenated: its data blocks (the shared
-cycle-sorted expansion, :meth:`Trace.sorted_blocks`), its over-fetch
-blocks at a coarse unit (:func:`overfetch_side`) and each cache's
-metadata traffic (:class:`CacheTrafficResult`) are separate
-cycle-sorted *sides*.  The drives and the DRAM walk merge them keyed
-``(cycle, side index)``, which is the order of their concatenation
-stably sorted by cycle.
+cycle-sorted expansion), its over-fetch blocks at a coarse unit
+(:func:`overfetch_columns`) and each cache's metadata traffic
+(:class:`CacheTrafficResult`) are separate cycle-sorted *sides*.  The
+drives and the DRAM walk merge them keyed ``(cycle, side index)``,
+which is the order of their concatenation stably sorted by cycle.
+
+A layer arrives in cycle windows (:func:`layer_windows`), every side
+cut at the same bounds, and the drives continue from window to window:
+the caches keep their state, and a metadata line run cut by a window
+carries into the next (:func:`repro.utils.native.fused_drive`'s
+``carry``), so the windows' traffic is exactly the whole layer's.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +44,7 @@ from repro.accel.trace import (
     AccessKind,
     BlockStream,
     Trace,
-    expand_sorted,
+    TraceWindow,
     kind_code,
 )
 from repro.integrity.caches import MetadataCache
@@ -135,12 +140,17 @@ class CacheTrafficResult:
 def _drive_columns(sides: Sequence[BlockStream], unit_bytes: int):
     """Per-side ``(keys, writes, cycles)`` drive columns and the shift
     that maps a key to its metadata line index: the addresses
-    themselves for a power-of-two unit, otherwise precomputed line
-    indices with shift 0."""
+    themselves for a power-of-two unit (with the columns' data
+    addresses, :func:`repro.utils.native.column_ptrs`), otherwise
+    precomputed line indices with shift 0."""
     div = unit_bytes * ENTRIES_PER_LINE
     if div & (div - 1) == 0:
-        return ([(side.addrs, side.writes, side.cycles) for side in sides],
-                div.bit_length() - 1)
+        columns = []
+        for side in sides:
+            ptrs = native.column_ptrs(side)
+            columns.append((side.addrs, side.writes, side.cycles) + (
+                () if ptrs is None else (ptrs[0], ptrs[2], ptrs[1])))
+        return columns, div.bit_length() - 1
     return ([(side.addrs // np.uint64(div), side.writes, side.cycles)
              for side in sides], 0)
 
@@ -180,7 +190,7 @@ def _merge_sides(sides) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
                          f"block sides, got {len(sides)}")
     keys, writes, cycles = (np.concatenate(column) for column in zip(
         *[(native.as_int64(k), np.asarray(w, bool), native.as_int64(c))
-          for k, w, c in sides]))
+          for k, w, c, *_ in sides]))
     if len(cycles) > 1 and bool((cycles[1:] < cycles[:-1]).any()):
         order = np.argsort(cycles, kind="stable")
         keys, writes, cycles = keys[order], writes[order], cycles[order]
@@ -190,6 +200,7 @@ def _merge_sides(sides) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 def drive_scalar(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
                  key_shift: int, idx_mul: int, line_bytes: int,
                  mac: Optional[Tuple] = None, vn: Optional[Tuple] = None,
+                 carry: Optional[np.ndarray] = None,
                  ) -> Tuple[Optional[native.DriveOutput],
                             Optional[native.DriveOutput]]:
     """Scalar twin of :func:`repro.utils.native.fused_drive`.
@@ -206,13 +217,16 @@ def drive_scalar(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     the leaf's tree ancestors ``node_base[l] + (leaf // node_div[l]) *
     ratio`` up to the first cached node. The initial states are copied,
     never mutated; the final states come back as arrays, exactly as the
-    kernel returns them.
+    kernel returns them. ``carry`` continues and leaves an open line run
+    as the kernel's does: a first run on the carried line only adds its
+    write to the lines the carried access touched.
     """
     keys, writes, cycles = _merge_sides(sides)
-    idx, writes, cycles = compress_runs(
+    runs, writes, cycles = compress_runs(
         native.as_int64(keys).view(np.uint64) >> np.uint64(key_shift),
         writes, cycles)
-    idx = idx.view(np.int64) * idx_mul
+    runs = runs.view(np.int64)
+    idx = runs * idx_mul
     lb = line_bytes
     mac_on, vn_on = mac is not None, vn is not None
     mac_base, mac_cap, mac_init = mac if mac_on else (0, 0, {})
@@ -229,15 +243,36 @@ def drive_scalar(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     v_cyc, v_addr, v_wr = (col.append for col in v_events)
     m_hits = m_misses = m_evictions = m_dirty = 0
     v_hits = v_misses = v_evictions = v_dirty = 0
+    # The lines the latest access touched: its MAC tag, its VN tags.
+    t_mac, t_vn = -1, []
+    first = 0
+    if carry is not None and carry[0]:
+        t_mac = int(carry[3])
+        t_vn = carry[5:5 + int(carry[4])].tolist()
+        if len(runs) and int(runs[0]) == int(carry[1]):
+            # The first run continues the carried one, accessed already.
+            first = 1
+            if writes[0] and not carry[2]:
+                for lines, tags in ((m_lines, [t_mac] if t_mac >= 0 else []),
+                                    (v_lines, t_vn)):
+                    for tag in tags:
+                        if tag not in lines:
+                            raise native.CarryError(
+                                "a window-cut line run's write found a "
+                                "line its access touched evicted")
+                        lines[tag] = True
+                carry[2] = 1
     # Scalar twin tier: each LRU drive (and the VN tree walk, which
     # depends on what the drive has cached so far) is a sequential state
     # machine; this loop serves hosts without the compiled kernel and is
     # pinned access-for-access to it and to the LruCache reference.
     # repro: allow(hot-path-hygiene)
-    for line, wr, cyc in zip(idx.tolist(), writes.tolist(),
-                             cycles.tolist()):
+    for line, wr, cyc in zip(idx[first:].tolist(), writes[first:].tolist(),
+                             cycles[first:].tolist()):
+        t_vn = []
         if mac_on:
             tag = mac_base + line
+            t_mac = tag
             if tag in m_lines:
                 m_hits += 1
                 m_move(tag)
@@ -261,6 +296,7 @@ def drive_scalar(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
         if not vn_on:
             continue
         tag = vn_base + line
+        t_vn.append(tag)
         if tag in v_lines:
             v_hits += 1
             v_move(tag)
@@ -285,6 +321,7 @@ def drive_scalar(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
         leaf = leaf_base + line // leaf_div
         for base, div in walk:
             ntag = base + (leaf // div) * ratio
+            t_vn.append(ntag)
             if ntag in v_lines:
                 v_hits += 1
                 v_move(ntag)
@@ -304,6 +341,9 @@ def drive_scalar(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
             v_cyc(cyc)
             v_addr(ntag * lb)
             v_wr(0)
+    if carry is not None and len(runs) > first:
+        carry[:5] = (1, int(runs[-1]), bool(writes[-1]), t_mac, len(t_vn))
+        carry[5:5 + len(t_vn)] = t_vn
     return (
         _drive_output(m_events, (m_hits, m_misses, m_evictions, m_dirty),
                       m_lines) if mac_on else None,
@@ -313,14 +353,15 @@ def drive_scalar(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
 
 
 def _drive(sides: Sequence[BlockStream], unit_bytes: int, line_bytes: int,
-           mac=None, vn=None):
+           mac=None, vn=None, carry: Optional[np.ndarray] = None):
     """One LRU drive over the metadata lines of a layer's merged block
-    sides: the native kernel, or its scalar twin."""
+    sides, continuing ``carry``'s open line run: the native kernel, or
+    its scalar twin."""
     columns, shift = _drive_columns(sides, unit_bytes)
     args = (columns, shift, _check_line_bytes(line_bytes), line_bytes)
-    out = native.fused_drive(*args, mac=mac, vn=vn)
+    out = native.fused_drive(*args, mac=mac, vn=vn, carry=carry)
     if out is None:
-        out = drive_scalar(*args, mac=mac, vn=vn)
+        out = drive_scalar(*args, mac=mac, vn=vn, carry=carry)
     return out
 
 
@@ -354,11 +395,12 @@ class MacTableModel:
         return self.layout.mac_line_addr(0) // self.cache.line_bytes
 
     def process(self, sides: Sequence[BlockStream],
-                out: CacheTrafficResult) -> None:
+                out: CacheTrafficResult,
+                carry: Optional[np.ndarray] = None) -> None:
         result, _ = _drive(
             sides, self.layout.unit_bytes, self.cache.line_bytes,
             mac=(self._tag_base(), self.cache.capacity_lines,
-                 self.cache.drive_state()))
+                 self.cache.drive_state()), carry=carry)
         _apply_drive_output(self.cache, out, result)
 
     def flush(self, cycle: int, out: CacheTrafficResult) -> None:
@@ -400,9 +442,11 @@ class VnTreeModel:
                 ratio)
 
     def process(self, sides: Sequence[BlockStream],
-                out: CacheTrafficResult) -> None:
+                out: CacheTrafficResult,
+                carry: Optional[np.ndarray] = None) -> None:
         _, result = _drive(sides, self.layout.unit_bytes,
-                           self.cache.line_bytes, vn=self._vn_spec())
+                           self.cache.line_bytes, vn=self._vn_spec(),
+                           carry=carry)
         _apply_drive_output(self.cache, out, result)
 
     def flush(self, cycle: int, out: CacheTrafficResult) -> None:
@@ -412,7 +456,9 @@ class VnTreeModel:
 def process_mac_vn(mac_model: MacTableModel, vn_model: VnTreeModel,
                    sides: Sequence[BlockStream],
                    mac_out: CacheTrafficResult,
-                   vn_out: CacheTrafficResult) -> None:
+                   vn_out: CacheTrafficResult,
+                   carries: Optional[Tuple[np.ndarray, np.ndarray]] = None
+                   ) -> None:
     """Drive the MAC table and VN tree over a layer's merged block
     ``sides`` in one pass.
 
@@ -420,19 +466,22 @@ def process_mac_vn(mac_model: MacTableModel, vn_model: VnTreeModel,
     boundaries coincide; one walk of the stream feeds both LRU models.
     The two caches are independent, so per-model event order and cache
     behaviour are identical to calling ``mac_model.process`` then
-    ``vn_model.process``.
+    ``vn_model.process``. ``carries`` holds two drive carries
+    (:func:`repro.utils.native.new_carry`): the fused drive continues
+    the first, separate drives one each.
     """
+    mac_carry, vn_carry = carries if carries is not None else (None, None)
     mac_cache, vn_cache = mac_model.cache, vn_model.cache
     if (mac_cache.line_bytes != LINE_BYTES
             or vn_cache.line_bytes != LINE_BYTES):
-        mac_model.process(sides, mac_out)
-        vn_model.process(sides, vn_out)
+        mac_model.process(sides, mac_out, mac_carry)
+        vn_model.process(sides, vn_out, vn_carry)
         return
     mac_result, vn_result = _drive(
         sides, mac_model.layout.unit_bytes, LINE_BYTES,
         mac=(mac_model._tag_base(), mac_cache.capacity_lines,
              mac_cache.drive_state()),
-        vn=vn_model._vn_spec())
+        vn=vn_model._vn_spec(), carry=mac_carry)
     _apply_drive_output(mac_cache, mac_out, mac_result)
     _apply_drive_output(vn_cache, vn_out, vn_result)
 
@@ -443,29 +492,56 @@ def process_mac_vn(mac_model: MacTableModel, vn_model: VnTreeModel,
 _SIMULATED_IMAGES = 2
 
 
-def _stream_slice(stream: BlockStream, start: int, stop: int) -> BlockStream:
-    return BlockStream(
-        stream.cycles[start:stop], stream.addrs[start:stop],
-        stream.writes[start:stop], stream.layer_ids[start:stop],
-        None if stream.kinds is None else stream.kinds[start:stop])
+def layer_windows(result) -> Iterator[TraceWindow]:
+    """A layer's cycle windows (:meth:`Trace.windows`), cut also where
+    :func:`drive_window` starts image 1 and image 2 of a batched layer
+    (:attr:`LayerResult.start_cycle` plus one and two images' share of
+    its compute cycles)."""
+    batch = result.layer.batch
+    cuts = ()
+    if batch > _SIMULATED_IMAGES:
+        image_cycles = result.compute_cycles // batch
+        cuts = tuple(result.start_cycle + image * image_cycles
+                     for image in range(1, _SIMULATED_IMAGES + 1))
+    return result.trace.windows(cuts, owner=result)
 
 
-def process_image_periodic(drive, sides: Sequence[BlockStream], batch: int,
-                           image_cycles: int,
-                           outs: Sequence[CacheTrafficResult],
-                           start_cycle: int = 0) -> None:
-    """Image-periodic steady-state cache traffic for a batched layer.
+class _LayerDrive:
+    """What one drive site carries between a layer's windows: the open
+    line run, the image it belongs to, and image 1's traffic increment
+    per output (its parts, then the joined columns) with its misses."""
 
-    ``drive(sub_sides)`` must push the block sides ``sub_sides``
-    through the live cache models, appending traffic to every result in
-    ``outs``. The batched data stream is an exact per-image replica of
+    __slots__ = ("carries", "segment", "parts", "increment", "misses")
+
+    def __init__(self, outs: int):
+        self.carries = (native.new_carry(), native.new_carry())
+        self.segment = 0
+        self.parts: List[List[Tuple[np.ndarray, ...]]] = \
+            [[] for _ in range(outs)]
+        self.increment: Optional[List[Tuple[np.ndarray, ...]]] = None
+        self.misses = [0] * outs
+
+
+def drive_window(drive, key: object, window: TraceWindow,
+                 sides: Sequence[BlockStream],
+                 outs: Sequence[CacheTrafficResult]) -> None:
+    """One window's image-periodic cache traffic.
+
+    ``drive(sides, carries)`` must push the block ``sides`` through the
+    live cache models, continuing the two drive ``carries`` (see
+    :func:`process_mac_vn`) and appending traffic to every result in
+    ``outs``. ``key`` names the drive site; its state lives in the
+    window's per-layer ``state`` from window to window, so a layer's
+    windows drive the caches exactly as one whole-layer drive does.
+
+    A batched layer's data stream is an exact per-image replica of
     image 0's schedule (see ``AcceleratorSim._replicate_batch``), but
-    LRU cache state is history-dependent, so metadata traffic is *not* —
-    instead of walking every image, the model simulates image 0 cold and
-    image 1 against image 0's final cache state, then replicates image 1's
-    traffic increment for each remaining image, advancing only the
-    cycles (steady-state images touch a stationary metadata working
-    set — the cache has already filtered the per-image pattern, and its
+    LRU cache state is history-dependent, so metadata traffic is *not*
+    — instead of walking every image, the model simulates image 0 cold
+    and image 1 against image 0's final cache state, then repeats image
+    1's traffic increment for each remaining image, advancing only the
+    cycles (steady-state images touch a stationary metadata working set
+    — the cache has already filtered the per-image pattern, and its
     residual DRAM traffic shape, not its absolute placement, is what
     the memory model consumes). This makes batched metadata traffic an
     exact affine function of the batch size from image 1 onward — the
@@ -473,48 +549,64 @@ def process_image_periodic(drive, sides: Sequence[BlockStream], batch: int,
     bounds cache-simulation cost at two images per layer regardless of
     batch.
 
-    ``start_cycle`` is the layer's position on the model's global
-    timeline (:attr:`LayerResult.start_cycle`): image ``i`` occupies
-    cycles ``[start_cycle + i * image_cycles, start_cycle + (i + 1) *
-    image_cycles)``, so the image boundaries the sides are cut at are
-    offsets from it. Every side is cut at the same bounds, so each
-    drive sees one image's slice of the sides' merge.
+    Image ``i`` occupies cycles ``[start + i * image_cycles, start +
+    (i + 1) * image_cycles)`` from the layer's :attr:`LayerResult.
+    start_cycle`; :func:`layer_windows` cuts the windows where images 1
+    and 2 start (``window.segment`` 0, 1 and 2), and a line run never
+    continues across those cuts. A window past them drives nothing: it
+    receives image ``i``'s shifted increment wherever that falls inside
+    the window, for every image from 2 on.
     """
-    if batch <= _SIMULATED_IMAGES or not any(len(side) for side in sides):
-        drive(sides)
+    result = window.layer
+    batch = result.layer.batch
+    state = window.state.get(key)
+    if state is None:
+        state = window.state[key] = _LayerDrive(len(outs))
+    if batch <= _SIMULATED_IMAGES or window.segment < _SIMULATED_IMAGES:
+        if window.segment != state.segment:
+            # A line run never continues into the next image.
+            state.segment = window.segment
+            state.carries = (native.new_carry(), native.new_carry())
+        marks = [(len(out), out.misses) for out in outs]
+        drive(sides, state.carries)
+        if batch > _SIMULATED_IMAGES and window.segment == 1:
+            for j, (out, (mark, misses)) in enumerate(zip(outs, marks)):
+                state.parts[j].append(out.rows_since(mark))
+                state.misses[j] += out.misses - misses
         return
-    # Every side is cut at the same image bounds.
-    cuts = [np.searchsorted(side.cycles, (start_cycle + image_cycles,
-                                          start_cycle + 2 * image_cycles),
-                            side="left").tolist() for side in sides]
-    drive(tuple(_stream_slice(side, 0, cut0)
-                for side, (cut0, _) in zip(sides, cuts)))
-    marks = [(len(out), out.misses) for out in outs]
-    drive(tuple(_stream_slice(side, cut0, cut1)
-                for side, (cut0, cut1) in zip(sides, cuts)))
-    reps = batch - _SIMULATED_IMAGES
-    for out, (mark, misses_mark) in zip(outs, marks):
-        inc_cycles, inc_addrs, inc_writes = out.rows_since(mark)
-        inc = len(inc_cycles)
-        if inc == 0:
-            continue
-        shifts = np.repeat(
-            np.arange(1, reps + 1, dtype=np.int64) * image_cycles, inc)
-        out.extend_arrays(np.tile(inc_cycles, reps) + shifts,
-                          np.tile(inc_addrs, reps),
-                          np.tile(inc_writes, reps),
-                          misses=(out.misses - misses_mark) * reps)
+    if state.increment is None:
+        state.increment = [
+            tuple(np.concatenate(column) for column in zip(*parts))
+            if parts else (np.empty(0, np.int64), np.empty(0, np.int64),
+                           np.empty(0, bool))
+            for parts in state.parts]
+        state.parts = []
+    image_cycles = result.compute_cycles // batch
+    lo, hi = window.lo, window.hi
+    for out, (cycles, addrs, writes), misses in zip(
+            outs, state.increment, state.misses):
+        for image in range(_SIMULATED_IMAGES, batch):
+            begin = result.start_cycle + image * image_cycles
+            if hi is not None and begin >= hi:
+                break
+            shift = (image - 1) * image_cycles
+            a = 0 if lo is None else int(np.searchsorted(cycles, lo - shift))
+            b = len(cycles) if hi is None else \
+                int(np.searchsorted(cycles, hi - shift))
+            starts_here = lo is None or begin >= lo
+            out.extend_arrays(cycles[a:b] + shift, addrs[a:b], writes[a:b],
+                              misses=misses if starts_here else 0)
 
 
 class SharedTrafficModel:
-    """Memoizes a cache model's per-layer traffic on the model run.
+    """Memoizes a cache model's per-window traffic on the model run.
 
     Schemes with byte-identical cache configurations — the SGX and MGX
     MAC tables at the same unit size — produce identical traffic when
     driven over the same model in layer order, so the LRU drive runs
     once per sweep cell and later schemes replay the recorded streams.
     The wrapper relies on :meth:`ProtectionScheme.protect_model`'s
-    contract (begin, layers in order, finish); the first scheme through
+    contract (begin, windows in order, finish); the first scheme through
     populates the memo from its live cache, replays never touch theirs.
     """
 
@@ -523,31 +615,33 @@ class SharedTrafficModel:
         self.memo = memo
         self.key = key
 
-    def peek(self, layer_id: int) -> Optional[CacheTrafficResult]:
-        return self.memo.get((self.key, "layer", layer_id))
+    def peek(self, window: TraceWindow) -> Optional[CacheTrafficResult]:
+        return self.memo.get((self.key, "layer", window.layer.layer_id,
+                              window.index))
 
-    def store(self, layer_id: int, out: CacheTrafficResult) -> None:
-        self.memo[(self.key, "layer", layer_id)] = out
+    def store(self, window: TraceWindow, out: CacheTrafficResult) -> None:
+        self.memo[(self.key, "layer", window.layer.layer_id,
+                   window.index)] = out
 
     @staticmethod
-    def release_layer(memo: dict, layer_id: int) -> None:
-        """Drop every model's traffic memoized for one layer; the
+    def release_window(memo: dict, window: TraceWindow) -> None:
+        """Drop every model's traffic memoized for one window; the
         end-of-model flush entries stay. A layer-major cell calls this
-        once all its schemes have served the layer, so no replay is
+        once all its schemes have served the window, so no replay is
         left to need it."""
-        for key in [k for k in memo if k[1:] == ("layer", layer_id)]:
+        tail = ("layer", window.layer.layer_id, window.index)
+        for key in [k for k in memo if k[1:] == tail]:
             del memo[key]
 
-    def process_layer(self, sides: Sequence[BlockStream], layer_id: int,
-                      batch: int = 1, image_cycles: int = 0,
-                      start_cycle: int = 0) -> CacheTrafficResult:
-        got = self.peek(layer_id)
+    def process_window(self, window: TraceWindow,
+                       sides: Sequence[BlockStream]) -> CacheTrafficResult:
+        got = self.peek(window)
         if got is None:
             got = CacheTrafficResult()
-            process_image_periodic(
-                lambda sub: self.inner.process(sub, got),
-                sides, batch, image_cycles, (got,), start_cycle)
-            self.store(layer_id, got)
+            drive_window(
+                lambda sub, carries: self.inner.process(sub, got, carries[0]),
+                self, window, sides, (got,))
+            self.store(window, got)
         else:
             obs.incr("shared_traffic.replays")
         return got
@@ -562,50 +656,51 @@ class SharedTrafficModel:
         out.extend_from(got)
 
 
-def overfetch_side(trace: Trace, unit_bytes: int) -> BlockStream:
-    """Cycle-sorted over-fetch blocks of one layer at a coarse unit.
+def overfetch_columns(trace: Trace, unit_bytes: int
+                      ) -> Tuple[np.ndarray, ...]:
+    """Range columns of one layer's over-fetch at a coarse unit.
 
     Verifying (or re-MACing, for writes) a partially touched unit needs
     the untouched remainder of that unit fetched from DRAM: per range, a
     head candidate from the unit's start up to the range and a tail
     candidate from the range's end to the unit's end, each issued like
-    its range and read-only. The candidates alone are expanded, in
-    range order (head, then tail), so the side is a small fraction of
-    the layer's blocks. Memoized on the trace per unit: every scheme of
-    a sweep cell at one unit size shares one expansion.
+    its range and read-only. The candidates alone are kept, in range
+    order (head, then tail), in :meth:`RangeBuffer.arrays` column order,
+    so their cycle-sorted expansion is a small side of the layer's
+    blocks.
     """
-    def build() -> BlockStream:
-        cycles, addrs, nbytes, _, _, layer_ids, durations = trace.buf.arrays()
-        end = addrs + nbytes
-        head_base = addrs - addrs % unit_bytes
-        n = len(addrs)
-        cand_addr = np.empty(2 * n, dtype=np.int64)
-        cand_addr[0::2] = head_base
-        cand_addr[1::2] = end
-        cand_nbytes = np.empty(2 * n, dtype=np.int64)
-        cand_nbytes[0::2] = addrs - head_base
-        cand_nbytes[1::2] = (-end) % unit_bytes
-        mask = cand_nbytes > 0
-        kept = int(mask.sum())
-        return expand_sorted((
-            np.repeat(cycles, 2)[mask], cand_addr[mask], cand_nbytes[mask],
+    cycles, addrs, nbytes, _, _, layer_ids, durations = trace.buf.arrays()
+    end = addrs + nbytes
+    head_base = addrs - addrs % unit_bytes
+    n = len(addrs)
+    cand_addr = np.empty(2 * n, dtype=np.int64)
+    cand_addr[0::2] = head_base
+    cand_addr[1::2] = end
+    cand_nbytes = np.empty(2 * n, dtype=np.int64)
+    cand_nbytes[0::2] = addrs - head_base
+    cand_nbytes[1::2] = (-end) % unit_bytes
+    mask = cand_nbytes > 0
+    kept = int(mask.sum())
+    return (np.repeat(cycles, 2)[mask], cand_addr[mask], cand_nbytes[mask],
             np.zeros(kept, dtype=bool),
             np.full(kept, kind_code(AccessKind.METADATA), dtype=np.int8),
-            np.repeat(layer_ids, 2)[mask], np.repeat(durations, 2)[mask]))
-
-    return trace.memo(("overfetch", unit_bytes), build)
+            np.repeat(layer_ids, 2)[mask], np.repeat(durations, 2)[mask])
 
 
-def data_sides(trace: Trace, unit_bytes: int) -> Tuple[BlockStream, ...]:
-    """One layer's data traffic under a ``unit_bytes`` protection unit,
-    as cycle-sorted sides.
+def data_sides(window: TraceWindow,
+               unit_bytes: int) -> Tuple[BlockStream, ...]:
+    """One window's data traffic under a ``unit_bytes`` protection
+    unit, as cycle-sorted sides.
 
-    The first side is the layer's shared sorted expansion
-    (:meth:`Trace.sorted_blocks`), the same arrays every scheme reads;
-    a unit above one 64 B block adds its :func:`overfetch_side`. Their
-    ``(cycle, side)`` merge is the stable cycle sort of the ranges'
-    expansion followed by the over-fetch candidates'.
+    The first side is the window's data blocks, the same arrays every
+    scheme reads; a unit above one 64 B block adds the window's piece
+    of the layer's over-fetch (:func:`overfetch_columns`), cut at the
+    same bounds. Their ``(cycle, side)`` merge is the stable cycle sort
+    of the ranges' expansion followed by the over-fetch candidates'.
     """
     if unit_bytes <= LINE_BYTES:
-        return (trace.sorted_blocks(),)
-    return trace.sorted_blocks(), overfetch_side(trace, unit_bytes)
+        return (window.blocks,)
+    trace = window.layer.trace
+    return window.blocks, window.side(
+        ("overfetch", unit_bytes),
+        lambda: overfetch_columns(trace, unit_bytes))

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.accel.simulator import LayerResult, ModelRun
-from repro.accel.trace import BLOCK_BYTES
+from repro.accel.simulator import ModelRun
+from repro.accel.trace import BLOCK_BYTES, TraceWindow
 from repro.crypto.engine import CryptoEngineModel, parallel_engines
 from repro.integrity.caches import MAC_CACHE_BYTES, MetadataCache
 from repro.protection.base import (
@@ -53,20 +53,16 @@ class MgxScheme(ProtectionScheme):
             run.scheme_memo, ("mac", self.unit_bytes, self._mac_cache_bytes))
         self._reset_traffic_models(self._mac_model)
 
-    def protect_layer(self, result: LayerResult) -> LayerProtection:
+    def protect_window(self, window: TraceWindow) -> LayerProtection:
         if self._mac_model is None:
             raise RuntimeError("begin_model must be called before protect_layer")
-        sides = data_sides(result.trace, self.unit_bytes)
+        sides = data_sides(window, self.unit_bytes)
+        mac_out = self._mac_model.process_window(window, sides)
 
-        mac_out = self._mac_model.process_layer(
-            sides, result.layer_id, batch=result.layer.batch,
-            image_cycles=result.compute_cycles // result.layer.batch,
-            start_cycle=result.start_cycle)
-
-        self._note_sides(sides, result.layer_id)
+        self._note_sides(sides, window.layer.layer_id)
         blocks = sum(len(side) for side in sides)
         return LayerProtection(
-            layer_id=result.layer_id,
+            layer_id=window.layer.layer_id,
             data_sides=sides,
             metadata_sides=(mac_out,),
             crypto_bytes=blocks * BLOCK_BYTES,

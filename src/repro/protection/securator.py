@@ -23,17 +23,16 @@ hardware cost, and the security gap.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
-import numpy as np
-
-from repro.accel.simulator import LayerResult, ModelRun
-from repro.accel.trace import AccessKind, BLOCK_BYTES, BlockStream, kind_code
+from repro.accel.simulator import ModelRun
+from repro.accel.trace import BLOCK_BYTES, TraceWindow
 from repro.crypto.engine import CryptoEngineModel, parallel_engines
 from repro.protection.base import (
     LayerProtection,
     ProtectionScheme,
     SchemeSummary,
+    layer_mac_side,
 )
 from repro.tiling.overlap import analyze_overlap
 from repro.utils.bitops import ceil_div
@@ -64,33 +63,26 @@ class SecuratorScheme(ProtectionScheme):
                                      block_bytes=self.block_bytes)
             self._redundant_macs[result.layer_id] = report.redundant_mac_blocks
 
-    def protect_layer(self, result: LayerResult) -> LayerProtection:
-        data_stream = result.trace.sorted_blocks()
-        if len(data_stream):
-            line = _LAYER_MAC_BASE + result.layer_id * BLOCK_BYTES
-            metadata: Tuple[BlockStream, ...] = (BlockStream(
-                np.array([int(data_stream.cycles[0]),
-                          int(data_stream.cycles[-1])], dtype=np.int64),
-                np.array([line, line + BLOCK_BYTES], dtype=np.uint64),
-                np.array([False, True]),
-                np.full(2, result.layer_id, dtype=np.int32),
-                np.full(2, kind_code(AccessKind.METADATA), dtype=np.int8),
-            ),)
-        else:
-            metadata = ()
-
-        # MAC engine work: one hash per fetched 32 B block, including the
-        # redundant overlap re-hashes SeDA's optBlk avoids.
-        fetched_blocks = ceil_div(data_stream.total_bytes, self.block_bytes)
-        redundant = self._redundant_macs.get(result.layer_id, 0)
+    def protect_window(self, window: TraceWindow) -> LayerProtection:
+        blocks = window.blocks
+        layer_id = window.layer.layer_id
+        mac_computations = 0
+        if window.index == 0:
+            # MAC engine work: one hash per fetched 32 B block of the
+            # layer, including the redundant overlap re-hashes SeDA's
+            # optBlk avoids.
+            mac_computations = ceil_div(
+                window.layer_blocks * BLOCK_BYTES, self.block_bytes) \
+                + self._redundant_macs.get(layer_id, 0)
         return LayerProtection(
-            layer_id=result.layer_id,
-            data_sides=(data_stream,),
-            metadata_sides=metadata,
-            crypto_bytes=data_stream.total_bytes,
-            mac_computations=fetched_blocks + redundant,
+            layer_id=layer_id,
+            data_sides=(blocks,),
+            metadata_sides=(layer_mac_side(
+                window, _LAYER_MAC_BASE + layer_id * BLOCK_BYTES),),
+            crypto_bytes=blocks.total_bytes,
+            mac_computations=mac_computations,
             overfetch_blocks=0,
-            aes_invocations=data_stream.total_bytes // 16,
+            aes_invocations=blocks.total_bytes // 16,
         )
 
     def redundant_mac_computations(self, layer_id: int) -> int:

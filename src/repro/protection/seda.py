@@ -23,17 +23,16 @@ lane count sized to the accelerator's peak bandwidth demand (that is the
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
-import numpy as np
-
-from repro.accel.simulator import LayerResult, ModelRun
-from repro.accel.trace import AccessKind, BLOCK_BYTES, BlockStream, kind_code
+from repro.accel.simulator import ModelRun
+from repro.accel.trace import BLOCK_BYTES, TraceWindow
 from repro.crypto.engine import CryptoEngineModel, bandwidth_aware_engine
 from repro.protection.base import (
     LayerProtection,
     ProtectionScheme,
     SchemeSummary,
+    layer_mac_side,
 )
 from repro.protection.layout import MetadataLayout
 from repro.tiling.optblk import OptBlockChoice, search_optblk_model
@@ -78,37 +77,32 @@ class SedaScheme(ProtectionScheme):
     def optblk_choice(self, layer_id: int) -> OptBlockChoice:
         return self._optblk[layer_id]
 
-    def protect_layer(self, result: LayerResult) -> LayerProtection:
-        data_stream = result.trace.sorted_blocks()
-        if self.layer_macs_offchip and len(data_stream):
-            # Line i holds the MAC of the tensor layer i consumes, so the
-            # line this layer writes (its ofmap MAC) is exactly the line
-            # layer i+1 will read.
-            read_line = _LAYER_MAC_BASE + result.layer_id * BLOCK_BYTES
-            metadata: Tuple[BlockStream, ...] = (BlockStream(
-                np.array([int(data_stream.cycles[0]),
-                          int(data_stream.cycles[-1])], dtype=np.int64),
-                np.array([read_line, read_line + BLOCK_BYTES],
-                         dtype=np.uint64),
-                np.array([False, True]),
-                np.full(2, result.layer_id, dtype=np.int32),
-                np.full(2, kind_code(AccessKind.METADATA), dtype=np.int8),
-            ),)
-        else:
-            metadata = ()
+    def protect_window(self, window: TraceWindow) -> LayerProtection:
+        blocks = window.blocks
+        layer_id = window.layer.layer_id
+        # Line i holds the MAC of the tensor layer i consumes, so the
+        # line this layer writes (its ofmap MAC) is exactly the line
+        # layer i+1 will read.
+        metadata = (layer_mac_side(
+            window, _LAYER_MAC_BASE + layer_id * BLOCK_BYTES),) \
+            if self.layer_macs_offchip else ()
 
-        choice = self._optblk.get(result.layer_id)
-        mac_computations = choice.mac_computations if choice else len(data_stream)
+        choice = self._optblk.get(layer_id)
+        if choice is None:
+            mac_computations = len(blocks)
+        else:
+            mac_computations = choice.mac_computations \
+                if window.index == 0 else 0
         return LayerProtection(
-            layer_id=result.layer_id,
-            data_sides=(data_stream,),
+            layer_id=layer_id,
+            data_sides=(blocks,),
             metadata_sides=metadata,
-            crypto_bytes=data_stream.total_bytes,
+            crypto_bytes=blocks.total_bytes,
             mac_computations=mac_computations,
             overfetch_blocks=0,
             # One base OTP per 64 B protection block; per-segment OTPs
             # come from XOR lanes, not extra AES operations.
-            aes_invocations=data_stream.total_bytes // 64,
+            aes_invocations=blocks.total_bytes // 64,
         )
 
     def crypto_engine(self) -> CryptoEngineModel:

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.accel.simulator import LayerResult, ModelRun
-from repro.accel.trace import BLOCK_BYTES
+from repro.accel.simulator import ModelRun
+from repro.accel.trace import BLOCK_BYTES, TraceWindow
 from repro.crypto.engine import CryptoEngineModel, parallel_engines
 from repro.integrity.caches import (
     MAC_CACHE_BYTES,
@@ -39,7 +39,7 @@ from repro.protection.metadata_model import (
     SharedTrafficModel,
     VnTreeModel,
     data_sides,
-    process_image_periodic,
+    drive_window,
     process_mac_vn,
 )
 
@@ -77,39 +77,37 @@ class SgxScheme(ProtectionScheme):
             self.layout, MetadataCache(self._vn_cache_bytes))
         self._reset_traffic_models(self._mac_model, self._vn_model)
 
-    def protect_layer(self, result: LayerResult) -> LayerProtection:
+    def protect_window(self, window: TraceWindow) -> LayerProtection:
         if self._mac_model is None or self._vn_model is None:
             raise RuntimeError("begin_model must be called before protect_layer")
-        sides = data_sides(result.trace, self.unit_bytes)
-        batch = result.layer.batch
-        image_cycles = result.compute_cycles // batch
-        start_cycle = result.start_cycle
+        sides = data_sides(window, self.unit_bytes)
+        layer_id = window.layer.layer_id
 
         vn_out = CacheTrafficResult()
-        mac_out = self._mac_model.peek(result.layer_id)
+        mac_out = self._mac_model.peek(window)
         if mac_out is None:
             # First scheme through this cell: drive both tables in one
             # fused pass (they share run boundaries) and publish the
             # MAC traffic for MGX to replay. Batched layers go through
             # the image-periodic wrapper: two images of real cache
-            # simulation, the steady increment replicated for the rest.
+            # simulation, the steady increment repeated for the rest.
             mac_out = CacheTrafficResult()
-            process_image_periodic(
-                lambda sub: process_mac_vn(self._mac_model.inner,
-                                           self._vn_model, sub,
-                                           mac_out, vn_out),
-                sides, batch, image_cycles, (mac_out, vn_out),
-                start_cycle)
-            self._mac_model.store(result.layer_id, mac_out)
+            drive_window(
+                lambda sub, carries: process_mac_vn(
+                    self._mac_model.inner, self._vn_model, sub, mac_out,
+                    vn_out, carries),
+                (self, "mac+vn"), window, sides, (mac_out, vn_out))
+            self._mac_model.store(window, mac_out)
         else:
-            process_image_periodic(
-                lambda sub: self._vn_model.process(sub, vn_out),
-                sides, batch, image_cycles, (vn_out,), start_cycle)
+            drive_window(
+                lambda sub, carries: self._vn_model.process(sub, vn_out,
+                                                            carries[0]),
+                (self, "vn"), window, sides, (vn_out,))
 
-        self._note_sides(sides, result.layer_id)
+        self._note_sides(sides, layer_id)
         blocks = sum(len(side) for side in sides)
         return LayerProtection(
-            layer_id=result.layer_id,
+            layer_id=layer_id,
             data_sides=sides,
             metadata_sides=(mac_out, vn_out),
             crypto_bytes=blocks * BLOCK_BYTES,

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.accel.simulator import LayerResult, ModelRun
+from repro.accel.simulator import ModelRun
+from repro.accel.trace import TraceWindow
 from repro.protection.base import (
     LayerProtection,
     ProtectionScheme,
@@ -18,14 +19,11 @@ class Unprotected(ProtectionScheme):
     def begin_model(self, run: ModelRun) -> None:  # no state
         del run
 
-    def protect_layer(self, result: LayerResult) -> LayerProtection:
-        # Memoized cycle-sorted expansion: the baseline shares the
-        # layer's block stream with every scheme evaluated on the same
-        # model run.
-        return LayerProtection(
-            layer_id=result.layer_id,
-            data_sides=(result.trace.sorted_blocks(),),
-        )
+    def protect_window(self, window: TraceWindow) -> LayerProtection:
+        # The baseline serves the window's data blocks, the arrays every
+        # scheme of the cell reads.
+        return LayerProtection(layer_id=window.layer.layer_id,
+                               data_sides=(window.blocks,))
 
     def summary(self) -> SchemeSummary:
         return SchemeSummary(

@@ -195,8 +195,13 @@ static int emit(Events *e, i64 cyc, i64 addr, int wr) {
     return 0;
 }
 
-/* One fused drive: both caches, their event buffers and the VN
- * tree's layout. */
+/* Most integrity-tree levels a drive walks, so one access touches at
+ * most DRIVE_MAX_LEVELS + 1 VN-cache lines. */
+#define DRIVE_MAX_LEVELS 60
+
+/* One fused drive: both caches, their event buffers, the VN tree's
+ * layout and the lines the latest access touched (its MAC line, then
+ * its VN line and every ancestor the walk visited). */
 typedef struct {
     Cache mac, vn;
     int use_mac, use_vn;
@@ -204,6 +209,7 @@ typedef struct {
     i64 line_bytes, mac_base, vn_base, leaf_base, leaf_div;
     i64 n_levels, node_ratio;
     const i64 *node_base, *node_div;
+    i64 t_mac, t_nvn, t_vn[DRIVE_MAX_LEVELS + 1];
 } Drive;
 
 /* One access of metadata line ``line``: the MAC lookup, then the VN
@@ -213,6 +219,8 @@ static int drive_access(Drive *d, i64 line, int wr, i64 cyc)
 {
     i64 lb = d->line_bytes;
     i64 wb = -1;
+    d->t_mac = d->use_mac ? d->mac_base + line : -1;
+    d->t_nvn = 0;
     if (d->use_mac
             && !cache_access(&d->mac, d->mac_base + line, wr, lb, &wb)
             && (emit(&d->mev, cyc, (d->mac_base + line) * lb, 0) < 0
@@ -223,6 +231,7 @@ static int drive_access(Drive *d, i64 line, int wr, i64 cyc)
             + ((d->leaf_base + line / d->leaf_div) / d->node_div[l])
             * d->node_ratio;
         wb = -1;
+        d->t_vn[d->t_nvn++] = tag;
         if (cache_access(&d->vn, tag, wr, lb, &wb))
             break;
         if ((wb >= 0 && emit(&d->vev, cyc, wb, 1) < 0)
@@ -231,6 +240,37 @@ static int drive_access(Drive *d, i64 line, int wr, i64 cyc)
     }
     return 0;
 }
+
+/* A write joined the latest access's line run after the access: dirty
+ * every line the access touched, as if it had been a write.  Returns 1
+ * when one of them is gone (the VN cache is too small to hold a whole
+ * tree walk, so the walk evicted its own lines). */
+static int drive_mark_dirty(Drive *d)
+{
+    if (d->t_mac >= 0) {
+        i64 h = ht_find(&d->mac, d->t_mac);
+        if (h < 0)
+            return 1;
+        d->mac.dirty[d->mac.table[h]] = 1;
+    }
+    for (i64 v = 0; v < d->t_nvn; v++) {
+        i64 h = ht_find(&d->vn, d->t_vn[v]);
+        if (h < 0)
+            return 1;
+        d->vn.dirty[d->vn.table[h]] = 1;
+    }
+    return 0;
+}
+
+/* Layout of a drive's carry, the line run left open by the previous
+ * call: open flag, run key, write flag, MAC tag (-1: none), VN tag
+ * count, then the VN tags. */
+#define CARRY_OPEN 0
+#define CARRY_KEY 1
+#define CARRY_WR 2
+#define CARRY_MAC 3
+#define CARRY_NVN 4
+#define CARRY_VN 5
 
 /* Fused MAC + VN drive over the merge of two cycle-sorted block sides
  * (a layer's data and over-fetch blocks), keyed (cycle, side): side a
@@ -246,11 +286,24 @@ static int drive_access(Drive *d, i64 line, int wr, i64 cyc)
  * levels 1..n_levels for leaf = leaf_base + line / leaf_div, with node
  * tag ``node_base[l-1] + (leaf / node_div[l-1]) * node_ratio``.
  *
- * stats[8] receives the run count, also after an overflow (the walk
- * then only counts), so the caller sizes its retry in runs.  Returns 0
- * on success, 1 when an event buffer overflowed (caller retries with
- * larger buffers), 2 / 3 when side a's / side b's cycles descend (no
- * output is then valid), -1 on allocation failure.
+ * carry (NULL: none) continues a line run across calls, so a layer
+ * served in cycle windows is driven exactly as in one call.  On entry
+ * it holds the run the previous window left open, already accessed at
+ * its first block's cycle; blocks on its line join it, and a write
+ * among them dirties the lines that access touched.  On return it holds
+ * the run this call left open, whose access has been made.  The access
+ * of a run cut by a window therefore happens in the window of its
+ * first block, with the writes seen so far; that is exact while the
+ * later writes find every touched line still cached.
+ *
+ * stats[0..3] / [4..7] receive the MAC / VN hits, misses, evictions
+ * and dirty evictions, and stats[8] the run count, also after an
+ * overflow (the walk then only counts), so the caller sizes its retry
+ * in runs.  Returns 0 on success, 1 when an event buffer overflowed
+ * (caller retries with larger buffers), 2 / 3 when side a's / side
+ * b's cycles descend (no output is then valid), 4 when a carried run's
+ * write found one of its lines evicted, -1 on allocation failure or
+ * more than DRIVE_MAX_LEVELS tree levels.
  */
 int drive_fused(
     const i64 *keys_a, const u8 *writes_a, const i64 *cycles_a, i64 na,
@@ -265,7 +318,7 @@ int drive_fused(
     i64 *mac_ev_n,
     i64 *vn_ev_cyc, i64 *vn_ev_addr, u8 *vn_ev_wr, i64 vn_ev_cap,
     i64 *vn_ev_n,
-    i64 *stats,
+    i64 *stats, i64 *carry,
     i64 *mac_state_tags, u8 *mac_state_dirty, i64 *mac_state_len,
     i64 *vn_state_tags, u8 *vn_state_dirty, i64 *vn_state_len)
 {
@@ -289,7 +342,22 @@ int drive_fused(
     u64 run_key = 0;
     int run_wr = 0;
     i64 run_cyc = 0;
+    /* A run is open; it was accessed in an earlier call. */
+    int open = 0, done = 0;
 
+    if (n_levels < 0 || n_levels > DRIVE_MAX_LEVELS)
+        return -1;
+    d.t_mac = -1;
+    d.t_nvn = 0;
+    if (carry && carry[CARRY_OPEN]) {
+        open = done = 1;
+        run_key = (u64)carry[CARRY_KEY];
+        run_wr = carry[CARRY_WR] != 0;
+        d.t_mac = carry[CARRY_MAC];
+        d.t_nvn = carry[CARRY_NVN];
+        for (i64 v = 0; v < d.t_nvn; v++)
+            d.t_vn[v] = carry[CARRY_VN + v];
+    }
     if (d.use_mac) {
         if (cache_init(&d.mac, mac_cap, mac_init_len + total) < 0)
             return -1;
@@ -330,23 +398,38 @@ int drive_fused(
             }
             prev = c;
             u64 k = (u64)key[i] >> key_shift;
-            if (k == run_key && runs) {
-                run_wr |= wr[i] != 0;
+            if (open && k == run_key) {
+                if (wr[i] && !run_wr) {
+                    run_wr = 1;
+                    if (done && rc == 0 && drive_mark_dirty(&d))
+                        rc = 4;
+                }
                 continue;
             }
-            if (runs && rc == 0)
+            if (open && !done && rc == 0)
                 rc = drive_access(&d, (i64)run_key * idx_mul, run_wr,
                                   run_cyc);
             run_key = k;
             run_wr = wr[i] != 0;
             run_cyc = c;
             runs++;
+            open = 1;
+            done = 0;
         }
         pos[s] = i;
         last[s] = prev;
     }
-    if (runs && rc == 0)
+    if (open && !done && rc == 0)
         rc = drive_access(&d, (i64)run_key * idx_mul, run_wr, run_cyc);
+    if (carry && rc == 0) {
+        carry[CARRY_OPEN] = open;
+        carry[CARRY_KEY] = (i64)run_key;
+        carry[CARRY_WR] = run_wr;
+        carry[CARRY_MAC] = d.t_mac;
+        carry[CARRY_NVN] = d.t_nvn;
+        for (i64 v = 0; v < d.t_nvn; v++)
+            carry[CARRY_VN + v] = d.t_vn[v];
+    }
 
     stats[8] = runs;
     *mac_ev_n = d.mev.n;
@@ -402,12 +485,15 @@ int drive_fused(
  * (cycle, side index), so a lower side wins equal cycles, as in the
  * sides' concatenated stream.  It keeps one open-row register per
  * global bank and counts requests and row conflicts per channel.
- * out[] holds channels request counts, then channels conflict counts,
- * then the channels << bank_shift open-row registers (a row is an
- * address shifted right by at least the block shift, so with blocks of
- * 2 B or more no row equals the INT64_MIN "closed" mark).  Returns 0,
- * s + 1 when side s's cycles descend (the counts are then partial), or
- * -1 when k exceeds DRAM_MAX_SIDES. */
+ * out[] receives this walk's channels request counts, then channels
+ * conflict counts; after them sit the channels << bank_shift open-row
+ * registers, which the walk starts from and leaves for the next one, so
+ * a layer walked window by window counts exactly as in one walk (a row
+ * is an address shifted right by at least the block shift, so with
+ * blocks of 2 B or more no row equals the INT64_MIN "closed" mark the
+ * caller starts a cold memory system with).  Returns 0, s + 1 when side
+ * s's cycles descend (the counts are then partial), or -1 when k
+ * exceeds DRAM_MAX_SIDES. */
 int dram_walk(const i64 *const *addrs, const i64 *const *cycles,
               const i64 *lens, i64 k,
               i64 block_shift, i64 channel_shift, i64 col_shift,
@@ -428,8 +514,6 @@ int dram_walk(const i64 *const *addrs, const i64 *const *cycles,
         return -1;
     for (i64 c = 0; c < 2 * channels; c++)
         out[c] = 0;
-    for (i64 g = 0; g < channels << bank_shift; g++)
-        open_row[g] = INT64_MIN;
     for (i64 s = 0; s < k; s++) {
         pos[s] = 0;
         last[s] = INT64_MIN;
@@ -512,45 +596,49 @@ static void merge_sift_down(i64 *heap_r, i64 *heap_c, i64 size, i64 i)
     heap_c[i] = c;
 }
 
-/* Cycle-sorted block expansion of n ranges, behind
- * repro.accel.trace.expand_sorted.  Range r covers the blocks
+/* Resumable cycle-sorted block expansion of n ranges, behind
+ * repro.accel.trace.ExpandCursor.  Range r covers the blocks
  * first[r] + block_bytes * j (j < counts[r]), issued at
  * cycles[r] + (j * durations[r]) / counts[r]: non-decreasing in j, so
  * every range is an ascending run and a k-way merge of the runs keyed
  * (cycle, range index) yields exactly the stable cycle sort of the
  * range-order expansion.  The minimum range emits blocks while they
  * stay ahead of its heap children, so a long sequential run costs no
- * heap operations.  The caller guarantees counts[r] >= 0,
- * durations[r] >= 0, and that counts[r] * durations[r] and
- * cycles[r] + durations[r] fit in an int64.  Returns 0, or -1 when the
- * heap's scratch allocation fails (no output is then valid). */
-int expand_merge(const i64 *cycles, const i64 *first, const i64 *counts,
+ * heap operations.
+ *
+ * The merge is a cursor the caller owns: heap_r / heap_c (n each) hold
+ * the heap of ranges and their next block's cycle, next[r] the blocks
+ * range r has emitted, and *heap_size the heap's size, or -1 before the
+ * first call builds the heap.  A call emits the merge's next blocks
+ * while their cycle is below stop, at most cap of them, and returns how
+ * many; heap_c[0] is then the next block's cycle (when *heap_size > 0).
+ * The caller guarantees counts[r] >= 0, durations[r] >= 0, and that
+ * counts[r] * durations[r] and cycles[r] + durations[r] fit in an
+ * int64. */
+i64 expand_merge(const i64 *cycles, const i64 *first, const i64 *counts,
                  const i64 *durations, const u8 *writes,
                  const int8_t *kinds, const int32_t *layer_ids, i64 n,
-                 i64 block_bytes,
+                 i64 block_bytes, i64 *heap_r, i64 *heap_c, i64 *next,
+                 i64 *heap_size, i64 stop, i64 cap,
                  i64 *out_cycles, i64 *out_addrs, u8 *out_writes,
                  int8_t *out_kinds, int32_t *out_layer_ids)
 {
-    i64 *heap_r = (i64 *)malloc(sizeof(i64) * (n > 0 ? n : 1));
-    i64 *heap_c = (i64 *)malloc(sizeof(i64) * (n > 0 ? n : 1));
-    i64 *next = (i64 *)malloc(sizeof(i64) * (n > 0 ? n : 1));
-    if (!heap_r || !heap_c || !next) {
-        free(heap_r); free(heap_c); free(next);
-        return -1;
-    }
-    i64 size = 0;
-    for (i64 r = 0; r < n; r++) {
-        next[r] = 0;
-        if (counts[r] > 0) {
-            heap_r[size] = r;
-            heap_c[size] = cycles[r];
-            size++;
+    i64 size = *heap_size;
+    if (size < 0) {
+        size = 0;
+        for (i64 r = 0; r < n; r++) {
+            next[r] = 0;
+            if (counts[r] > 0) {
+                heap_r[size] = r;
+                heap_c[size] = cycles[r];
+                size++;
+            }
         }
+        for (i64 i = size / 2 - 1; i >= 0; i--)
+            merge_sift_down(heap_r, heap_c, size, i);
     }
-    for (i64 i = size / 2 - 1; i >= 0; i--)
-        merge_sift_down(heap_r, heap_c, size, i);
     i64 k = 0;
-    while (size > 0) {
+    while (size > 0 && k < cap && heap_c[0] < stop) {
         i64 r = heap_r[0];
         /* The heap children hold the next-smallest key. */
         i64 lim_r = -1, lim_c = 0;
@@ -572,9 +660,10 @@ int expand_merge(const i64 *cycles, const i64 *first, const i64 *counts,
         u8 wr = writes[r];
         int8_t kind = kinds[r];
         int32_t layer = layer_ids[r];
-        for (; j < count; j++) {
+        for (; j < count && k < cap; j++) {
             i64 cyc = base + q;
-            if (lim_r >= 0 && !MERGE_BEFORE(cyc, r, lim_c, lim_r))
+            if (cyc >= stop
+                    || (lim_r >= 0 && !MERGE_BEFORE(cyc, r, lim_c, lim_r)))
                 break;
             out_cycles[k] = cyc;
             out_addrs[k] = addr;
@@ -600,8 +689,8 @@ int expand_merge(const i64 *cycles, const i64 *first, const i64 *counts,
         }
         merge_sift_down(heap_r, heap_c, size, 0);
     }
-    free(heap_r); free(heap_c); free(next);
-    return 0;
+    *heap_size = size;
+    return k;
 }
 
 #undef MERGE_BEFORE

@@ -63,8 +63,7 @@ FALLBACKS = {
         "repro.dram.simulator:DramSim._walk_numpy",
     ],
     "expand_merge": [
-        "repro.accel.trace:expand_ranges",
-        "repro.accel.trace:BlockStream.sorted_by_cycle",
+        "repro.accel.trace:ExpandCursor._take_numpy",
     ],
 }
 
@@ -199,10 +198,12 @@ def _load():
             _i64, _i64, _i64, _i64,                         # shifts
             _ptr,                                           # counts out
         ]
-        lib.expand_merge.restype = ctypes.c_int
+        lib.expand_merge.restype = _i64
         lib.expand_merge.argtypes = [
             _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr,       # range columns
             _i64, _i64,                                     # n, block bytes
+            _ptr, _ptr, _ptr, _ptr,                         # cursor
+            _i64, _i64,                                     # stop, cap
             _ptr, _ptr, _ptr, _ptr, _ptr,                   # block columns
         ]
         lib.drive_fused.restype = ctypes.c_int
@@ -215,7 +216,7 @@ def _load():
             _i64, _ptr, _ptr, _i64,                         # walk spec
             _ptr, _ptr, _ptr, _i64, _ptr,                   # mac events
             _ptr, _ptr, _ptr, _i64, _ptr,                   # vn events
-            _ptr,                                           # stats
+            _ptr, _ptr,                                     # stats, carry
             _ptr, _ptr, _ptr,                               # mac state
             _ptr, _ptr, _ptr,                               # vn state
         ]
@@ -261,17 +262,40 @@ def _as_state(items) -> Tuple[np.ndarray, np.ndarray]:
             np.asarray(dirty, dtype=np.uint8))
 
 
-#: Reused output buffers (the kernel runs are serial within a process;
-#: results are copied out before the next call).
+_EMPTY64_ADDR = _addr(_EMPTY64)
+_EMPTY8_ADDR = _addr(_EMPTY8)
+
+
+def column_ptrs(stream) -> Optional[Tuple[int, int, int]]:
+    """``(addrs, cycles, writes)`` data addresses of a block stream's
+    columns, resolved once and kept on the stream: every scheme of a
+    sweep cell walks and drives the same window's blocks.  ``None``
+    when a kernel could not read a column in place (not contiguous, or
+    not int64 / uint64 addresses, int64 cycles and bool writes)."""
+    ptrs = stream.__dict__.get("_ptrs")
+    if ptrs is None:
+        addrs, cycles, writes = stream.addrs, stream.cycles, stream.writes
+        if (addrs.dtype not in (np.int64, np.uint64)
+                or cycles.dtype != np.int64 or writes.dtype != bool
+                or not (addrs.flags.c_contiguous and cycles.flags.c_contiguous
+                        and writes.flags.c_contiguous)):
+            return None
+        ptrs = stream.__dict__["_ptrs"] = (_addr(addrs), _addr(cycles),
+                                           _addr(writes))
+    return ptrs
+
+#: Reused output buffers, each next to its data address (the kernel
+#: runs are serial within a process; results are copied out before the
+#: next call).
 _scratch_bufs = {}
 
 
-def _scratch(name: str, size: int, dtype) -> np.ndarray:
-    buf = _scratch_bufs.get(name)
-    if buf is None or len(buf) < size:
+def _scratch(name: str, size: int, dtype) -> Tuple[np.ndarray, int]:
+    entry = _scratch_bufs.get(name)
+    if entry is None or len(entry[0]) < size:
         buf = np.empty(max(size, 4096), dtype)
-        _scratch_bufs[name] = buf
-    return buf
+        entry = _scratch_bufs[name] = (buf, _addr(buf))
+    return entry
 
 
 class DriveOutput:
@@ -295,19 +319,42 @@ class DriveOutput:
 #: blocks.
 DRIVE_MAX_SIDES = 2
 
+#: Most integrity-tree levels a drive walks (``DRIVE_MAX_LEVELS`` in the
+#: kernel).
+DRIVE_MAX_LEVELS = 60
+
+#: Length of a drive's carry (:func:`new_carry`): open flag, run key,
+#: write flag, MAC tag, VN tag count, then up to ``DRIVE_MAX_LEVELS +
+#: 1`` VN tags.
+CARRY_LEN = 6 + DRIVE_MAX_LEVELS
+
+
+def new_carry() -> np.ndarray:
+    """A drive carry with no line run open: what a drive that continues
+    across calls passes as ``carry`` (see :func:`fused_drive`)."""
+    return np.zeros(CARRY_LEN, np.int64)
+
+
+class CarryError(RuntimeError):
+    """A line run cut by a window met a write after its access, and the
+    access's own tree walk had evicted one of the lines it touched: a VN
+    cache that cannot hold one tree walk cannot be served in windows."""
+
 
 def fused_drive(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
                 key_shift: int, idx_mul: int, line_bytes: int,
                 mac: Optional[Tuple[int, int, Sequence]] = None,
                 vn: Optional[Tuple[int, int, int, int, Sequence,
                                    Sequence, Sequence, int]] = None,
+                carry: Optional[np.ndarray] = None,
                 ) -> Optional[Tuple[Optional[DriveOutput],
                                     Optional[DriveOutput]]]:
     """Drive MAC and/or VN caches over a layer's block sides in native
     code.
 
     ``sides`` holds one or two ``(keys, writes, cycles)`` block sides,
-    each expected cycle-sorted (a layer's data, then its over-fetch);
+    each expected cycle-sorted (a layer's data, then its over-fetch),
+    optionally followed by the three columns' data addresses;
     the kernel walks their merge keyed ``(cycle, side)``, so the first
     side wins equal cycles.  ``keys`` are per-block keys (a stream's
     addresses, or precomputed line indices with ``key_shift`` 0):
@@ -318,7 +365,13 @@ def fused_drive(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     ``mac`` is ``(tag_base, capacity_lines, init_state)``; ``vn`` is
     ``(tag_base, capacity_lines, leaf_base, leaf_div, init_state,
     node_base_tags, node_divs, node_ratio)`` where ``init_state`` is an
-    iterable of ``(tag, dirty)`` in LRU order.  A side whose cycles
+    iterable of ``(tag, dirty)`` in LRU order.  ``carry``
+    (:func:`new_carry`), updated in place, continues the line run the
+    previous call left open: its access was made there, at its first
+    block's cycle, so blocks on its line only add their writes (a
+    write dirties the lines the access touched; :class:`CarryError`
+    when one is gone), and the call leaves its own last run in it.
+    Without ``carry``, the call is a whole drive.  A side whose cycles
     descend is reported by the kernel, stable-sorted
     (``native.drive.unsorted_side``) and the drive retried.  Returns
     ``None`` when the kernel is unavailable, otherwise ``(mac_output,
@@ -332,29 +385,45 @@ def fused_drive(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
         raise ValueError(f"fused_drive: 1 to {DRIVE_MAX_SIDES} block "
                          f"sides, got {len(sides)}")
     cols = [(as_int64(keys), np.ascontiguousarray(writes, bool).view(
-        np.uint8), as_int64(cycles)) for keys, writes, cycles in sides]
+        np.uint8), as_int64(cycles)) for keys, writes, cycles, *_ in sides]
     if any(len(c) != len(k) or len(w) != len(k) for k, w, c in cols):
         raise ValueError("fused_drive: a side's columns differ in length")
-    cols += [(_EMPTY64, _EMPTY8, _EMPTY64)] * (DRIVE_MAX_SIDES - len(cols))
     n = sum(len(k) for k, _, _ in cols)
 
+    mac_init_ptrs = (_EMPTY64_ADDR, _EMPTY8_ADDR)
     if mac is not None:
         mac_base, mac_cap, mac_init = mac
         mac_it, mac_id = _as_state(mac_init)
+        if len(mac_it):
+            mac_init_ptrs = (_addr(mac_it), _addr(mac_id))
     else:
         mac_base, mac_cap = 0, 0
-        mac_it, mac_id = _EMPTY64, _EMPTY8
+        mac_it = _EMPTY64
+    vn_init_ptrs = node_ptrs = (_EMPTY64_ADDR, _EMPTY64_ADDR)
     if vn is not None:
         vn_base, vn_cap, leaf_base, leaf_div, vn_init, node_base, \
             node_div, ratio = vn
         vn_it, vn_id = _as_state(vn_init)
+        if len(vn_it):
+            vn_init_ptrs = (_addr(vn_it), _addr(vn_id))
         node_base = np.ascontiguousarray(node_base, dtype=np.int64)
         node_div = np.ascontiguousarray(node_div, dtype=np.int64)
         levels = len(node_base)
+        if levels:
+            node_ptrs = (_addr(node_base), _addr(node_div))
     else:
         vn_base, vn_cap, leaf_base, leaf_div, ratio, levels = 0, 0, 0, 1, 1, 0
-        vn_it, vn_id = _EMPTY64, _EMPTY8
-        node_base = node_div = _EMPTY64
+        vn_it = _EMPTY64
+    if levels > DRIVE_MAX_LEVELS:
+        raise ValueError(f"fused_drive: at most {DRIVE_MAX_LEVELS} tree "
+                         f"levels, got {levels}")
+    side_ptrs = [(*side[3:], len(k)) if len(side) == 6 and len(k)
+                 else (_addr(k), _addr(w), _addr(c), len(k)) if len(k)
+                 else (_EMPTY64_ADDR, _EMPTY8_ADDR, _EMPTY64_ADDR, 0)
+                 for side, (k, w, c) in zip(sides, cols)]
+    side_ptrs += [(_EMPTY64_ADDR, _EMPTY8_ADDR, _EMPTY64_ADDR, 0)] * \
+        (DRIVE_MAX_SIDES - len(side_ptrs))
+    carry_ptr = 0 if carry is None else _addr(carry)
 
     # Runs never outnumber blocks and emit at most two MAC events each;
     # a VN overflow retries sized by the kernel's run count.
@@ -364,38 +433,32 @@ def fused_drive(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
         if vn else 1
 
     while True:
-        m_cyc = _scratch("mc", mac_ev_cap, np.int64)
-        m_addr = _scratch("ma", mac_ev_cap, np.int64)
-        m_wr = _scratch("mw", mac_ev_cap, np.uint8)
-        v_cyc = _scratch("vc", vn_ev_cap, np.int64)
-        v_addr = _scratch("va", vn_ev_cap, np.int64)
-        v_wr = _scratch("vw", vn_ev_cap, np.uint8)
-        m_n = _i64(0)
-        v_n = _i64(0)
-        stats = np.zeros(9, np.int64)
-        ms_t = np.empty(mac_state_cap, np.int64)
-        ms_d = np.empty(mac_state_cap, np.uint8)
-        vs_t = np.empty(vn_state_cap, np.int64)
-        vs_d = np.empty(vn_state_cap, np.uint8)
-        ms_n = _i64(0)
-        vs_n = _i64(0)
-        (keys_a, wr_a, cyc_a), (keys_b, wr_b, cyc_b) = cols
+        m_cyc, m_cyc_p = _scratch("mc", mac_ev_cap, np.int64)
+        m_addr, m_addr_p = _scratch("ma", mac_ev_cap, np.int64)
+        m_wr, m_wr_p = _scratch("mw", mac_ev_cap, np.uint8)
+        v_cyc, v_cyc_p = _scratch("vc", vn_ev_cap, np.int64)
+        v_addr, v_addr_p = _scratch("va", vn_ev_cap, np.int64)
+        v_wr, v_wr_p = _scratch("vw", vn_ev_cap, np.uint8)
+        # One block for the stats (9), the four output lengths (MAC
+        # events, VN events, MAC state, VN state) and both final
+        # states' tags; one for both states' dirty flags.
+        ints = np.empty(13 + mac_state_cap + vn_state_cap, np.int64)
+        flags = np.empty(mac_state_cap + vn_state_cap, np.uint8)
+        ip, fp = _addr(ints), _addr(flags)
+        (keys_a, wr_a, cyc_a, len_a), (keys_b, wr_b, cyc_b, len_b) = \
+            side_ptrs
         rc = lib.drive_fused(
-            _addr(keys_a), _addr(wr_a), _addr(cyc_a), len(keys_a),
-            _addr(keys_b), _addr(wr_b), _addr(cyc_b), len(keys_b),
+            keys_a, wr_a, cyc_a, len_a, keys_b, wr_b, cyc_b, len_b,
             key_shift, idx_mul, line_bytes,
-            mac_base, mac_cap if mac else 0, _addr(mac_it), _addr(mac_id),
-            len(mac_it),
+            mac_base, mac_cap if mac else 0, *mac_init_ptrs, len(mac_it),
             vn_base, vn_cap if vn else 0, leaf_base, leaf_div,
-            _addr(vn_it), _addr(vn_id), len(vn_it),
-            levels, _addr(node_base), _addr(node_div), ratio,
-            _addr(m_cyc), _addr(m_addr), _addr(m_wr), mac_ev_cap,
-            ctypes.byref(m_n),
-            _addr(v_cyc), _addr(v_addr), _addr(v_wr), vn_ev_cap,
-            ctypes.byref(v_n),
-            _addr(stats),
-            _addr(ms_t), _addr(ms_d), ctypes.byref(ms_n),
-            _addr(vs_t), _addr(vs_d), ctypes.byref(vs_n),
+            *vn_init_ptrs, len(vn_it),
+            levels, *node_ptrs, ratio,
+            m_cyc_p, m_addr_p, m_wr_p, mac_ev_cap, ip + 9 * 8,
+            v_cyc_p, v_addr_p, v_wr_p, vn_ev_cap, ip + 10 * 8,
+            ip, carry_ptr,
+            ip + 13 * 8, fp, ip + 11 * 8,
+            ip + (13 + mac_state_cap) * 8, fp + mac_state_cap, ip + 12 * 8,
         )
         if rc in (2, 3):
             # Stable-sorting the descending side keeps the merge's
@@ -404,31 +467,35 @@ def fused_drive(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
             obs.incr("native.drive.unsorted_side")
             keys, wr, cyc = cols[rc - 2]
             order = np.argsort(cyc, kind="stable")
-            cols[rc - 2] = (keys[order], wr[order], cyc[order])
+            cols[rc - 2] = keys, wr, cyc = keys[order], wr[order], cyc[order]
+            side_ptrs[rc - 2] = (_addr(keys), _addr(wr), _addr(cyc),
+                                 len(keys))
             continue
-        vn_ev_worst = 2 * int(stats[8]) * (levels + 1) + 16
+        vn_ev_worst = 2 * int(ints[8]) * (levels + 1) + 16
         if rc == 1 and vn_ev_cap < vn_ev_worst:
             vn_ev_cap = vn_ev_worst
             continue
+        if rc == 4:
+            raise CarryError("a window-cut line run's write found a line "
+                             "its access touched evicted")
         if rc != 0:
             obs.incr("native.drive.python_fallback")
             return None
         break
     obs.incr("native.drive.kernel")
 
+    m_n, v_n, ms_n, vs_n = ints[9:13].tolist()
     mac_out = vn_out = None
     if mac is not None:
-        k = m_n.value
-        mac_out = DriveOutput(m_cyc[:k].copy(), m_addr[:k].copy(),
-                              m_wr[:k].copy(), stats[:4],
-                              ms_t[:ms_n.value].copy(),
-                              ms_d[:ms_n.value].copy())
+        mac_out = DriveOutput(m_cyc[:m_n].copy(), m_addr[:m_n].copy(),
+                              m_wr[:m_n].copy(), ints[:4].tolist(),
+                              ints[13:13 + ms_n], flags[:ms_n])
     if vn is not None:
-        k = v_n.value
-        vn_out = DriveOutput(v_cyc[:k].copy(), v_addr[:k].copy(),
-                             v_wr[:k].copy(), stats[4:8],
-                             vs_t[:vs_n.value].copy(),
-                             vs_d[:vs_n.value].copy())
+        base = 13 + mac_state_cap
+        vn_out = DriveOutput(v_cyc[:v_n].copy(), v_addr[:v_n].copy(),
+                             v_wr[:v_n].copy(), ints[4:8].tolist(),
+                             ints[base:base + vs_n],
+                             flags[mac_state_cap:mac_state_cap + vs_n])
     return mac_out, vn_out
 
 
@@ -449,21 +516,32 @@ def as_int64(arr: np.ndarray) -> np.ndarray:
 WALK_MAX_SIDES = 4
 
 
+#: The walk's side pointer and length arrays, reused across calls with
+#: their data addresses.
+_WALK_ADDRS = np.zeros(WALK_MAX_SIDES, np.uintp)
+_WALK_CYCLES = np.zeros(WALK_MAX_SIDES, np.uintp)
+_WALK_LENS = np.zeros(WALK_MAX_SIDES, np.int64)
+_WALK_PTRS = (_addr(_WALK_ADDRS), _addr(_WALK_CYCLES), _addr(_WALK_LENS))
+
+
 def dram_walk(sides: Sequence[Tuple[np.ndarray, np.ndarray]],
               shifts: Tuple[int, int, int, int],
-              out: np.ndarray) -> Optional[int]:
+              out: np.ndarray, out_addr: Optional[int] = None
+              ) -> Optional[int]:
     """Native issue-order walk behind ``DramSim._walk``.
 
     ``sides`` holds up to :data:`WALK_MAX_SIDES` ``(addrs, cycles)``
-    pairs, each expected cycle-sorted; the walk visits their merge
+    pairs, each expected cycle-sorted and optionally followed by the two
+    columns' data addresses; the walk visits their merge
     keyed ``(cycle, side index)``, so a lower side wins equal cycles.
     ``shifts`` are the power-of-two mapping shifts ``(block, channel,
     column, bank)``.  ``out`` is an int64 array of ``2 * channels +
-    banks`` entries: the kernel writes the per-channel request counts,
-    then the row-conflict counts, and keeps its per-bank open-row
-    registers in the rest.  Returns ``None`` when the kernel is
-    unavailable, otherwise the kernel's code: 0, or ``s + 1`` when side
-    ``s``'s cycles descend (the counts are then partial).
+    banks`` entries: the kernel writes this walk's per-channel request
+    counts, then its row-conflict counts, and starts from and updates
+    the per-bank open-row registers in the rest (``out_addr``, when
+    given, is ``out``'s data address).  Returns ``None`` when the
+    kernel is unavailable, otherwise the kernel's code: 0, or ``s + 1``
+    when side ``s``'s cycles descend (the counts are then partial).
     """
     lib = _load()
     if lib is None:
@@ -471,22 +549,24 @@ def dram_walk(sides: Sequence[Tuple[np.ndarray, np.ndarray]],
     if len(sides) > WALK_MAX_SIDES:
         raise ValueError(f"dram_walk: at most {WALK_MAX_SIDES} sides, "
                          f"got {len(sides)}")
-    pairs = [(as_int64(addrs), as_int64(cycles)) for addrs, cycles in sides]
-    if any(len(addrs) != len(cycles) for addrs, cycles in pairs):
-        raise ValueError("dram_walk: addrs and cycles differ in length")
     block_shift, channel_shift, col_shift, bank_shift = shifts
     channels = 1 << channel_shift
     if out.dtype != np.int64 or not out.flags.c_contiguous \
             or len(out) < channels * (2 + (1 << bank_shift)):
         raise ValueError("dram_walk: out must be a contiguous int64 "
                          "array of 2 * channels + banks entries")
-    k = len(pairs)
-    addr_ptrs = np.array([_addr(a) for a, _ in pairs] or [0], np.uintp)
-    cycle_ptrs = np.array([_addr(c) for _, c in pairs] or [0], np.uintp)
-    lens = np.array([len(a) for a, _ in pairs] or [0], np.int64)
+    for s, (addrs, cycles, *ptrs) in enumerate(sides):
+        if len(addrs) != len(cycles):
+            raise ValueError("dram_walk: addrs and cycles differ in length")
+        if not ptrs:
+            addrs, cycles = as_int64(addrs), as_int64(cycles)
+            ptrs = (_addr(addrs), _addr(cycles))
+        _WALK_ADDRS[s], _WALK_CYCLES[s] = ptrs
+        _WALK_LENS[s] = len(addrs)
     rc = lib.dram_walk(
-        _addr(addr_ptrs), _addr(cycle_ptrs), _addr(lens), k,
-        block_shift, channel_shift, col_shift, bank_shift, _addr(out))
+        *_WALK_PTRS, len(sides),
+        block_shift, channel_shift, col_shift, bank_shift,
+        _addr(out) if out_addr is None else out_addr)
     obs.incr("native.dram_walk.kernel")
     return rc
 
@@ -497,24 +577,28 @@ def dram_walk(sides: Sequence[Tuple[np.ndarray, np.ndarray]],
 _EXPAND_SAFE = 1 << 62
 
 
-def expand_merge(cycles: np.ndarray, first: np.ndarray, counts: np.ndarray,
-                 durations: np.ndarray, writes: np.ndarray,
-                 kinds: np.ndarray, layer_ids: np.ndarray,
-                 block_bytes: int) -> Optional[Tuple[np.ndarray, ...]]:
-    """Native cycle-sorted block expansion behind
-    ``repro.accel.trace.expand_sorted``.
+class _ExpandState:
+    """A native expansion's columns, its kernel-owned cursor and the
+    arguments of every call, addresses resolved once."""
+
+    __slots__ = ("keep", "heap_c", "size", "args")
+
+
+def expand_cursor(cycles: np.ndarray, first: np.ndarray, counts: np.ndarray,
+                  durations: np.ndarray, writes: np.ndarray,
+                  kinds: np.ndarray, layer_ids: np.ndarray,
+                  block_bytes: int) -> Optional[_ExpandState]:
+    """Start a native resumable cycle-sorted block expansion behind
+    ``repro.accel.trace.ExpandCursor``.
 
     Range ``r`` covers ``counts[r]`` blocks from address ``first[r]``,
-    issued across ``[cycles[r], cycles[r] + durations[r])``.  Returns
-    ``(cycles, addrs, writes, layer_ids, kinds)`` block columns in the
-    order of a stable cycle sort of the range-order expansion, or
-    ``None`` when the kernel is unavailable, a range's block arithmetic
-    could overflow (``native.expand_merge.overflow``) or the kernel's
-    scratch allocation fails (``native.expand_merge.alloc_failed``);
-    the caller then runs the numpy twin.
+    issued across ``[cycles[r], cycles[r] + durations[r])``.  Returns the
+    state :func:`expand_merge` and :func:`expand_peek` advance, or
+    ``None`` when the kernel is unavailable or a range's block
+    arithmetic could overflow (``native.expand_merge.overflow``); the
+    caller then runs the numpy twin.
     """
-    lib = _load()
-    if lib is None:
+    if not available():
         return None
     n = len(counts)
     if any(len(col) != n for col in (cycles, first, durations, writes,
@@ -533,19 +617,44 @@ def expand_merge(cycles: np.ndarray, first: np.ndarray, counts: np.ndarray,
     writes = np.ascontiguousarray(writes, bool).view(np.uint8)
     kinds = np.ascontiguousarray(kinds, np.int8)
     layer_ids = np.ascontiguousarray(layer_ids, np.int32)
-    total = int(counts.sum())
-    out_cycles = np.empty(total, np.int64)
-    out_addrs = np.empty(total, np.uint64)
-    out_writes = np.empty(total, bool)
-    out_kinds = np.empty(total, np.int8)
-    out_layer_ids = np.empty(total, np.int32)
-    rc = lib.expand_merge(
-        _addr(cycles), _addr(first), _addr(counts), _addr(durations),
-        _addr(writes), _addr(kinds), _addr(layer_ids), n, block_bytes,
-        _addr(out_cycles), _addr(out_addrs), _addr(out_writes),
-        _addr(out_kinds), _addr(out_layer_ids))
-    if rc != 0:
-        obs.incr("native.expand_merge.alloc_failed")
-        return None
+    # Heap ranges, heap cycles and per-range progress, then the heap
+    # size (-1: not built yet).
+    cursor = np.empty(3 * max(n, 1) + 1, np.int64)
+    cursor[-1] = -1
+    base = _addr(cursor)
+    step = 8 * max(n, 1)
+    state = _ExpandState()
+    state.keep = (cycles, first, counts, durations, writes, kinds,
+                  layer_ids, cursor)
+    state.heap_c = cursor[max(n, 1):2 * max(n, 1)]
+    state.size = cursor[-1:]
+    state.args = (*(_addr(col) for col in state.keep[:7]), n, block_bytes,
+                  base, base + step, base + 2 * step, base + 3 * step)
+    return state
+
+
+def expand_merge(state: _ExpandState, stop: int, cap: int
+                ) -> Tuple[np.ndarray, ...]:
+    """The cursor's next blocks issued before ``stop``, at most ``cap``:
+    ``(cycles, addrs, writes, layer_ids, kinds)`` block columns, a piece
+    of the stable cycle sort of the range-order expansion."""
+    lib = _load()
+    # One allocation holds the five columns: 8 + 8 + 4 + 1 + 1 bytes a
+    # block.
+    block = np.empty(22 * max(cap, 1), np.uint8)
+    p = _addr(block)
+    k = lib.expand_merge(*state.args, stop, cap, p, p + 8 * cap,
+                         p + 20 * cap, p + 21 * cap, p + 16 * cap)
     obs.incr("native.expand_merge.kernel")
-    return out_cycles, out_addrs, out_writes, out_layer_ids, out_kinds
+    return (block[:8 * k].view(np.int64),
+            block[8 * cap:8 * (cap + k)].view(np.uint64),
+            block[20 * cap:20 * cap + k].view(bool),
+            block[16 * cap:16 * cap + 4 * k].view(np.int32),
+            block[21 * cap:21 * cap + k].view(np.int8))
+
+
+def expand_peek(state: _ExpandState) -> Optional[int]:
+    """Issue cycle of the cursor's next block, ``None`` when done."""
+    if state.size[0] < 0:
+        expand_merge(state, 0, 0)       # builds the heap
+    return int(state.heap_c[0]) if state.size[0] > 0 else None

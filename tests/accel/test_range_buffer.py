@@ -135,7 +135,6 @@ class TestMemoization:
     def test_to_blocks_cached(self):
         trace = Trace([_range(addr=0, nbytes=256)])
         assert trace.to_blocks() is trace.to_blocks()
-        assert trace.sorted_blocks() is trace.sorted_blocks()
 
     def test_mutation_invalidates(self):
         trace = Trace([_range(addr=0, nbytes=256)])

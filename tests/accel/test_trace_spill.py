@@ -22,7 +22,6 @@ from repro.core.metrics import compare_schemes
 from repro.core.pipeline import Pipeline
 from repro.models.zoo import get_workload
 from repro.protection import SCHEME_NAMES
-from repro.protection.metadata_model import overfetch_side
 
 #: Pinned peak for one full gpt2@s4096 sweep cell (every scheme) under
 #: the chunked trace core with layer-major cells: measured ~28 MiB (it
@@ -76,25 +75,8 @@ class TestResidencyAccounting:
         trace = Trace()
         _emit_bulk(trace, _bulk_columns(10_000))
         columns_only = resident_trace_bytes()
-        trace.sorted_blocks()
-        assert resident_trace_bytes() > columns_only
-        trace.release_memos()
-        assert resident_trace_bytes() == columns_only
-
-    def test_memoized_overfetch_stream_is_charged(self):
-        # The 512 B over-fetch side is memoized next to the plain
-        # expansions; its bytes must enter the tally on top of them.
-        trace = Trace()
-        _emit_bulk(trace, _bulk_columns(2_000))
-        columns_only = resident_trace_bytes()
         trace.to_blocks()
-        trace.sorted_blocks()
-        before = resident_trace_bytes()
-        side = overfetch_side(trace, 512)
-        assert len(side) > 0
-        side_bytes = sum(getattr(side, name).nbytes for name in
-                         ("cycles", "addrs", "writes", "layer_ids", "kinds"))
-        assert resident_trace_bytes() >= before + side_bytes
+        assert resident_trace_bytes() > columns_only
         trace.release_memos()
         assert resident_trace_bytes() == columns_only
 

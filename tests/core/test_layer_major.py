@@ -17,7 +17,7 @@ from repro.core.metrics import compare_schemes
 from repro.core.pipeline import Pipeline
 from repro.models.zoo import get_workload
 from repro.protection import SCHEME_NAMES, make_scheme
-from repro.protection.metadata_model import SharedTrafficModel
+from repro.protection.metadata_model import SharedTrafficModel, layer_windows
 from repro.runner.records import scheme_run_to_dict
 
 #: A CNN, a batched cell (images 0 and 1 go through the metadata
@@ -84,23 +84,26 @@ def test_a_finished_cell_holds_no_layer_stream():
 
 
 def test_shared_mac_traffic_lives_one_layer(monkeypatch):
-    """A layer-major cell drops a layer's shared MAC traffic with its
-    streams: while a scheme stores a layer's MAC traffic, the memo holds
-    that layer's alone, and the finished cell keeps only the flush
-    entries. Whole-model runs over one shared model run still replay
-    it, and every record equals theirs."""
+    """A layer-major cell drops a window's shared MAC traffic with its
+    streams: while a scheme stores a window's MAC traffic, the memo
+    holds that window's alone, and the finished cell keeps only the
+    flush entries. Whole-model runs over one shared model run still
+    replay it, and every record equals theirs."""
     pipeline = Pipeline(npu_config("edge"))
     topology = get_workload("mobilenet@b4")
     held = []
     store = SharedTrafficModel.store
 
-    def spy(self, layer_id, out):
-        store(self, layer_id, out)
-        held.append({key[2] for key in self.memo if key[1] == "layer"})
+    def spy(self, window, out):
+        store(self, window, out)
+        held.append({key[2:] for key in self.memo if key[1] == "layer"})
 
     monkeypatch.setattr(SharedTrafficModel, "store", spy)
     result = compare_schemes(pipeline, topology, SCHEME_NAMES)
-    assert len(held) == 2 * len(topology)      # 64 B and 512 B tables
+    windows = sum(len(list(layer_windows(layer)))
+                  for layer in result.baseline.model_run.layers)
+    assert windows >= 3 * len(topology)        # image cuts at b4
+    assert len(held) == 2 * windows            # 64 B and 512 B tables
     assert all(len(layers) == 1 for layers in held)
     memo = result.baseline.model_run.scheme_memo
     assert memo and all(key[1] == "flush" for key in memo)
@@ -114,6 +117,6 @@ def test_shared_mac_traffic_lives_one_layer(monkeypatch):
             for name in SCHEME_NAMES}
     finally:
         obs.install(previous)
-    assert recorder.counters["shared_traffic.replays"] == 2 * len(topology)
+    assert recorder.counters["shared_traffic.replays"] == 2 * windows
     records = _records(result)
     assert all(whole[name] == records[name] for name in SCHEME_NAMES)

@@ -1,12 +1,18 @@
 """Every DRAM timing row of a real pipeline run against the oracle.
 
-The pipeline serves each layer as up to four cycle-sorted sides (data,
-over-fetch, MAC, VN) through ``DramSim.simulate_fast_batch_parts``.
-Here every entry it sends is replayed through the event-driven oracle
-on the sides' concatenated stream.
+The pipeline serves each layer window by window, each window as up to
+four cycle-sorted sides (data, over-fetch, MAC, VN) through
+``DramSim.simulate_fast_batch_parts``, from the open rows the layer's
+previous window left. Here every layer's windows are replayed through
+the event-driven oracle as one stream: the windows' merged sides,
+concatenated.
 """
 
+from collections import OrderedDict
+
 import pytest
+
+from repro.accel.trace import BlockStream
 
 from repro.core.config import npu_config
 from repro.core.pipeline import Pipeline
@@ -28,23 +34,29 @@ CASES = [
 def test_timing_rows_match_oracle(npu, workload, scheme):
     pipeline = Pipeline(npu_config(npu))
     dram = pipeline.dram
-    served = []
+    # One entry per walk state, i.e. per timing row: the row's windows.
+    served = OrderedDict()
+    entries = []
     serve = dram.simulate_fast_batch_parts
 
-    def spy(part_lists):
-        results = serve(part_lists)
-        served.extend(zip(part_lists, results))
+    def spy(part_lists, states):
+        results = serve(part_lists, states)
+        entries.extend(part_lists)
+        for parts, state in zip(part_lists, states):
+            served.setdefault(id(state), (state, []))[1].append(
+                merge_sides(parts))
         return results
 
     dram.simulate_fast_batch_parts = spy
     run = pipeline.run(get_workload(workload), make_scheme(scheme))
 
     assert len(served) == len(run.layers)
-    assert any(len(side) for parts, _ in served for side in parts[1:])
-    for (parts, got), timing in zip(served, run.layers):
+    assert any(len(side) for parts in entries for side in parts[1:])
+    for (state, windows), timing in zip(served.values(), run.layers):
+        got = dram.finish(state)
         assert timing.dram_cycles == got.busy_cycles
         ref = oracle.simulate(dram.config, dram.freq_ghz,
-                              merge_sides(parts))
+                              BlockStream.concat(windows))
         assert got.requests == ref.requests
         assert got.row_hits == ref.row_hits
         assert got.row_misses == ref.row_misses

@@ -27,11 +27,13 @@ cut at the same image bounds.
 
 import itertools
 from collections import OrderedDict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.accel import trace as trace_module
 from repro.accel.trace import AccessKind, BlockStream, Trace, TraceRange
 from repro.integrity.caches import MetadataCache
 from repro.protection.layout import MetadataLayout
@@ -41,12 +43,19 @@ from repro.protection.metadata_model import (
     VnTreeModel,
     data_sides,
     drive_scalar,
-    process_image_periodic,
+    drive_window,
+    layer_windows,
     process_mac_vn,
 )
 from repro.utils import native
 from repro.utils.lru import LruCache
-from tests.streams import EventLog, events, merge_sides
+from tests.streams import (
+    EventLog,
+    events,
+    merge_sides,
+    sorted_blocks,
+    whole_data_sides,
+)
 
 #: Raw-tag drives: VN leaves are the line indices themselves, tree
 #: levels sit in disjoint tag ranges above them.
@@ -366,7 +375,7 @@ class TestDriveVsReference:
         runs = len(keys) // 3
         assert len(want[1][0]) > 2 * len(keys) + 16
         if drive is _kernel_drive:
-            assert len(native._scratch_bufs["vc"]) == \
+            assert len(native._scratch_bufs["vc"][0]) == \
                 2 * runs * (levels + 1) + 16
 
 
@@ -486,7 +495,7 @@ def _random_stream(seed, n=80):
                    int(rng.integers(0, 200)))
         for _ in range(n)
     ])
-    return trace.sorted_blocks()
+    return sorted_blocks(trace)
 
 
 class ReferenceModels:
@@ -588,27 +597,58 @@ class TestModelsVsReference:
             assert _snapshot(mac.cache, vn.cache, mac_out, vn_out) == \
                 _snapshot(ref.mac, ref.vn, ref.mac_out, ref.vn_out)
 
+    @staticmethod
+    def _drive_layer(trace, batch, image_cycles, mac, vn, outs):
+        """Drive a layer's windows (a batched layer's image cuts
+        included) through the fused models, as a scheme does."""
+        layer = SimpleNamespace(layer=SimpleNamespace(batch=batch),
+                                compute_cycles=batch * image_cycles,
+                                start_cycle=0, trace=trace, layer_id=0)
+        for window in layer_windows(layer):
+            drive_window(
+                lambda sub, carries: process_mac_vn(mac, vn, sub, *outs,
+                                                    carries),
+                "fused", window, data_sides(window, mac.layout.unit_bytes),
+                outs)
+
     def test_sides_cut_at_the_same_image_bounds(self, tier):
         """A 512 B layer's data and over-fetch sides through
-        ``process_image_periodic``: both are cut at the same image
-        bounds, so each driven image equals the reference over that
-        image's slice of the sides' merge."""
+        ``drive_window``: both are cut at the same image bounds, so each
+        driven image equals the reference over that image's slice of
+        the sides' merge."""
+        self._check_image_cuts(512)
+
+    def test_sides_cut_in_small_windows(self, tier, monkeypatch):
+        """The same, with windows of five blocks cutting the images and
+        line runs: the carried runs keep every image exact (with a VN
+        cache that holds a whole tree walk, so a carried write finds
+        every line its access touched)."""
+        monkeypatch.setattr(trace_module, "WINDOW_BLOCKS", 5)
+        self._check_image_cuts(1024)
+
+    def test_small_vn_cache_refuses_a_cut_run(self, tier, monkeypatch):
+        """A VN cache smaller than one tree walk evicts lines of the
+        walk itself; a write joining such a run in the next window
+        cannot be applied, and the drive says so."""
+        monkeypatch.setattr(trace_module, "WINDOW_BLOCKS", 5)
+        with pytest.raises(native.CarryError):
+            self._check_image_cuts(512)
+
+    def _check_image_cuts(self, vn_bytes):
         layout = MetadataLayout(512)
         trace = Trace([
             TraceRange(64 * i, 700 * i + 96, 900, i % 3 == 0,
                        AccessKind.IFMAP, 0, 40)
             for i in range(24)
         ])
-        sides = data_sides(trace, 512)
+        sides = whole_data_sides(trace, 512)
         assert all(len(side) for side in sides)
         merged = merge_sides(sides)
         mac = MacTableModel(layout, MetadataCache(256))
-        vn = VnTreeModel(layout, MetadataCache(512))
+        vn = VnTreeModel(layout, MetadataCache(vn_bytes))
         mac_out, vn_out = CacheTrafficResult(), CacheTrafficResult()
-        ref = ReferenceModels(layout, 256, 512)
-        process_image_periodic(
-            lambda sub: process_mac_vn(mac, vn, sub, mac_out, vn_out),
-            sides, batch=4, image_cycles=500, outs=(mac_out, vn_out))
+        ref = ReferenceModels(layout, 256, vn_bytes)
+        self._drive_layer(trace, 4, 500, mac, vn, (mac_out, vn_out))
         for lo, hi in ((0, 500), (500, 1000)):
             keep = (merged.cycles >= lo) & (merged.cycles < hi)
             ref.process(BlockStream(merged.cycles[keep], merged.addrs[keep],
@@ -625,22 +665,22 @@ class TestModelsVsReference:
             assert [col[:k] for col in got[:3]] == list(want[:3])
 
     def test_line_run_cut_by_the_image_boundary(self, tier):
-        """``process_image_periodic`` drives image 0 and image 1 as two
-        calls, and run compression never crosses a call: a line run
-        straddling the cut stays two accesses."""
+        """``drive_window`` drives image 0 and image 1 in windows cut at
+        the image bounds, and no line run continues across those cuts:
+        a line run straddling one stays two accesses."""
         layout = MetadataLayout(64)
         n = 16      # blocks 0-7 on line 0, 8-15 on line 1
         stream = BlockStream(
             np.arange(n, dtype=np.int64),
             np.arange(n, dtype=np.uint64) * 64, np.arange(n) % 5 == 2,
             np.zeros(n, np.int32))
+        trace = Trace([TraceRange(i, 64 * i, 64, i % 5 == 2,
+                                  AccessKind.IFMAP, 0) for i in range(n)])
         mac = MacTableModel(layout, MetadataCache(512))
         vn = VnTreeModel(layout, MetadataCache(1024))
         mac_out, vn_out = CacheTrafficResult(), CacheTrafficResult()
         ref = ReferenceModels(layout, 512, 1024)
-        process_image_periodic(
-            lambda sub: process_mac_vn(mac, vn, sub, mac_out, vn_out),
-            (stream,), batch=3, image_cycles=4, outs=(mac_out, vn_out))
+        self._drive_layer(trace, 3, 4, mac, vn, (mac_out, vn_out))
         for lo, hi in ((0, 4), (4, 8)):
             ref.process(BlockStream(stream.cycles[lo:hi],
                                     stream.addrs[lo:hi],

@@ -1,9 +1,17 @@
 """Shared metadata-traffic machinery: run compression, cache models,
 over-fetch."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from repro.accel.trace import AccessKind, Trace, TraceRange, kind_code
+from repro.accel.trace import (
+    AccessKind,
+    BlockStream,
+    Trace,
+    TraceRange,
+    kind_code,
+)
 from repro.integrity.caches import MetadataCache
 from repro.protection.layout import MetadataLayout
 from repro.protection.metadata_model import (
@@ -12,7 +20,6 @@ from repro.protection.metadata_model import (
     VnTreeModel,
     compress_runs,
     data_sides,
-    overfetch_side,
 )
 
 
@@ -120,14 +127,22 @@ class TestVnTreeModel:
         assert len(out.addrs) == first
 
 
+def _windows(trace):
+    return trace.windows(owner=SimpleNamespace(trace=trace))
+
+
 def _overfetch(*ranges, unit_bytes=512):
-    return overfetch_side(Trace(list(ranges)), unit_bytes)
+    """A layer's over-fetch side, its windows' pieces joined."""
+    trace = Trace(list(ranges))
+    return BlockStream.concat([data_sides(window, unit_bytes)[1]
+                               for window in _windows(trace)])
 
 
 class TestOverfetch:
     def test_64b_units_never_overfetch(self):
         trace = Trace([TraceRange(0, 100, 200, False, AccessKind.IFMAP, 0)])
-        assert data_sides(trace, 64) == (trace.sorted_blocks(),)
+        for window in _windows(trace):
+            assert data_sides(window, 64) == (window.blocks,)
 
     def test_aligned_range_no_overfetch(self):
         side = _overfetch(TraceRange(0, 512, 1024, False, AccessKind.IFMAP, 0))

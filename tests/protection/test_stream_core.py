@@ -2,6 +2,8 @@
 implementations: a layer's data and over-fetch sides, fused MAC+VN
 drive, shared MAC traffic replay."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from repro.accel.trace import (
@@ -21,9 +23,16 @@ from repro.protection.metadata_model import (
     VnTreeModel,
     compress_runs,
     data_sides,
+    layer_windows,
     process_mac_vn,
 )
-from tests.streams import EventLog, events, merge_sides, overfetch_ranges
+from tests.streams import (
+    EventLog,
+    events,
+    merge_sides,
+    overfetch_ranges,
+    sorted_blocks,
+)
 
 
 def _random_trace(seed, n=120):
@@ -47,6 +56,17 @@ def _assert_streams_equal(a: BlockStream, b: BlockStream):
     np.testing.assert_array_equal(a.layer_ids, b.layer_ids)
 
 
+def _windows(trace):
+    return trace.windows(owner=SimpleNamespace(trace=trace))
+
+
+def _layer_sides(trace, unit):
+    """A layer's data sides under ``unit``, each side's window pieces
+    joined."""
+    return tuple(BlockStream.concat(pieces) for pieces in zip(
+        *(data_sides(window, unit) for window in _windows(trace))))
+
+
 class TestExpandedDataStream:
     def test_matches_per_range_overfetch(self):
         """The merge of a layer's data and over-fetch sides is the
@@ -55,7 +75,7 @@ class TestExpandedDataStream:
         for seed in range(4):
             trace = _random_trace(seed)
             for unit in (64, 512, 4096):
-                sides = data_sides(trace, unit)
+                sides = _layer_sides(trace, unit)
                 extras = overfetch_ranges(trace.ranges, unit)
                 want = Trace(trace.ranges + extras) \
                     .to_blocks().sorted_by_cycle()
@@ -64,14 +84,15 @@ class TestExpandedDataStream:
                     sum(r.num_blocks for r in extras)
 
     def test_memoized_per_unit(self):
-        trace = _random_trace(0)
-        coarse = data_sides(trace, 512)
-        assert coarse[1] is data_sides(trace, 512)[1]
-        assert coarse[1] is not data_sides(trace, 4096)[1]
-        # Every unit reads the layer's one shared sorted stream; 64 B
-        # units have no over-fetch side at all.
-        assert coarse[0] is trace.sorted_blocks()
-        assert data_sides(trace, 64) == (trace.sorted_blocks(),)
+        """Within a window, every scheme at one unit reads one
+        over-fetch side, and every unit the window's one data side."""
+        window, = _windows(_random_trace(0))
+        coarse = data_sides(window, 512)
+        assert coarse[1] is data_sides(window, 512)[1]
+        assert coarse[1] is not data_sides(window, 4096)[1]
+        # 64 B units have no over-fetch side at all.
+        assert coarse[0] is window.blocks
+        assert data_sides(window, 64) == (window.blocks,)
 
 
 class TestFusedMacVn:
@@ -115,7 +136,7 @@ class TestFusedMacVn:
     def test_matches_reference_drive(self):
         layout = MetadataLayout(64)
         for seed in range(4):
-            stream = _random_trace(seed, n=80).sorted_blocks()
+            stream = sorted_blocks(_random_trace(seed, n=80))
             # Small caches force plenty of evictions and writebacks.
             mac_bytes, vn_bytes = 512, 1024
             want_mac, want_vn = self._reference(layout, stream,
@@ -130,7 +151,7 @@ class TestFusedMacVn:
 
     def test_single_models_match_reference(self):
         layout = MetadataLayout(64)
-        stream = _random_trace(11, n=80).sorted_blocks()
+        stream = sorted_blocks(_random_trace(11, n=80))
         want_mac, want_vn = self._reference(layout, stream, 512, 1024)
         mac_model = MacTableModel(layout, MetadataCache(512))
         got_mac = CacheTrafficResult()
@@ -187,10 +208,16 @@ class TestCycleSortedParts:
         from repro.protection.unprotected import Unprotected
 
         run = _small_run()
-        for result, row in zip(run.layers, Unprotected().protect_model(run)):
-            assert len(row.data_sides) == 1
-            assert row.data_sides[0] is result.trace.sorted_blocks()
-            assert row.metadata_sides == ()
+        scheme = Unprotected()
+        for result in run.layers:
+            for window in layer_windows(result):
+                row, = scheme.protect_model(run, window=window)
+                assert len(row.data_sides) == 1
+                assert row.data_sides[0] is window.blocks
+                assert row.metadata_sides == ()
+        for result, row in zip(run.layers, scheme.protect_model(run)):
+            _assert_streams_equal(row.data_sides[0],
+                                  sorted_blocks(result.trace))
 
     def test_sgx_metadata_merges_mac_and_vn_by_cycle(self):
         """Small caches interleave MAC and VN traffic; the metadata
@@ -217,23 +244,27 @@ class TestCycleSortedParts:
         assert both
 
     def test_coarse_unit_reuses_the_sorted_blocks(self):
-        """A 512 B scheme's data side is the layer's shared sorted
-        stream, the very arrays the baseline reads, and its over-fetch
+        """A 512 B scheme's data side is the window's shared data
+        blocks, the very arrays the baseline reads, and its over-fetch
         side holds only the over-fetch blocks: read-only, metadata
         kind, exactly the per-range reference's blocks."""
         from repro.protection.mgx import MgxScheme
         from repro.protection.sgx import SgxScheme
 
         run = _small_run()
-        for scheme in (SgxScheme(512), MgxScheme(512)):
+        schemes = (SgxScheme(512), MgxScheme(512))
+        for result in run.layers:
+            for window in layer_windows(result):
+                rows = [scheme.protect_model(run, window=window)[0]
+                        for scheme in schemes]
+                assert all(row.data_sides[0] is window.blocks
+                           for row in rows)
+                assert rows[0].data_sides[1] is rows[1].data_sides[1]
+        for scheme in schemes:
             rows = scheme.protect_model(run)
             for result, row in zip(run.layers, rows):
-                base = result.trace.sorted_blocks()
                 data, overfetch = row.data_sides
-                assert data is base
-                assert all(getattr(data, name) is getattr(base, name)
-                           for name in ("cycles", "addrs", "writes",
-                                        "layer_ids", "kinds"))
+                _assert_streams_equal(data, sorted_blocks(result.trace))
                 assert len(overfetch) == row.overfetch_blocks > 0
                 assert not overfetch.writes.any()
                 assert set(overfetch.kinds.tolist()) == \

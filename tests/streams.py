@@ -1,17 +1,56 @@
 """Test-side stream helpers.
 
 The pipeline never builds a stream from Python lists, never joins a
-layer's traffic sides into one stream, and never expands over-fetch
-range by range; tests that want those shapes build them here.
+layer's traffic sides into one stream, never expands a whole layer at
+once and never expands over-fetch range by range; tests that want those
+shapes build them here. :func:`expand_sorted` is the whole-layer
+expansion oracle the windowed expansion (``ExpandCursor``,
+``Trace.windows``) is checked against.
 """
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.accel.trace import AccessKind, BlockStream, TraceRange, kind_code
+from repro.accel.trace import (
+    AccessKind,
+    BlockStream,
+    Trace,
+    TraceRange,
+    expand_ranges,
+    kind_code,
+)
 from repro.protection.layout import LINE_BYTES
+from repro.protection.metadata_model import overfetch_columns
 from repro.utils.bitops import align_down, align_up
+
+
+def expand_sorted(columns: Sequence[np.ndarray]) -> BlockStream:
+    """The whole cycle-sorted expansion of range columns (in
+    ``RangeBuffer.arrays`` order): every range expanded in range order,
+    then stably sorted by cycle."""
+    cycles, addrs, nbytes, writes, kinds, layer_ids, durations = columns
+    return expand_ranges(cycles, addrs, nbytes, writes, layer_ids,
+                         durations, kinds).sorted_by_cycle()
+
+
+def sorted_blocks(trace: Trace) -> BlockStream:
+    """A whole layer's cycle-sorted data blocks."""
+    return expand_sorted(trace.buf.arrays())
+
+
+def overfetch_side(trace: Trace, unit_bytes: int) -> BlockStream:
+    """A whole layer's cycle-sorted over-fetch blocks at a coarse unit."""
+    return expand_sorted(overfetch_columns(trace, unit_bytes))
+
+
+def whole_data_sides(trace: Trace,
+                     unit_bytes: int) -> Tuple[BlockStream, ...]:
+    """A whole layer's data sides under ``unit_bytes``: its blocks,
+    plus its over-fetch above a 64 B unit."""
+    if unit_bytes <= LINE_BYTES:
+        return (sorted_blocks(trace),)
+    return sorted_blocks(trace), overfetch_side(trace, unit_bytes)
 
 
 def stream_from_lists(cycles: List[int], addrs: List[int], writes: List[bool],

@@ -5,7 +5,8 @@ pure-Python/numpy fallback (the ``FALLBACKS`` manifest) and match it
 exactly.  The broad equivalence suites live next to the models
 (``tests/protection/test_drive_tiers.py``, ``tests/dram``); this file
 pins the manifest itself and drives ``dram_walk`` (over one to four
-sides) and ``expand_merge`` head-to-head against their numpy twins.
+sides) and ``expand_merge`` (whole, and taken piece by piece through
+its cursor) head-to-head against their numpy twins.
 """
 
 import importlib
@@ -16,15 +17,15 @@ import pytest
 from repro.accel.trace import (
     AccessKind,
     BlockStream,
+    ExpandCursor,
     Trace,
     expand_ranges,
-    expand_sorted,
     kind_code,
 )
 from repro.dram.simulator import DramSim
 from repro.dram.timing import SERVER_DRAM
 from repro import obs
-from repro.protection.metadata_model import overfetch_side
+from repro.protection.metadata_model import overfetch_columns
 from repro.utils import native
 from tests.dram import oracle
 from tests.streams import stream_from_lists
@@ -210,6 +211,30 @@ def _twin(columns):
                          durations, kinds).sorted_by_cycle()
 
 
+_NO_STOP = np.iinfo(np.int64).max
+
+
+def expand_sorted(columns):
+    """The whole expansion, taken through one cursor call."""
+    cursor = ExpandCursor(columns)
+    return cursor.take(_NO_STOP, cursor.total)
+
+
+def _pieces(columns, rng):
+    """The expansion taken in random pieces: random cycle bounds and
+    caps, each piece checked against the cursor's peek."""
+    cursor = ExpandCursor(columns)
+    pieces = []
+    while cursor.peek() is not None:
+        head = cursor.peek()
+        piece = cursor.take(head + int(rng.integers(1, 40)),
+                            int(rng.integers(1, 50)))
+        assert len(piece) and int(piece.cycles[0]) == head
+        pieces.append(piece)
+    assert cursor.emitted == cursor.total
+    return BlockStream.concat(pieces) if pieces else expand_sorted(columns)
+
+
 def _counted(fn, *args):
     recorder = obs.Recorder()
     previous = obs.install(recorder)
@@ -251,6 +276,18 @@ class TestExpandMergeParity:
         assert counters["native.expand_merge.kernel"] == 1
         _assert_same_stream(got, _twin(columns))
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("tier", ["kernel", "numpy"])
+    def test_pieces_concatenate_to_the_whole(self, case, tier, monkeypatch):
+        """The cursor carries the merge from call to call: pieces cut at
+        any cycle bound and cap concatenate to the whole expansion, on
+        either tier."""
+        if tier == "numpy":
+            monkeypatch.setattr(native, "_load", lambda: None)
+        columns = self.CASES[case]
+        rng = np.random.default_rng(len(case))
+        _assert_same_stream(_pieces(columns, rng), _twin(columns))
+
     @pytest.mark.parametrize("unit_bytes", [512, 4096])
     def test_overfetch_candidates(self, unit_bytes, monkeypatch):
         rng = np.random.default_rng(unit_bytes)
@@ -269,10 +306,15 @@ class TestExpandMergeParity:
                              layer_id=2, durations=durations)
             return trace
 
+        def overfetch_side(trace, unit):
+            return expand_sorted(overfetch_columns(trace, unit))
+
         got, counters = _counted(overfetch_side, layer(), unit_bytes)
         assert counters["native.expand_merge.kernel"] == 1
         assert len(got) > 0
         assert bool((got.kinds == kind_code(AccessKind.METADATA)).all())
+        _assert_same_stream(got, _twin(overfetch_columns(layer(),
+                                                         unit_bytes)))
         monkeypatch.setattr(native, "_load", lambda: None)
         _assert_same_stream(got, overfetch_side(layer(), unit_bytes))
 
@@ -285,16 +327,4 @@ class TestExpandMergeParity:
         got, counters = _counted(expand_sorted, columns)
         assert counters["native.expand_merge.overflow"] == 1
         assert "native.expand_merge.kernel" not in counters
-        _assert_same_stream(got, _twin(columns))
-
-    def test_failed_allocation_takes_the_twin(self, monkeypatch):
-        class FailingLib:
-            @staticmethod
-            def expand_merge(*args):
-                return -1
-
-        monkeypatch.setattr(native, "_load", lambda: FailingLib)
-        columns = self.CASES["random_a"]
-        got, counters = _counted(expand_sorted, columns)
-        assert counters["native.expand_merge.alloc_failed"] == 1
         _assert_same_stream(got, _twin(columns))
