@@ -76,6 +76,9 @@ class ModelRun:
     budget: SramBudget
     address_map: AddressMap
     layers: List[LayerResult]
+    #: The topology's batch size (:attr:`Topology.batch`, a scan over
+    #: every layer), taken once per run rather than once per window.
+    batch: int = 1
     #: Cross-scheme memo for derived per-run state (e.g. shared MAC-table
     #: traffic); keyed by the consumer, scoped to this run's lifetime.
     scheme_memo: dict = field(default_factory=dict, repr=False)
@@ -126,7 +129,7 @@ class AcceleratorSim:
             cursor += result.compute_cycles
         return ModelRun(topology=topology, array=self.array,
                         budget=self.budget, address_map=address_map,
-                        layers=results)
+                        layers=results, batch=topology.batch)
 
     def run_layer(self, layer: Layer, layer_id: int,
                   address_map: AddressMap, start_cycle: int) -> LayerResult:

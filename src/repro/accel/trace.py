@@ -20,15 +20,11 @@ the next window is expanded, so a layer is never expanded whole.
 
 Columns grow in fixed-size **chunks** (:data:`CHUNK_ROWS` rows once a
 buffer outgrows its small-trace tier): appends never reallocate the
-whole column, and sealed chunks are immutable. With
-``$REPRO_TRACE_SPILL_DIR`` set, sealed chunks are rewritten to
-memory-mapped scratch files in that directory (unlinked immediately, so
-nothing litters on a crash) and their RAM is released back to the OS —
-long-sequence transformer cells (gpt2@s4096+) stay RAM-bounded while
-the trace remains fully addressable. Module-level accounting tracks the
-resident column bytes of every live buffer; new highs are published as
-the ``trace.peak_resident_bytes`` gauge in :mod:`repro.obs` (see
-:func:`resident_trace_bytes` / :func:`peak_trace_bytes`).
+whole column, and sealed chunks are immutable. Module-level accounting
+tracks the resident column bytes of every live buffer; new highs are
+published as the ``trace.peak_resident_bytes`` gauge in
+:mod:`repro.obs` (see :func:`resident_trace_bytes` /
+:func:`peak_trace_bytes`).
 
 BlockStreams are treated as immutable once built: transformations
 (:meth:`BlockStream.sorted_by_cycle`, :meth:`BlockStream.concat`)
@@ -39,8 +35,6 @@ across schemes safe.
 from __future__ import annotations
 
 import enum
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Protocol, Sequence, Tuple)
@@ -418,16 +412,13 @@ class TraceWindow:
 
 #: Rows per sealed column chunk.  42 bytes/row across the seven columns
 #: puts one sealed chunk at ~2.7 MiB — big enough that chunk bookkeeping
-#: is noise, small enough that the spill tier keeps residency flat.
+#: is noise, small enough that appends never copy a large column.
 CHUNK_ROWS = 1 << 16
 
 #: First allocation of a buffer's active chunk.  Most traces (per-layer
 #: selections, unit-test fixtures) never leave this tier; the active
 #: chunk grows geometrically up to :data:`CHUNK_ROWS` before sealing.
 _MIN_CHUNK_ROWS = 1 << 10
-
-#: Environment variable naming the spill directory for sealed chunks.
-SPILL_DIR_ENV = "REPRO_TRACE_SPILL_DIR"
 
 #: (dtype per column) — cycles, addrs, nbytes, writes, kinds,
 #: layer_ids, durations.  ``writes`` is stored as int8 and exposed as
@@ -437,9 +428,8 @@ _COLUMN_DTYPES = (np.int64, np.int64, np.int64, np.int8, np.int8,
 
 # -- module-level residency accounting --------------------------------------
 # One process-wide tally of the column bytes held in RAM by every live
-# RangeBuffer.  Spilled chunks leave the tally (their pages are
-# file-backed and reclaimable); buffer destruction returns the rest.
-_TOTALS = {"resident": 0, "peak": 0, "spilled": 0}
+# RangeBuffer; buffer destruction returns them.
+_TOTALS = {"resident": 0, "peak": 0}
 
 
 def _account(delta: int) -> None:
@@ -460,11 +450,6 @@ def peak_trace_bytes() -> int:
     return _TOTALS["peak"]
 
 
-def spilled_trace_bytes() -> int:
-    """Cumulative column bytes rewritten to spill files this process."""
-    return _TOTALS["spilled"]
-
-
 def reset_peak_trace_bytes() -> int:
     """Restart the peak at the current residency; returns the new peak.
 
@@ -475,44 +460,13 @@ def reset_peak_trace_bytes() -> int:
     return _TOTALS["peak"]
 
 
-def _spill_chunk(cols: Tuple[np.ndarray, ...]) -> Optional[Tuple[np.ndarray, ...]]:
-    """Rewrite one sealed chunk to an anonymous memory-mapped file.
-
-    Returns read-only mmap-backed views, or ``None`` when no spill
-    directory is configured.  The scratch file is unlinked immediately
-    after mapping, so spills never outlive the process even on a crash.
-    """
-    # Spill location changes where scratch bytes live, never a result.
-    # repro: allow(fingerprint-purity)
-    spill_dir = os.environ.get(SPILL_DIR_ENV)
-    if not spill_dir:
-        return None
-    os.makedirs(spill_dir, exist_ok=True)
-    fd, path = tempfile.mkstemp(prefix="repro-trace-", suffix=".chunk",
-                                dir=spill_dir)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            for col in cols:
-                handle.write(np.ascontiguousarray(col).tobytes())
-        raw = np.memmap(path, dtype=np.uint8, mode="r")
-    finally:
-        os.unlink(path)
-    views = []
-    offset = 0
-    for col in cols:
-        views.append(raw[offset:offset + col.nbytes].view(col.dtype))
-        offset += col.nbytes
-    return tuple(views)
-
-
 class RangeBuffer:
     """Columnar (structure-of-arrays) store of trace ranges, chunked.
 
     Appends land in a per-buffer *active* chunk (numpy, geometric growth
-    up to :data:`CHUNK_ROWS` rows); full chunks are sealed immutable and
-    — when ``$REPRO_TRACE_SPILL_DIR`` is set — rewritten to unlinked
-    memory-mapped scratch files so their RAM is reclaimable.  Numpy
-    snapshots are assembled lazily and cached until the next append.
+    up to :data:`CHUNK_ROWS` rows); full chunks are sealed immutable.
+    Numpy snapshots are assembled lazily and cached until the next
+    append.
     Byte totals are maintained incrementally so accounting is O(1)
     regardless of trace length.
     """
@@ -523,7 +477,7 @@ class RangeBuffer:
 
     def __init__(self) -> None:
         #: Sealed, immutable chunks (tuples of 7 parallel arrays, each
-        #: exactly CHUNK_ROWS rows; possibly mmap-backed when spilled).
+        #: exactly CHUNK_ROWS rows).
         self._chunks: List[Tuple[np.ndarray, ...]] = []
         self._active: Optional[Tuple[np.ndarray, ...]] = None
         self._fill = 0
@@ -560,20 +514,11 @@ class RangeBuffer:
 
     def _seal_active(self) -> None:
         """Move the (full, CHUNK_ROWS-sized) active chunk to the sealed
-        list, spilling it if a spill directory is configured."""
-        chunk = self._active
+        list."""
+        self._chunks.append(self._active)
         self._active = None
         self._fill = 0
         self._cap = 0
-        spilled = _spill_chunk(chunk)
-        if spilled is not None:
-            chunk_bytes = sum(col.nbytes for col in chunk)
-            self._charge(-chunk_bytes)
-            _TOTALS["spilled"] += chunk_bytes
-            obs.incr("trace.spilled_chunks")
-            obs.gauge("trace.spilled_bytes", _TOTALS["spilled"])
-            chunk = spilled
-        self._chunks.append(chunk)
 
     def _make_room(self) -> None:
         """Ensure the active chunk has at least one free row."""
@@ -665,7 +610,7 @@ class RangeBuffer:
         """Numpy snapshot ``(cycles, addrs, nbytes, writes, kinds,
         layer_ids, durations)``, cached per revision.  ``writes`` comes
         back as bool.  With a single resident part the columns are
-        zero-copy views of the store; multi-chunk (or spilled) buffers
+        zero-copy views of the store; multi-chunk buffers
         concatenate — consumers must treat the snapshot as read-only.
         """
         if self._arrays_version != self.version:

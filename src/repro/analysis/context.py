@@ -117,5 +117,9 @@ class Project:
             ctx = self._contexts[rel_path] = FileContext(self, rel_path)
         return ctx
 
+    def forget(self, rel_path: str) -> None:
+        """Drop the cached parse of ``rel_path`` (after editing it)."""
+        self._contexts.pop(rel_path, None)
+
     def has_file(self, rel_path: str) -> bool:
         return (self.root / rel_path).is_file()

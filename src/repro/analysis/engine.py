@@ -86,13 +86,19 @@ def run_check(root: Path, rule_names: Optional[Sequence[str]] = None,
     """Run the selected rules (all by default) against ``root``.
 
     Returns every surviving finding, sorted by ``(path, line, rule)``.
-    Pragma suppression is applied here, centrally, so no rule needs to
-    know pragmas exist.
     """
-    rules = get_rules(rule_names)
     project = Project(Path(root))
     project.validate()
+    return check_project(project, get_rules(rule_names))
 
+
+def check_project(project: Project, rules: Sequence[Rule]) -> CheckResult:
+    """Run ``rules`` over an already-open ``project``.
+
+    Pragma suppression is applied here, centrally, so no rule needs to
+    know pragmas exist.  Parsed files stay cached on ``project``, so a
+    caller running several checks over one tree parses each file once.
+    """
     findings: List[Finding] = []
     for rule in rules:
         for finding in rule.run(project):

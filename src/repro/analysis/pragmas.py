@@ -53,6 +53,8 @@ def _split_rules(text: str) -> List[str]:
 def parse_pragmas(source: str) -> PragmaIndex:
     """Extract the pragma index from one file's source text."""
     index = PragmaIndex()
+    if _ALLOW_RE.search(source) is None:
+        return index     # no pragma text at all: skip tokenizing
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         comments = [(tok.start[0], tok.string) for tok in tokens

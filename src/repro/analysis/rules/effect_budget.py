@@ -6,125 +6,94 @@ analytics, protection-overhead math, tiling search).  They are pure by
 design: every result they produce is a function of their arguments, so
 the store's fingerprints stay honest and any function can run under the
 evaluation service with no sandboxing questions.  A filesystem or
-subprocess effect creeping into one of them is a layering bug by
+process effect creeping into one of them is a layering bug by
 definition — caching, persistence and process fan-out belong to
 ``runner/``.
 
-The rule checks the *direct* (module-local) effects of every function
-in the pinned-pure packages against the banned set, and pins those
-packages' manifest entries so a regression is a reviewable one-line
-diff: a pure-package entry in ``effects_manifest.json`` that no longer
-matches the live tree is reported with a regenerate hint.  (Transitive
-effects are deliberately out of scope here: ``protection`` may call the
-optional native-kernel loader, whose compilation effects live — and are
-budgeted — in ``utils``.)
+The check is syntactic and per file: no import of a filesystem or
+process module, no call to builtin ``open``, and no call to a
+file-method name (``path.write_text(...)`` and friends, duck-typed).
+Effects reached through calls into other packages are out of scope:
+``protection`` may call the optional native-kernel loader, whose build
+effects belong to ``utils``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+import ast
+from typing import Iterable, Iterator, List, Tuple
 
-from repro.analysis.context import Project
-from repro.analysis.effects import manifest as effects_manifest
-from repro.analysis.effects.infer import get_analysis
-from repro.analysis.effects.model import (
-    FILESYSTEM_EFFECTS,
-    PROCESS_EFFECTS,
-)
+from repro.analysis.context import FileContext
 from repro.analysis.findings import Finding
-from repro.analysis.registry import ProjectRule, SeedViolation, register
+from repro.analysis.registry import FileRule, SeedViolation, register
 
-#: Effects a pinned-pure package may never perform directly.
-BANNED_EFFECTS = frozenset(FILESYSTEM_EFFECTS | PROCESS_EFFECTS)
+#: Packages that must stay free of filesystem and process effects.
+PURE_PACKAGES = ("analytic", "integrity", "protection", "tiling")
 
-_MANIFEST_REL = "src/repro/analysis/effects/effects_manifest.json"
+#: Top-level modules whose import gives a pure package an effect.
+BANNED_MODULES = frozenset({
+    "os", "shutil", "subprocess", "tempfile", "pathlib", "fcntl",
+    "socket", "multiprocessing", "concurrent"})
 
-_REGEN_HINT = ("regenerate the pinned manifest: "
-               "python -m repro.analysis.effects.manifest")
+#: Method names that read or mutate the filesystem (``pathlib.Path``).
+FILE_METHODS = frozenset({
+    "write_text", "write_bytes", "read_text", "read_bytes", "unlink",
+    "mkdir", "rmdir", "touch"})
+
+_HINT = ("pure packages compute; persistence and process fan-out "
+         "belong to runner/ — move the effect behind an injected "
+         "callback or into the runner layer")
 
 
-def _in_pure_package(module: str) -> bool:
-    return effects_manifest.module_package(module) \
-        in effects_manifest.PURE_PACKAGES
+def _package(rel_path: str) -> str:
+    parts = rel_path.split("/")
+    return parts[2] if len(parts) > 3 and parts[:2] == ["src", "repro"] \
+        else ""
+
+
+def _effects(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]]:
+    """``(node, what)`` for every banned import or call in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] in BANNED_MODULES:
+                    yield node, f"imports {alias.name}"
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] in BANNED_MODULES:
+                yield node, f"imports from {module}"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                yield node, "calls open()"
+            elif isinstance(func, ast.Attribute) \
+                    and func.attr in FILE_METHODS:
+                yield node, f"calls .{func.attr}()"
 
 
 @register
-class EffectBudgetRule(ProjectRule):
+class EffectBudgetRule(FileRule):
     name = "effect-budget"
     description = ("pure packages (analytic/integrity/protection/"
-                   "tiling) perform no filesystem or process effects; "
-                   "their manifest entries are pinned")
+                   "tiling) import no filesystem or process module and "
+                   "call no open() or file method")
     seed_violation = SeedViolation(
         path="src/repro/tiling/optblk.py",
         append='\n\ndef _smoke_dump_plan(plan, path):\n'
                '    with open(path, "w") as handle:\n'
                '        handle.write(repr(plan))\n')
 
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        analysis = get_analysis(project)
+    def select(self, rel_path: str) -> bool:
+        return _package(rel_path) in PURE_PACKAGES
+
+    def check(self, ctx: FileContext) -> Iterable[Finding]:
+        assert ctx.tree is not None
+        package = f"repro.{_package(ctx.rel_path)}"
         findings: List[Finding] = []
-
-        # 1. The budget itself: no banned direct effect in any function
-        #    of a pinned-pure package, reported at the offending line.
-        for qualname in sorted(analysis.functions):
-            fe = analysis.functions[qualname]
-            if not _in_pure_package(fe.module):
-                continue
-            banned = fe.direct & BANNED_EFFECTS
-            for effect in sorted(banned):
-                lines = fe.sites.get(effect, [fe.lineno])
-                for lineno in lines:
-                    findings.append(Finding(
-                        path=fe.rel_path, line=lineno, rule=self.name,
-                        message=f"{qualname.split(':', 1)[1]} performs "
-                                f"a {effect} effect inside pure "
-                                f"package "
-                                f"{effects_manifest.module_package(fe.module)}",
-                        hint="pure packages compute; persistence and "
-                             "process fan-out belong to runner/ — "
-                             "move the effect behind an injected "
-                             "callback or into the runner layer"))
-
-        # 2. Manifest pinning for the pure packages: drift between the
-        #    live inference and the committed manifest must be explicit.
-        try:
-            pinned = effects_manifest.load_manifest()
-        except (FileNotFoundError, ValueError):
+        for node, what in _effects(ctx.tree):
             findings.append(Finding(
-                path=_MANIFEST_REL, line=1, rule=self.name,
-                message="pinned effects manifest is missing or "
-                        "unreadable",
-                hint=_REGEN_HINT))
-            return findings
-        pinned_modules = pinned.get("modules", {})
-        live_modules = {name for name in analysis.graph.modules
-                        if _in_pure_package(name)}
-        pinned_pure = {name for name in pinned_modules
-                       if _in_pure_package(name)}
-        for name in sorted(live_modules | pinned_pure):
-            if name not in live_modules:
-                findings.append(Finding(
-                    path=_MANIFEST_REL, line=1, rule=self.name,
-                    message=f"manifest pins pure module {name} which "
-                            f"no longer exists",
-                    hint=_REGEN_HINT))
-                continue
-            live_direct, _ = analysis.module_summary(name)
-            entry = pinned_modules.get(name)
-            if entry is None:
-                findings.append(Finding(
-                    path=_MANIFEST_REL, line=1, rule=self.name,
-                    message=f"pure module {name} is missing from the "
-                            f"pinned manifest",
-                    hint=_REGEN_HINT))
-            elif sorted(live_direct) != entry.get("direct"):
-                info = analysis.graph.modules[name]
-                findings.append(Finding(
-                    path=info.rel_path, line=1, rule=self.name,
-                    message=f"direct effects of pure module {name} "
-                            f"drifted from the pinned manifest "
-                            f"(pinned {entry.get('direct')!r}, live "
-                            f"{sorted(live_direct)!r})",
-                    hint="if the change is intentional and still "
-                         "within budget, " + _REGEN_HINT))
+                path=ctx.rel_path, line=getattr(node, "lineno", 1),
+                col=getattr(node, "col_offset", 0), rule=self.name,
+                message=f"{what} inside pure package {package}",
+                hint=_HINT))
         return findings

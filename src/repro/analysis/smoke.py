@@ -3,9 +3,10 @@
 A lint rule that silently stops matching is worse than no rule — the
 gate stays green while the invariant rots.  Each rule therefore ships a
 ``seed_violation``: one known-bad edit.  This module copies ``src/`` and
-``tests/`` into a scratch tree, injects each seed in turn, runs the
-checker, and fails loudly unless the owning rule reports a finding in
-the seeded file.  CI runs it as ``python -m repro.analysis.smoke``.
+``tests/`` into a scratch tree once, injects each seed in turn (undoing
+the previous one; only the seeded file is re-parsed), runs the checker,
+and fails loudly unless the owning rule reports a finding in the seeded
+file.  CI runs it as ``python -m repro.analysis.smoke``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import tempfile
 from pathlib import Path
 from typing import List, Optional, TextIO
 
-from repro.analysis.engine import run_check
+from repro.analysis.context import Project
+from repro.analysis.engine import check_project
 from repro.analysis.registry import Rule, all_rules
 
 
@@ -26,11 +28,12 @@ def _copy_tree(root: Path, scratch: Path) -> None:
                         ignore=shutil.ignore_patterns("__pycache__"))
 
 
-def _apply_seed(scratch: Path, rule: Rule) -> Optional[str]:
-    """Inject the rule's seed edit; returns an error string on failure."""
+def _check_seed(project: Project, rule: Rule) -> Optional[str]:
+    """Seed ``rule``'s violation, run the rule, restore the file;
+    returns an error string unless the rule caught its seed."""
     seed = rule.seed_violation
     assert seed is not None
-    target = scratch / seed.path
+    target = project.root / seed.path
     if not target.is_file():
         return f"seed path {seed.path} does not exist"
     original = target.read_text(encoding="utf-8")
@@ -44,6 +47,15 @@ def _apply_seed(scratch: Path, rule: Rule) -> Optional[str]:
     else:
         return "seed violation specifies no edit"
     target.write_text(mutated, encoding="utf-8")
+    project.forget(seed.path)
+    try:
+        result = check_project(project, [rule])
+    finally:
+        target.write_text(original, encoding="utf-8")
+        project.forget(seed.path)
+    if not any(f.rule == rule.name and f.path == seed.path
+               for f in result.findings):
+        return f"seeded violation in {seed.path} was NOT caught"
     return None
 
 
@@ -56,29 +68,18 @@ def run_smoke(root: Path, out: TextIO = sys.stdout) -> int:
         return 1
 
     failures: List[str] = []
-    for rule in rules:
-        with tempfile.TemporaryDirectory(prefix="repro-smoke-") as tmp:
-            scratch = Path(tmp)
-            _copy_tree(root, scratch)
-            error = _apply_seed(scratch, rule)
-            if error is not None:
-                failures.append(f"{rule.name}: {error}")
-                print(f"FAIL  {rule.name}: {error}", file=out)
-                continue
-            seed = rule.seed_violation
-            assert seed is not None
-            result = run_check(scratch, rule_names=[rule.name])
-            hits = [f for f in result.findings
-                    if f.rule == rule.name and f.path == seed.path]
-            if hits:
-                print(f"ok    {rule.name}: seeded violation in "
-                      f"{seed.path} caught ({len(hits)} finding(s))",
+    with tempfile.TemporaryDirectory(prefix="repro-smoke-") as tmp:
+        scratch = Path(tmp)
+        _copy_tree(root, scratch)
+        project = Project(scratch)
+        for rule in rules:
+            error = _check_seed(project, rule)
+            if error is None:
+                print(f"ok    {rule.name}: seeded violation caught",
                       file=out)
             else:
-                failures.append(f"{rule.name}: seeded violation in "
-                                f"{seed.path} was NOT caught")
-                print(f"FAIL  {rule.name}: seeded violation in "
-                      f"{seed.path} was NOT caught", file=out)
+                failures.append(f"{rule.name}: {error}")
+                print(f"FAIL  {rule.name}: {error}", file=out)
     if failures:
         print(f"seed-violation smoke: {len(failures)} of {len(rules)} "
               f"rules failed", file=out)

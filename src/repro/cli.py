@@ -407,38 +407,6 @@ def _cmd_attack(_: argparse.Namespace) -> int:
                  and repa_weak.succeeded and not repa_strong.succeeded) else 1
 
 
-def _cmd_check_effects(root: str, as_json: bool) -> int:
-    from pathlib import Path
-
-    from repro.analysis.context import Project
-    from repro.analysis.effects import get_analysis
-    from repro.analysis.effects.manifest import build_manifest
-
-    project = Project(Path(root))
-    try:
-        project.validate()
-    except FileNotFoundError as exc:
-        print(f"error: {exc.args[0] if exc.args else exc}",
-              file=sys.stderr)
-        return 2
-    manifest = build_manifest(get_analysis(project))
-    if as_json:
-        print(json.dumps(manifest, indent=2, sort_keys=True))
-        return 0
-    rows = []
-    for name, entry in manifest["modules"].items():
-        rows.append([name,
-                     ",".join(entry["direct"]) or "-",
-                     ",".join(entry["transitive"]) or "-"])
-    print(format_table(["module", "direct effects",
-                        "transitive effects"], rows))
-    print(f"\npinned-pure packages: "
-          f"{', '.join(manifest['pure_packages'])}\n"
-          f"regenerate the manifest after intentional changes: "
-          f"python -m repro.analysis.effects.manifest")
-    return 0
-
-
 def _cmd_check(args) -> int:
     from pathlib import Path
 
@@ -449,8 +417,6 @@ def _cmd_check(args) -> int:
         for rule in analysis.list_rules():
             print(f"{rule.name:24s} {rule.description}")
         return 0
-    if args.effects:
-        return _cmd_check_effects(args.root, args.json)
     try:
         if args.rule:
             get_rules(args.rule)     # fail fast on a typoed --rule
@@ -580,10 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the stable JSON findings document")
     check_p.add_argument("--list-rules", action="store_true",
                          help="list registered rules and exit")
-    check_p.add_argument("--effects", action="store_true",
-                         help="print the inferred per-module effect "
-                              "summary instead of running rules "
-                              "(--json emits the manifest document)")
     check_p.set_defaults(func=_cmd_check)
     return parser
 

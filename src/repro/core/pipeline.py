@@ -194,7 +194,7 @@ class Pipeline:
             self._serve(topology, run, scheme, part, collect, timings)
         return SchemeRun(npu=self.npu, workload=topology.name,
                          scheme_name=scheme.name, layers=timings,
-                         model_run=run, batch=topology.batch,
+                         model_run=run, batch=run.batch,
                          seq=topology.seq)
 
     def _serve(self, topology: Topology, run: ModelRun,

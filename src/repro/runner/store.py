@@ -5,8 +5,8 @@ addressed by a SHA-256 fingerprint of its canonical JSON description;
 the record lives at ``<root>/<aa>/<fingerprint>.json`` (sharded by the
 first byte so no directory grows unbounded).
 
-Concurrency model (enforced by the ``atomic-write-discipline`` and
-``lock-discipline`` rules of ``repro check``; see README "Concurrency
+Concurrency model (pinned dynamically by
+``tests/runner/test_store_concurrency.py``; see README "Concurrency
 model of the ResultStore"):
 
 - **Per-record atomic publish.**  ``put()`` writes the full body to a

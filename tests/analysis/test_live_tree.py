@@ -29,4 +29,4 @@ class TestSeedSmoke:
         rc = run_smoke(repo_root, out=out)
         text = out.getvalue()
         assert rc == 0, text
-        assert "all 9 rules fire" in text
+        assert "all 7 rules fire" in text

@@ -336,227 +336,6 @@ class TestSchemaGuard:
         assert "pinned manifest records" in found[0].message
 
 
-class TestAtomicWriteDiscipline:
-    RULE = "atomic-write-discipline"
-    STORE = "src/repro/runner/store.py"
-
-    CLEAN_STORE = """\
-        import json
-        import os
-        import tempfile
-
-        class ResultStore:
-            def _path(self, key):
-                return key
-
-            def put(self, key, record):
-                fd, tmp = tempfile.mkstemp(dir=".")
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(record, handle)
-                os.replace(tmp, self._path(key))
-
-            def clear(self):
-                pass
-
-            def flush_stats(self):
-                pass
-
-            def demote_hit(self, key):
-                pass
-        """
-
-    def test_mkstemp_plus_publish_is_clean(self, make_project):
-        root = make_project({self.STORE: self.CLEAN_STORE})
-        assert _findings(root, self.RULE) == []
-
-    def test_direct_write_in_store_fires(self, make_project):
-        root = make_project({self.STORE: self.CLEAN_STORE + """\
-
-            def fast_put(store, key, record):
-                with open(store._path(key), "w") as handle:
-                    json.dump(record, handle)
-        """})
-        found = _findings(root, self.RULE)
-        assert len(found) == 1
-        assert found[0].path == self.STORE
-        assert "writes a file directly" in found[0].message
-
-    def test_mkstemp_without_publish_fires(self, make_project):
-        root = make_project({self.STORE: self.CLEAN_STORE + """\
-
-            def spill(record):
-                fd, tmp = tempfile.mkstemp(dir=".")
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(record, handle)
-                return tmp
-        """})
-        found = _findings(root, self.RULE)
-        assert len(found) == 1
-        assert "neither publishes" in found[0].message
-
-    def test_discipline_follows_the_call_graph(self, make_project):
-        root = make_project({
-            self.STORE: """\
-                from repro.runner.spill import dump
-
-                class ResultStore:
-                    def _path(self, key):
-                        return key
-
-                    def put(self, key, record):
-                        dump(self._path(key), record)
-
-                    def clear(self):
-                        pass
-
-                    def flush_stats(self):
-                        pass
-
-                    def demote_hit(self, key):
-                        pass
-                """,
-            "src/repro/runner/spill.py": """\
-                import json
-
-                def dump(path, record):
-                    with open(path, "w") as handle:
-                        json.dump(record, handle)
-                """,
-        })
-        found = _findings(root, self.RULE)
-        assert len(found) == 1
-        assert found[0].path == "src/repro/runner/spill.py"
-        assert "reader can observe" in found[0].message
-
-    def test_missing_store_module_fires(self, make_project):
-        root = make_project({"src/repro/runner/__init__.py": ""})
-        found = _findings(root, self.RULE)
-        assert len(found) == 1
-        assert "missing entirely" in found[0].message
-
-    def test_pragma_suppresses(self, make_project):
-        source = self.CLEAN_STORE + """\
-
-            def fast_put(store, key, record):
-                with open(store._path(key), "w") as handle:  # repro: allow(atomic-write-discipline)
-                    json.dump(record, handle)
-        """
-        root = make_project({self.STORE: source})
-        assert _findings(root, self.RULE) == []
-
-
-class TestLockDiscipline:
-    RULE = "lock-discipline"
-    STORE = "src/repro/runner/store.py"
-
-    PREAMBLE = """\
-        import json
-        import os
-        import tempfile
-        from contextlib import contextmanager
-
-        class ResultStore:
-            def _stats_path(self):
-                return "stats.json"
-
-            def _record_paths(self):
-                return []
-
-            def _load_persistent(self):
-                with open(self._stats_path()) as handle:
-                    return json.load(handle)
-
-            @contextmanager
-            def _stats_lock(self):
-                yield
-
-            @contextmanager
-            def _writer_lock(self):
-                yield
-        """
-
-    def test_locked_rmw_is_clean(self, make_project):
-        root = make_project({self.STORE: self.PREAMBLE + """\
-
-            def flush_stats(self):
-                with self._stats_lock():
-                    data = self._load_persistent()
-                    fd, tmp = tempfile.mkstemp(dir=".")
-                    with os.fdopen(fd, "w") as handle:
-                        json.dump(data, handle)
-                    os.replace(tmp, self._stats_path())
-
-            def clear(self):
-                with self._writer_lock():
-                    for path in self._record_paths():
-                        path.unlink()
-        """})
-        assert _findings(root, self.RULE) == []
-
-    def test_unlocked_stats_merge_fires(self, make_project):
-        root = make_project({self.STORE: self.PREAMBLE + """\
-
-            def flush_stats(self):
-                data = self._load_persistent()
-                fd, tmp = tempfile.mkstemp(dir=".")
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(data, handle)
-                os.replace(tmp, self._stats_path())
-        """})
-        found = _findings(root, self.RULE)
-        assert found
-        assert all("_stats_lock" in f.message for f in found)
-        assert any("concurrent writers lose updates" in f.message
-                   for f in found)
-
-    def test_taint_tracks_enumerated_paths(self, make_project):
-        root = make_project({self.STORE: self.PREAMBLE + """\
-
-            def clear(self):
-                doomed = list(self._record_paths())
-                for path in doomed:
-                    path.unlink()
-        """})
-        found = _findings(root, self.RULE)
-        assert found
-        assert all("_writer_lock" in f.message for f in found)
-
-    def test_bare_lock_call_fires(self, make_project):
-        root = make_project({self.STORE: self.PREAMBLE + """\
-
-            def clear(self):
-                self._writer_lock()
-        """})
-        found = _findings(root, self.RULE)
-        assert len(found) == 1
-        assert "outside a 'with' statement" in found[0].message
-
-    def test_flock_outside_lock_helper_fires(self, make_project):
-        root = make_project({self.STORE: self.PREAMBLE + """\
-
-            def grab(self, handle):
-                import fcntl
-                fcntl.flock(handle, fcntl.LOCK_EX)
-        """})
-        found = _findings(root, self.RULE)
-        assert len(found) == 1
-        assert "*_lock contextmanager" in found[0].message
-
-    def test_flock_without_finally_release_fires(self, make_project):
-        root = make_project({self.STORE: self.PREAMBLE + """\
-
-            @contextmanager
-            def _sidecar_lock(self, handle):
-                import fcntl
-                fcntl.flock(handle, fcntl.LOCK_EX)
-                yield
-                fcntl.flock(handle, fcntl.LOCK_UN)
-        """})
-        found = _findings(root, self.RULE)
-        assert len(found) == 1
-        assert "LOCK_UN in a finally" in found[0].message
-
-
 class TestEffectBudget:
     RULE = "effect-budget"
     PURE = "src/repro/tiling/demo.py"
@@ -573,6 +352,18 @@ class TestEffectBudget:
         found = self._at(root, self.PURE)
         assert len(found) == 1
         assert "pure package repro.tiling" in found[0].message
+
+    def test_effect_module_imports_fire(self, make_project):
+        root = make_project({self.PURE: """\
+            import math
+            import os.path
+            from pathlib import Path
+            from concurrent.futures import ProcessPoolExecutor
+            from . import optblk
+            """})
+        found = self._at(root, self.PURE)
+        assert [f.line for f in found] == [2, 3, 4]
+        assert "imports os.path" in found[0].message
 
     def test_pure_math_is_clean(self, make_project):
         root = make_project({self.PURE: """\
@@ -596,17 +387,3 @@ class TestEffectBudget:
                 path.write_text(repr(plan))  # repro: allow(effect-budget)
             """})
         assert self._at(root, self.PURE) == []
-
-    def test_scratch_tree_reports_manifest_drift(self, make_project):
-        # A scratch checkout with none of the pinned pure modules must
-        # say so (with the regenerate hint), not silently pass.
-        root = make_project({self.PURE: """\
-            def blocks(n, b):
-                return (n + b - 1) // b
-            """})
-        drift = [f for f in _findings(root, self.RULE)
-                 if "no longer exists" in f.message
-                 or "missing from the pinned manifest" in f.message]
-        assert drift
-        assert all("python -m repro.analysis.effects.manifest"
-                   in f.hint for f in drift)

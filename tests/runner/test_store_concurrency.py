@@ -1,6 +1,6 @@
 """Multi-writer ResultStore: forced interleavings and crash injection.
 
-Three layers of evidence that the store survives uncoordinated
+Four layers of evidence that the store survives uncoordinated
 concurrent writers (the DACFL-style many-writers-one-store shape the
 sweep service needs):
 
@@ -18,6 +18,13 @@ sweep service needs):
    window.  No partial record may ever be visible; the orphaned
    ``.tmp`` must be treated as live until it ages past
    ``tmp_sweep_age`` and only then swept.
+4. **Lock and publish discipline** (deterministic, in-process, under
+   both ``flock`` and the ``O_EXCL`` fallback): every read-modify-write
+   of ``stats.json`` and every enumeration ``clear()`` deletes from
+   runs while a second file description cannot take the matching
+   sidecar lock; a body that raises inside a lock leaves it free; a
+   write torn mid-body exposes no partial record and no partial
+   ``stats.json``.
 """
 
 import json
@@ -29,7 +36,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.runner import store as store_module
 from repro.runner.store import ResultStore
+
+try:
+    import fcntl
+except ImportError:  # non-POSIX: only the O_EXCL fallback tier runs
+    fcntl = None
 
 #: Forced interleaving schedules (acceptance floor is 200).
 N_SCHEDULES = 240
@@ -192,14 +205,126 @@ class TestMultiProcess:
         assert not orphan.exists()
 
 
-class TestDisciplineRules:
-    def test_live_tree_is_clean_under_concurrency_rules(self):
-        """The rules that encode this file's invariants stay green on
-        the real tree (the harness and the lint agree)."""
-        from repro.analysis.engine import render_text, run_check
+@pytest.fixture(params=["flock", "fallback"])
+def lock_tier(request, monkeypatch):
+    """Run a test under ``flock`` and under the ``O_EXCL`` fallback."""
+    if request.param == "flock":
+        if fcntl is None:
+            pytest.skip("flock needs fcntl")
+    else:
+        monkeypatch.setattr(store_module, "fcntl", None)
+    return request.param
 
-        repo_root = Path(__file__).resolve().parents[2]
-        result = run_check(repo_root, ["atomic-write-discipline",
-                                       "lock-discipline",
-                                       "effect-budget"])
-        assert result.findings == [], "\n" + render_text(result)
+
+def _lock_is_held(path):
+    """Would another holder have to wait for ``path``'s lock right now?
+
+    Under ``flock`` a second open file description tries a non-blocking
+    exclusive lock (it conflicts even within this process); under the
+    fallback the lock is the file's existence.
+    """
+    if store_module.fcntl is None:
+        return path.exists()
+    with open(path, "a") as handle:
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            return True
+        fcntl.flock(handle, fcntl.LOCK_UN)
+        return False
+
+
+def _probe(monkeypatch, store, method, lock_path):
+    """Wrap ``store.<method>`` to record, on every call, whether
+    ``lock_path`` is held at that moment."""
+    seen = []
+    original = getattr(store, method)
+
+    def probed(*args, **kwargs):
+        seen.append(_lock_is_held(lock_path))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(store, method, probed)
+    return seen
+
+
+class TestLockDiscipline:
+    def test_stats_merge_runs_under_the_stats_lock(self, tmp_path,
+                                                   lock_tier, monkeypatch):
+        store = ResultStore(tmp_path / "cache")
+        store.get(_KEY_A)
+        # Every stats.json access of the merge -- the load and the
+        # publish -- goes through _stats_path().
+        seen = _probe(monkeypatch, store, "_stats_path",
+                      store._lock_path())
+        store.flush_stats()
+        assert seen and all(seen), seen
+        assert not _lock_is_held(store._lock_path())
+
+    def test_clear_enumerates_under_the_writer_lock(self, tmp_path,
+                                                    lock_tier, monkeypatch):
+        store = ResultStore(tmp_path / "cache", tmp_sweep_age=0.0)
+        store.put(_KEY_A, _record_for(_KEY_A))
+        store.get(_KEY_B)
+        store.flush_stats()
+        writer = store._writer_lock_path()
+        enumerations = [
+            _probe(monkeypatch, store, method, writer)
+            for method in ("_record_paths", "_orphan_tmp_paths",
+                           "quarantined_paths")]
+        stats = _probe(monkeypatch, store, "_stats_path",
+                       store._lock_path())
+        assert store.clear() == 1
+        for seen in enumerations + [stats]:
+            assert seen and all(seen), seen
+
+    @pytest.mark.parametrize("lock", ["_stats_lock", "_writer_lock"])
+    def test_raising_body_releases_the_lock(self, tmp_path, lock_tier,
+                                            lock):
+        store = ResultStore(tmp_path / "cache")
+        path = (store._lock_path() if lock == "_stats_lock"
+                else store._writer_lock_path())
+        with pytest.raises(RuntimeError):
+            with getattr(store, lock)():
+                assert _lock_is_held(path)
+                raise RuntimeError("body failed")
+        # Free at once: the next holder acquires without waiting out
+        # the fallback's stale-lock age.
+        assert not _lock_is_held(path)
+        with getattr(store, lock)():
+            assert _lock_is_held(path)
+        assert not _lock_is_held(path)
+
+
+class TestTornWrites:
+    """A write that dies mid-body (full disk, I/O error) must leave
+    nothing half-written where a lock-free reader looks."""
+
+    @staticmethod
+    def _tear_json_dump(monkeypatch):
+        def torn(obj, handle, **kwargs):
+            handle.write(json.dumps(obj, **kwargs)[:8])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store_module.json, "dump", torn)
+
+    def test_torn_put_exposes_no_record(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "cache")
+        self._tear_json_dump(monkeypatch)
+        with pytest.raises(OSError):
+            store.put(_KEY_A, _record_for(_KEY_A))
+        assert not store._path(_KEY_A).exists()
+        assert list(store.root.rglob("*.tmp")) == []
+
+    def test_torn_stats_flush_keeps_the_previous_file(self, tmp_path,
+                                                      monkeypatch):
+        store = ResultStore(tmp_path / "cache")
+        store.get(_KEY_A)
+        store.flush_stats()
+        store.get(_KEY_B)
+        with monkeypatch.context() as patch:
+            self._tear_json_dump(patch)
+            with pytest.raises(OSError):
+                store.flush_stats()
+        assert ResultStore(store.root).summary().lifetime["misses"] == 1
+        assert list(store.root.rglob("*.tmp")) == []
