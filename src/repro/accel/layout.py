@@ -39,11 +39,13 @@ _TENSOR_ALIGN = 4096
 
 #: Default per-image slab stride quantum: one full DRAM row-set of the
 #: default memory geometry (4 channels x 16 banks x 2 KiB rows). A
-#: stride that is a multiple of this advances every bank's row index by
-#: the same whole number while keeping the channel, bank and in-row
-#: phase of image 0 — the invariant that makes per-channel DRAM request
-#: *and row-conflict* counts exactly affine in the batch size, which
-#: the analytic ``@bN`` derivation (:mod:`repro.analytic`) relies on.
+#: stride that is a multiple of this keeps image 0's channel, bank and
+#: in-row phase and moves every row of a tensor by the same whole
+#: number per image, so a batched layer's image windows repeat, DRAM
+#: row conflicts included. The periodic shortcut
+#: (:func:`repro.protection.metadata_model.periodic_skip`) walks three
+#: images of such a layer and multiplies the third out; the analytic
+#: ``@bN`` derivation (:mod:`repro.analytic`) relies on it too.
 IMAGE_SLAB_ALIGN = 128 << 10
 
 
@@ -71,11 +73,13 @@ class AddressMap:
     image_align)``. The default aligns every image to a full DRAM
     row-set (:data:`IMAGE_SLAB_ALIGN`), which keeps each image on the
     same DRAM block/channel/bank/protection-unit phase as image 0 and
-    advances its rows uniformly — the property that makes batched
-    traffic an exact per-image replica all the way down to row-conflict
-    counts, which the analytic ``@bN`` derivation (:mod:`repro.analytic`)
-    relies on. ``image_align=1`` packs images back-to-back (the pre-v4
-    layout).
+    advances its rows uniformly, so batched traffic is an exact
+    per-image replica down to row-conflict counts: the gate of the
+    periodic shortcut (:func:`repro.protection.metadata_model.
+    periodic_skip`) checks this per layer, and the opt-in analytic
+    ``@bN`` derivation per model. ``image_align=1`` packs images
+    back-to-back (the pre-v4 layout); a layer whose footprint is then
+    off the row-set walks every image window.
     """
 
     def __init__(self, topology: Topology,

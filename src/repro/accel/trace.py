@@ -16,7 +16,9 @@ a resumable native k-way merge of the ranges' block runs
 (:class:`ExpandCursor`), with a numpy twin (repeat + cumsum expansion of
 each window's blocks, then a stable cycle sort) on hosts without the
 kernel. Every scheme of a sweep cell reads one window's blocks before
-the next window is expanded, so a layer is never expanded whole.
+the next window is expanded, so a layer is never expanded whole, and a
+segment of windows whose traffic its consumers can repeat instead is
+never expanded at all (:meth:`ExpandCursor.seek`).
 
 Columns grow in fixed-size **chunks** (:data:`CHUNK_ROWS` rows once a
 buffer outgrows its small-trace tier): appends never reallocate the
@@ -257,6 +259,17 @@ WINDOW_BLOCKS = 1 << 17
 _NO_STOP = np.iinfo(np.int64).max
 
 
+def _blocks_below(cycles: np.ndarray, counts: np.ndarray,
+                  durations: np.ndarray, stop: int) -> np.ndarray:
+    """Per range, how many of its blocks issue before ``stop``: block
+    ``j`` issues at ``cycle + j * duration // count``, below ``stop``
+    exactly when ``j * duration < (stop - cycle) * count``."""
+    room = np.clip(stop - cycles, 0, durations + 1)
+    timed = -(-(room * counts) // np.maximum(durations, 1))
+    return np.where(durations > 0, np.minimum(counts, timed),
+                    np.where(room > 0, counts, 0))
+
+
 class ExpandCursor:
     """Resumable cycle-sorted block expansion of range columns.
 
@@ -271,13 +284,16 @@ class ExpandCursor:
     and expands, then sorts, only the blocks a call returns.
     """
 
-    __slots__ = ("total", "emitted", "_state", "_cols", "_next")
+    __slots__ = ("total", "emitted", "_state", "_cols", "_next", "_timing")
 
     def __init__(self, columns: Sequence[np.ndarray]):
         cycles, addrs, nbytes, writes, kinds, layer_ids, durations = columns
         first, counts = block_spans(addrs, nbytes)
         self.total = int(counts.sum())
         self.emitted = 0
+        #: Per range: first issue cycle, block count, duration.
+        self._timing = (native.as_int64(cycles), native.as_int64(counts),
+                        native.as_int64(durations))
         self._state = native.expand_cursor(cycles, first, counts, durations,
                                            writes, kinds, layer_ids,
                                            BLOCK_BYTES)
@@ -316,15 +332,31 @@ class ExpandCursor:
         return int((cycles[left] + nxt * durations[left]
                     // counts[left]).min())
 
+    def seek(self, stop: int) -> Optional[int]:
+        """Skip every untaken block issued before ``stop`` without
+        expanding it: each range's next block becomes its first at or
+        past ``stop``. Returns the issue cycle of the last block
+        skipped, ``None`` when none was."""
+        cycles, counts, durations = self._timing
+        taken = self._next if self._state is None \
+            else native.expand_taken(self._state)
+        target = np.maximum(taken, _blocks_below(cycles, counts, durations,
+                                                 stop))
+        moved = target > taken
+        if not moved.any():
+            return None
+        last = target[moved] - 1
+        skipped = int((cycles[moved] + last * durations[moved]
+                       // counts[moved]).max())
+        if self._state is None:
+            self._next = target
+        else:
+            native.expand_resume(self._state, target)
+        self.emitted = int(target.sum())
+        return skipped
+
     def _below(self, stop: int) -> np.ndarray:
-        """Per range, how many of its blocks issue before ``stop``:
-        block ``j`` issues at ``cycle + j * duration // count``, below
-        ``stop`` exactly when ``j * duration < (stop - cycle) * count``."""
-        cycles, _, counts, durations = self._cols[:4]
-        room = np.clip(stop - cycles, 0, durations + 1)
-        timed = -(-(room * counts) // np.maximum(durations, 1))
-        return np.where(durations > 0, np.minimum(counts, timed),
-                        np.where(room > 0, counts, 0))
+        return _blocks_below(*self._timing, stop)
 
     def _take_numpy(self, stop: int, cap: int
                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -364,19 +396,23 @@ class TraceWindow:
     first window and ``hi`` ``None`` for the last. ``segment`` counts
     the extra cuts (:meth:`Trace.windows`) below the window.
     ``first_block`` marks the window holding the layer's first data
-    block and ``done`` the window after which none is left; ``last`` is
-    the layer's last window. ``layer`` is what the windows were cut for
-    (the :class:`~repro.accel.simulator.LayerResult`), and ``state`` a
-    dict shared by every window of the layer, where consumers keep what
-    they carry from one window to the next.
+    block; ``last_cycle`` is the issue cycle of the layer's last data
+    block on the window after which none is left to serve (the window
+    holding it, or the one after a skipped segment that held it),
+    ``None`` on every other. ``last`` is the layer's last window. ``skip`` is ``None`` except on the one window
+    standing for a skipped segment, whose blocks are never expanded
+    (then ``blocks`` is empty). ``layer`` is what the windows were cut
+    for (the :class:`~repro.accel.simulator.LayerResult`), and
+    ``state`` a dict shared by every window of the layer, where
+    consumers keep what they carry from one window to the next.
     """
 
     __slots__ = ("layer", "index", "lo", "hi", "segment", "blocks",
-                 "first_block", "done", "last", "state", "layer_blocks",
-                 "_cursors", "_sides")
+                 "first_block", "last_cycle", "last", "skip",
+                 "state", "layer_blocks", "_cursors", "_sides")
 
     def __init__(self, layer, index, lo, hi, segment, blocks, first_block,
-                 done, last, state, layer_blocks, cursors):
+                 last_cycle, last, skip, state, layer_blocks, cursors):
         self.layer = layer
         self.index = index
         self.lo = lo
@@ -384,8 +420,9 @@ class TraceWindow:
         self.segment = segment
         self.blocks = blocks
         self.first_block = first_block
-        self.done = done
+        self.last_cycle = last_cycle
         self.last = last
+        self.skip = skip
         self.state = state
         #: Data blocks of the whole layer.
         self.layer_blocks = layer_blocks
@@ -402,9 +439,10 @@ class TraceWindow:
             cursor = self._cursors.get(key)
             if cursor is None:
                 cursor = self._cursors[key] = ExpandCursor(columns())
-                while self.lo is not None and cursor.peek() is not None \
-                        and cursor.peek() < self.lo:
-                    cursor.take(self.lo, WINDOW_BLOCKS)
+            # A new side, or one resumed past a skipped segment.
+            head = cursor.peek()
+            if self.lo is not None and head is not None and head < self.lo:
+                cursor.seek(self.lo)
             side = self._sides[key] = cursor.take(
                 _NO_STOP if self.hi is None else self.hi, cursor.total)
         return side
@@ -850,8 +888,9 @@ class Trace:
                                  durations, kinds)
         return self.memo("blocks", build)
 
-    def windows(self, cuts: Sequence[int] = (),
-                owner: object = None) -> Iterator[TraceWindow]:
+    def windows(self, cuts: Sequence[int] = (), owner: object = None,
+                skip: Optional[Tuple[int, object]] = None
+                ) -> Iterator[TraceWindow]:
         """Serve the trace's cycle-sorted block expansion as consecutive
         :class:`TraceWindow` s, each of at most :data:`WINDOW_BLOCKS`
         blocks and cut at every cycle in ``cuts`` (ascending).
@@ -861,14 +900,31 @@ class Trace:
         from each window to the next: the windows' blocks concatenate
         to the whole expansion, and one window's blocks are alive at a
         time. ``owner`` becomes each window's ``layer``.
+
+        ``skip = (segment, what)`` never expands the blocks of segment
+        ``segment`` (one below its upper cut): the cursor seeks past
+        them (:meth:`ExpandCursor.seek`) and one empty window whose
+        ``skip`` is ``what`` stands for them.
         """
         cursor = ExpandCursor(self.buf.arrays())
         state: Dict[object, object] = {}
         cursors: Dict[object, ExpandCursor] = {}
         lo: Optional[int] = None
         index = 0
+        # Whether the last block has been served yet, and the last block
+        # a skip passed over.
+        ended = False
+        skipped: Optional[int] = None
         for segment, hi in enumerate([*cuts, None]):
             stop = _NO_STOP if hi is None else hi
+            if skip is not None and segment == skip[0]:
+                skipped = cursor.seek(stop)
+                yield TraceWindow(owner, index, lo, hi, segment,
+                                  empty_block_stream(), False, None, False,
+                                  skip[1], state, cursor.total, cursors)
+                index += 1
+                lo = hi
+                continue
             while True:
                 first = cursor.emitted == 0
                 parts = [cursor.take(stop, WINDOW_BLOCKS)]
@@ -882,9 +938,14 @@ class Trace:
                 nxt = cursor.peek()
                 closed = nxt is None or nxt >= stop
                 bound = hi if closed else nxt
+                last_cycle = None
+                if nxt is None and not ended:
+                    ended = True
+                    last_cycle = int(blocks.cycles[-1]) if len(blocks) \
+                        else skipped
                 yield TraceWindow(owner, index, lo, bound, segment, blocks,
-                                  first and len(blocks) > 0, nxt is None,
-                                  closed and hi is None, state,
+                                  first and len(blocks) > 0, last_cycle,
+                                  closed and hi is None, None, state,
                                   cursor.total, cursors)
                 index += 1
                 lo = bound

@@ -67,6 +67,7 @@ from repro.models.zoo import (
     parse_workload_spec,
 )
 from repro.protection import make_scheme
+from repro.protection.metadata_model import MAX_PROTECTION_UNIT
 from repro.protection.seda import lanes_for_peak
 from repro.crypto.engine import CryptoEngineModel, bandwidth_aware_engine
 from repro.tiling.tile import TilingPlan, plan_tiling
@@ -97,10 +98,6 @@ MIN_DERIVE_BATCH = 4
 #: batch 1 exists to cross-check plain schemes and to produce the b1
 #: sibling record.
 PROBE_BATCHES = (1, 2, 3)
-
-#: Largest protection-unit granularity any scheme applies (SGX-512B /
-#: MGX-512B); image strides must preserve phase at this quantum too.
-MAX_PROTECTION_UNIT = 512
 
 #: Structural plan fields that must be batch-invariant for the image-0
 #: schedule (and its residency decisions) to be the template of every

@@ -198,7 +198,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr))
     names = list(workloads or WORKLOADS)
     requests = [service.request(args.npu, workload, args.schemes,
-                                derive=not args.no_derive,
                                 retries=args.retries,
                                 timeout=args.cell_timeout)
                 for workload in names]
@@ -231,25 +230,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             ["scheme"] + names + ["avg"],
             [[scheme] + values for scheme, values in table.items()]))
 
-    derived = service.derived_hits
-    fallbacks = service.derived_fallbacks
-    derive_note = f", {derived} derived analytically" if derived else ""
-    if fallbacks:
-        derive_note += f", {fallbacks} derive fallbacks"
-    if failures:
-        derive_note += f", {len(failures)} FAILED"
+    note = f", {len(failures)} FAILED" if failures else ""
     if service.persist_errors:
-        derive_note += f", {service.persist_errors} persist errors"
+        note += f", {service.persist_errors} persist errors"
     if store is not None:
         last = store.summary().last_run
         served = last.get("hits", 0)
         total = served + last.get("misses", 0)
         print(f"\n{total} grid cells in {elapsed:.1f}s "
               f"({served} served from cache, {total - served} computed"
-              f"{derive_note}, jobs={args.jobs})")
+              f"{note}, jobs={args.jobs})")
     else:
         print(f"\n{len(names)} grid cells in {elapsed:.1f}s "
-              f"(cache disabled{derive_note}, jobs={args.jobs})")
+              f"(cache disabled{note}, jobs={args.jobs})")
 
     if args.csv:
         with open(args.csv, "w", newline="") as handle:
@@ -481,9 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "$REPRO_CACHE_DIR or ~/.cache/repro)")
     sweep_p.add_argument("--no-cache", action="store_true",
                          help="skip the on-disk result store")
-    sweep_p.add_argument("--no-derive", action="store_true",
-                         help="force full simulation of every cell "
-                              "(skip the analytic @bN derivation)")
     sweep_p.add_argument("--retries", type=int, default=1,
                          help="extra attempts per cell after a transient "
                               "failure (default 1; 0 disables retries)")

@@ -16,7 +16,7 @@ from repro.core.pipeline import CollectedRow, Pipeline, SchemeRun
 from repro.models.topology import Topology
 from repro.protection import make_scheme
 from repro.protection.base import ProtectionScheme
-from repro.protection.metadata_model import SharedTrafficModel, layer_windows
+from repro.protection.metadata_model import SharedTrafficModel
 
 
 def normalized_traffic(scheme_run: SchemeRun, baseline_run: SchemeRun) -> float:
@@ -112,7 +112,7 @@ def compare_schemes(pipeline: Pipeline, topology: Topology,
         for name in scheme_names]
     parts: List[List[SchemeRun]] = [[] for _ in entries]
     for layer in model_run.layers:
-        for window in layer_windows(layer):
+        for window in pipeline.layer_windows(model_run, layer):
             for (name, scheme), scheme_parts in zip(entries, parts):
                 rows = None if collect is None else collect.setdefault(name, [])
                 scheme_parts.append(pipeline.run(topology, scheme,

@@ -18,16 +18,20 @@ whichever resource saturates becomes the layer's critical path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro import obs
-from repro.accel.simulator import AcceleratorSim, ModelRun
+from repro.accel.simulator import AcceleratorSim, LayerResult, ModelRun
 from repro.accel.trace import TraceWindow
 from repro.core.config import NpuConfig
 from repro.dram.simulator import DramResult, DramSim, WalkState
 from repro.models.topology import Topology
 from repro.protection.base import LayerProtection, ProtectionScheme
-from repro.protection.metadata_model import layer_windows
+from repro.protection.metadata_model import (
+    PeriodicSkip,
+    layer_windows,
+    periodic_skip,
+)
 
 
 @dataclass(frozen=True)
@@ -134,18 +138,47 @@ class SchemeRun:
 
 class _LayerTotals:
     """One scheme's sums over a layer's windows so far: the DRAM walk's
-    state and the protection rows' byte counts."""
+    state and the protection rows' byte counts, and the counts at the
+    start of the window segment being served (``mark``)."""
 
-    __slots__ = ("walk", "data_bytes", "metadata_bytes", "crypto_bytes")
+    __slots__ = ("walk", "data_bytes", "metadata_bytes", "crypto_bytes",
+                 "segment", "mark")
 
     def __init__(self, walk: WalkState):
         self.walk = walk
         self.data_bytes = self.metadata_bytes = self.crypto_bytes = 0
+        self.segment = 0
+        self.mark = self._counts()
+
+    def _counts(self) -> Tuple[List[int], List[int], int, int, int]:
+        return (self.walk.requests, self.walk.conflicts, self.data_bytes,
+                self.metadata_bytes, self.crypto_bytes)
+
+    def begin(self, segment: int) -> None:
+        """Mark the counts where a new segment of windows starts."""
+        if segment != self.segment:
+            self.segment = segment
+            self.mark = self._counts()
 
     def add(self, protection: LayerProtection) -> None:
         self.data_bytes += protection.data_bytes
         self.metadata_bytes += protection.metadata_bytes
         self.crypto_bytes += protection.crypto_bytes
+
+    def repeat(self, skip: PeriodicSkip) -> None:
+        """Serve ``skip.times`` more copies of the segment served last:
+        add its increments (requests and row conflicts per channel,
+        data, metadata and crypto bytes) that many times and move the
+        open rows on (:meth:`WalkState.advance`)."""
+        requests, conflicts, data, metadata, crypto = self.mark
+        walk, times = self.walk, skip.times
+        walk.add([now - then for now, then in zip(walk.requests, requests)],
+                 [now - then for now, then in zip(walk.conflicts, conflicts)],
+                 times)
+        walk.advance(skip.spans, times)
+        self.data_bytes += times * (self.data_bytes - data)
+        self.metadata_bytes += times * (self.metadata_bytes - metadata)
+        self.crypto_bytes += times * (self.crypto_bytes - crypto)
 
 
 class Pipeline:
@@ -162,6 +195,16 @@ class Pipeline:
         """Stage 1 only — reusable across schemes."""
         with obs.span("accel", workload=topology.name, npu=self.npu.name):
             return self.accelerator.run(topology)
+
+    def layer_windows(self, run: ModelRun,
+                      result: LayerResult) -> Iterator[TraceWindow]:
+        """The cycle windows one layer of ``run`` is served in
+        (:func:`~repro.protection.metadata_model.layer_windows`),
+        skipping image windows 3..N-1 of a batched layer wherever the
+        periodic shortcut's gate holds
+        (:func:`~repro.protection.metadata_model.periodic_skip`)."""
+        return layer_windows(result, periodic_skip(
+            result, run.address_map, self.dram.config))
 
     def run(self, topology: Topology, scheme: ProtectionScheme,
             model_run: Optional[ModelRun] = None,
@@ -188,7 +231,7 @@ class Pipeline:
         else:
             span = range(len(run.layers)) if layers is None else layers
             windows = (w for result in run.layers[span.start:span.stop]
-                       for w in layer_windows(result))
+                       for w in self.layer_windows(run, result))
         timings: List[LayerTiming] = []
         for part in windows:
             self._serve(topology, run, scheme, part, collect, timings)
@@ -202,13 +245,20 @@ class Pipeline:
                collect: Optional[List[CollectedRow]],
                timings: List[LayerTiming]) -> None:
         """Protect and serve one window; append the rows it completes:
-        the layer's after its last window, then any flush row."""
-        with obs.span("protect", scheme=scheme.name, workload=topology.name):
-            protections = scheme.protect_model(run, window=window)
+        the layer's after its last window, then any flush row. A window
+        standing for skipped image windows repeats the segment before
+        it instead (:meth:`_LayerTotals.repeat`)."""
         totals = window.state.get(scheme)
         if totals is None:
             totals = window.state[scheme] = \
                 _LayerTotals(self.dram.walk_state())
+        if window.skip is not None:
+            # Skipped image windows: the segment just served, again.
+            totals.repeat(window.skip)
+            return
+        totals.begin(window.segment)
+        with obs.span("protect", scheme=scheme.name, workload=topology.name):
+            protections = scheme.protect_model(run, window=window)
         # The window's data, over-fetch and metadata sides are served as
         # one virtually concatenated stream, the layer's row from the
         # memory state its earlier windows left; a flush row on a cold

@@ -20,8 +20,13 @@ merges concatenate to the layer's. A :class:`WalkState` carries the
 open-row registers and the per-channel counts from one window's walk
 to the next, and :meth:`DramSim.finish` turns them into the layer's
 :class:`DramResult`, exactly the result of one walk over the whole
-layer. ``tests/dram/oracle.py`` holds an event-driven walk of the same
-semantics that the test suite checks this model against.
+layer. A batched layer's skipped image windows
+(:func:`repro.protection.metadata_model.periodic_skip`) are served
+without a walk: :meth:`WalkState.add` counts the last walked image
+window's increments again and :meth:`WalkState.advance` moves the open
+rows on by the images' row strides. ``tests/dram/oracle.py`` holds an
+event-driven walk of the same semantics that the test suite checks this
+model against.
 """
 
 from __future__ import annotations
@@ -91,6 +96,23 @@ class WalkState:
     def open_rows(self) -> np.ndarray:
         """The per-bank open-row registers (a view)."""
         return self.regs[2 * len(self.requests):]
+
+    def add(self, requests: Sequence[int], conflicts: Sequence[int],
+            times: int) -> None:
+        """Count ``times`` more walks of these per-channel counts."""
+        self.requests = [a + times * b
+                         for a, b in zip(self.requests, requests)]
+        self.conflicts = [a + times * b
+                          for a, b in zip(self.conflicts, conflicts)]
+
+    def advance(self, spans: np.ndarray, times: int) -> None:
+        """Move every open row inside a ``(first row, last row, row
+        stride)`` span of ``spans`` (sorted, disjoint) on by ``times``
+        strides; closed banks and rows outside the spans stay."""
+        rows = self.open_rows()
+        span = np.searchsorted(spans[:, 0], rows, side="right") - 1
+        inside = (span >= 0) & (rows <= spans[span, 1])
+        rows[inside] += times * spans[span[inside], 2]
 
 
 class DramSim:

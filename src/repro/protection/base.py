@@ -96,13 +96,13 @@ class LayerProtection:
 def layer_mac_side(window: TraceWindow, line: int) -> BlockStream:
     """One window's share of a layer-MAC scheme's metadata: the read of
     MAC line ``line`` at the layer's first data block and the write of
-    the next line at its last, each in the window holding that block."""
-    blocks = window.blocks
+    the next line at its last, each in the window holding that block
+    (the write in the window after a skipped segment that held it)."""
     events = []
     if window.first_block:
-        events.append((int(blocks.cycles[0]), line, False))
-    if window.done and len(blocks):
-        events.append((int(blocks.cycles[-1]), line + BLOCK_BYTES, True))
+        events.append((int(window.blocks.cycles[0]), line, False))
+    if window.last_cycle is not None:
+        events.append((window.last_cycle, line + BLOCK_BYTES, True))
     cycles, addrs, writes = zip(*events) if events else ((), (), ())
     return BlockStream(
         np.array(cycles, dtype=np.int64), np.array(addrs, dtype=np.uint64),

@@ -34,17 +34,21 @@ carries into the next (:func:`repro.utils.native.fused_drive`'s
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
+from repro.accel.layout import METADATA_BASE
 from repro.accel.trace import (
+    BLOCK_BYTES,
     AccessKind,
     BlockStream,
     Trace,
     TraceWindow,
+    block_spans,
     kind_code,
 )
 from repro.integrity.caches import MetadataCache
@@ -491,19 +495,145 @@ def process_mac_vn(mac_model: MacTableModel, vn_model: VnTreeModel,
 #: further image repeats image 1's traffic increment.
 _SIMULATED_IMAGES = 2
 
+#: Image windows a batched layer expands and walks under the periodic
+#: shortcut (:func:`periodic_skip`): 0, 1 and 2. Windows 3..N-1 repeat
+#: window 2's increment.
+_WALKED_IMAGES = 3
 
-def layer_windows(result) -> Iterator[TraceWindow]:
+#: Whether :func:`periodic_skip` may skip image windows at all. Off,
+#: every window of a batched layer is expanded and walked: the oracle
+#: ``tests/integration/test_periodic_parity.py`` checks the shortcut
+#: against.
+PERIODIC_SHORTCUT = True
+
+#: Largest protection unit any scheme applies (SGX-512B / MGX-512B): a
+#: periodic layer's image strides keep its phase too.
+MAX_PROTECTION_UNIT = 512
+
+
+class PeriodicSkip:
+    """What the window of a batched layer's skipped images stands for:
+    ``times`` more copies of the previous segment's traffic (image
+    window 2's), after which every bank's open row has moved on by
+    ``times`` per-image row strides of the region it lies in. ``spans``
+    holds one ``(first row, last row, row stride)`` per data kind of
+    the layer over all its images, sorted and disjoint; a row outside
+    them (metadata) does not move."""
+
+    __slots__ = ("times", "spans")
+
+    def __init__(self, times: int, spans: np.ndarray):
+        self.times = times
+        self.spans = spans
+
+
+def _periodic_spans(result, address_map, dram) -> Optional[np.ndarray]:
+    """The row spans of :class:`PeriodicSkip`, or ``None`` when a
+    batched layer's image windows 2..N-1 might not be shifted copies of
+    one another.
+
+    Image ``i`` of a layer is image 0's schedule (less its resident
+    weight fetches) shifted by ``i`` images' share of the cycles and by
+    a per-kind address stride (``AcceleratorSim._replicate_batch``).
+    Window ``k`` (cycles ``[S + k * ic, S + (k + 1) * ic)``) holds image
+    ``k``'s blocks and the spill of image ``k - 1``'s; it is window
+    ``k - 1`` shifted when:
+
+    - image 0's blocks issue below ``S + 2 * ic`` (every image's within
+      its own and the next image's cycles);
+    - every stride is a multiple of one DRAM row-set and of the largest
+      protection unit, so a shifted block keeps its channel, bank,
+      column and unit phase and moves a whole number of rows;
+    - no two kinds, over all images, share a row, and no data row is a
+      metadata row (metadata traffic repeats at the same addresses), so
+      every row comparison the walk makes in window ``k`` equals its
+      counterpart in window ``k - 1``.
+    """
+    layer = result.layer
+    batch = layer.batch
+    image_cycles = result.compute_cycles // batch
+    cycles, addrs, nbytes, _, kinds, _, durations = result.trace.buf.arrays()
+    if image_cycles <= 0 or not len(cycles):
+        return None
+    first, counts = block_spans(addrs, nbytes)
+    last = cycles + (counts - 1) * durations // counts
+    start = result.start_cycle
+    image0 = cycles < start + image_cycles
+    if (int(cycles.min()) < start or not image0.any()
+            or int(last.max()) >= start + (batch + 1) * image_cycles
+            or int(last[image0].max()) >= start + 2 * image_cycles):
+        return None
+    row_set = dram.row_bytes * dram.banks_per_channel * dram.channels
+    quantum = math.lcm(row_set, MAX_PROTECTION_UNIT)
+    strides = {
+        kind_code(AccessKind.IFMAP):
+            address_map.image_stride(layer.ifmap_bytes_per_image),
+        kind_code(AccessKind.OFMAP):
+            address_map.image_stride(layer.ofmap_bytes_per_image),
+        kind_code(AccessKind.KVCACHE): address_map.kv_image_stride,
+        kind_code(AccessKind.WEIGHT): 0,
+    }
+    spans = []
+    for code in np.unique(kinds):
+        stride = strides.get(int(code))
+        if stride is None or stride % quantum:
+            return None
+        mask = kinds == code
+        spans.append((
+            int(first[mask].min()) // row_set,
+            int((first[mask] + (counts[mask] - 1) * BLOCK_BYTES).max())
+            // row_set,
+            stride // row_set))
+    spans.sort()
+    if any(below[1] >= above[0] for below, above in zip(spans, spans[1:])) \
+            or spans[-1][1] >= METADATA_BASE // row_set:
+        return None
+    return np.array(spans, np.int64)
+
+
+def periodic_skip(result, address_map, dram) -> Optional[PeriodicSkip]:
+    """The periodic shortcut's gate for one layer of a model run laid
+    out by ``address_map`` and served by DRAM ``dram`` (a
+    :class:`~repro.dram.timing.DramConfig`): a :class:`PeriodicSkip`
+    for image windows 3..N-1 of a batched layer whose windows 2..N-1
+    are exact shifted copies of one another (:func:`_periodic_spans`),
+    ``None`` when the layer walks every window. The gate is the
+    per-layer form of :func:`repro.analytic.derivable`'s stride check
+    plus the checks of :func:`_periodic_spans`. Each ``@b4`` or larger
+    layer counts one ``periodic.skipped`` or ``periodic.walked``."""
+    batch = result.layer.batch
+    if not PERIODIC_SHORTCUT or batch <= _WALKED_IMAGES:
+        return None
+    spans = _periodic_spans(result, address_map, dram)
+    if spans is None:
+        obs.incr("periodic.walked")
+        return None
+    obs.incr("periodic.skipped")
+    return PeriodicSkip(batch - _WALKED_IMAGES, spans)
+
+
+def layer_windows(result, skip: Optional[PeriodicSkip] = None
+                  ) -> Iterator[TraceWindow]:
     """A layer's cycle windows (:meth:`Trace.windows`), cut also where
     :func:`drive_window` starts image 1 and image 2 of a batched layer
     (:attr:`LayerResult.start_cycle` plus one and two images' share of
-    its compute cycles)."""
+    its compute cycles), then, from ``@b4``, where image 3 starts and
+    where the last image ends. With ``skip`` (:func:`periodic_skip`),
+    images 3..N-1 are never expanded: one window carrying ``skip``
+    stands for them, and the traffic after the last image (its spill
+    into the next image's cycles) is served from where they leave
+    off."""
     batch = result.layer.batch
-    cuts = ()
+    cuts: Tuple[int, ...] = ()
     if batch > _SIMULATED_IMAGES:
         image_cycles = result.compute_cycles // batch
+        images = (1, 2) if batch <= _WALKED_IMAGES \
+            else (1, 2, _WALKED_IMAGES, batch)
         cuts = tuple(result.start_cycle + image * image_cycles
-                     for image in range(1, _SIMULATED_IMAGES + 1))
-    return result.trace.windows(cuts, owner=result)
+                     for image in images)
+    return result.trace.windows(
+        cuts, owner=result,
+        skip=None if skip is None else (_WALKED_IMAGES, skip))
 
 
 class _LayerDrive:
@@ -583,9 +713,14 @@ def drive_window(drive, key: object, window: TraceWindow,
         state.parts = []
     image_cycles = result.compute_cycles // batch
     lo, hi = window.lo, window.hi
+    # Image i's increment issues in [start + i * ic, start + (i + 1) *
+    # ic): the first image reaching into the window is the one whose
+    # cycles hold ``lo``.
+    first = _SIMULATED_IMAGES if lo is None or image_cycles <= 0 else max(
+        _SIMULATED_IMAGES, (lo - result.start_cycle) // image_cycles)
     for out, (cycles, addrs, writes), misses in zip(
             outs, state.increment, state.misses):
-        for image in range(_SIMULATED_IMAGES, batch):
+        for image in range(first, batch):
             begin = result.start_cycle + image * image_cycles
             if hi is not None and begin >= hi:
                 break

@@ -103,8 +103,9 @@ _Outcome = Union[Dict[str, Any], BaseException]
 class EvalRequest:
     """One grid cell: every scheme on one (NPU, workload) pair.
 
-    ``derive=False`` forces full simulation even for cells the analytic
-    plane could serve (``repro sweep --no-derive``).  ``retries`` is
+    ``derive=True`` serves a batched cell from the analytic plane when
+    its checks pass (API only; every cell is simulated by default).
+    ``retries`` is
     the number of *extra* attempts allowed after a transient failure
     (``retries=2`` → at most three attempts); ``timeout`` bounds one
     attempt's wall time on the worker, in seconds; ``backoff`` is the
@@ -115,7 +116,7 @@ class EvalRequest:
     npu: NpuConfig
     workload: str
     scheme_names: Tuple[str, ...]
-    derive: bool = True
+    derive: bool = False
     retries: int = 0
     timeout: Optional[float] = None
     backoff: float = 0.05
@@ -322,7 +323,7 @@ def _evaluate_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
                       schemes=",".join(payload["schemes"])):
             pipeline = _memoized_pipeline(payload["npu"])
             record = None
-            if payload.get("derive", True):
+            if payload.get("derive", False):
                 record = _derived_record(pipeline, payload)
                 attempted = record is None and \
                     parse_workload_spec(payload["workload"])[1] \
@@ -347,13 +348,15 @@ def _evaluate_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
 def run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Evaluate one grid cell; module-level so process pools can pickle it.
 
-    Batched cells (``@bN`` with ``N >= MIN_DERIVE_BATCH``) are served
-    from the analytic plane when its exactness checks pass — probe
-    batches are simulated, the target batch never is — unless the
-    payload carries ``derive=False``.  A cell that attempted derivation
-    but fell back to full simulation carries the transient
-    ``_derive_fallback`` marker so the service's counters can tell the
-    difference.
+    Every cell is simulated in full (a batched layer's image windows
+    3..N-1 through the periodic shortcut of
+    :meth:`repro.core.pipeline.Pipeline.layer_windows`). A payload
+    carrying ``derive=True`` instead serves a batched cell (``@bN`` with
+    ``N >= MIN_DERIVE_BATCH``) from the analytic plane when its
+    exactness checks pass — probe batches are simulated, the target
+    batch never is. A cell that attempted derivation but fell back to
+    full simulation carries the transient ``_derive_fallback`` marker
+    so the service's counters can tell the difference.
 
     When the payload asks for tracing (``trace``), the cell records
     into a private recorder — whatever recorder the process had active

@@ -78,9 +78,12 @@ class EvalService:
     @staticmethod
     def request(npu: Any, workload: str,
                 scheme_names: Optional[Iterable[str]] = None,
-                derive: bool = True, retries: int = 0,
+                derive: bool = False, retries: int = 0,
                 timeout: Optional[float] = None) -> EvalRequest:
-        """Build a grid cell from an NPU name or :class:`NpuConfig`."""
+        """Build a grid cell from an NPU name or :class:`NpuConfig`.
+
+        Every cell is fully simulated; ``derive=True`` lets the analytic
+        plane serve a ``@bN`` cell instead (:class:`EvalRequest`)."""
         if not isinstance(npu, NpuConfig):
             npu = npu_config(npu)
         return EvalRequest(npu=npu, workload=workload,
@@ -242,14 +245,14 @@ class EvalService:
 
     def compare(self, npu: Any, workload: str,
                 scheme_names: Optional[Iterable[str]] = None,
-                derive: bool = True) -> ComparisonResult:
+                derive: bool = False) -> ComparisonResult:
         """One grid cell."""
         return self.evaluate(
             [self.request(npu, workload, scheme_names, derive=derive)])[0]
 
     def sweep(self, npu: Any, workloads: Optional[Iterable[str]] = None,
               scheme_names: Optional[Iterable[str]] = None,
-              derive: bool = True) -> Dict[str, ComparisonResult]:
+              derive: bool = False) -> Dict[str, ComparisonResult]:
         """Every workload on one NPU; returns workload -> comparison."""
         names = list(workloads or WORKLOADS)
         results = self.evaluate(

@@ -16,7 +16,9 @@
  * concatenated and sorted.
  *
  * The cache is a doubly linked LRU list over slot arrays plus an
- * open-addressing hash table (linear probing, backward-shift delete).
+ * open-addressing hash table (Fibonacci hashing, linear probing,
+ * backward-shift delete); each slot keeps its table position, so an
+ * eviction deletes without a lookup.
  * Every kernel has a pure numpy twin (the FALLBACKS manifest in
  * native.py) that serves hosts without a C compiler.
  */
@@ -36,38 +38,41 @@ typedef struct {
     i64 *prv, *nxt;     /* LRU list; head = LRU, tail = MRU */
     i64 head, tail;
     i64 *table;         /* hash slots -> entry slot index, -1 empty */
+    i64 *pos;           /* per slot: its hash slot in table */
     u64 mask;
+    int shift;          /* 64 - log2(table size) */
     i64 *freelist;
     i64 nfree;
     i64 hits, misses, evictions, dirty_evictions;
 } Cache;
 
-static u64 hash_tag(i64 t) {
-    u64 x = (u64)t;
-    x ^= x >> 30; x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27; x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
+/* Fibonacci hashing: the top bits of tag * 2^64 / phi.  Tags of one
+ * cache are mostly consecutive line numbers, which it spreads evenly. */
+static u64 hash_tag(const Cache *c, i64 t) {
+    return ((u64)t * 0x9e3779b97f4a7c15ULL) >> c->shift;
 }
 
 static int cache_init(Cache *c, i64 cap, i64 max_entries) {
     i64 n = cap < max_entries ? cap : max_entries;
     if (n < 1) n = 1;
     u64 tsize = 8;
-    while (tsize < (u64)(4 * n)) tsize <<= 1;
+    int bits = 3;
+    while (tsize < (u64)(4 * n)) { tsize <<= 1; bits++; }
     c->cap = cap;
     c->size = 0;
     c->head = c->tail = -1;
     c->mask = tsize - 1;
+    c->shift = 64 - bits;
     c->hits = c->misses = c->evictions = c->dirty_evictions = 0;
     c->tag = (i64 *)malloc(sizeof(i64) * n);
     c->dirty = (u8 *)malloc(n);
     c->prv = (i64 *)malloc(sizeof(i64) * n);
     c->nxt = (i64 *)malloc(sizeof(i64) * n);
     c->table = (i64 *)malloc(sizeof(i64) * tsize);
+    c->pos = (i64 *)malloc(sizeof(i64) * n);
     c->freelist = (i64 *)malloc(sizeof(i64) * n);
     if (!c->tag || !c->dirty || !c->prv || !c->nxt || !c->table
-            || !c->freelist)
+            || !c->pos || !c->freelist)
         return -1;
     for (u64 i = 0; i < tsize; i++) c->table[i] = -1;
     for (i64 i = 0; i < n; i++) c->freelist[i] = n - 1 - i;
@@ -77,11 +82,11 @@ static int cache_init(Cache *c, i64 cap, i64 max_entries) {
 
 static void cache_free(Cache *c) {
     free(c->tag); free(c->dirty); free(c->prv); free(c->nxt);
-    free(c->table); free(c->freelist);
+    free(c->table); free(c->pos); free(c->freelist);
 }
 
 static i64 ht_find(const Cache *c, i64 t) {
-    u64 i = hash_tag(t) & c->mask;
+    u64 i = hash_tag(c, t);
     for (;;) {
         i64 s = c->table[i];
         if (s < 0) return -1;
@@ -91,9 +96,10 @@ static i64 ht_find(const Cache *c, i64 t) {
 }
 
 static void ht_insert(Cache *c, i64 t, i64 slot) {
-    u64 i = hash_tag(t) & c->mask;
+    u64 i = hash_tag(c, t);
     while (c->table[i] >= 0) i = (i + 1) & c->mask;
     c->table[i] = slot;
+    c->pos[slot] = (i64)i;
 }
 
 static void ht_delete(Cache *c, u64 i) {
@@ -105,9 +111,14 @@ static void ht_delete(Cache *c, u64 i) {
             j = (j + 1) & c->mask;
             i64 s = c->table[j];
             if (s < 0) return;
-            u64 k = hash_tag(c->tag[s]) & c->mask;
+            u64 k = hash_tag(c, c->tag[s]);
             int movable = (i <= j) ? (k <= i || k > j) : (k <= i && k > j);
-            if (movable) { c->table[i] = s; i = j; break; }
+            if (movable) {
+                c->table[i] = s;
+                c->pos[s] = (i64)i;
+                i = j;
+                break;
+            }
         }
     }
 }
@@ -149,7 +160,7 @@ static int cache_access(Cache *c, i64 t, int write, i64 line_bytes,
             *wb_addr = c->tag[v] * line_bytes;
         }
         lru_unlink(c, v);
-        ht_delete(c, (u64)ht_find(c, c->tag[v]));
+        ht_delete(c, (u64)c->pos[v]);
         c->freelist[c->nfree++] = v;
         c->size--;
     }

@@ -653,6 +653,33 @@ def expand_merge(state: _ExpandState, stop: int, cap: int
             block[21 * cap:21 * cap + k].view(np.int8))
 
 
+def expand_taken(state: _ExpandState) -> np.ndarray:
+    """How many blocks each range of the cursor has emitted (a copy)."""
+    n = len(state.keep[2])
+    if state.size[0] < 0:
+        return np.zeros(n, np.int64)
+    slots = max(n, 1)
+    return state.keep[7][2 * slots:2 * slots + n].copy()
+
+
+def expand_resume(state: _ExpandState, taken: np.ndarray) -> None:
+    """Move the cursor on so that range ``r`` has emitted ``taken[r]``
+    blocks (never fewer than it has), rebuilding the kernel's heap: the
+    ranges with blocks left, sorted by (next block's cycle, range),
+    which is a valid min-heap."""
+    cycles, _, counts, durations = state.keep[:4]
+    cursor = state.keep[7]
+    n = len(counts)
+    slots = max(n, 1)
+    live = np.flatnonzero(taken < counts)
+    heads = cycles[live] + taken[live] * durations[live] // counts[live]
+    order = np.argsort(heads, kind="stable")
+    cursor[:len(live)] = live[order]
+    cursor[slots:slots + len(live)] = heads[order]
+    cursor[2 * slots:2 * slots + n] = taken
+    cursor[-1] = len(live)
+
+
 def expand_peek(state: _ExpandState) -> Optional[int]:
     """Issue cycle of the cursor's next block, ``None`` when done."""
     if state.size[0] < 0:

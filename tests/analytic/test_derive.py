@@ -5,9 +5,12 @@ simulation of the target batch produces — not approximately equal: the
 store holds both kinds of record interchangeably, so any drift would
 make results depend on which path computed them. The randomized gate
 below samples (workload, batch) cells across CNNs and transformers and
-checks exact record equality; the fallback tests pin the cases the
-derivation must refuse (halo straddle under raw packing, exotic DRAM
-geometry) and the service counters that make refusal observable.
+checks exact record equality against full simulation through the
+periodic shortcut, the default path; the fallback tests pin the cases
+the derivation must refuse (halo straddle under raw packing, exotic
+DRAM geometry) and the service counters that make refusal observable.
+Derivation is opt-in (``derive=True``), so every service test here asks
+for it explicitly.
 """
 
 import dataclasses
@@ -15,6 +18,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.analytic import MIN_DERIVE_BATCH, derivable, derive_cell
 from repro.core.config import npu_config
 from repro.core.metrics import compare_schemes
@@ -31,8 +35,22 @@ def _simulated_record(pipeline, spec):
         compare_schemes(pipeline, get_workload(spec), SCHEME_NAMES))
 
 
+def _shortcut_record(pipeline, spec):
+    """The full simulation of ``spec``, which must take the periodic
+    shortcut on every layer."""
+    recorder = obs.Recorder()
+    previous = obs.install(recorder)
+    try:
+        record = _simulated_record(pipeline, spec)
+    finally:
+        obs.install(previous)
+    assert recorder.counters.get("periodic.skipped", 0) > 0, spec
+    assert recorder.counters.get("periodic.walked", 0) == 0, spec
+    return record
+
+
 class TestEquivalenceGate:
-    """Derived records == simulated records, bit for bit."""
+    """Derived records == shortcut-simulated records, bit for bit."""
 
     #: CNNs and transformers, covering halo convs (resnet18), pure
     #: gemm stacks (dlrm), KV-cache attention (gpt2) and patchified
@@ -50,7 +68,7 @@ class TestEquivalenceGate:
             derived = derive_cell(pipeline, spec, SCHEME_NAMES)
             assert derived is not None, f"{spec} unexpectedly fell back"
             record, b1_record = derived
-            assert record == _simulated_record(pipeline, spec), spec
+            assert record == _shortcut_record(pipeline, spec), spec
             # The probes' batch-1 sibling is a real b1 record too.
             base_name, _, seq = base.partition("@s")
             b1_spec = format_workload_spec(
@@ -96,7 +114,7 @@ class TestServiceCounters:
     def test_derived_hit_counts_and_persists_b1_sibling(self, tmp_path):
         store = ResultStore(tmp_path)
         service = EvalService(store=store)
-        result = service.compare("server", "lenet@b8")
+        result = service.compare("server", "lenet@b8", derive=True)
         assert service.derived_hits == 1
         assert service.derived_fallbacks == 0
         assert len(result.runs) == len(SCHEME_NAMES)
@@ -112,20 +130,21 @@ class TestServiceCounters:
 
     def test_b1_sibling_makes_b1_cell_a_disk_hit(self, tmp_path):
         store = ResultStore(tmp_path)
-        EvalService(store=store).compare("server", "lenet@b8")
+        EvalService(store=store).compare("server", "lenet@b8", derive=True)
         fresh = EvalService(store=store)
         fresh.compare("server", "lenet")
         assert fresh.derived_hits == 0  # served from disk, not computed
 
     def test_fallback_counts(self, tmp_path):
         service = EvalService(store=ResultStore(tmp_path))
-        service.compare(_wide_dram_npu(), "lenet@b8")
+        service.compare(_wide_dram_npu(), "lenet@b8", derive=True)
         assert service.derived_hits == 0
         assert service.derived_fallbacks == 1
 
     def test_sweep_subset_derives_every_cell(self):
         service = EvalService()
-        results = service.sweep("server", workloads=["lenet@b8", "dlrm@b8"])
+        results = service.sweep("server", workloads=["lenet@b8", "dlrm@b8"],
+                                derive=True)
         assert len(results) == 2
         assert service.derived_hits == 2
         assert service.derived_fallbacks == 0
@@ -136,9 +155,15 @@ class TestServiceCounters:
         assert service.derived_hits == 0
         assert service.derived_fallbacks == 0
 
+    def test_cells_are_simulated_by_default(self):
+        service = EvalService()
+        service.sweep("server", workloads=["lenet@b8", "dlrm@b8"])
+        assert service.derived_hits == 0
+        assert service.derived_fallbacks == 0
+
     def test_derived_equals_simulated_through_service(self):
         """End to end through the service: the derived cell and a
         forced-simulation cell of the same spec serialize identically."""
-        derived = EvalService().compare("server", "dlrm@b6")
+        derived = EvalService().compare("server", "dlrm@b6", derive=True)
         simulated = EvalService().compare("server", "dlrm@b6", derive=False)
         assert comparison_to_dict(derived) == comparison_to_dict(simulated)

@@ -17,7 +17,7 @@ from repro.core.metrics import compare_schemes
 from repro.core.pipeline import Pipeline
 from repro.models.zoo import get_workload
 from repro.protection import SCHEME_NAMES, make_scheme
-from repro.protection.metadata_model import SharedTrafficModel, layer_windows
+from repro.protection.metadata_model import SharedTrafficModel
 from repro.runner.records import scheme_run_to_dict
 
 #: A CNN, a batched cell (images 0 and 1 go through the metadata
@@ -100,8 +100,11 @@ def test_shared_mac_traffic_lives_one_layer(monkeypatch):
 
     monkeypatch.setattr(SharedTrafficModel, "store", spy)
     result = compare_schemes(pipeline, topology, SCHEME_NAMES)
-    windows = sum(len(list(layer_windows(layer)))
-                  for layer in result.baseline.model_run.layers)
+    model_run = result.baseline.model_run
+    # The windows the schemes protect: not the one standing for the
+    # skipped images.
+    windows = sum(window.skip is None for layer in model_run.layers
+                  for window in pipeline.layer_windows(model_run, layer))
     assert windows >= 3 * len(topology)        # image cuts at b4
     assert len(held) == 2 * windows            # 64 B and 512 B tables
     assert all(len(layers) == 1 for layers in held)

@@ -5,7 +5,9 @@ four cycle-sorted sides (data, over-fetch, MAC, VN) through
 ``DramSim.simulate_fast_batch_parts``, from the open rows the layer's
 previous window left. Here every layer's windows are replayed through
 the event-driven oracle as one stream: the windows' merged sides,
-concatenated.
+concatenated. The run serves every window (the periodic shortcut off);
+the default run, which skips a batched layer's image windows 3..N-1,
+must then give the same rows.
 """
 
 from collections import OrderedDict
@@ -17,7 +19,7 @@ from repro.accel.trace import BlockStream
 from repro.core.config import npu_config
 from repro.core.pipeline import Pipeline
 from repro.models.zoo import get_workload
-from repro.protection import make_scheme
+from repro.protection import make_scheme, metadata_model
 from tests.dram import oracle
 from tests.streams import merge_sides
 
@@ -31,7 +33,10 @@ CASES = [
 
 @pytest.mark.parametrize("npu,workload,scheme", CASES,
                          ids=[case[1] for case in CASES])
-def test_timing_rows_match_oracle(npu, workload, scheme):
+def test_timing_rows_match_oracle(npu, workload, scheme, monkeypatch):
+    shortcut = Pipeline(npu_config(npu)).run(get_workload(workload),
+                                             make_scheme(scheme))
+    monkeypatch.setattr(metadata_model, "PERIODIC_SHORTCUT", False)
     pipeline = Pipeline(npu_config(npu))
     dram = pipeline.dram
     # One entry per walk state, i.e. per timing row: the row's windows.
@@ -51,6 +56,7 @@ def test_timing_rows_match_oracle(npu, workload, scheme):
     run = pipeline.run(get_workload(workload), make_scheme(scheme))
 
     assert len(served) == len(run.layers)
+    assert run.layers == shortcut.layers
     assert any(len(side) for parts in entries for side in parts[1:])
     for (state, windows), timing in zip(served.values(), run.layers):
         got = dram.finish(state)

@@ -197,7 +197,7 @@ class TestCutCases:
         layer = run.layers[0]
         window, = layer_windows(layer)
         assert window.lo is None and window.hi is None and window.last
-        assert window.first_block and window.done
+        assert window.first_block and window.last_cycle is not None
         want = sorted_blocks(layer.trace)
         assert window.blocks.cycles.tolist() == want.cycles.tolist()
         assert window.blocks.addrs.tolist() == want.addrs.tolist()
