@@ -20,18 +20,13 @@ the next window is expanded, so a layer is never expanded whole, and a
 segment of windows whose traffic its consumers can repeat instead is
 never expanded at all (:meth:`ExpandCursor.seek`).
 
-Columns grow in fixed-size **chunks** (:data:`CHUNK_ROWS` rows once a
-buffer outgrows its small-trace tier): appends never reallocate the
-whole column, and sealed chunks are immutable. Module-level accounting
-tracks the resident column bytes of every live buffer; new highs are
-published as the ``trace.peak_resident_bytes`` gauge in
-:mod:`repro.obs` (see :func:`resident_trace_bytes` /
-:func:`peak_trace_bytes`).
+The whole-layer expansion (every range expanded in range order, then
+stably sorted by cycle) is not built here: it is the oracle the windows
+are checked against, in ``tests/streams.py``.
 
-BlockStreams are treated as immutable once built: transformations
-(:meth:`BlockStream.sorted_by_cycle`, :meth:`BlockStream.concat`)
-return new streams, which is what makes sharing a window's blocks
-across schemes safe.
+BlockStreams are treated as immutable once built:
+:meth:`BlockStream.concat` returns a new stream, which is what makes
+sharing a window's blocks across schemes safe.
 """
 
 from __future__ import annotations
@@ -43,10 +38,8 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
 
 import numpy as np
 
-from repro import obs
 from repro.utils import native
 from repro.utils.bitops import align_down
-from repro.utils.sorting import stable_order
 
 BLOCK_BYTES = 64
 
@@ -151,15 +144,6 @@ class BlockStream:
         return {kind: int(counts[code]) * BLOCK_BYTES
                 for code, kind in enumerate(_KIND_LIST) if counts[code]}
 
-    def sorted_by_cycle(self) -> "BlockStream":
-        if len(self.cycles) and self.cycles.min() >= 0:
-            order = stable_order(self.cycles)
-        else:
-            order = np.argsort(self.cycles, kind="stable")
-        return BlockStream(self.cycles[order], self.addrs[order],
-                           self.writes[order], self.layer_ids[order],
-                           None if self.kinds is None else self.kinds[order])
-
     @staticmethod
     def concat(streams: Iterable["BlockStream"]) -> "BlockStream":
         streams = [s for s in streams if len(s)]
@@ -212,43 +196,6 @@ def block_spans(addrs: np.ndarray,
     return first, (last - first) // BLOCK_BYTES + 1
 
 
-def expand_ranges(cycles: np.ndarray, addrs: np.ndarray, nbytes: np.ndarray,
-                  writes: np.ndarray, layer_ids: np.ndarray,
-                  durations: np.ndarray,
-                  kinds: Optional[np.ndarray] = None) -> BlockStream:
-    """Vectorized block expansion of columnar ranges (repeat + cumsum).
-
-    Blocks within a range are issued uniformly across its duration,
-    modelling a streaming DMA engine. Output order is range order, with
-    each range's blocks ascending by address — identical to expanding
-    range by range.
-    """
-    n = len(addrs)
-    if n == 0:
-        return empty_block_stream()
-    first, counts = block_spans(addrs, nbytes)
-    total = int(counts.sum())
-    starts = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64)
-    within -= np.repeat(starts, counts)
-    out_addrs = within * BLOCK_BYTES
-    out_addrs += np.repeat(first, counts)
-    # (j * duration) // count spreads blocks over the issue window; it
-    # degenerates to 0 for zero duration or single-block ranges.
-    # ``within`` is consumed in place as the offset scratch buffer.
-    within *= np.repeat(durations, counts)
-    within //= np.repeat(counts, counts)
-    out_cycles = np.repeat(cycles, counts)
-    out_cycles += within
-    return BlockStream(
-        out_cycles,
-        out_addrs.astype(np.uint64),
-        np.repeat(writes, counts),
-        np.repeat(layer_ids, counts).astype(np.int32),
-        None if kinds is None else np.repeat(kinds, counts).astype(np.int8),
-    )
-
-
 #: Most data blocks one cycle window of a layer holds (2.9 MiB of block
 #: columns at 22 B per block): a layer is expanded, protected and served
 #: one window at a time (:meth:`Trace.windows`). A single issue cycle
@@ -275,9 +222,9 @@ class ExpandCursor:
 
     ``columns`` are ``(cycles, addrs, nbytes, writes, kinds, layer_ids,
     durations)`` in :meth:`RangeBuffer.arrays` order. Successive
-    :meth:`take` calls return consecutive pieces of
-    ``expand_ranges(...).sorted_by_cycle()``: ties on a cycle keep
-    range order, then address order. Each range's blocks are already in
+    :meth:`take` calls return consecutive pieces of the whole
+    expansion stably sorted by cycle: ties on a cycle keep range order,
+    then address order. Each range's blocks are already in
     ascending cycle order, so the native kernel merges the ranges' runs
     and keeps its heap between calls; the numpy twin
     (:meth:`_take_numpy`) keeps how many blocks each range has emitted
@@ -448,146 +395,61 @@ class TraceWindow:
         return side
 
 
-#: Rows per sealed column chunk.  42 bytes/row across the seven columns
-#: puts one sealed chunk at ~2.7 MiB — big enough that chunk bookkeeping
-#: is noise, small enough that appends never copy a large column.
-CHUNK_ROWS = 1 << 16
-
-#: First allocation of a buffer's active chunk.  Most traces (per-layer
-#: selections, unit-test fixtures) never leave this tier; the active
-#: chunk grows geometrically up to :data:`CHUNK_ROWS` before sealing.
-_MIN_CHUNK_ROWS = 1 << 10
+#: First allocation of a buffer that starts with scalar appends (the
+#: walks' :meth:`Trace.emit` loops); it doubles from there.
+_MIN_ROWS = 1 << 10
 
 #: (dtype per column) — cycles, addrs, nbytes, writes, kinds,
-#: layer_ids, durations.  ``writes`` is stored as int8 and exposed as
-#: bool by :meth:`RangeBuffer.arrays` (a free ``view``, not a copy).
-_COLUMN_DTYPES = (np.int64, np.int64, np.int64, np.int8, np.int8,
+#: layer_ids, durations.
+_COLUMN_DTYPES = (np.int64, np.int64, np.int64, bool, np.int8,
                   np.int64, np.int64)
-
-# -- module-level residency accounting --------------------------------------
-# One process-wide tally of the column bytes held in RAM by every live
-# RangeBuffer; buffer destruction returns them.
-_TOTALS = {"resident": 0, "peak": 0}
-
-
-def _account(delta: int) -> None:
-    _TOTALS["resident"] += delta
-    if _TOTALS["resident"] > _TOTALS["peak"]:
-        _TOTALS["peak"] = _TOTALS["resident"]
-        obs.gauge("trace.peak_resident_bytes", _TOTALS["peak"])
-
-
-def resident_trace_bytes() -> int:
-    """Column bytes currently held in RAM across all live traces."""
-    return _TOTALS["resident"]
-
-
-def peak_trace_bytes() -> int:
-    """High-water mark of :func:`resident_trace_bytes` (also published
-    as the ``trace.peak_resident_bytes`` gauge on every new high)."""
-    return _TOTALS["peak"]
-
-
-def reset_peak_trace_bytes() -> int:
-    """Restart the peak at the current residency; returns the new peak.
-
-    Lets a caller scope the high-water mark to one region of interest
-    (the peak-memory regression test brackets a single sweep cell)."""
-    _TOTALS["peak"] = _TOTALS["resident"]
-    obs.gauge("trace.peak_resident_bytes", _TOTALS["peak"])
-    return _TOTALS["peak"]
 
 
 class RangeBuffer:
-    """Columnar (structure-of-arrays) store of trace ranges, chunked.
+    """Columnar (structure-of-arrays) store of trace ranges: seven
+    growable numpy columns and a fill count.
 
-    Appends land in a per-buffer *active* chunk (numpy, geometric growth
-    up to :data:`CHUNK_ROWS` rows); full chunks are sealed immutable.
-    Numpy snapshots are assembled lazily and cached until the next
-    append.
-    Byte totals are maintained incrementally so accounting is O(1)
-    regardless of trace length.
+    A bulk append to an empty buffer allocates exactly; any other
+    append that outgrows the columns doubles them. Byte totals are
+    maintained incrementally so accounting is O(1) regardless of trace
+    length.
     """
 
-    __slots__ = ("_chunks", "_active", "_fill", "_cap", "_owned",
-                 "read_bytes", "write_bytes", "kind_bytes", "version",
-                 "_arrays", "_arrays_version", "__weakref__")
+    __slots__ = ("_cols", "_fill", "read_bytes", "write_bytes",
+                 "kind_bytes")
 
     def __init__(self) -> None:
-        #: Sealed, immutable chunks (tuples of 7 parallel arrays, each
-        #: exactly CHUNK_ROWS rows).
-        self._chunks: List[Tuple[np.ndarray, ...]] = []
-        self._active: Optional[Tuple[np.ndarray, ...]] = None
+        self._cols: Tuple[np.ndarray, ...] = tuple(
+            np.empty(0, dtype) for dtype in _COLUMN_DTYPES)
         self._fill = 0
-        self._cap = 0
-        #: RAM bytes this buffer has charged to the module tally.
-        self._owned = 0
         self.read_bytes = 0
         self.write_bytes = 0
         self.kind_bytes = [0] * len(_KIND_LIST)
-        self.version = 0
-        self._arrays: Optional[Tuple[np.ndarray, ...]] = None
-        self._arrays_version = -1
 
     def __len__(self) -> int:
-        return len(self._chunks) * CHUNK_ROWS + self._fill
+        return self._fill
 
-    def __del__(self) -> None:
-        try:
-            _account(-self._owned)
-        except Exception:
-            pass  # interpreter teardown: module globals may be gone
-
-    # -- chunk management --
-
-    def _charge(self, delta: int) -> None:
-        self._owned += delta
-        _account(delta)
-
-    def _alloc_active(self, rows: int) -> None:
-        self._active = tuple(np.empty(rows, dtype)
-                             for dtype in _COLUMN_DTYPES)
-        self._cap = rows
-        self._charge(sum(col.nbytes for col in self._active))
-
-    def _seal_active(self) -> None:
-        """Move the (full, CHUNK_ROWS-sized) active chunk to the sealed
-        list."""
-        self._chunks.append(self._active)
-        self._active = None
-        self._fill = 0
-        self._cap = 0
-
-    def _make_room(self) -> None:
-        """Ensure the active chunk has at least one free row."""
-        if self._cap == 0:
-            self._alloc_active(_MIN_CHUNK_ROWS)
-            return
-        if self._cap < CHUNK_ROWS:
-            # Small-trace tier: grow geometrically in place.
-            grown_rows = min(self._cap * 4, CHUNK_ROWS)
-            old = self._active
-            old_bytes = sum(col.nbytes for col in old)
-            self._alloc_active(grown_rows)
-            for dst, src in zip(self._active, old):
-                dst[:self._fill] = src[:self._fill]
-            self._charge(-old_bytes)
-        else:
-            self._seal_active()
-            self._alloc_active(CHUNK_ROWS)
-
-    # -- appends --
+    def _resize(self, rows: int) -> None:
+        """Move the filled rows into columns of ``rows`` rows."""
+        fill = self._fill
+        grown = tuple(np.empty(rows, dtype) for dtype in _COLUMN_DTYPES)
+        for dst, src in zip(grown, self._cols):
+            dst[:fill] = src[:fill]
+        self._cols = grown
 
     def append(self, cycle: int, addr: int, nbytes: int, write: bool,
                kind_code: int, layer_id: int, duration: int) -> None:
-        if self._fill == self._cap:
-            self._make_room()
         row = self._fill
-        cols = self._active
-        cols[0][row] = cycle
+        cols = self._cols
+        try:
+            cols[0][row] = cycle
+        except IndexError:  # the columns are full: double them
+            self._resize(max(_MIN_ROWS, 2 * row))
+            cols = self._cols
+            cols[0][row] = cycle
         cols[1][row] = addr
         cols[2][row] = nbytes
-        cols[3][row] = 1 if write else 0
+        cols[3][row] = write
         cols[4][row] = kind_code
         cols[5][row] = layer_id
         cols[6][row] = duration
@@ -597,90 +459,40 @@ class RangeBuffer:
         else:
             self.read_bytes += nbytes
         self.kind_bytes[kind_code] += nbytes
-        self.version += 1
 
     def extend_columns(self, cycles: np.ndarray, addrs: np.ndarray,
                        nbytes: np.ndarray, writes: np.ndarray,
                        kind_codes: np.ndarray, layer_ids: np.ndarray,
                        durations: np.ndarray) -> None:
-        """Bulk append of parallel columns (chunk-sized C-level copies)."""
-        nbytes = np.ascontiguousarray(nbytes, np.int64)
+        """Bulk append of parallel columns."""
+        nbytes = np.asarray(nbytes, np.int64)
         total = len(nbytes)
         if total == 0:
             return
-        wr = np.asarray(writes)
-        if wr.dtype != np.int8:
-            wr = wr.astype(bool).astype(np.int8)
-        kc = np.ascontiguousarray(kind_codes, np.int8)
-        src = (np.ascontiguousarray(cycles, np.int64),
-               np.ascontiguousarray(addrs, np.int64),
-               nbytes, wr, kc,
-               np.ascontiguousarray(layer_ids, np.int64),
-               np.ascontiguousarray(durations, np.int64))
-        pos = 0
-        while pos < total:
-            if self._fill == self._cap:
-                self._make_room()
-            take = min(self._cap - self._fill, total - pos)
-            row = self._fill
-            for dst, col in zip(self._active, src):
-                dst[row:row + take] = col[pos:pos + take]
-            self._fill = row + take
-            pos += take
-        total_write = int(nbytes[wr != 0].sum())
+        writes = np.asarray(writes, bool)
+        kind_codes = np.asarray(kind_codes, np.int8)
+        row = self._fill
+        end = row + total
+        if end > len(self._cols[0]):
+            self._resize(end if row == 0 else max(end, 2 * row))
+        for dst, col in zip(self._cols, (cycles, addrs, nbytes, writes,
+                                         kind_codes, layer_ids, durations)):
+            dst[row:end] = col
+        self._fill = end
+        total_write = int(nbytes[writes].sum())
         self.write_bytes += total_write
         self.read_bytes += int(nbytes.sum()) - total_write
-        for code in np.unique(kc):
-            self.kind_bytes[code] += int(nbytes[kc == code].sum())
-        self.version += 1
-
-    # -- snapshots --
-
-    def iter_parts(self):
-        """Yield the column tuples of every sealed chunk, then the live
-        rows of the active chunk — zero-copy views, append-ordered."""
-        for chunk in self._chunks:
-            yield chunk
-        if self._fill:
-            yield tuple(col[:self._fill] for col in self._active)
+        for code in np.unique(kind_codes):
+            self.kind_bytes[code] += int(nbytes[kind_codes == code].sum())
 
     def arrays(self) -> Tuple[np.ndarray, ...]:
-        """Numpy snapshot ``(cycles, addrs, nbytes, writes, kinds,
-        layer_ids, durations)``, cached per revision.  ``writes`` comes
-        back as bool.  With a single resident part the columns are
-        zero-copy views of the store; multi-chunk buffers
-        concatenate — consumers must treat the snapshot as read-only.
-        """
-        if self._arrays_version != self.version:
-            parts = list(self.iter_parts())
-            if not parts:
-                cols = tuple(np.empty(0, dtype)
-                             for dtype in _COLUMN_DTYPES)
-            elif len(parts) == 1:
-                cols = parts[0]
-            else:
-                cols = tuple(np.concatenate([part[i] for part in parts])
-                             for i in range(len(_COLUMN_DTYPES)))
-            self._arrays = (cols[0], cols[1], cols[2], cols[3].view(bool),
-                            cols[4], cols[5], cols[6])
-            self._arrays_version = self.version
-        return self._arrays
-
-
-def _stream_bytes(value: object) -> int:
-    """Resident bytes of a memoized value that is a block stream.
-
-    Expanded block streams — not the compact range columns — dominate a
-    trace's footprint, so the residency gauge charges them for as long
-    as a trace's memo keeps them alive.
-    """
-    if not isinstance(value, BlockStream):
-        return 0
-    total = (value.cycles.nbytes + value.addrs.nbytes
-             + value.writes.nbytes + value.layer_ids.nbytes)
-    if value.kinds is not None:
-        total += value.kinds.nbytes
-    return total
+        """The filled rows ``(cycles, addrs, nbytes, writes, kinds,
+        layer_ids, durations)`` as zero-copy views of the columns
+        (``writes`` bool). Later appends write past these rows or into
+        new columns, so a snapshot keeps its rows; consumers must treat
+        it as read-only."""
+        fill = self._fill
+        return tuple(col[:fill] for col in self._cols)
 
 
 class Trace:
@@ -692,22 +504,12 @@ class Trace:
     :class:`RangeBuffer` columns.
     """
 
-    __slots__ = ("buf", "_memo", "_memo_owned", "__weakref__")
+    __slots__ = ("buf",)
 
     def __init__(self, ranges: Optional[Iterable[TraceRange]] = None):
         self.buf = RangeBuffer()
-        self._memo: Dict[object, object] = {}
-        #: Resident bytes of memoized block streams charged to the
-        #: module tally (returned when the trace is collected).
-        self._memo_owned = 0
         if ranges:
             self.extend(ranges)
-
-    def __del__(self) -> None:
-        try:
-            _account(-self._memo_owned)
-        except Exception:
-            pass  # interpreter teardown: module globals may be gone
 
     def __len__(self) -> int:
         return len(self.buf)
@@ -772,8 +574,7 @@ class Trace:
         merged = Trace()
         buf = merged.buf
         for trace in traces:
-            for part in trace.buf.iter_parts():
-                buf.extend_columns(*part)
+            buf.extend_columns(*trace.buf.arrays())
         return merged
 
     @classmethod
@@ -788,56 +589,23 @@ class Trace:
 
     @property
     def ranges(self) -> List[TraceRange]:
-        """Materialized :class:`TraceRange` list (cached per revision).
-
-        A fresh list is returned each time: mutating it cannot touch the
-        columnar store — append through :meth:`add`/:meth:`emit`.
-        """
-        def build() -> List[TraceRange]:
-            cycles, addrs, nbytes, writes, kinds, layer_ids, durations = \
-                self.buf.arrays()
-            return [
-                TraceRange(cycle, addr, count, write,
-                           _KIND_LIST[kind], layer_id, duration)
-                for cycle, addr, count, write, kind, layer_id, duration
-                # Deliberate boundary materialization: the compatibility
-                # view is built once per revision and memoized.
-                # repro: allow(hot-path-hygiene)
-                in zip(cycles.tolist(), addrs.tolist(), nbytes.tolist(),
-                       writes.tolist(), kinds.tolist(), layer_ids.tolist(),
-                       durations.tolist())
-            ]
-        return list(self.memo("ranges", build))
-
-    # -- memoization --
-
-    def memo(self, key: object, build: Callable[[], object]):
-        """Cache ``build()`` under ``key`` until the trace next mutates
-        (the range-order expansion and the per-range view use this)."""
-        entry = self._memo.get(key)
-        if entry is not None and entry[0] == self.buf.version:
-            return entry[1]
-        value = build()
-        delta = _stream_bytes(value)
-        if entry is not None:
-            delta -= _stream_bytes(entry[1])
-        if delta:
-            self._memo_owned += delta
-            _account(delta)
-        self._memo[key] = (self.buf.version, value)
-        return value
-
-    def release_memos(self) -> None:
-        """Drop every memoized value and return its bytes to the
-        residency tally; the next consumer rebuilds what it needs.
-
-        The pipeline memoizes nothing here: it reads a layer's blocks
-        window by window (:meth:`windows`). The memos serve inspection
-        (:attr:`ranges`, :meth:`to_blocks`).
-        """
-        self._memo.clear()
-        _account(-self._memo_owned)
-        self._memo_owned = 0
+        """A fresh :class:`TraceRange` list, built on each call:
+        mutating it cannot touch the columnar store — append through
+        :meth:`add`/:meth:`emit`."""
+        cycles, addrs, nbytes, writes, kinds, layer_ids, durations = \
+            self.buf.arrays()
+        return [
+            TraceRange(cycle, addr, count, write,
+                       _KIND_LIST[kind], layer_id, duration)
+            for cycle, addr, count, write, kind, layer_id, duration
+            # Deliberate boundary materialization: the per-range view
+            # serves construction checks and inspection, never the
+            # windowed pipeline.
+            # repro: allow(hot-path-hygiene)
+            in zip(cycles.tolist(), addrs.tolist(), nbytes.tolist(),
+                   writes.tolist(), kinds.tolist(), layer_ids.tolist(),
+                   durations.tolist())
+        ]
 
     # -- aggregation (O(1) from running totals) --
 
@@ -877,16 +645,6 @@ class Trace:
         return int((cycles + np.maximum(durations, 1)).max())
 
     # -- block expansion --
-
-    def to_blocks(self) -> BlockStream:
-        """Expand every range to block-granular accesses in range order
-        (memoized)."""
-        def build() -> BlockStream:
-            cycles, addrs, nbytes, writes, kinds, layer_ids, durations = \
-                self.buf.arrays()
-            return expand_ranges(cycles, addrs, nbytes, writes, layer_ids,
-                                 durations, kinds)
-        return self.memo("blocks", build)
 
     def windows(self, cuts: Sequence[int] = (), owner: object = None,
                 skip: Optional[Tuple[int, object]] = None

@@ -9,8 +9,9 @@ from repro.accel.trace import (
     BlockStream,
     Trace,
     TraceRange,
-    expand_ranges,
+    kind_code,
 )
+from tests.streams import expand_ranges, to_blocks
 
 
 def _range(cycle=0, addr=0, nbytes=64, write=False, layer_id=0, duration=0,
@@ -116,7 +117,7 @@ class TestVectorizedExpansion:
         rng = np.random.default_rng(7)
         for seed in range(5):
             ranges = _random_ranges(np.random.default_rng(seed))
-            got = Trace(ranges).to_blocks()
+            got = to_blocks(Trace(ranges))
             want = _reference_blocks(ranges)
             np.testing.assert_array_equal(got.cycles, want.cycles)
             np.testing.assert_array_equal(got.addrs, want.addrs)
@@ -132,21 +133,89 @@ class TestVectorizedExpansion:
 
 
 class TestMemoization:
-    def test_to_blocks_cached(self):
-        trace = Trace([_range(addr=0, nbytes=256)])
-        assert trace.to_blocks() is trace.to_blocks()
-
     def test_mutation_invalidates(self):
+        """Nothing is cached on a trace: an expansion after an append
+        holds the new range."""
         trace = Trace([_range(addr=0, nbytes=256)])
-        first = trace.to_blocks()
+        first = to_blocks(trace)
         trace.add(_range(addr=4096))
-        second = trace.to_blocks()
-        assert second is not first
+        second = to_blocks(trace)
         assert len(second) == len(first) + 1
+        np.testing.assert_array_equal(second.addrs[:len(first)], first.addrs)
 
-    def test_memo_keys_independent(self):
-        trace = Trace([_range(addr=0)])
-        a = trace.memo("a", lambda: object())
-        b = trace.memo("b", lambda: object())
-        assert a is not b
-        assert trace.memo("a", lambda: object()) is a
+
+class TestGrowableColumns:
+    def test_mixed_appends_across_growths(self):
+        """``emit``, ``emit_batch`` and ``add`` interleaved over several
+        capacity growths leave the same rows, per-range view and byte
+        totals as a list-built reference; a snapshot taken earlier keeps
+        its rows; scalar appends grow the columns geometrically."""
+        rng = np.random.default_rng(11)
+        kinds = list(AccessKind)
+        trace = Trace()
+        reference = []
+        capacities = set()
+        snapshot = None
+        for step in range(60):
+            mode = step % 3
+            n = int(rng.integers(1, 300))
+            cycles = rng.integers(0, 10_000, n)
+            addrs = rng.integers(0, 1 << 30, n)
+            nbytes = rng.integers(1, 4096, n)
+            writes = rng.integers(0, 2, n).astype(bool)
+            codes = rng.integers(0, len(kinds), n).astype(np.int8)
+            durations = rng.integers(0, 100, n)
+            layer_id = step % 4
+            rows = [TraceRange(int(c), int(a), int(b), bool(w),
+                               kinds[int(k)], layer_id, int(d))
+                    for c, a, b, w, k, d in zip(cycles, addrs, nbytes,
+                                                writes, codes, durations)]
+            if mode == 0:
+                trace.emit_batch(cycles, addrs, nbytes, writes=writes,
+                                 kind_codes=codes, layer_id=layer_id,
+                                 durations=durations)
+            elif mode == 1:
+                for r in rows:
+                    trace.emit(r.cycle, r.addr, r.nbytes, write=r.write,
+                               kind=r.kind, layer_id=r.layer_id,
+                               duration=r.duration)
+                    capacities.add(len(trace.buf._cols[0]))
+            else:
+                trace.extend(rows)
+            reference.extend(rows)
+            capacities.add(len(trace.buf._cols[0]))
+            if step == 20:
+                snapshot = [col.copy() for col in trace.buf.arrays()]
+                held = trace.buf.arrays()
+        assert len(capacities) >= 4
+        assert len(capacities) < 20
+        assert len(trace) == len(reference)
+        assert trace.ranges == reference
+        cols = trace.buf.arrays()
+        want = (
+            [r.cycle for r in reference], [r.addr for r in reference],
+            [r.nbytes for r in reference], [r.write for r in reference],
+            [kind_code(r.kind) for r in reference],
+            [r.layer_id for r in reference],
+            [r.duration for r in reference])
+        for got, expected in zip(cols, want):
+            assert got.tolist() == expected
+        assert cols[3].dtype == bool
+        for got, kept in zip(held, snapshot):
+            np.testing.assert_array_equal(got, kept)
+        assert trace.read_bytes == sum(r.nbytes for r in reference
+                                       if not r.write)
+        assert trace.write_bytes == sum(r.nbytes for r in reference
+                                        if r.write)
+        by_kind = {}
+        for r in reference:
+            by_kind[r.kind] = by_kind.get(r.kind, 0) + r.nbytes
+        assert trace.bytes_by_kind() == by_kind
+
+    def test_bulk_append_to_an_empty_buffer_allocates_exactly(self):
+        trace = Trace()
+        trace.emit_batch(np.arange(5000), np.arange(5000) * 64,
+                         np.full(5000, 64), writes=np.zeros(5000, bool),
+                         kind_codes=np.zeros(5000, np.int8), layer_id=0,
+                         durations=np.zeros(5000, np.int64))
+        assert len(trace.buf._cols[0]) == 5000

@@ -12,6 +12,7 @@ from repro.accel.trace import (
     Trace,
     TraceRange,
 )
+from tests.streams import sorted_by_cycle, to_blocks
 
 
 def _range(cycle=0, addr=0, nbytes=64, write=False, layer_id=0, duration=0):
@@ -72,31 +73,31 @@ class TestTraceAggregation:
         trace = Trace()
         assert trace.total_bytes == 0
         assert trace.end_cycle() == 0
-        assert len(trace.to_blocks()) == 0
+        assert len(to_blocks(trace)) == 0
 
 
 class TestBlockExpansion:
     def test_counts(self):
         trace = Trace([_range(addr=0, nbytes=256)])
-        stream = trace.to_blocks()
+        stream = to_blocks(trace)
         assert len(stream) == 4
         assert stream.total_bytes == 256
 
     def test_addresses_aligned(self):
         trace = Trace([_range(addr=100, nbytes=100)])
-        stream = trace.to_blocks()
+        stream = to_blocks(trace)
         assert all(a % BLOCK_BYTES == 0 for a in stream.addrs)
 
     def test_cycles_spread_over_duration(self):
         trace = Trace([_range(addr=0, nbytes=64 * 10, cycle=100, duration=50)])
-        stream = trace.to_blocks()
+        stream = to_blocks(trace)
         assert stream.cycles.min() == 100
         assert stream.cycles.max() < 150
         assert len(np.unique(stream.cycles)) > 1
 
     def test_write_flags_propagate(self):
         trace = Trace([_range(write=True, nbytes=128)])
-        stream = trace.to_blocks()
+        stream = to_blocks(trace)
         assert stream.writes.all()
         assert stream.write_blocks == 2
         assert stream.read_blocks == 0
@@ -105,7 +106,7 @@ class TestBlockExpansion:
     @settings(max_examples=50)
     def test_expansion_covers_range(self, addr, nbytes):
         trace = Trace([_range(addr=addr, nbytes=nbytes)])
-        stream = trace.to_blocks()
+        stream = to_blocks(trace)
         assert len(stream) == trace.ranges[0].num_blocks
         assert int(stream.addrs.min()) <= addr
         assert int(stream.addrs.max()) + BLOCK_BYTES >= addr + nbytes
@@ -122,13 +123,13 @@ class TestBlockStream:
             np.asarray([5, 1, 3], np.int64),
             np.asarray([0, 64, 128], np.uint64),
             np.zeros(3, bool), np.zeros(3, np.int32))
-        ordered = stream.sorted_by_cycle()
+        ordered = sorted_by_cycle(stream)
         assert list(ordered.cycles) == [1, 3, 5]
         assert list(ordered.addrs) == [64, 128, 0]
 
     def test_concat(self):
-        a = Trace([_range(nbytes=64)]).to_blocks()
-        b = Trace([_range(addr=64, nbytes=64)]).to_blocks()
+        a = to_blocks(Trace([_range(nbytes=64)]))
+        b = to_blocks(Trace([_range(addr=64, nbytes=64)]))
         merged = BlockStream.concat([a, b])
         assert len(merged) == 2
 

@@ -14,6 +14,7 @@ from repro.accel.tracefile import (
     write_ramulator,
     write_scalesim,
 )
+from tests.streams import sorted_blocks, to_blocks
 
 
 def _stream(n=10, seed=3):
@@ -91,7 +92,7 @@ class TestEndToEnd:
         pipeline = Pipeline(test_npu)
         run = pipeline.simulate_model(
             Topology("t", [conv("c", 18, 18, 3, 3, 4, 8)]))
-        stream = run.layers[0].trace.to_blocks().sorted_by_cycle()
+        stream = sorted_blocks(run.layers[0].trace)
 
         sink = io.StringIO()
         write_scalesim(stream, sink)
@@ -195,7 +196,7 @@ class TestKindPreservingRoundtrip:
 
         sim = AcceleratorSim(SystolicArray(16, 16), SramBudget.split(96 << 10))
         run = sim.run(get_workload("gpt2@s64").subset(6))
-        stream = run.trace.to_blocks()
+        stream = to_blocks(run.trace)
         assert AccessKind.KVCACHE in stream.bytes_by_kind()
         sink = io.StringIO()
         write_scalesim(stream, sink)

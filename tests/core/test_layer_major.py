@@ -74,15 +74,6 @@ def test_layer_windows_concatenate_to_the_whole_model():
         _assert_sides_equal(got.metadata_sides, want.metadata_sides)
 
 
-def test_a_finished_cell_holds_no_layer_stream():
-    pipeline = Pipeline(npu_config("edge"))
-    result = compare_schemes(pipeline, get_workload("resnet18"),
-                             SCHEME_NAMES)
-    run = result.baseline.model_run
-    assert all(layer.trace._memo == {} and layer.trace._memo_owned == 0
-               for layer in run.layers)
-
-
 def test_shared_mac_traffic_lives_one_layer(monkeypatch):
     """A layer-major cell drops a window's shared MAC traffic with its
     streams: while a scheme stores a window's MAC traffic, the memo

@@ -21,6 +21,7 @@ from repro.protection.metadata_model import (
     compress_runs,
     data_sides,
 )
+from tests.streams import sorted_blocks
 
 
 def _stream(addrs, writes=None):
@@ -29,7 +30,7 @@ def _stream(addrs, writes=None):
                    AccessKind.IFMAP, 0)
         for i, a in enumerate(addrs)
     ])
-    return trace.to_blocks().sorted_by_cycle()
+    return sorted_blocks(trace)
 
 
 class TestCompressRuns:

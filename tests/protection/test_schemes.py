@@ -16,6 +16,7 @@ from repro.protection import (
     make_scheme,
 )
 from repro.tiling.tile import SramBudget
+from tests.streams import to_blocks
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +60,7 @@ class TestBaseline:
     def test_data_preserved(self, model_run):
         scheme = Unprotected()
         total = _total_bytes(scheme, model_run)
-        expected = sum(r.trace.to_blocks().total_bytes for r in model_run.layers)
+        expected = sum(to_blocks(r.trace).total_bytes for r in model_run.layers)
         assert total == expected
 
 

@@ -77,8 +77,7 @@ class TestExpandedDataStream:
             for unit in (64, 512, 4096):
                 sides = _layer_sides(trace, unit)
                 extras = overfetch_ranges(trace.ranges, unit)
-                want = Trace(trace.ranges + extras) \
-                    .to_blocks().sorted_by_cycle()
+                want = sorted_blocks(Trace(trace.ranges + extras))
                 _assert_streams_equal(merge_sides(sides), want)
                 assert sum(len(side) for side in sides[1:]) == \
                     sum(r.num_blocks for r in extras)
@@ -269,6 +268,6 @@ class TestCycleSortedParts:
                 assert not overfetch.writes.any()
                 assert set(overfetch.kinds.tolist()) == \
                     {kind_code(AccessKind.METADATA)}
-                want = Trace(overfetch_ranges(result.trace.ranges, 512)) \
-                    .to_blocks().sorted_by_cycle()
+                want = sorted_blocks(
+                    Trace(overfetch_ranges(result.trace.ranges, 512)))
                 _assert_streams_equal(overfetch, want)

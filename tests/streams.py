@@ -3,9 +3,10 @@
 The pipeline never builds a stream from Python lists, never joins a
 layer's traffic sides into one stream, never expands a whole layer at
 once and never expands over-fetch range by range; tests that want those
-shapes build them here. :func:`expand_sorted` is the whole-layer
-expansion oracle the windowed expansion (``ExpandCursor``,
-``Trace.windows``) is checked against.
+shapes build them here. :func:`expand_ranges` expands ranges in range
+order (:func:`to_blocks` for a whole trace), and :func:`expand_sorted`
+is the whole-layer expansion oracle the windowed expansion
+(``ExpandCursor``, ``Trace.windows``) is checked against.
 """
 
 from typing import List, Optional, Sequence, Tuple
@@ -13,11 +14,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.accel.trace import (
+    BLOCK_BYTES,
     AccessKind,
     BlockStream,
     Trace,
     TraceRange,
-    expand_ranges,
+    block_spans,
+    empty_block_stream,
     kind_code,
 )
 from repro.protection.layout import LINE_BYTES
@@ -25,13 +28,58 @@ from repro.protection.metadata_model import overfetch_columns
 from repro.utils.bitops import align_down, align_up
 
 
+def expand_ranges(cycles: np.ndarray, addrs: np.ndarray, nbytes: np.ndarray,
+                  writes: np.ndarray, layer_ids: np.ndarray,
+                  durations: np.ndarray,
+                  kinds: Optional[np.ndarray] = None) -> BlockStream:
+    """Vectorized block expansion of columnar ranges (repeat + cumsum).
+
+    Blocks within a range are issued uniformly across its duration,
+    modelling a streaming DMA engine: block ``j`` of ``count`` issues at
+    ``cycle + j * duration // count``. Output order is range order, with
+    each range's blocks ascending by address.
+    """
+    if len(addrs) == 0:
+        return empty_block_stream()
+    first, counts = block_spans(addrs, nbytes)
+    starts = np.cumsum(counts) - counts
+    within = np.arange(int(counts.sum()), dtype=np.int64)
+    within -= np.repeat(starts, counts)
+    out_addrs = within * BLOCK_BYTES + np.repeat(first, counts)
+    offsets = within * np.repeat(durations, counts) // np.repeat(counts,
+                                                                  counts)
+    return BlockStream(
+        np.repeat(cycles, counts) + offsets,
+        out_addrs.astype(np.uint64),
+        np.repeat(writes, counts),
+        np.repeat(layer_ids, counts).astype(np.int32),
+        None if kinds is None else np.repeat(kinds, counts).astype(np.int8),
+    )
+
+
+def to_blocks(trace: Trace) -> BlockStream:
+    """Every range of ``trace`` expanded to blocks, in range order."""
+    cycles, addrs, nbytes, writes, kinds, layer_ids, durations = \
+        trace.buf.arrays()
+    return expand_ranges(cycles, addrs, nbytes, writes, layer_ids,
+                         durations, kinds)
+
+
+def sorted_by_cycle(stream: BlockStream) -> BlockStream:
+    """``stream`` stably sorted by issue cycle."""
+    order = np.argsort(stream.cycles, kind="stable")
+    return BlockStream(stream.cycles[order], stream.addrs[order],
+                       stream.writes[order], stream.layer_ids[order],
+                       None if stream.kinds is None else stream.kinds[order])
+
+
 def expand_sorted(columns: Sequence[np.ndarray]) -> BlockStream:
     """The whole cycle-sorted expansion of range columns (in
     ``RangeBuffer.arrays`` order): every range expanded in range order,
     then stably sorted by cycle."""
     cycles, addrs, nbytes, writes, kinds, layer_ids, durations = columns
-    return expand_ranges(cycles, addrs, nbytes, writes, layer_ids,
-                         durations, kinds).sorted_by_cycle()
+    return sorted_by_cycle(expand_ranges(cycles, addrs, nbytes, writes,
+                                         layer_ids, durations, kinds))
 
 
 def sorted_blocks(trace: Trace) -> BlockStream:
@@ -95,10 +143,8 @@ def merge_sides(sides: Sequence, layer_id: int = 0) -> BlockStream:
     if all(getattr(s, "kinds", None) is not None for s in sides):
         kinds = np.concatenate([s.kinds for s in sides]
                                or [np.empty(0, np.int8)])
-    order = np.argsort(cycles, kind="stable")
-    return BlockStream(cycles[order], addrs[order], writes[order],
-                       layer_ids[order],
-                       None if kinds is None else kinds[order])
+    return sorted_by_cycle(BlockStream(cycles, addrs, writes, layer_ids,
+                                       kinds))
 
 
 def overfetch_ranges(ranges, unit_bytes: int) -> List[TraceRange]:

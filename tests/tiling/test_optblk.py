@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.config import npu_config
 from repro.models.layer import conv, gemm
+from repro.models.zoo import WORKLOADS, get_workload
 from repro.tiling.optblk import (
     BURST_BYTES,
     DEFAULT_CANDIDATES,
@@ -90,6 +92,17 @@ class TestVectorizedModelSearch:
         pairs = [(layer, _plan(layer, 64 << 10)) for layer in layers]
         batch = search_optblk_model(pairs)
         assert batch == [search_optblk(layer, plan) for layer, plan in pairs]
+
+    def test_every_zoo_layer_gets_a_candidate(self):
+        """One pass over every zoo workload's layers, planned under the
+        server NPU's SRAM budget, picks a candidate unit per layer."""
+        budget = npu_config("server").sram_budget()
+        pairs = [(layer, plan_tiling(layer, budget))
+                 for name in WORKLOADS
+                 for layer in get_workload(name).layers]
+        choices = search_optblk_model(pairs)
+        assert len(choices) == len(pairs)
+        assert all(c.block_bytes in DEFAULT_CANDIDATES for c in choices)
 
     def test_empty_model(self):
         assert search_optblk_model([]) == []

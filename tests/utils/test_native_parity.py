@@ -19,7 +19,6 @@ from repro.accel.trace import (
     BlockStream,
     ExpandCursor,
     Trace,
-    expand_ranges,
     kind_code,
 )
 from repro.dram.simulator import DramSim
@@ -28,6 +27,7 @@ from repro import obs
 from repro.protection.metadata_model import overfetch_columns
 from repro.utils import native
 from tests.dram import oracle
+from tests.streams import expand_sorted as _reference
 from tests.streams import stream_from_lists
 
 
@@ -205,12 +205,6 @@ def _random_ranges(seed, n):
                    rng.integers(0, 300, n) * (rng.random(n) < 0.7))
 
 
-def _twin(columns):
-    cycles, addrs, nbytes, writes, kinds, layer_ids, durations = columns
-    return expand_ranges(cycles, addrs, nbytes, writes, layer_ids,
-                         durations, kinds).sorted_by_cycle()
-
-
 _NO_STOP = np.iinfo(np.int64).max
 
 
@@ -274,7 +268,7 @@ class TestExpandMergeParity:
         columns = self.CASES[case]
         got, counters = _counted(expand_sorted, columns)
         assert counters["native.expand_merge.kernel"] == 1
-        _assert_same_stream(got, _twin(columns))
+        _assert_same_stream(got, _reference(columns))
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("tier", ["kernel", "numpy"])
@@ -286,7 +280,7 @@ class TestExpandMergeParity:
             monkeypatch.setattr(native, "_load", lambda: None)
         columns = self.CASES[case]
         rng = np.random.default_rng(len(case))
-        _assert_same_stream(_pieces(columns, rng), _twin(columns))
+        _assert_same_stream(_pieces(columns, rng), _reference(columns))
 
     @pytest.mark.parametrize("unit_bytes", [512, 4096])
     def test_overfetch_candidates(self, unit_bytes, monkeypatch):
@@ -313,7 +307,7 @@ class TestExpandMergeParity:
         assert counters["native.expand_merge.kernel"] == 1
         assert len(got) > 0
         assert bool((got.kinds == kind_code(AccessKind.METADATA)).all())
-        _assert_same_stream(got, _twin(overfetch_columns(layer(),
+        _assert_same_stream(got, _reference(overfetch_columns(layer(),
                                                          unit_bytes)))
         monkeypatch.setattr(native, "_load", lambda: None)
         _assert_same_stream(got, overfetch_side(layer(), unit_bytes))
@@ -327,4 +321,4 @@ class TestExpandMergeParity:
         got, counters = _counted(expand_sorted, columns)
         assert counters["native.expand_merge.overflow"] == 1
         assert "native.expand_merge.kernel" not in counters
-        _assert_same_stream(got, _twin(columns))
+        _assert_same_stream(got, _reference(columns))
