@@ -88,10 +88,6 @@ class ModelRun:
         return sum(r.compute_cycles for r in self.layers)
 
     @property
-    def trace(self) -> Trace:
-        return Trace.concat(result.trace for result in self.layers)
-
-    @property
     def dram_bytes(self) -> int:
         return sum(r.dram_bytes for r in self.layers)
 

@@ -236,22 +236,24 @@ class ExpandCursor:
     def __init__(self, columns: Sequence[np.ndarray]):
         cycles, addrs, nbytes, writes, kinds, layer_ids, durations = columns
         first, counts = block_spans(addrs, nbytes)
-        self.total = int(counts.sum())
         self.emitted = 0
-        #: Per range: first issue cycle, block count, duration.
-        self._timing = (native.as_int64(cycles), native.as_int64(counts),
-                        native.as_int64(durations))
         self._state = native.expand_cursor(cycles, first, counts, durations,
                                            writes, kinds, layer_ids,
                                            BLOCK_BYTES)
         self._cols = None
         self._next = None
         if self._state is None:
+            self.total = int(counts.sum())
             self._cols = (native.as_int64(cycles), native.as_int64(first),
                           native.as_int64(counts), native.as_int64(durations),
                           np.asarray(writes, bool), np.asarray(kinds, np.int8),
                           np.asarray(layer_ids).astype(np.int32))
             self._next = np.zeros(len(counts), np.int64)
+            #: Per range: first issue cycle, block count, duration.
+            self._timing = self._cols[:1] + self._cols[2:4]
+        else:
+            self.total = self._state.total
+            self._timing = self._state.keep[:1] + self._state.keep[2:4]
 
     def take(self, stop: int, cap: int) -> BlockStream:
         """The expansion's next blocks issued before cycle ``stop``, at

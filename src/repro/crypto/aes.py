@@ -34,13 +34,14 @@ def gf_mul(a: int, b: int) -> int:
 
 
 def _build_sbox() -> List[int]:
-    # Multiplicative inverse table via exhaustive products (tiny, import-time).
+    # Multiplicative inverses from log/antilog tables of the generator 3:
+    # x = 3^k has inverse 3^(255 - k), and 0 maps to 0.
+    antilog = [1] * 255
+    for k in range(1, 255):
+        antilog[k] = gf_mul(antilog[k - 1], 3)
     inverse = [0] * 256
-    for x in range(1, 256):
-        for y in range(1, 256):
-            if gf_mul(x, y) == 1:
-                inverse[x] = y
-                break
+    for k, x in enumerate(antilog):
+        inverse[x] = antilog[-k % 255]
     sbox = [0] * 256
     for x in range(256):
         b = inverse[x]

@@ -52,6 +52,22 @@ class AddressMapping:
         row = (local // (col_blocks * cfg.banks_per_channel)).astype(np.int64)
         return channel, bank, row
 
+    def keys(self, addrs: np.ndarray) -> np.ndarray:
+        """Packed DRAM keys of block addresses under power-of-two
+        mapping: the row shifted left by log2(channels * banks) bits,
+        over the global bank ``channel * banks_per_channel + bank``
+        (numpy twin of :func:`repro.utils.native.dram_keys`)."""
+        cfg = self.config
+        _, channel_shift, _, bank_shift = shifts = [
+            _shift_of(value) for value in (cfg.block_bytes, cfg.channels,
+                                           cfg.blocks_per_row,
+                                           cfg.banks_per_channel)]
+        if min(shifts) < 0:
+            raise ValueError("packed DRAM keys need power-of-two mapping")
+        channel, bank, row = self.decompose(addrs)
+        return (row << (channel_shift + bank_shift)) \
+            | (channel << bank_shift) | bank
+
     def decompose_one(self, addr: int) -> Tuple[int, int, int]:
         channel, bank, row = self.decompose(np.asarray([addr], dtype=np.uint64))
         return int(channel[0]), int(bank[0]), int(row[0])

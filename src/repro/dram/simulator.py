@@ -14,6 +14,18 @@ in issue order, keyed ``(cycle, side index)`` so a lower side wins
 ties, as in the sides' concatenated stream, with an open-row register
 per bank; it has a native kernel and a numpy twin.
 
+The native walk reads a block stream through its key column
+(:meth:`DramSim._key_column`): one packed int64 per block, its row
+shifted above its global bank (``row << log2(channels * banks) |
+channel * banks + bank``), with the stream's per-channel request counts
+and whether its cycles ascend, computed by the ``dram_keys`` kernel the
+first time the stream is walked and kept on the stream, keyed by the
+mapping's shifts. Every scheme walks a window's data blocks, and both
+512 B schemes its over-fetch blocks, so each is decomposed once per
+window instead of once per scheme; metadata sides are walked by
+address. The numpy twin decomposes addresses itself
+(:meth:`DramSim._walk_numpy`).
+
 A layer arrives in cycle windows (:meth:`repro.accel.trace.Trace.
 windows`), every side cut at the same cycle bounds, so the windows'
 merges concatenate to the layer's. A :class:`WalkState` carries the
@@ -31,7 +43,6 @@ model against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,27 +53,56 @@ from repro.dram.mapping import AddressMapping, _shift_of
 from repro.dram.timing import DramConfig
 from repro.utils import native
 
-#: The open-row register of a closed bank.
-_CLOSED = np.iinfo(np.int64).min
 
-#: A side's ``(addrs, cycles)`` columns, as the walk reads them, maybe
-#: followed by their data addresses (:func:`repro.utils.native.column_ptrs`).
-_Columns = Tuple
-
-
-@dataclass
 class DramResult:
-    """Outcome of serving one block stream."""
+    """Outcome of serving one block stream: per-channel request and
+    row-conflict counts, and the busy time they cost.
 
-    requests: int
-    row_hits: int
-    row_misses: int
-    busy_cycles: float           # max per-channel busy time (the bottleneck)
-    per_channel_requests: List[int]
-    per_channel_busy: List[float]
-    #: Row-conflict counts per channel — the integer inputs the analytic
-    #: ``@bN`` derivation extrapolates before recomputing busy time.
-    per_channel_row_misses: List[int]
+    Activation penalties overlap with other banks' bursts; with B
+    banks, roughly (B-1)/B of each penalty hides under concurrent
+    transfers, so a channel is busy ``requests * burst + conflicts *
+    penalty / B`` cycles. The totals are worked out when read: the
+    pipeline makes a result for every window it walks and reads only
+    the layer's.
+    """
+
+    __slots__ = ("per_channel_requests", "per_channel_row_misses",
+                 "_timing")
+
+    def __init__(self, per_channel_requests: List[int],
+                 per_channel_row_misses: List[int],
+                 timing: Tuple[float, float, float]):
+        self.per_channel_requests = per_channel_requests
+        #: Row-conflict counts per channel — the integer inputs the
+        #: analytic ``@bN`` derivation extrapolates before recomputing
+        #: busy time.
+        self.per_channel_row_misses = per_channel_row_misses
+        #: Burst cycles, row-miss penalty cycles, and the share of a
+        #: penalty that surfaces (1 / banks per channel).
+        self._timing = timing
+
+    @property
+    def requests(self) -> int:
+        return sum(self.per_channel_requests)
+
+    @property
+    def row_misses(self) -> int:
+        return sum(self.per_channel_row_misses)
+
+    @property
+    def row_hits(self) -> int:
+        return self.requests - self.row_misses
+
+    @property
+    def per_channel_busy(self) -> List[float]:
+        burst, miss, overlap = self._timing
+        return [r * burst + c * miss * overlap for r, c in
+                zip(self.per_channel_requests, self.per_channel_row_misses)]
+
+    @property
+    def busy_cycles(self) -> float:
+        """Max per-channel busy time (the bottleneck)."""
+        return max(self.per_channel_busy)
 
     @property
     def row_hit_rate(self) -> float:
@@ -74,28 +114,48 @@ class DramResult:
     def total_bytes(self) -> int:
         return self.requests * 64
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DramResult):
+            return NotImplemented
+        return (self.per_channel_requests, self.per_channel_row_misses,
+                self._timing) == (other.per_channel_requests,
+                                  other.per_channel_row_misses,
+                                  other._timing)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (f"DramResult(requests={self.requests}, "
+                f"row_misses={self.row_misses}, "
+                f"busy_cycles={self.busy_cycles}, "
+                f"per_channel_requests={self.per_channel_requests}, "
+                f"per_channel_row_misses={self.per_channel_row_misses})")
+
 
 class WalkState:
     """Where an issue-order walk stands between windows of one layer.
 
-    ``regs`` is the native walk's in/out array: this walk's per-channel
-    request and conflict counts, then one open-row register per bank
-    (``INT64_MIN``: closed, as on a cold memory system). ``requests``
-    and ``conflicts`` sum the counts of every walk so far.
+    ``regs`` is the native walk's register array
+    (:func:`repro.utils.native.walk_registers`, valid by construction,
+    so no walk checks it again): this walk's
+    per-channel request and conflict counts, then one open-row register
+    per bank (``INT64_MIN``: closed, as on a cold memory system), then
+    the walk's save area. ``requests`` and ``conflicts`` sum the counts
+    of every walk so far.
     """
 
     __slots__ = ("regs", "regs_addr", "requests", "conflicts")
 
-    def __init__(self, channels: int, banks_per_channel: int):
-        self.regs = np.full(channels * (2 + banks_per_channel), _CLOSED,
-                            np.int64)
-        self.regs_addr = self.regs.ctypes.data
+    def __init__(self, regs: np.ndarray, channels: int):
+        self.regs = regs
+        self.regs_addr = native.address(regs)
         self.requests = [0] * channels
         self.conflicts = [0] * channels
 
     def open_rows(self) -> np.ndarray:
         """The per-bank open-row registers (a view)."""
-        return self.regs[2 * len(self.requests):]
+        channels = len(self.requests)
+        return self.regs[2 * channels:(len(self.regs) + 2 * channels) // 2]
 
     def add(self, requests: Sequence[int], conflicts: Sequence[int],
             times: int) -> None:
@@ -127,16 +187,21 @@ class DramSim:
         self._burst_cyc = config.to_cycles(config.burst_ns, freq_ghz)
         self._miss_cyc = config.to_cycles(
             config.timing.row_miss_penalty_ns, freq_ghz)
+        self._timing = (self._burst_cyc, self._miss_cyc,
+                        1.0 / config.banks_per_channel)
         shifts = (_shift_of(config.block_bytes), _shift_of(config.channels),
                   _shift_of(config.blocks_per_row),
                   _shift_of(config.banks_per_channel))
         #: Power-of-two mapping shifts for the native walk; None leaves
         #: exotic non-power-of-two configs to the numpy twin.
         self._shifts = shifts if min(shifts) >= 0 else None
+        #: The registers of a cold memory system, copied per walk state.
+        self._cold = native.walk_registers(config.channels,
+                                           config.banks_per_channel)
 
     def walk_state(self) -> WalkState:
         """A cold memory system: every bank closed, nothing counted."""
-        return WalkState(self.config.channels, self.config.banks_per_channel)
+        return WalkState(self._cold.copy(), self.config.channels)
 
     @staticmethod
     def _conflict_mask(sorted_bank: np.ndarray,
@@ -183,7 +248,7 @@ class DramSim:
 
     def finish(self, state: WalkState) -> DramResult:
         """The result of every walk ``state`` has carried."""
-        return self._result(state.requests, state.conflicts)
+        return DramResult(state.requests, state.conflicts, self._timing)
 
     def _serve(self, parts: Sequence[TrafficSide],
                state: WalkState) -> DramResult:
@@ -191,73 +256,84 @@ class DramSim:
             raise ValueError(
                 f"a DRAM entry is at most {native.WALK_MAX_SIDES} sides "
                 f"(data, over-fetch, MAC, VN), got {len(parts)}")
-        sides = []
-        for part in parts:
-            if len(part):
-                ptrs = native.column_ptrs(part) \
-                    if isinstance(part, BlockStream) else None
-                sides.append((native.as_int64(part.addrs),
-                              native.as_int64(part.cycles),
-                              *(ptrs[:2] if ptrs else ())))
-        requests, conflicts = self._walk(sides, state)
+        if self._shifts is None or not native.available():
+            requests, conflicts = self._walk_numpy(
+                [(native.as_int64(part.addrs), native.as_int64(part.cycles))
+                 for part in parts if len(part)], state.open_rows())
+        else:
+            requests, conflicts = self._walk(parts, state)
         state.requests = [a + b for a, b in zip(state.requests, requests)]
         state.conflicts = [a + b for a, b in zip(state.conflicts, conflicts)]
-        return self._result(requests, conflicts)
+        return DramResult(requests, conflicts, self._timing)
 
-    def _result(self, requests: List[int],
-                conflicts: List[int]) -> DramResult:
-        # Activation penalties overlap with other banks' bursts; with B
-        # banks, roughly (B-1)/B of each penalty hides under concurrent
-        # transfers.
-        overlap = 1.0 / self.config.banks_per_channel
-        busy = [r * self._burst_cyc + c * self._miss_cyc * overlap
-                for r, c in zip(requests, conflicts)]
-        n = sum(requests)
-        misses = sum(conflicts)
-        return DramResult(
-            requests=n,
-            row_hits=n - misses,
-            row_misses=misses,
-            busy_cycles=max(busy),
-            per_channel_requests=requests,
-            per_channel_busy=busy,
-            per_channel_row_misses=conflicts,
-        )
+    def _key_column(self, stream: BlockStream) -> Tuple:
+        """Compute and keep on ``stream`` its packed key column under
+        this mapping (:func:`repro.utils.native.dram_keys`): ``(shifts,
+        side as the walk takes it, keys, cycles, request counts)``.
+        Every scheme walks a window's data blocks, so they are
+        decomposed once (again only under another mapping)."""
+        cycles = native.as_int64(stream.cycles)
+        keys, requests, ascending = native.dram_keys(
+            stream.addrs, cycles, self._shifts)
+        flags = native.WALK_PACKED | (native.WALK_ASCENDING if ascending
+                                      else 0)
+        side = (native.address(keys), native.address(cycles), len(keys),
+                flags, native.address(requests))
+        memo = stream.__dict__["_dram_keys"] = (self._shifts, side, keys,
+                                                cycles, requests)
+        return memo
 
-    def _walk(self, sides: List[_Columns],
+    def _walk(self, parts: Sequence[TrafficSide],
               state: WalkState) -> Tuple[List[int], List[int]]:
-        """Per-channel (requests, row conflicts) of the issue-order walk
-        over an entry's non-empty ``(addrs, cycles)`` sides, from and
-        into ``state``'s open rows.
+        """Per-channel (requests, row conflicts) of the native
+        issue-order walk over an entry's sides, from and into
+        ``state``'s open rows.
 
-        The native kernel expects each side cycle-sorted, as every
-        production side is; when it reports a descent, that side is
-        stable-sorted by cycle (which keeps the walk's order) and the
-        walk runs again from the open rows it started with.
+        A block stream is walked through its key column
+        (:meth:`_key_column`), any other side through its addresses.
+        The kernel expects each side cycle-sorted, as every production
+        side is; when it reports a descent, it has put the open rows
+        back, and that side is stable-sorted by cycle (which keeps the
+        walk's order) and the walk runs again.
         """
-        if self._shifts is None:
-            return self._walk_numpy(sides, state.open_rows())
-        channels = self.config.channels
-        regs = state.regs
-        start = regs[2 * channels:].copy()
+        sides, columns = [], []
+        for part in parts:
+            if isinstance(part, BlockStream):
+                if not len(part):
+                    continue
+                memo = part.__dict__.get("_dram_keys")
+                if memo is None or memo[0] != self._shifts:
+                    memo = self._key_column(part)
+                _, side, col, cycles, _ = memo
+            elif len(part):
+                col = native.as_int64(part.addrs)
+                cycles = native.as_int64(part.cycles)
+                side = (native.address(col), native.address(cycles),
+                        len(col), 0, 0)
+            else:
+                continue
+            sides.append(side)
+            columns.append((col, cycles))
         sorted_sides = 0
         while True:
-            rc = native.dram_walk(sides, self._shifts, regs, state.regs_addr)
-            if rc is None:
-                return self._walk_numpy(sides, state.open_rows())
+            rc = native.dram_walk(sides, self._shifts, state.regs_addr)
             if rc == 0:
                 break
             sorted_sides += 1
-            regs[2 * channels:] = start
-            addrs, cycles = sides[rc - 1][:2]
+            col, cycles = columns[rc - 1]
             order = np.argsort(cycles, kind="stable")
-            sides[rc - 1] = (addrs[order], cycles[order])
+            col, cycles = columns[rc - 1] = col[order], cycles[order]
+            _, _, length, flags, requests = sides[rc - 1]
+            sides[rc - 1] = (native.address(col), native.address(cycles),
+                             length, flags | native.WALK_ASCENDING, requests)
         if sorted_sides:
             obs.incr("dram.unsorted_side", sorted_sides)
-        counts = regs[:2 * channels].tolist()
+        channels = self.config.channels
+        counts = state.regs[:2 * channels].tolist()
         return counts[:channels], counts[channels:]
 
-    def _walk_numpy(self, sides: List[_Columns], open_rows: np.ndarray
+    def _walk_numpy(self, sides: List[Tuple[np.ndarray, np.ndarray]],
+                    open_rows: np.ndarray
                     ) -> Tuple[List[int], List[int]]:
         """Numpy twin of the native walk: merge the sides by a stable
         cycle sort of their concatenation, then a stable sort by global

@@ -338,7 +338,9 @@ class ResultStore:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(record, handle, separators=(",", ":"))
+                # ``json.dumps`` takes the C encoder; ``json.dump``
+                # always runs the pure-Python one.
+                handle.write(json.dumps(record, separators=(",", ":")))
             self._publish(key, tmp, path)
         except BaseException:
             try:

@@ -1,5 +1,6 @@
 /* Native kernels behind repro.utils.native: the metadata cache drive,
- * the DRAM issue-order walk and the cycle-sorted block expansion.
+ * the DRAM issue-order walk and its key column, and the cycle-sorted
+ * block expansion.
  *
  * The drive replicates repro.utils.lru.LruCache (fully-associative,
  * write-back, write-allocate LRU) access-for-access, including the
@@ -469,115 +470,211 @@ int drive_fused(
 
 /* ---- DRAM model --------------------------------------------------- */
 
-/* Serve one block under power-of-two mapping: one request on its
- * channel, and a row conflict when its bank's open row differs. */
-#define DRAM_STEP(addr)                                                  \
+/* Under power-of-two mapping, a block's packed DRAM key is its row
+ * shifted above its global bank (channel << bank_shift | bank), which
+ * takes channel_shift + bank_shift bits.  The row is the address
+ * arithmetic-shifted right by more bits than the shift left puts back,
+ * so the packing loses nothing: key >> gb_bits is the row again. */
+#define DRAM_KEY(addr)                                                   \
+    ((i64)(((u64)((addr) >> (block_shift + channel_shift + col_shift     \
+                             + bank_shift)) << gb_bits)                  \
+           | (u64)(((((addr) >> block_shift) & ch_mask) << bank_shift)   \
+                   | ((((addr) >> (block_shift + channel_shift))         \
+                       >> col_shift) & bank_mask))))
+
+/* Channels whose request tallies dram_keys keeps in registers. */
+#define DRAM_TALLIES 8
+
+/* Packed DRAM keys of n block addresses (see DRAM_KEY), behind
+ * DramSim's key column: the walk reads them in place of addresses, so
+ * a side walked under several schemes is decomposed once.  requests[]
+ * receives the side's per-channel request counts, which every walk of
+ * it adds instead of counting block by block: up to DRAM_TALLIES
+ * channels count in tallies the compiler keeps in vector registers,
+ * more count through memory.  Returns 1 when the blocks' cycles ascend
+ * (the walk may then run the side without reading them), 0 otherwise. */
+int dram_keys(const i64 *addrs, const i64 *cycles, i64 n, i64 block_shift,
+              i64 channel_shift, i64 col_shift, i64 bank_shift, i64 *keys,
+              i64 *requests)
+{
+    i64 gb_bits = channel_shift + bank_shift;
+    i64 ch_mask = ((i64)1 << channel_shift) - 1;
+    i64 bank_mask = ((i64)1 << bank_shift) - 1;
+    i64 tally[DRAM_TALLIES] = {0};
+    int ascending = 1;
+    for (i64 i = 0; i < n; i++) {
+        i64 ch = (addrs[i] >> block_shift) & ch_mask;
+        keys[i] = DRAM_KEY(addrs[i]);
+        ascending &= i == 0 || cycles[i] >= cycles[i - 1];
+        for (i64 c = 0; c < DRAM_TALLIES; c++)
+            tally[c] += ch == c;
+    }
+    for (i64 c = 0; c <= ch_mask; c++)
+        requests[c] = c < DRAM_TALLIES ? tally[c] : 0;
+    if (ch_mask >= DRAM_TALLIES)
+        for (i64 i = 0; i < n; i++) {
+            i64 ch = (addrs[i] >> block_shift) & ch_mask;
+            requests[ch] += ch >= DRAM_TALLIES;
+        }
+    return ascending;
+}
+
+/* Serve one packed key: a row conflict when its bank's open row
+ * differs, and count (1, or 0 for a packed side, whose requests come
+ * from its key column) requests on its channel. */
+#define DRAM_STEP(key, count)                                            \
     do {                                                                 \
-        i64 block_ = (addr) >> block_shift;                              \
-        i64 ch_ = block_ & ch_mask;                                      \
-        i64 local_ = block_ >> channel_shift;                            \
-        i64 gb_ = (ch_ << bank_shift) | ((local_ >> col_shift) & bank_mask); \
-        i64 row_ = local_ >> row_shift;                                  \
-        requests[ch_]++;                                                 \
+        i64 key_ = (key);                                                \
+        i64 gb_ = key_ & gb_mask;                                        \
+        i64 row_ = key_ >> gb_bits;                                      \
+        i64 ch_ = gb_ >> bank_shift;                                     \
+        requests[ch_] += (count);                                        \
         conflicts[ch_] += open_row[gb_] != row_;                         \
         open_row[gb_] = row_;                                            \
     } while (0)
+
+/* Run side s from block i while its cycles stay within lim, serving
+ * each block's key KEY(col[i]) and counting COUNT requests for it;
+ * leaves i at the first block past lim, or leaves the walk through
+ * descent when a cycle descends. */
+#define DRAM_RUN(KEY, COUNT)                                             \
+    for (; i < n; i++) {                                                 \
+        i64 ci = cyc[i];                                                 \
+        if (ci > lim)                                                    \
+            break;                                                       \
+        if (ci < prev)                                                   \
+            goto descent;                                                \
+        prev = ci;                                                       \
+        DRAM_STEP(KEY(col[i]), COUNT);                                   \
+    }
+
+#define DRAM_PACKED(key) (key)
 
 /* Most sides one walk merges: a layer's data and over-fetch blocks,
  * then its MAC and VN traffic. */
 #define DRAM_MAX_SIDES 4
 
-/* Whether side a's head block precedes side b's in the merge. */
-#define SIDE_BEFORE(a, b) \
-    (head[a] < head[b] || (head[a] == head[b] && (a) < (b)))
+/* Side flags: the column holds packed keys (dram_keys), not block
+ * addresses, and the side comes with its per-channel request counts;
+ * the side's cycles are known to ascend. */
+#define DRAM_SIDE_PACKED 1
+#define DRAM_SIDE_ASCENDING 2
 
 /* Issue-order walk behind DramSim._walk: merges k cycle-sorted sides
- * (side s: lens[s] blocks at addrs[s], issued at cycles[s]) keyed
- * (cycle, side index), so a lower side wins equal cycles, as in the
- * sides' concatenated stream.  It keeps one open-row register per
- * global bank and counts requests and row conflicts per channel.
- * out[] receives this walk's channels request counts, then channels
+ * (side s: lens[s] blocks, issued at cycles[s]) keyed (cycle, side
+ * index), so a lower side wins equal cycles, as in the sides'
+ * concatenated stream.  Side s's column cols[s] holds packed keys or
+ * block addresses, as flags[s] says; a packed side's per-channel
+ * request counts are side_requests[s] (dram_keys).  It keeps one
+ * open-row register per global bank and counts requests and row
+ * conflicts per channel.
+ *
+ * regs[] receives this walk's channels request counts, then channels
  * conflict counts; after them sit the channels << bank_shift open-row
  * registers, which the walk starts from and leaves for the next one, so
  * a layer walked window by window counts exactly as in one walk (a row
  * is an address shifted right by at least the block shift, so with
  * blocks of 2 B or more no row equals the INT64_MIN "closed" mark the
- * caller starts a cold memory system with).  Returns 0, s + 1 when side
- * s's cycles descend (the counts are then partial), or -1 when k
+ * caller starts a cold memory system with), then as many registers the
+ * walk saves the open rows to on entry.
+ *
+ * The merge keeps every side's next cycle in head[], padded to
+ * DRAM_MAX_SIDES with spent sides at INT64_MAX: the side to run is the
+ * first with the least head, and it runs through the last cycle that
+ * still precedes every other live head (that head's cycle for a higher
+ * side, one less for a lower one, which then is strictly above the
+ * running side's head, so it cannot underflow).  Both are branch-free
+ * minima over the four heads, so a switch between sides costs a few
+ * compares, not a re-sort.  A side known to ascend whose last cycle is
+ * within that bound runs to its end without reading its cycles: a lone
+ * side, or the data side after a layer-MAC scheme's last event.
+ * Returns 0; s + 1 when side s's cycles descend, after putting the
+ * saved open rows back (the counts are then partial); or -1 when k
  * exceeds DRAM_MAX_SIDES. */
-int dram_walk(const i64 *const *addrs, const i64 *const *cycles,
-              const i64 *lens, i64 k,
+int dram_walk(const i64 *const *cols, const i64 *const *cycles,
+              const i64 *lens, const i64 *flags,
+              const i64 *const *side_requests, i64 k,
               i64 block_shift, i64 channel_shift, i64 col_shift,
-              i64 bank_shift, i64 *out)
+              i64 bank_shift, i64 *regs)
 {
     i64 channels = (i64)1 << channel_shift;
-    i64 *requests = out, *conflicts = out + channels;
-    i64 *open_row = out + 2 * channels;
+    i64 banks = channels << bank_shift;
+    i64 *requests = regs, *conflicts = regs + channels;
+    i64 *open_row = regs + 2 * channels, *saved = open_row + banks;
+    i64 gb_bits = channel_shift + bank_shift;
+    i64 gb_mask = banks - 1;
     i64 ch_mask = channels - 1;
     i64 bank_mask = ((i64)1 << bank_shift) - 1;
-    i64 row_shift = col_shift + bank_shift;
-    /* Per side: next block, last cycle seen, next block's cycle.  The
-     * sides with blocks left sit in order[0..live), sorted by their
-     * head block's place in the merge. */
-    i64 pos[DRAM_MAX_SIDES], last[DRAM_MAX_SIDES], head[DRAM_MAX_SIDES];
-    i64 order[DRAM_MAX_SIDES], live = 0;
+    /* Per side: next block, block count, last cycle seen, next cycle. */
+    i64 pos[DRAM_MAX_SIDES], len[DRAM_MAX_SIDES];
+    i64 last[DRAM_MAX_SIDES], head[DRAM_MAX_SIDES];
+    i64 s = 0, blocks = 0;
     if (k < 0 || k > DRAM_MAX_SIDES)
         return -1;
     for (i64 c = 0; c < 2 * channels; c++)
-        out[c] = 0;
-    for (i64 s = 0; s < k; s++) {
-        pos[s] = 0;
-        last[s] = INT64_MIN;
-        if (lens[s] <= 0)
-            continue;
-        head[s] = cycles[s][0];
-        i64 j = live++;
-        for (; j > 0 && SIDE_BEFORE(s, order[j - 1]); j--)
-            order[j] = order[j - 1];
-        order[j] = s;
+        regs[c] = 0;
+    for (i64 b = 0; b < banks; b++)
+        saved[b] = open_row[b];
+    for (i64 r = 0; r < DRAM_MAX_SIDES; r++) {
+        pos[r] = 0;
+        len[r] = r < k && lens[r] > 0 ? lens[r] : 0;
+        last[r] = INT64_MIN;
+        head[r] = len[r] ? cycles[r][0] : INT64_MAX;
+        blocks += len[r];
     }
-    while (live > 0) {
-        /* The first side runs through the last cycle that still
-         * precedes the second side's head: that head's cycle when the
-         * first is the lower side, one less otherwise (then strictly
-         * above its own head, so it cannot underflow). */
-        i64 s = order[0], lim = INT64_MAX;
-        if (live > 1) {
-            i64 r = order[1];
-            lim = s < r ? head[r] : head[r] - 1;
+    while (blocks > 0) {
+        /* The least (head, side): lower sides win ties. */
+        i64 a = head[1] < head[0], b = 2 + (head[3] < head[2]);
+        s = head[b] < head[a] ? b : a;
+        if (pos[s] >= len[s]) {
+            /* A spent side tied a live one at INT64_MAX. */
+            for (s = 0; pos[s] >= len[s]; s++)
+                ;
         }
-        const i64 *cyc = cycles[s], *addr = addrs[s];
-        i64 i = pos[s], n = lens[s], prev = last[s];
-        for (; i < n; i++) {
-            i64 ci = cyc[i];
-            if (ci > lim)
-                break;
-            if (ci < prev)
-                return (int)s + 1;
-            prev = ci;
-            DRAM_STEP(addr[i]);
+        i64 lim = INT64_MAX;
+        for (i64 r = 0; r < DRAM_MAX_SIDES; r++) {
+            i64 bound = r == s || pos[r] >= len[r] ? INT64_MAX
+                : head[r] - (r < s);
+            lim = bound < lim ? bound : lim;
         }
+        const i64 *cyc = cycles[s], *col = cols[s];
+        i64 i = pos[s], n = len[s], prev = last[s];
+        if ((flags[s] & DRAM_SIDE_ASCENDING) && cyc[n - 1] <= lim) {
+            if (flags[s] & DRAM_SIDE_PACKED)
+                for (; i < n; i++)
+                    DRAM_STEP(col[i], 0);
+            else
+                for (; i < n; i++)
+                    DRAM_STEP(DRAM_KEY(col[i]), 1);
+            prev = cyc[n - 1];
+        } else if (flags[s] & DRAM_SIDE_PACKED) {
+            DRAM_RUN(DRAM_PACKED, 0)
+        } else {
+            DRAM_RUN(DRAM_KEY, 1)
+        }
+        blocks -= i - pos[s];
         pos[s] = i;
         last[s] = prev;
-        if (i < n) {
-            /* Side s now follows the second side, and maybe more. */
-            head[s] = cyc[i];
-            order[0] = order[1];
-            i64 j = 1;
-            for (; j + 1 < live && SIDE_BEFORE(order[j + 1], s); j++)
-                order[j] = order[j + 1];
-            order[j] = s;
-        } else {
-            live--;
-            for (i64 j = 0; j < live; j++)
-                order[j] = order[j + 1];
-        }
+        head[s] = i < n ? cyc[i] : INT64_MAX;
     }
+    for (i64 r = 0; r < k; r++)
+        if (len[r] && (flags[r] & DRAM_SIDE_PACKED))
+            for (i64 c = 0; c < channels; c++)
+                requests[c] += side_requests[r][c];
     return 0;
+descent:
+    for (i64 b = 0; b < banks; b++)
+        open_row[b] = saved[b];
+    return (int)s + 1;
 }
 
-#undef SIDE_BEFORE
+#undef DRAM_TALLIES
+#undef DRAM_SIDE_ASCENDING
+#undef DRAM_SIDE_PACKED
+#undef DRAM_PACKED
+#undef DRAM_RUN
 #undef DRAM_STEP
+#undef DRAM_KEY
 
 /* ---- Block expansion ---------------------------------------------- */
 
@@ -607,6 +704,39 @@ static void merge_sift_down(i64 *heap_r, i64 *heap_c, i64 size, i64 i)
     heap_c[i] = c;
 }
 
+/* Bound on a range's count * duration and start cycle below which no
+ * block cycle overflows an int64. */
+#define EXPAND_SAFE ((i64)1 << 62)
+
+/* Start the cursor expand_merge advances over n ranges: check that no
+ * range's block arithmetic can overflow (counts[r] and durations[r]
+ * non-negative, cycles[r] at most EXPAND_SAFE, counts[r] * durations[r]
+ * within it), then build the min-heap of the ranges with blocks and
+ * zero next[].  Returns the blocks the ranges cover, or -1 when a range
+ * fails the check (the caller then expands with the numpy twin). */
+i64 expand_start(const i64 *cycles, const i64 *counts, const i64 *durations,
+                 i64 n, i64 *heap_r, i64 *heap_c, i64 *next, i64 *heap_size)
+{
+    i64 total = 0, size = 0;
+    for (i64 r = 0; r < n; r++) {
+        i64 count = counts[r], dur = durations[r];
+        if (count < 0 || dur < 0 || cycles[r] > EXPAND_SAFE
+                || dur > EXPAND_SAFE / (count > 1 ? count : 1))
+            return -1;
+        total += count;
+        next[r] = 0;
+        if (count > 0) {
+            heap_r[size] = r;
+            heap_c[size] = cycles[r];
+            size++;
+        }
+    }
+    for (i64 i = size / 2 - 1; i >= 0; i--)
+        merge_sift_down(heap_r, heap_c, size, i);
+    *heap_size = size;
+    return total;
+}
+
 /* Resumable cycle-sorted block expansion of n ranges, behind
  * repro.accel.trace.ExpandCursor.  Range r covers the blocks
  * first[r] + block_bytes * j (j < counts[r]), issued at
@@ -617,15 +747,12 @@ static void merge_sift_down(i64 *heap_r, i64 *heap_c, i64 size, i64 i)
  * stay ahead of its heap children, so a long sequential run costs no
  * heap operations.
  *
- * The merge is a cursor the caller owns: heap_r / heap_c (n each) hold
- * the heap of ranges and their next block's cycle, next[r] the blocks
- * range r has emitted, and *heap_size the heap's size, or -1 before the
- * first call builds the heap.  A call emits the merge's next blocks
- * while their cycle is below stop, at most cap of them, and returns how
- * many; heap_c[0] is then the next block's cycle (when *heap_size > 0).
- * The caller guarantees counts[r] >= 0, durations[r] >= 0, and that
- * counts[r] * durations[r] and cycles[r] + durations[r] fit in an
- * int64. */
+ * The merge is a cursor the caller owns, started by expand_start:
+ * heap_r / heap_c (n each) hold the heap of ranges and their next
+ * block's cycle, next[r] the blocks range r has emitted, and *heap_size
+ * the heap's size.  A call emits the merge's next blocks while their
+ * cycle is below stop, at most cap of them, and returns how many;
+ * heap_c[0] is then the next block's cycle (when *heap_size > 0). */
 i64 expand_merge(const i64 *cycles, const i64 *first, const i64 *counts,
                  const i64 *durations, const u8 *writes,
                  const int8_t *kinds, const int32_t *layer_ids, i64 n,
@@ -635,19 +762,6 @@ i64 expand_merge(const i64 *cycles, const i64 *first, const i64 *counts,
                  int8_t *out_kinds, int32_t *out_layer_ids)
 {
     i64 size = *heap_size;
-    if (size < 0) {
-        size = 0;
-        for (i64 r = 0; r < n; r++) {
-            next[r] = 0;
-            if (counts[r] > 0) {
-                heap_r[size] = r;
-                heap_c[size] = cycles[r];
-                size++;
-            }
-        }
-        for (i64 i = size / 2 - 1; i >= 0; i--)
-            merge_sift_down(heap_r, heap_c, size, i);
-    }
     i64 k = 0;
     while (size > 0 && k < cap && heap_c[0] < stop) {
         i64 r = heap_r[0];
@@ -704,4 +818,5 @@ i64 expand_merge(const i64 *cycles, const i64 *first, const i64 *counts,
     return k;
 }
 
+#undef EXPAND_SAFE
 #undef MERGE_BEFORE

@@ -4,7 +4,9 @@ The metadata cache drives are sequential LRU state machines (the VN
 integrity-tree walk depends on what the drive has cached so far), which
 Python can only run one access at a time.  The DRAM model's per-layer
 counter is one issue-order walk with an open-row register per bank,
-which numpy can only express as a merge sort plus a bank sort.
+which numpy can only express as a merge sort plus a bank sort; the
+walk reads a block stream's packed key column (``dram_keys``), which
+every scheme walking the stream shares.
 Likewise a layer's cycle-sorted block stream is a k-way merge of its
 ranges' ascending runs, which numpy can only express as a full
 expansion plus a sort.  When a C compiler is available
@@ -62,6 +64,12 @@ FALLBACKS = {
     "dram_walk": [
         "repro.dram.simulator:DramSim._walk_numpy",
     ],
+    "dram_keys": [
+        "repro.dram.mapping:AddressMapping.keys",
+    ],
+    "expand_cursor": [
+        "repro.accel.trace:ExpandCursor._take_numpy",
+    ],
     "expand_merge": [
         "repro.accel.trace:ExpandCursor._take_numpy",
     ],
@@ -71,7 +79,7 @@ _lib = None
 _load_attempted = False
 
 #: Every pointer argument is declared ``c_void_p`` and passed as a raw
-#: data address (:func:`_addr`): one ``data_as`` pointer object per
+#: data address (:func:`address`): one ``data_as`` pointer object per
 #: argument cost more than many of the kernel calls themselves.
 _ptr = ctypes.c_void_p
 _i64 = ctypes.c_int64
@@ -194,9 +202,20 @@ def _load():
         lib = ctypes.CDLL(path)
         lib.dram_walk.restype = ctypes.c_int
         lib.dram_walk.argtypes = [
-            _ptr, _ptr, _ptr, _i64,                         # k sides
+            _ptr, _ptr, _ptr, _ptr, _ptr, _i64,             # k sides
             _i64, _i64, _i64, _i64,                         # shifts
-            _ptr,                                           # counts out
+            _ptr,                                           # registers
+        ]
+        lib.dram_keys.restype = ctypes.c_int
+        lib.dram_keys.argtypes = [
+            _ptr, _ptr, _i64,                               # blocks
+            _i64, _i64, _i64, _i64,                         # shifts
+            _ptr, _ptr,                                     # keys, counts
+        ]
+        lib.expand_start.restype = _i64
+        lib.expand_start.argtypes = [
+            _ptr, _ptr, _ptr, _i64,                         # range timing
+            _ptr, _ptr, _ptr, _ptr,                         # cursor
         ]
         lib.expand_merge.restype = _i64
         lib.expand_merge.argtypes = [
@@ -231,14 +250,23 @@ def available() -> bool:
     return _load() is not None
 
 
-def _addr(arr: np.ndarray) -> int:
+_from_buffer = ctypes.c_char.from_buffer
+_addressof = ctypes.addressof
+
+
+def address(arr: np.ndarray) -> int:
     """Data address of a contiguous array.
 
     An address, unlike a ``data_as`` pointer, does not keep its array
     alive: callers bind every array they pass to a name that outlives
-    the kernel call.
+    the kernel call. A writable non-empty array's address comes from
+    the buffer protocol, a third of the cost of ``arr.ctypes.data``;
+    a read-only or empty one takes ``arr.ctypes``.
     """
-    return arr.ctypes.data
+    try:
+        return _addressof(_from_buffer(arr))
+    except (TypeError, ValueError):
+        return arr.ctypes.data
 
 
 _EMPTY64 = np.empty(0, np.int64)
@@ -262,8 +290,10 @@ def _as_state(items) -> Tuple[np.ndarray, np.ndarray]:
             np.asarray(dirty, dtype=np.uint8))
 
 
-_EMPTY64_ADDR = _addr(_EMPTY64)
-_EMPTY8_ADDR = _addr(_EMPTY8)
+_EMPTY64_ADDR = address(_EMPTY64)
+_EMPTY8_ADDR = address(_EMPTY8)
+#: The data addresses and length a drive passes for an empty side.
+_EMPTY_SIDE = (_EMPTY64_ADDR, _EMPTY8_ADDR, _EMPTY64_ADDR, 0)
 
 
 def column_ptrs(stream) -> Optional[Tuple[int, int, int]]:
@@ -280,8 +310,8 @@ def column_ptrs(stream) -> Optional[Tuple[int, int, int]]:
                 or not (addrs.flags.c_contiguous and cycles.flags.c_contiguous
                         and writes.flags.c_contiguous)):
             return None
-        ptrs = stream.__dict__["_ptrs"] = (_addr(addrs), _addr(cycles),
-                                           _addr(writes))
+        ptrs = stream.__dict__["_ptrs"] = (address(addrs), address(cycles),
+                                           address(writes))
     return ptrs
 
 #: Reused output buffers, each next to its data address (the kernel
@@ -294,7 +324,7 @@ def _scratch(name: str, size: int, dtype) -> Tuple[np.ndarray, int]:
     entry = _scratch_bufs.get(name)
     if entry is None or len(entry[0]) < size:
         buf = np.empty(max(size, 4096), dtype)
-        entry = _scratch_bufs[name] = (buf, _addr(buf))
+        entry = _scratch_bufs[name] = (buf, address(buf))
     return entry
 
 
@@ -384,52 +414,60 @@ def fused_drive(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     if not 1 <= len(sides) <= DRIVE_MAX_SIDES:
         raise ValueError(f"fused_drive: 1 to {DRIVE_MAX_SIDES} block "
                          f"sides, got {len(sides)}")
-    cols = [(as_int64(keys), np.ascontiguousarray(writes, bool).view(
-        np.uint8), as_int64(cycles)) for keys, writes, cycles, *_ in sides]
-    if any(len(c) != len(k) or len(w) != len(k) for k, w, c in cols):
-        raise ValueError("fused_drive: a side's columns differ in length")
-    n = sum(len(k) for k, _, _ in cols)
+    # Per side: (keys, writes, cycles) data addresses and length; the
+    # converted columns a side without addresses needs stay in ``keep``.
+    side_ptrs = [_EMPTY_SIDE] * DRIVE_MAX_SIDES
+    keep = []
+    n = 0
+    for s, side in enumerate(sides):
+        keys = side[0]
+        length = len(keys)
+        if len(side[1]) != length or len(side[2]) != length:
+            raise ValueError("fused_drive: a side's columns differ in "
+                             "length")
+        n += length
+        if not length:
+            continue
+        if len(side) == 6:
+            side_ptrs[s] = (*side[3:], length)
+        else:
+            cols = _drive_side(*side[:3])
+            keep.append(cols)
+            side_ptrs[s] = (*map(address, cols), length)
 
+    mac_base = mac_cap = mac_len = 0
     mac_init_ptrs = (_EMPTY64_ADDR, _EMPTY8_ADDR)
     if mac is not None:
         mac_base, mac_cap, mac_init = mac
         mac_it, mac_id = _as_state(mac_init)
-        if len(mac_it):
-            mac_init_ptrs = (_addr(mac_it), _addr(mac_id))
-    else:
-        mac_base, mac_cap = 0, 0
-        mac_it = _EMPTY64
+        mac_len = len(mac_it)
+        if mac_len:
+            mac_init_ptrs = (address(mac_it), address(mac_id))
+    vn_base = vn_cap = leaf_base = vn_len = levels = 0
+    leaf_div = ratio = 1
     vn_init_ptrs = node_ptrs = (_EMPTY64_ADDR, _EMPTY64_ADDR)
     if vn is not None:
         vn_base, vn_cap, leaf_base, leaf_div, vn_init, node_base, \
             node_div, ratio = vn
         vn_it, vn_id = _as_state(vn_init)
-        if len(vn_it):
-            vn_init_ptrs = (_addr(vn_it), _addr(vn_id))
+        vn_len = len(vn_it)
+        if vn_len:
+            vn_init_ptrs = (address(vn_it), address(vn_id))
         node_base = np.ascontiguousarray(node_base, dtype=np.int64)
         node_div = np.ascontiguousarray(node_div, dtype=np.int64)
         levels = len(node_base)
         if levels:
-            node_ptrs = (_addr(node_base), _addr(node_div))
-    else:
-        vn_base, vn_cap, leaf_base, leaf_div, ratio, levels = 0, 0, 0, 1, 1, 0
-        vn_it = _EMPTY64
+            node_ptrs = (address(node_base), address(node_div))
     if levels > DRIVE_MAX_LEVELS:
         raise ValueError(f"fused_drive: at most {DRIVE_MAX_LEVELS} tree "
                          f"levels, got {levels}")
-    side_ptrs = [(*side[3:], len(k)) if len(side) == 6 and len(k)
-                 else (_addr(k), _addr(w), _addr(c), len(k)) if len(k)
-                 else (_EMPTY64_ADDR, _EMPTY8_ADDR, _EMPTY64_ADDR, 0)
-                 for side, (k, w, c) in zip(sides, cols)]
-    side_ptrs += [(_EMPTY64_ADDR, _EMPTY8_ADDR, _EMPTY64_ADDR, 0)] * \
-        (DRIVE_MAX_SIDES - len(side_ptrs))
-    carry_ptr = 0 if carry is None else _addr(carry)
+    carry_ptr = 0 if carry is None else address(carry)
 
     # Runs never outnumber blocks and emit at most two MAC events each;
     # a VN overflow retries sized by the kernel's run count.
     mac_ev_cap = vn_ev_cap = 2 * n + 16
-    mac_state_cap = max(1, min(mac_cap, len(mac_it) + n)) if mac else 1
-    vn_state_cap = max(1, min(vn_cap, len(vn_it) + n * (levels + 1))) \
+    mac_state_cap = max(1, min(mac_cap, mac_len + n)) if mac else 1
+    vn_state_cap = max(1, min(vn_cap, vn_len + n * (levels + 1))) \
         if vn else 1
 
     while True:
@@ -444,15 +482,15 @@ def fused_drive(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
         # states' tags; one for both states' dirty flags.
         ints = np.empty(13 + mac_state_cap + vn_state_cap, np.int64)
         flags = np.empty(mac_state_cap + vn_state_cap, np.uint8)
-        ip, fp = _addr(ints), _addr(flags)
+        ip, fp = address(ints), address(flags)
         (keys_a, wr_a, cyc_a, len_a), (keys_b, wr_b, cyc_b, len_b) = \
             side_ptrs
         rc = lib.drive_fused(
             keys_a, wr_a, cyc_a, len_a, keys_b, wr_b, cyc_b, len_b,
             key_shift, idx_mul, line_bytes,
-            mac_base, mac_cap if mac else 0, *mac_init_ptrs, len(mac_it),
+            mac_base, mac_cap if mac else 0, *mac_init_ptrs, mac_len,
             vn_base, vn_cap if vn else 0, leaf_base, leaf_div,
-            *vn_init_ptrs, len(vn_it),
+            *vn_init_ptrs, vn_len,
             levels, *node_ptrs, ratio,
             m_cyc_p, m_addr_p, m_wr_p, mac_ev_cap, ip + 9 * 8,
             v_cyc_p, v_addr_p, v_wr_p, vn_ev_cap, ip + 10 * 8,
@@ -465,11 +503,11 @@ def fused_drive(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
             # order: the drive then walks the stable cycle sort of the
             # sides' concatenation.
             obs.incr("native.drive.unsorted_side")
-            keys, wr, cyc = cols[rc - 2]
-            order = np.argsort(cyc, kind="stable")
-            cols[rc - 2] = keys, wr, cyc = keys[order], wr[order], cyc[order]
-            side_ptrs[rc - 2] = (_addr(keys), _addr(wr), _addr(cyc),
-                                 len(keys))
+            keys, writes, cycles = _drive_side(*sides[rc - 2][:3])
+            order = np.argsort(cycles, kind="stable")
+            cols = keys[order], writes[order], cycles[order]
+            keep.append(cols)
+            side_ptrs[rc - 2] = (*map(address, cols), len(keys))
             continue
         vn_ev_worst = 2 * int(ints[8]) * (levels + 1) + 16
         if rc == 1 and vn_ev_cap < vn_ev_worst:
@@ -499,6 +537,13 @@ def fused_drive(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     return mac_out, vn_out
 
 
+def _drive_side(keys, writes, cycles) -> Tuple[np.ndarray, ...]:
+    """A drive side's columns as the kernel reads them: contiguous int64
+    keys and cycles, one byte per write flag."""
+    return (as_int64(keys), np.ascontiguousarray(writes, bool).view(np.uint8),
+            as_int64(cycles))
+
+
 def as_int64(arr: np.ndarray) -> np.ndarray:
     """Contiguous int64 view (free for the internal int64 arrays; a
     uint64 address array reinterprets without copying)."""
@@ -516,32 +561,53 @@ def as_int64(arr: np.ndarray) -> np.ndarray:
 WALK_MAX_SIDES = 4
 
 
-#: The walk's side pointer and length arrays, reused across calls with
-#: their data addresses.
-_WALK_ADDRS = np.zeros(WALK_MAX_SIDES, np.uintp)
-_WALK_CYCLES = np.zeros(WALK_MAX_SIDES, np.uintp)
-_WALK_LENS = np.zeros(WALK_MAX_SIDES, np.int64)
-_WALK_PTRS = (_addr(_WALK_ADDRS), _addr(_WALK_CYCLES), _addr(_WALK_LENS))
+def walk_registers(channels: int, banks_per_channel: int) -> np.ndarray:
+    """A cold memory system's registers for :func:`dram_walk`: per
+    channel a request and a conflict count, then one open-row register
+    per bank (``INT64_MIN``: closed), then as many the walk saves them
+    to."""
+    return np.full(channels * (2 + 2 * banks_per_channel),
+                   np.iinfo(np.int64).min, np.int64)
 
 
-def dram_walk(sides: Sequence[Tuple[np.ndarray, np.ndarray]],
-              shifts: Tuple[int, int, int, int],
-              out: np.ndarray, out_addr: Optional[int] = None
+#: A walk side's flags (``DRAM_SIDE_*`` in the kernel): its column
+#: holds packed keys and it comes with its per-channel request counts
+#: (:func:`dram_keys`), not block addresses; its cycles are known to
+#: ascend.
+WALK_PACKED = 1
+WALK_ASCENDING = 2
+
+#: The walk's per-side arrays (columns, cycles, lengths, flags, request
+#: counts), reused across calls with their data addresses.
+_WALK_SIDES = tuple(np.zeros(WALK_MAX_SIDES, dtype)
+                    for dtype in (np.uintp, np.uintp, np.int64, np.int64,
+                                  np.uintp))
+_WALK_PTRS = tuple(address(arr) for arr in _WALK_SIDES)
+
+
+def dram_walk(sides: Sequence[Tuple[int, int, int, int, int]],
+              shifts: Tuple[int, int, int, int], regs_addr: int
               ) -> Optional[int]:
     """Native issue-order walk behind ``DramSim._walk``.
 
-    ``sides`` holds up to :data:`WALK_MAX_SIDES` ``(addrs, cycles)``
-    pairs, each expected cycle-sorted and optionally followed by the two
-    columns' data addresses; the walk visits their merge
-    keyed ``(cycle, side index)``, so a lower side wins equal cycles.
-    ``shifts`` are the power-of-two mapping shifts ``(block, channel,
-    column, bank)``.  ``out`` is an int64 array of ``2 * channels +
-    banks`` entries: the kernel writes this walk's per-channel request
-    counts, then its row-conflict counts, and starts from and updates
-    the per-bank open-row registers in the rest (``out_addr``, when
-    given, is ``out``'s data address).  Returns ``None`` when the
-    kernel is unavailable, otherwise the kernel's code: 0, or ``s + 1``
-    when side ``s``'s cycles descend (the counts are then partial).
+    ``sides`` holds up to :data:`WALK_MAX_SIDES` non-empty sides, each
+    ``(column, cycles, length, flags, requests)``: the data addresses of
+    a contiguous int64 column and of its int64 cycles, expected
+    cycle-sorted, the side's length, its flags, and the data address of
+    its per-channel request counts (int64) or 0. With
+    :data:`WALK_PACKED` the column holds packed keys and the counts are
+    the side's (both from :func:`dram_keys`), otherwise the column holds
+    block addresses; :data:`WALK_ASCENDING` says its cycles ascend. The
+    walk visits the sides' merge keyed ``(cycle, side index)``, so a
+    lower side wins equal cycles. ``shifts`` are the power-of-two
+    mapping shifts ``(block, channel, column, bank)``. ``regs_addr`` is
+    the data address of a :func:`walk_registers` array for this
+    mapping: the kernel writes this walk's per-channel request counts,
+    then its row-conflict counts, and starts from and updates the
+    per-bank open-row registers. Returns ``None`` when the kernel is
+    unavailable, otherwise the kernel's code: 0, or ``s + 1`` when side
+    ``s``'s cycles descend (the counts are then partial, the open rows
+    as the walk found them).
     """
     lib = _load()
     if lib is None:
@@ -549,39 +615,43 @@ def dram_walk(sides: Sequence[Tuple[np.ndarray, np.ndarray]],
     if len(sides) > WALK_MAX_SIDES:
         raise ValueError(f"dram_walk: at most {WALK_MAX_SIDES} sides, "
                          f"got {len(sides)}")
-    block_shift, channel_shift, col_shift, bank_shift = shifts
-    channels = 1 << channel_shift
-    if out.dtype != np.int64 or not out.flags.c_contiguous \
-            or len(out) < channels * (2 + (1 << bank_shift)):
-        raise ValueError("dram_walk: out must be a contiguous int64 "
-                         "array of 2 * channels + banks entries")
-    for s, (addrs, cycles, *ptrs) in enumerate(sides):
-        if len(addrs) != len(cycles):
-            raise ValueError("dram_walk: addrs and cycles differ in length")
-        if not ptrs:
-            addrs, cycles = as_int64(addrs), as_int64(cycles)
-            ptrs = (_addr(addrs), _addr(cycles))
-        _WALK_ADDRS[s], _WALK_CYCLES[s] = ptrs
-        _WALK_LENS[s] = len(addrs)
-    rc = lib.dram_walk(
-        *_WALK_PTRS, len(sides),
-        block_shift, channel_shift, col_shift, bank_shift,
-        _addr(out) if out_addr is None else out_addr)
+    cols, cycles, lens, flags, requests = _WALK_SIDES
+    for s, side in enumerate(sides):
+        cols[s], cycles[s], lens[s], flags[s], requests[s] = side
+    rc = lib.dram_walk(*_WALK_PTRS, len(sides), *shifts, regs_addr)
     obs.incr("native.dram_walk.kernel")
     return rc
 
 
-#: Bound on a range's ``count * duration`` and start cycle for the
-#: native expansion: below it no block cycle overflows an int64 (where
-#: numpy wraps, C signed overflow is undefined).
-_EXPAND_SAFE = 1 << 62
+def dram_keys(addrs: np.ndarray, cycles: np.ndarray,
+              shifts: Tuple[int, int, int, int]
+              ) -> Optional[Tuple[np.ndarray, np.ndarray, bool]]:
+    """Packed DRAM key of every block address under power-of-two
+    mapping ``shifts`` ``(block, channel, column, bank)``: its row
+    shifted left by ``channel + bank`` bits, over its global bank
+    ``channel << bank_shift | bank``. Returns the keys, the blocks'
+    per-channel request counts and whether their int64 ``cycles``
+    ascend, or ``None`` when the kernel is unavailable."""
+    lib = _load()
+    if lib is None:
+        return None
+    if len(addrs) != len(cycles):
+        raise ValueError("dram_keys: addrs and cycles differ in length")
+    addrs, cycles = as_int64(addrs), as_int64(cycles)
+    keys = np.empty(len(addrs), np.int64)
+    requests = np.empty(1 << shifts[1], np.int64)
+    ascending = lib.dram_keys(address(addrs), address(cycles), len(addrs),
+                              *shifts, address(keys), address(requests))
+    obs.incr("native.dram_keys.kernel")
+    return keys, requests, bool(ascending)
 
 
 class _ExpandState:
-    """A native expansion's columns, its kernel-owned cursor and the
-    arguments of every call, addresses resolved once."""
+    """A native expansion's columns, its kernel-owned cursor, the blocks
+    it covers and the arguments of every call, addresses resolved
+    once."""
 
-    __slots__ = ("keep", "heap_c", "size", "args")
+    __slots__ = ("keep", "heap_c", "size", "total", "args")
 
 
 def expand_cursor(cycles: np.ndarray, first: np.ndarray, counts: np.ndarray,
@@ -595,41 +665,41 @@ def expand_cursor(cycles: np.ndarray, first: np.ndarray, counts: np.ndarray,
     issued across ``[cycles[r], cycles[r] + durations[r])``.  Returns the
     state :func:`expand_merge` and :func:`expand_peek` advance, or
     ``None`` when the kernel is unavailable or a range's block
-    arithmetic could overflow (``native.expand_merge.overflow``); the
-    caller then runs the numpy twin.
+    arithmetic could overflow (``native.expand_merge.overflow``, checked
+    by the kernel's ``expand_start``); the caller then runs the numpy
+    twin.
     """
-    if not available():
+    lib = _load()
+    if lib is None:
         return None
     n = len(counts)
     if any(len(col) != n for col in (cycles, first, durations, writes,
                                       kinds, layer_ids)):
         raise ValueError("expand_merge: range columns differ in length")
-    cycles = np.ascontiguousarray(cycles, np.int64)
-    first = np.ascontiguousarray(first, np.int64)
-    counts = np.ascontiguousarray(counts, np.int64)
-    durations = np.ascontiguousarray(durations, np.int64)
-    if n and (int(counts.min()) < 0 or int(durations.min()) < 0
-              or int(cycles.max()) > _EXPAND_SAFE
-              or bool((durations > _EXPAND_SAFE
-                       // np.maximum(counts, 1)).any())):
+    slots = max(n, 1)
+    # Heap ranges, heap cycles and per-range progress, then the heap
+    # size.
+    cursor = np.empty(3 * slots + 1, np.int64)
+    base = address(cursor)
+    heap = (base, base + 8 * slots, base + 16 * slots, base + 24 * slots)
+    keep = (np.ascontiguousarray(cycles, np.int64),
+            np.ascontiguousarray(first, np.int64),
+            np.ascontiguousarray(counts, np.int64),
+            np.ascontiguousarray(durations, np.int64),
+            np.ascontiguousarray(writes, bool).view(np.uint8),
+            np.ascontiguousarray(kinds, np.int8),
+            np.ascontiguousarray(layer_ids, np.int32), cursor)
+    cols = tuple(address(col) for col in keep[:7])
+    total = lib.expand_start(cols[0], cols[2], cols[3], n, *heap)
+    if total < 0:
         obs.incr("native.expand_merge.overflow")
         return None
-    writes = np.ascontiguousarray(writes, bool).view(np.uint8)
-    kinds = np.ascontiguousarray(kinds, np.int8)
-    layer_ids = np.ascontiguousarray(layer_ids, np.int32)
-    # Heap ranges, heap cycles and per-range progress, then the heap
-    # size (-1: not built yet).
-    cursor = np.empty(3 * max(n, 1) + 1, np.int64)
-    cursor[-1] = -1
-    base = _addr(cursor)
-    step = 8 * max(n, 1)
     state = _ExpandState()
-    state.keep = (cycles, first, counts, durations, writes, kinds,
-                  layer_ids, cursor)
-    state.heap_c = cursor[max(n, 1):2 * max(n, 1)]
+    state.keep = keep
+    state.heap_c = cursor[slots:2 * slots]
     state.size = cursor[-1:]
-    state.args = (*(_addr(col) for col in state.keep[:7]), n, block_bytes,
-                  base, base + step, base + 2 * step, base + 3 * step)
+    state.total = total
+    state.args = (*cols, n, block_bytes, *heap)
     return state
 
 
@@ -642,7 +712,7 @@ def expand_merge(state: _ExpandState, stop: int, cap: int
     # One allocation holds the five columns: 8 + 8 + 4 + 1 + 1 bytes a
     # block.
     block = np.empty(22 * max(cap, 1), np.uint8)
-    p = _addr(block)
+    p = address(block)
     k = lib.expand_merge(*state.args, stop, cap, p, p + 8 * cap,
                          p + 20 * cap, p + 21 * cap, p + 16 * cap)
     obs.incr("native.expand_merge.kernel")
@@ -656,8 +726,6 @@ def expand_merge(state: _ExpandState, stop: int, cap: int
 def expand_taken(state: _ExpandState) -> np.ndarray:
     """How many blocks each range of the cursor has emitted (a copy)."""
     n = len(state.keep[2])
-    if state.size[0] < 0:
-        return np.zeros(n, np.int64)
     slots = max(n, 1)
     return state.keep[7][2 * slots:2 * slots + n].copy()
 
@@ -682,6 +750,4 @@ def expand_resume(state: _ExpandState, taken: np.ndarray) -> None:
 
 def expand_peek(state: _ExpandState) -> Optional[int]:
     """Issue cycle of the cursor's next block, ``None`` when done."""
-    if state.size[0] < 0:
-        expand_merge(state, 0, 0)       # builds the heap
     return int(state.heap_c[0]) if state.size[0] > 0 else None

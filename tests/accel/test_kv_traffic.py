@@ -10,6 +10,7 @@ from repro.models.layer import gemm
 from repro.models.topology import Topology
 from repro.models.zoo import get_workload
 from repro.tiling.tile import SramBudget, plan_tiling
+from tests.streams import model_trace
 
 
 def _sim():
@@ -141,7 +142,7 @@ class TestGpt2EndToEndTrace:
     def test_whole_model_kv_accounting(self):
         run = _sim().run(get_workload("gpt2@s64"))
         topo = run.topology
-        kinds = run.trace.bytes_by_kind()
+        kinds = model_trace(run).bytes_by_kind()
         assert kinds[AccessKind.KVCACHE] == topo.total_kv_bytes
         # Weights and KV never blur: weight traffic covers exactly the
         # parameter tensors (all streamed once at batch 1).

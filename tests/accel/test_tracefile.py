@@ -14,7 +14,7 @@ from repro.accel.tracefile import (
     write_ramulator,
     write_scalesim,
 )
-from tests.streams import sorted_blocks, to_blocks
+from tests.streams import model_trace, sorted_blocks, to_blocks
 
 
 def _stream(n=10, seed=3):
@@ -196,7 +196,7 @@ class TestKindPreservingRoundtrip:
 
         sim = AcceleratorSim(SystolicArray(16, 16), SramBudget.split(96 << 10))
         run = sim.run(get_workload("gpt2@s64").subset(6))
-        stream = to_blocks(run.trace)
+        stream = to_blocks(model_trace(run))
         assert AccessKind.KVCACHE in stream.bytes_by_kind()
         sink = io.StringIO()
         write_scalesim(stream, sink)

@@ -177,6 +177,16 @@ class TestGetPut:
         store.put(key, RECORD)
         assert (store.root / "9f" / f"{key}.json").exists()
 
+    def test_stored_bytes_are_the_compact_encoding(self, store):
+        """A record file holds exactly ``json.dumps`` of the record with
+        compact separators: floats by ``repr``, non-ASCII escaped."""
+        key = "5c" * 32
+        record = {"schema_version": 4, "ratio": 0.1 + 0.2, "big": 1e300,
+                  "name": "séda", "rows": [{"x": -0.0, "n": None}, []]}
+        store.put(key, record)
+        assert store._path(key).read_bytes() == json.dumps(
+            record, separators=(",", ":")).encode()
+
 
 class TestMaintenance:
     def test_entries_and_size(self, store):

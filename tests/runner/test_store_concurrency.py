@@ -308,9 +308,28 @@ class TestTornWrites:
 
         monkeypatch.setattr(store_module.json, "dump", torn)
 
+    @staticmethod
+    def _tear_file_writes(monkeypatch):
+        """Every file the store opens dies after its first 8 characters
+        written."""
+        fdopen = store_module.os.fdopen
+
+        def torn_fdopen(*args, **kwargs):
+            handle = fdopen(*args, **kwargs)
+            write = handle.write
+
+            def torn(text):
+                write(text[:8])
+                raise OSError("disk full")
+
+            handle.write = torn
+            return handle
+
+        monkeypatch.setattr(store_module.os, "fdopen", torn_fdopen)
+
     def test_torn_put_exposes_no_record(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path / "cache")
-        self._tear_json_dump(monkeypatch)
+        self._tear_file_writes(monkeypatch)
         with pytest.raises(OSError):
             store.put(_KEY_A, _record_for(_KEY_A))
         assert not store._path(_KEY_A).exists()

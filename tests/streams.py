@@ -28,6 +28,13 @@ from repro.protection.metadata_model import overfetch_columns
 from repro.utils.bitops import align_down, align_up
 
 
+def model_trace(run) -> Trace:
+    """A model run's whole trace: every layer's ranges, in layer order,
+    copied into one new trace (the pipeline only ever reads one
+    layer's)."""
+    return Trace.concat(result.trace for result in run.layers)
+
+
 def expand_ranges(cycles: np.ndarray, addrs: np.ndarray, nbytes: np.ndarray,
                   writes: np.ndarray, layer_ids: np.ndarray,
                   durations: np.ndarray,

@@ -5,7 +5,8 @@ pure-Python/numpy fallback (the ``FALLBACKS`` manifest) and match it
 exactly.  The broad equivalence suites live next to the models
 (``tests/protection/test_drive_tiers.py``, ``tests/dram``); this file
 pins the manifest itself and drives ``dram_walk`` (over one to four
-sides) and ``expand_merge`` (whole, and taken piece by piece through
+sides; ``dram_keys`` and packed sides are in ``tests/dram/
+test_key_column.py``) and ``expand_merge`` (whole, and taken piece by piece through
 its cursor) head-to-head against their numpy twins.
 """
 
@@ -40,7 +41,8 @@ def _stream(addrs, cycles=None, writes=None):
 
 class TestFallbacksManifest:
     def test_every_entry_point_is_registered(self):
-        for entry in ("fused_drive", "dram_walk", "expand_merge"):
+        for entry in ("fused_drive", "dram_walk", "dram_keys",
+                      "expand_cursor", "expand_merge"):
             assert entry in native.FALLBACKS
             assert callable(getattr(native, entry))
 
@@ -171,10 +173,11 @@ class TestDramWalkSides:
     def test_more_than_four_sides_rejected(self):
         if not native.available():
             pytest.skip("no native kernel in this environment")
-        side = (np.zeros(1, np.int64), np.zeros(1, np.int64))
+        column = np.zeros(1, np.int64)
+        side = (native.address(column), native.address(column), 1, 0, 0)
+        regs = native.walk_registers(4, 8)
         with pytest.raises(ValueError, match="at most 4 sides"):
-            native.dram_walk([side] * 5, (6, 2, 5, 3),
-                             np.zeros(64, np.int64))
+            native.dram_walk([side] * 5, (6, 2, 5, 3), native.address(regs))
 
 
 _STREAM_COLUMNS = ("cycles", "addrs", "writes", "layer_ids", "kinds")
