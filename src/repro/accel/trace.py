@@ -163,8 +163,8 @@ class BlockStream:
 
 class TrafficSide(Protocol):
     """One cycle-sorted side of a layer's DRAM traffic: a
-    :class:`BlockStream` (data, over-fetch, layer MACs) or a metadata
-    cache's traffic
+    :class:`BlockStream` (data, over-fetch) or a metadata side, a
+    cache's traffic or a scheme's layer MACs
     (:class:`repro.protection.metadata_model.CacheTrafficResult`). The
     DRAM walk reads only these columns."""
 

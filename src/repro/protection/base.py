@@ -12,11 +12,9 @@ from repro import obs
 from repro.accel.simulator import LayerResult, ModelRun
 from repro.accel.trace import (
     BLOCK_BYTES,
-    AccessKind,
     BlockStream,
     TraceWindow,
     TrafficSide,
-    kind_code,
 )
 from repro.crypto.engine import CryptoEngineModel
 from repro.protection.metadata_model import CacheTrafficResult, layer_windows
@@ -93,22 +91,21 @@ class LayerProtection:
         )
 
 
-def layer_mac_side(window: TraceWindow, line: int) -> BlockStream:
+def layer_mac_side(window: TraceWindow, line: int) -> CacheTrafficResult:
     """One window's share of a layer-MAC scheme's metadata: the read of
     MAC line ``line`` at the layer's first data block and the write of
     the next line at its last, each in the window holding that block
-    (the write in the window after a skipped segment that held it)."""
+    (the write in the window after a skipped segment that held it).
+    Like a cache's traffic, the DRAM walk reads it by address."""
     events = []
     if window.first_block:
         events.append((int(window.blocks.cycles[0]), line, False))
     if window.last_cycle is not None:
         events.append((window.last_cycle, line + BLOCK_BYTES, True))
-    cycles, addrs, writes = zip(*events) if events else ((), (), ())
-    return BlockStream(
-        np.array(cycles, dtype=np.int64), np.array(addrs, dtype=np.uint64),
-        np.array(writes, dtype=bool),
-        np.full(len(events), window.layer.layer_id, dtype=np.int32),
-        np.full(len(events), kind_code(AccessKind.METADATA), dtype=np.int8))
+    side = CacheTrafficResult()
+    if events:
+        side.extend_arrays(*(np.array(column) for column in zip(*events)))
+    return side
 
 
 @dataclass(frozen=True)

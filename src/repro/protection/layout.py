@@ -3,7 +3,7 @@
 The metadata region (see :mod:`repro.accel.layout`) is carved into the
 MAC table, the VN table and the integrity-tree levels. All tables are
 indexed by protection-unit number, so one layout object serves any
-protection granularity.
+power-of-two protection granularity.
 """
 
 from __future__ import annotations
@@ -33,8 +33,10 @@ class MetadataLayout:
     protected_bytes: int = PROTECTED_REGION_BYTES
 
     def __post_init__(self) -> None:
-        if self.unit_bytes < LINE_BYTES or self.unit_bytes % LINE_BYTES:
-            raise ValueError("unit_bytes must be a positive multiple of 64")
+        unit = self.unit_bytes
+        if unit < LINE_BYTES or unit & (unit - 1):
+            raise ValueError("unit_bytes must be a power of two of at "
+                             "least 64")
 
     # -- unit indexing --
 

@@ -1,21 +1,25 @@
 """Shared machinery for metadata-traffic generation (SGX/MGX models).
 
 The hot path: a layer's block stream drives the LRU cache model
-directly.  Blocks map to protection units, units to metadata lines (8
-entries per 64 B line), so a block's line index is its address shifted
-right by ``log2(unit_bytes * 8)``; consecutive blocks on one line are
-one cache access (sequential tile streams hit the same line 8 times in
-a row), a run compression each drive does as it walks the stream.
-Misses and dirty evictions become metadata DRAM accesses.
+directly.  Blocks map to protection units (64 B or 512 B, always a
+power of two), units to 64 B metadata lines (8 entries per line), so a
+block's line index is its address shifted right by ``log2(unit_bytes *
+8)``; consecutive blocks on one line are one cache access (sequential
+tile streams hit the same line 8 times in a row), a run compression
+each drive does as it walks the stream.  Misses and dirty evictions
+become metadata DRAM accesses.
 
 Every MAC and VN cache decision is one step of a fully associative,
-write-back, write-allocate LRU drive, and each drive has one production
-path per tier: the compiled ``fused_drive`` kernel
+write-back, write-allocate LRU drive (MAC and VN together are one
+drive, :func:`process_mac_vn`), and each drive has one production path
+per tier: the compiled ``fused_drive`` kernel
 (:mod:`repro.utils.native`), or, on hosts without a C compiler, its
 scalar twin :func:`drive_scalar`.  Both return the same
 :class:`~repro.utils.native.DriveOutput`, so one fold
-(:func:`_apply_drive_output`) serves either.  They are pinned
-access-for-access against an independent ``LruCache`` reference by
+(:func:`_apply_drive_output`) serves either; a cache's contents between
+drives are the ``(tags, dirty)`` arrays the latest drive returned
+(:attr:`MetadataCache.state`).  The tiers are pinned access-for-access
+against an independent ``LruCache`` reference by
 ``tests/protection/test_drive_tiers.py``.
 
 A layer's traffic is never concatenated: its data blocks (the shared
@@ -142,38 +146,24 @@ class CacheTrafficResult:
 
 
 def _drive_columns(sides: Sequence[BlockStream], unit_bytes: int):
-    """Per-side ``(keys, writes, cycles)`` drive columns and the shift
-    that maps a key to its metadata line index: the addresses
-    themselves for a power-of-two unit (with the columns' data
-    addresses, :func:`repro.utils.native.column_ptrs`), otherwise
-    precomputed line indices with shift 0."""
-    div = unit_bytes * ENTRIES_PER_LINE
-    if div & (div - 1) == 0:
-        columns = []
-        for side in sides:
-            ptrs = native.column_ptrs(side)
-            columns.append((side.addrs, side.writes, side.cycles) + (
-                () if ptrs is None else (ptrs[0], ptrs[2], ptrs[1])))
-        return columns, div.bit_length() - 1
-    return ([(side.addrs // np.uint64(div), side.writes, side.cycles)
-             for side in sides], 0)
+    """Per-side ``(addrs, writes, cycles)`` drive columns, with their
+    data addresses when a kernel can read them in place
+    (:func:`repro.utils.native.column_ptrs`), and the key shift that
+    maps a block address to its metadata line index: ``log2(unit_bytes
+    * 8)``, since every unit is a power of two (:class:`MetadataLayout`)."""
+    columns = []
+    for side in sides:
+        ptrs = native.column_ptrs(side)
+        columns.append((side.addrs, side.writes, side.cycles) + (
+            () if ptrs is None else (ptrs[0], ptrs[2], ptrs[1])))
+    return columns, (unit_bytes * ENTRIES_PER_LINE).bit_length() - 1
 
 
-def _check_line_bytes(line_bytes: int) -> int:
-    if LINE_BYTES % line_bytes:
-        raise ValueError(
-            f"cache line_bytes={line_bytes} must divide the {LINE_BYTES} B "
-            "metadata line stride")
-    return LINE_BYTES // line_bytes
-
-
-def _lru_lines(init) -> "OrderedDict[int, bool]":
-    """A private copy of a drive's initial LRU contents, from either
-    form :meth:`MetadataCache.drive_state` hands out (the live tag map,
-    or pending ``(tags, dirty)`` arrays), least recent first."""
-    if isinstance(init, tuple):
-        init = zip(init[0].tolist(), (init[1] != 0).tolist())
-    return OrderedDict(init)
+def _lru_lines(state) -> "OrderedDict[int, bool]":
+    """A private copy of a drive's initial ``(tags, dirty)`` state as a
+    tag -> dirty map, least recent first."""
+    tags, dirty = state
+    return OrderedDict(zip(tags.tolist(), (dirty != 0).tolist()))
 
 
 def _drive_output(events, stats, lines) -> native.DriveOutput:
@@ -202,7 +192,7 @@ def _merge_sides(sides) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def drive_scalar(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-                 key_shift: int, idx_mul: int, line_bytes: int,
+                 key_shift: int,
                  mac: Optional[Tuple] = None, vn: Optional[Tuple] = None,
                  carry: Optional[np.ndarray] = None,
                  ) -> Tuple[Optional[native.DriveOutput],
@@ -218,8 +208,8 @@ def drive_scalar(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     the runs then transcribes the kernel's ``drive_fused`` access for
     access: a MAC miss emits its fetch, then the dirty victim's
     writeback; a VN miss emits the writeback, then the fetch, then walks
-    the leaf's tree ancestors ``node_base[l] + (leaf // node_div[l]) *
-    ratio`` up to the first cached node. The initial states are copied,
+    the line's tree ancestors ``node_base[l] + line // node_div[l]`` up
+    to the first cached node. The initial states are copied,
     never mutated; the final states come back as arrays, exactly as the
     kernel returns them. ``carry`` continues and leaves an open line run
     as the kernel's does: a first run on the carried line only adds its
@@ -230,12 +220,12 @@ def drive_scalar(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
         native.as_int64(keys).view(np.uint64) >> np.uint64(key_shift),
         writes, cycles)
     runs = runs.view(np.int64)
-    idx = runs * idx_mul
-    lb = line_bytes
+    lb = LINE_BYTES
     mac_on, vn_on = mac is not None, vn is not None
-    mac_base, mac_cap, mac_init = mac if mac_on else (0, 0, {})
-    vn_base, vn_cap, leaf_base, leaf_div, vn_init, node_base, node_div, \
-        ratio = vn if vn_on else (0, 0, 0, 1, {}, [], [], 1)
+    empty = (np.empty(0, np.int64), np.empty(0, np.uint8))
+    mac_base, mac_cap, mac_init = mac if mac_on else (0, 0, empty)
+    vn_base, vn_cap, vn_init, node_base, node_div = \
+        vn if vn_on else (0, 0, empty, (), ())
     walk = list(zip(np.asarray(node_base, np.int64).tolist(),
                     np.asarray(node_div, np.int64).tolist()))
     m_lines, v_lines = _lru_lines(mac_init), _lru_lines(vn_init)
@@ -271,7 +261,7 @@ def drive_scalar(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     # machine; this loop serves hosts without the compiled kernel and is
     # pinned access-for-access to it and to the LruCache reference.
     # repro: allow(hot-path-hygiene)
-    for line, wr, cyc in zip(idx[first:].tolist(), writes[first:].tolist(),
+    for line, wr, cyc in zip(runs[first:].tolist(), writes[first:].tolist(),
                              cycles[first:].tolist()):
         t_vn = []
         if mac_on:
@@ -322,9 +312,8 @@ def drive_scalar(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
         v_addr(tag * lb)
         v_wr(0)
         # Walk ancestors until a cached node (or the root) vouches.
-        leaf = leaf_base + line // leaf_div
         for base, div in walk:
-            ntag = base + (leaf // div) * ratio
+            ntag = base + line // div
             t_vn.append(ntag)
             if ntag in v_lines:
                 v_hits += 1
@@ -356,16 +345,15 @@ def drive_scalar(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     )
 
 
-def _drive(sides: Sequence[BlockStream], unit_bytes: int, line_bytes: int,
-           mac=None, vn=None, carry: Optional[np.ndarray] = None):
+def _drive(sides: Sequence[BlockStream], unit_bytes: int, mac=None,
+           vn=None, carry: Optional[np.ndarray] = None):
     """One LRU drive over the metadata lines of a layer's merged block
     sides, continuing ``carry``'s open line run: the native kernel, or
     its scalar twin."""
     columns, shift = _drive_columns(sides, unit_bytes)
-    args = (columns, shift, _check_line_bytes(line_bytes), line_bytes)
-    out = native.fused_drive(*args, mac=mac, vn=vn, carry=carry)
+    out = native.fused_drive(columns, shift, mac=mac, vn=vn, carry=carry)
     if out is None:
-        out = drive_scalar(*args, mac=mac, vn=vn, carry=carry)
+        out = drive_scalar(columns, shift, mac=mac, vn=vn, carry=carry)
     return out
 
 
@@ -373,8 +361,8 @@ def _flush(cache: MetadataCache, cycle: int,
            out: CacheTrafficResult) -> None:
     """Write every dirty line back at ``cycle`` and empty the cache."""
     addrs = cache.flush()
-    out.extend_arrays(np.full(len(addrs), cycle, np.int64),
-                      np.array(addrs, np.int64), np.ones(len(addrs), bool))
+    out.extend_arrays(np.full(len(addrs), cycle, np.int64), addrs,
+                      np.ones(len(addrs), bool))
 
 
 def _apply_drive_output(cache: MetadataCache, out: CacheTrafficResult,
@@ -382,9 +370,9 @@ def _apply_drive_output(cache: MetadataCache, out: CacheTrafficResult,
     """Fold one drive into the traffic result and cache state."""
     out.extend_arrays(result.ev_cycles, result.ev_addrs, result.ev_writes,
                       misses=result.misses)
-    cache.note(result.hits, result.misses, result.evictions,
-               result.dirty_evictions)
-    cache.set_state_arrays(result.state_tags, result.state_dirty)
+    cache.stats.note(result.hits, result.misses, result.evictions,
+                     result.dirty_evictions)
+    cache.state = (result.state_tags, result.state_dirty)
 
 
 class MacTableModel:
@@ -394,17 +382,17 @@ class MacTableModel:
         self.layout = layout
         self.cache = cache
 
-    def _tag_base(self) -> int:
-        """MAC tag of line index 0 (tags advance by the line ratio)."""
-        return self.layout.mac_line_addr(0) // self.cache.line_bytes
+    def _mac_spec(self) -> Tuple:
+        """The drive's ``mac`` argument: line tags above the table's
+        base tag."""
+        return (self.layout.mac_line_addr(0) // LINE_BYTES,
+                self.cache.capacity_lines, self.cache.state)
 
     def process(self, sides: Sequence[BlockStream],
                 out: CacheTrafficResult,
                 carry: Optional[np.ndarray] = None) -> None:
-        result, _ = _drive(
-            sides, self.layout.unit_bytes, self.cache.line_bytes,
-            mac=(self._tag_base(), self.cache.capacity_lines,
-                 self.cache.drive_state()), carry=carry)
+        result, _ = _drive(sides, self.layout.unit_bytes,
+                           mac=self._mac_spec(), carry=carry)
         _apply_drive_output(self.cache, out, result)
 
     def flush(self, cycle: int, out: CacheTrafficResult) -> None:
@@ -424,33 +412,29 @@ class VnTreeModel:
     def __init__(self, layout: MetadataLayout, cache: MetadataCache):
         self.layout = layout
         self.cache = cache
-        lb = cache.line_bytes
         #: VN-line index = line tag - the table's base tag (the layout
         #: keeps VN lines contiguous from the table base).
-        self._vn_base_tag = layout.vn_line_addr(0) // lb
-        #: Per level, the node base tag and the leaf divisor, so the
-        #: walk computes node tags without re-deriving layout constants.
+        self._vn_base_tag = layout.vn_line_addr(0) // LINE_BYTES
+        #: Per level, the node base tag and the line divisor, as the
+        #: drive reads them (contiguous int64, built once).
         levels = range(1, layout.tree_levels + 1)
         self._node_base = np.array(
-            [layout.tree_node_addr(0, level) // lb for level in levels],
-            np.int64)
+            [layout.tree_node_addr(0, level) // LINE_BYTES
+             for level in levels], np.int64)
         self._node_div = np.array([TREE_ARITY ** level for level in levels],
                                   np.int64)
 
     def _vn_spec(self) -> Tuple:
-        """The drive's ``vn`` argument: lines are tags above the VN base,
-        ``ratio`` tags per 64 B metadata line, so leaf = line // ratio."""
-        ratio = LINE_BYTES // self.cache.line_bytes
-        return (self._vn_base_tag, self.cache.capacity_lines, 0, ratio,
-                self.cache.drive_state(), self._node_base, self._node_div,
-                ratio)
+        """The drive's ``vn`` argument: line tags above the VN base, and
+        the tree's node tags per level."""
+        return (self._vn_base_tag, self.cache.capacity_lines,
+                self.cache.state, self._node_base, self._node_div)
 
     def process(self, sides: Sequence[BlockStream],
                 out: CacheTrafficResult,
                 carry: Optional[np.ndarray] = None) -> None:
         _, result = _drive(sides, self.layout.unit_bytes,
-                           self.cache.line_bytes, vn=self._vn_spec(),
-                           carry=carry)
+                           vn=self._vn_spec(), carry=carry)
         _apply_drive_output(self.cache, out, result)
 
     def flush(self, cycle: int, out: CacheTrafficResult) -> None:
@@ -461,33 +445,22 @@ def process_mac_vn(mac_model: MacTableModel, vn_model: VnTreeModel,
                    sides: Sequence[BlockStream],
                    mac_out: CacheTrafficResult,
                    vn_out: CacheTrafficResult,
-                   carries: Optional[Tuple[np.ndarray, np.ndarray]] = None
-                   ) -> None:
+                   carry: Optional[np.ndarray] = None) -> None:
     """Drive the MAC table and VN tree over a layer's merged block
-    ``sides`` in one pass.
+    ``sides`` in one pass, continuing ``carry``
+    (:func:`repro.utils.native.new_carry`).
 
     Both tables index by the same protection-unit line, so their run
     boundaries coincide; one walk of the stream feeds both LRU models.
     The two caches are independent, so per-model event order and cache
     behaviour are identical to calling ``mac_model.process`` then
-    ``vn_model.process``. ``carries`` holds two drive carries
-    (:func:`repro.utils.native.new_carry`): the fused drive continues
-    the first, separate drives one each.
+    ``vn_model.process``.
     """
-    mac_carry, vn_carry = carries if carries is not None else (None, None)
-    mac_cache, vn_cache = mac_model.cache, vn_model.cache
-    if (mac_cache.line_bytes != LINE_BYTES
-            or vn_cache.line_bytes != LINE_BYTES):
-        mac_model.process(sides, mac_out, mac_carry)
-        vn_model.process(sides, vn_out, vn_carry)
-        return
     mac_result, vn_result = _drive(
-        sides, mac_model.layout.unit_bytes, LINE_BYTES,
-        mac=(mac_model._tag_base(), mac_cache.capacity_lines,
-             mac_cache.drive_state()),
-        vn=vn_model._vn_spec(), carry=mac_carry)
-    _apply_drive_output(mac_cache, mac_out, mac_result)
-    _apply_drive_output(vn_cache, vn_out, vn_result)
+        sides, mac_model.layout.unit_bytes, mac=mac_model._mac_spec(),
+        vn=vn_model._vn_spec(), carry=carry)
+    _apply_drive_output(mac_model.cache, mac_out, mac_result)
+    _apply_drive_output(vn_model.cache, vn_out, vn_result)
 
 
 #: Images a batched layer actually pushes through the stateful cache
@@ -641,10 +614,10 @@ class _LayerDrive:
     line run, the image it belongs to, and image 1's traffic increment
     per output (its parts, then the joined columns) with its misses."""
 
-    __slots__ = ("carries", "segment", "parts", "increment", "misses")
+    __slots__ = ("carry", "segment", "parts", "increment", "misses")
 
     def __init__(self, outs: int):
-        self.carries = (native.new_carry(), native.new_carry())
+        self.carry = native.new_carry()
         self.segment = 0
         self.parts: List[List[Tuple[np.ndarray, ...]]] = \
             [[] for _ in range(outs)]
@@ -657,8 +630,8 @@ def drive_window(drive, key: object, window: TraceWindow,
                  outs: Sequence[CacheTrafficResult]) -> None:
     """One window's image-periodic cache traffic.
 
-    ``drive(sides, carries)`` must push the block ``sides`` through the
-    live cache models, continuing the two drive ``carries`` (see
+    ``drive(sides, carry)`` must push the block ``sides`` through the
+    live cache models in one drive, continuing its ``carry`` (see
     :func:`process_mac_vn`) and appending traffic to every result in
     ``outs``. ``key`` names the drive site; its state lives in the
     window's per-layer ``state`` from window to window, so a layer's
@@ -696,9 +669,9 @@ def drive_window(drive, key: object, window: TraceWindow,
         if window.segment != state.segment:
             # A line run never continues into the next image.
             state.segment = window.segment
-            state.carries = (native.new_carry(), native.new_carry())
+            state.carry = native.new_carry()
         marks = [(len(out), out.misses) for out in outs]
-        drive(sides, state.carries)
+        drive(sides, state.carry)
         if batch > _SIMULATED_IMAGES and window.segment == 1:
             for j, (out, (mark, misses)) in enumerate(zip(outs, marks)):
                 state.parts[j].append(out.rows_since(mark))
@@ -774,7 +747,7 @@ class SharedTrafficModel:
         if got is None:
             got = CacheTrafficResult()
             drive_window(
-                lambda sub, carries: self.inner.process(sub, got, carries[0]),
+                lambda sub, carry: self.inner.process(sub, got, carry),
                 self, window, sides, (got,))
             self.store(window, got)
         else:

@@ -93,15 +93,15 @@ class SgxScheme(ProtectionScheme):
             # simulation, the steady increment repeated for the rest.
             mac_out = CacheTrafficResult()
             drive_window(
-                lambda sub, carries: process_mac_vn(
+                lambda sub, carry: process_mac_vn(
                     self._mac_model.inner, self._vn_model, sub, mac_out,
-                    vn_out, carries),
+                    vn_out, carry),
                 (self, "mac+vn"), window, sides, (mac_out, vn_out))
             self._mac_model.store(window, mac_out)
         else:
             drive_window(
-                lambda sub, carries: self._vn_model.process(sub, vn_out,
-                                                            carries[0]),
+                lambda sub, carry: self._vn_model.process(sub, vn_out,
+                                                          carry),
                 (self, "vn"), window, sides, (vn_out,))
 
         self._note_sides(sides, layer_id)

@@ -139,10 +139,12 @@ static void lru_push_mru(Cache *c, i64 s) {
     c->tail = s;
 }
 
+/* Metadata lines are 64 B: a tag is its line's address / LINE_BYTES. */
+#define LINE_BYTES 64
+
 /* Access; returns 1 on hit.  On a dirty eviction *wb_addr is set to the
- * victim line address (tag * line_bytes); caller pre-sets it to -1. */
-static int cache_access(Cache *c, i64 t, int write, i64 line_bytes,
-                        i64 *wb_addr) {
+ * victim line address (tag * LINE_BYTES); caller pre-sets it to -1. */
+static int cache_access(Cache *c, i64 t, int write, i64 *wb_addr) {
     i64 h = ht_find(c, t);
     if (h >= 0) {
         i64 s = c->table[h];
@@ -158,7 +160,7 @@ static int cache_access(Cache *c, i64 t, int write, i64 line_bytes,
         c->evictions++;
         if (c->dirty[v]) {
             c->dirty_evictions++;
-            *wb_addr = c->tag[v] * line_bytes;
+            *wb_addr = c->tag[v] * LINE_BYTES;
         }
         lru_unlink(c, v);
         ht_delete(c, (u64)c->pos[v]);
@@ -174,11 +176,10 @@ static int cache_access(Cache *c, i64 t, int write, i64 line_bytes,
     return 0;
 }
 
-static void cache_load(Cache *c, const i64 *tags, const u8 *dirty, i64 m,
-                       i64 line_bytes) {
+static void cache_load(Cache *c, const i64 *tags, const u8 *dirty, i64 m) {
     i64 wb = -1;
     for (i64 i = 0; i < m; i++)
-        cache_access(c, tags[i], dirty[i] != 0, line_bytes, &wb);
+        cache_access(c, tags[i], dirty[i] != 0, &wb);
     /* state reconstruction is not traffic */
     c->hits = c->misses = c->evictions = c->dirty_evictions = 0;
 }
@@ -218,8 +219,7 @@ typedef struct {
     Cache mac, vn;
     int use_mac, use_vn;
     Events mev, vev;
-    i64 line_bytes, mac_base, vn_base, leaf_base, leaf_div;
-    i64 n_levels, node_ratio;
+    i64 mac_base, vn_base, n_levels;
     const i64 *node_base, *node_div;
     i64 t_mac, t_nvn, t_vn[DRIVE_MAX_LEVELS + 1];
 } Drive;
@@ -229,25 +229,23 @@ typedef struct {
  * when an event buffer overflowed. */
 static int drive_access(Drive *d, i64 line, int wr, i64 cyc)
 {
-    i64 lb = d->line_bytes;
     i64 wb = -1;
     d->t_mac = d->use_mac ? d->mac_base + line : -1;
     d->t_nvn = 0;
     if (d->use_mac
-            && !cache_access(&d->mac, d->mac_base + line, wr, lb, &wb)
-            && (emit(&d->mev, cyc, (d->mac_base + line) * lb, 0) < 0
+            && !cache_access(&d->mac, d->mac_base + line, wr, &wb)
+            && (emit(&d->mev, cyc, (d->mac_base + line) * LINE_BYTES, 0) < 0
                 || (wb >= 0 && emit(&d->mev, cyc, wb, 1) < 0)))
         return 1;
     for (i64 l = d->use_vn ? -1 : d->n_levels; l < d->n_levels; l++) {
-        i64 tag = l < 0 ? d->vn_base + line : d->node_base[l]
-            + ((d->leaf_base + line / d->leaf_div) / d->node_div[l])
-            * d->node_ratio;
+        i64 tag = l < 0 ? d->vn_base + line
+            : d->node_base[l] + line / d->node_div[l];
         wb = -1;
         d->t_vn[d->t_nvn++] = tag;
-        if (cache_access(&d->vn, tag, wr, lb, &wb))
+        if (cache_access(&d->vn, tag, wr, &wb))
             break;
         if ((wb >= 0 && emit(&d->vev, cyc, wb, 1) < 0)
-                || emit(&d->vev, cyc, tag * lb, 0) < 0)
+                || emit(&d->vev, cyc, tag * LINE_BYTES, 0) < 0)
             return 1;
     }
     return 0;
@@ -291,12 +289,12 @@ static int drive_mark_dirty(Drive *d)
  * key >> key_shift (logical) form one access, with their write flags
  * OR'd and the first block's cycle.
  *
- * The access's metadata line is line = (key >> key_shift) * idx_mul;
- * MAC tag = mac_base + line, VN tag = vn_base + line.  A non-positive
- * mac_cap/vn_cap disables that cache (callers bias tag bases so the
- * single-cache drives reuse this entry point).  The VN walk visits
- * levels 1..n_levels for leaf = leaf_base + line / leaf_div, with node
- * tag ``node_base[l-1] + (leaf / node_div[l-1]) * node_ratio``.
+ * The access's metadata line index is line = key >> key_shift; every
+ * tag is a 64 B line (LINE_BYTES): MAC tag = mac_base + line, VN tag =
+ * vn_base + line.  A non-positive mac_cap/vn_cap disables that cache
+ * (the single-cache drives reuse this entry point).  The VN walk visits
+ * levels 1..n_levels of the line's tree, with node tag
+ * ``node_base[l-1] + line / node_div[l-1]``.
  *
  * carry (NULL: none) continues a line run across calls, so a layer
  * served in cycle windows is driven exactly as in one call.  On entry
@@ -320,12 +318,12 @@ static int drive_mark_dirty(Drive *d)
 int drive_fused(
     const i64 *keys_a, const u8 *writes_a, const i64 *cycles_a, i64 na,
     const i64 *keys_b, const u8 *writes_b, const i64 *cycles_b, i64 nb,
-    i64 key_shift, i64 idx_mul, i64 line_bytes,
+    i64 key_shift,
     i64 mac_base, i64 mac_cap,
     const i64 *mac_init_tags, const u8 *mac_init_dirty, i64 mac_init_len,
-    i64 vn_base, i64 vn_cap, i64 leaf_base, i64 leaf_div,
+    i64 vn_base, i64 vn_cap,
     const i64 *vn_init_tags, const u8 *vn_init_dirty, i64 vn_init_len,
-    i64 n_levels, const i64 *node_base, const i64 *node_div, i64 node_ratio,
+    i64 n_levels, const i64 *node_base, const i64 *node_div,
     i64 *mac_ev_cyc, i64 *mac_ev_addr, u8 *mac_ev_wr, i64 mac_ev_cap,
     i64 *mac_ev_n,
     i64 *vn_ev_cyc, i64 *vn_ev_addr, u8 *vn_ev_wr, i64 vn_ev_cap,
@@ -338,9 +336,7 @@ int drive_fused(
         .use_mac = mac_cap > 0, .use_vn = vn_cap > 0,
         .mev = {mac_ev_cyc, mac_ev_addr, mac_ev_wr, 0, mac_ev_cap},
         .vev = {vn_ev_cyc, vn_ev_addr, vn_ev_wr, 0, vn_ev_cap},
-        .line_bytes = line_bytes, .mac_base = mac_base, .vn_base = vn_base,
-        .leaf_base = leaf_base, .leaf_div = leaf_div,
-        .n_levels = n_levels, .node_ratio = node_ratio,
+        .mac_base = mac_base, .vn_base = vn_base, .n_levels = n_levels,
         .node_base = node_base, .node_div = node_div,
     };
     const i64 *keys[2] = {keys_a, keys_b};
@@ -373,8 +369,7 @@ int drive_fused(
     if (d.use_mac) {
         if (cache_init(&d.mac, mac_cap, mac_init_len + total) < 0)
             return -1;
-        cache_load(&d.mac, mac_init_tags, mac_init_dirty, mac_init_len,
-                   line_bytes);
+        cache_load(&d.mac, mac_init_tags, mac_init_dirty, mac_init_len);
     }
     if (d.use_vn) {
         if (cache_init(&d.vn, vn_cap,
@@ -382,8 +377,7 @@ int drive_fused(
             if (d.use_mac) cache_free(&d.mac);
             return -1;
         }
-        cache_load(&d.vn, vn_init_tags, vn_init_dirty, vn_init_len,
-                   line_bytes);
+        cache_load(&d.vn, vn_init_tags, vn_init_dirty, vn_init_len);
     }
 
     while (rc < 2 && (pos[0] < len[0] || pos[1] < len[1])) {
@@ -419,8 +413,7 @@ int drive_fused(
                 continue;
             }
             if (open && !done && rc == 0)
-                rc = drive_access(&d, (i64)run_key * idx_mul, run_wr,
-                                  run_cyc);
+                rc = drive_access(&d, (i64)run_key, run_wr, run_cyc);
             run_key = k;
             run_wr = wr[i] != 0;
             run_cyc = c;
@@ -432,7 +425,7 @@ int drive_fused(
         last[s] = prev;
     }
     if (open && !done && rc == 0)
-        rc = drive_access(&d, (i64)run_key * idx_mul, run_wr, run_cyc);
+        rc = drive_access(&d, (i64)run_key, run_wr, run_cyc);
     if (carry && rc == 0) {
         carry[CARRY_OPEN] = open;
         carry[CARRY_KEY] = (i64)run_key;

@@ -48,7 +48,7 @@ class CacheStats:
     def note(self, hits: int, misses: int, evictions: int,
              dirty_evictions: int) -> None:
         """Record a batch of accesses performed by an external driver
-        (see :meth:`LruCache.raw_lines`)."""
+        (the metadata caches' LRU drives)."""
         self.hits += hits
         self.misses += misses
         self.evictions += evictions
@@ -69,7 +69,7 @@ class LruCache:
     Parameters
     ----------
     capacity_lines:
-        Number of cache lines. ``capacity_bytes // line_bytes`` for a real
+        Number of cache lines. ``capacity_bytes // 64`` for a metadata
         cache; must be positive.
     """
 
@@ -114,13 +114,9 @@ class LruCache:
 
     @property
     def raw_lines(self) -> "OrderedDict[Hashable, bool]":
-        """The tag -> dirty map, in LRU order (least recent first).
-
-        Exposed for batch drivers that inline the access loop (the
-        protection metadata models); such drivers must keep the same
-        move-to-end / popitem discipline as :meth:`access` and report
-        their counters through :meth:`CacheStats.note`.
-        """
+        """The tag -> dirty map, in LRU order (least recent first): the
+        order of a metadata drive's ``(tags, dirty)`` state, which
+        the drive-tier tests compare against."""
         return self._lines
 
     def probe(self, tag: Hashable) -> bool:

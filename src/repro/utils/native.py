@@ -229,10 +229,10 @@ def _load():
         lib.drive_fused.argtypes = [
             _ptr, _ptr, _ptr, _i64,                         # data side
             _ptr, _ptr, _ptr, _i64,                         # over-fetch side
-            _i64, _i64, _i64,                               # shift/mul/line
+            _i64,                                           # key shift
             _i64, _i64, _ptr, _ptr, _i64,                   # mac side
-            _i64, _i64, _i64, _i64, _ptr, _ptr, _i64,       # vn side
-            _i64, _ptr, _ptr, _i64,                         # walk spec
+            _i64, _i64, _ptr, _ptr, _i64,                   # vn side
+            _i64, _ptr, _ptr,                               # walk spec
             _ptr, _ptr, _ptr, _i64, _ptr,                   # mac events
             _ptr, _ptr, _ptr, _i64, _ptr,                   # vn events
             _ptr, _ptr,                                     # stats, carry
@@ -271,23 +271,6 @@ def address(arr: np.ndarray) -> int:
 
 _EMPTY64 = np.empty(0, np.int64)
 _EMPTY8 = np.empty(0, np.uint8)
-
-
-def _as_state(items) -> Tuple[np.ndarray, np.ndarray]:
-    """(tags, dirty) arrays from a tag map, pair list, or array pair."""
-    if isinstance(items, tuple) and len(items) == 2 \
-            and isinstance(items[0], np.ndarray):
-        return (np.ascontiguousarray(items[0], dtype=np.int64),
-                np.ascontiguousarray(items[1], dtype=np.uint8))
-    n = len(items)
-    if not n:
-        return _EMPTY64, _EMPTY8
-    if hasattr(items, "keys"):
-        return (np.fromiter(items.keys(), np.int64, n),
-                np.fromiter(items.values(), np.uint8, n))
-    tags, dirty = zip(*items)
-    return (np.asarray(tags, dtype=np.int64),
-            np.asarray(dirty, dtype=np.uint8))
 
 
 _EMPTY64_ADDR = address(_EMPTY64)
@@ -372,10 +355,10 @@ class CarryError(RuntimeError):
 
 
 def fused_drive(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-                key_shift: int, idx_mul: int, line_bytes: int,
-                mac: Optional[Tuple[int, int, Sequence]] = None,
-                vn: Optional[Tuple[int, int, int, int, Sequence,
-                                   Sequence, Sequence, int]] = None,
+                key_shift: int,
+                mac: Optional[Tuple[int, int, Tuple]] = None,
+                vn: Optional[Tuple[int, int, Tuple, np.ndarray,
+                                   np.ndarray]] = None,
                 carry: Optional[np.ndarray] = None,
                 ) -> Optional[Tuple[Optional[DriveOutput],
                                     Optional[DriveOutput]]]:
@@ -387,15 +370,17 @@ def fused_drive(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     optionally followed by the three columns' data addresses;
     the kernel walks their merge keyed ``(cycle, side)``, so the first
     side wins equal cycles.  ``keys`` are per-block keys (a stream's
-    addresses, or precomputed line indices with ``key_shift`` 0):
-    consecutive blocks of the merge with equal ``key >> key_shift``
-    (logical) are one access, also across the side boundary; its write
-    flag is the OR of theirs and its cycle is its first block's. The
-    access's metadata line index is ``(key >> key_shift) * idx_mul``.
-    ``mac`` is ``(tag_base, capacity_lines, init_state)``; ``vn`` is
-    ``(tag_base, capacity_lines, leaf_base, leaf_div, init_state,
-    node_base_tags, node_divs, node_ratio)`` where ``init_state`` is an
-    iterable of ``(tag, dirty)`` in LRU order.  ``carry``
+    addresses): consecutive blocks of the merge with equal ``key >>
+    key_shift`` (logical) are one access, also across the side
+    boundary; its write flag is the OR of theirs and its cycle is its
+    first block's. The access's metadata line index is ``key >>
+    key_shift``, and every tag is one 64 B line.  ``mac`` is
+    ``(tag_base, capacity_lines, state)``; ``vn`` is ``(tag_base,
+    capacity_lines, state, node_base_tags, node_divs)``, the node
+    arrays contiguous int64, where a line's level-``l`` tree node is
+    ``node_base_tags[l - 1] + line // node_divs[l - 1]``.  A ``state``
+    is a cache's contents as a drive returns them: ``(tags, dirty)``
+    contiguous int64 and uint8 arrays in LRU order.  ``carry``
     (:func:`new_carry`), updated in place, continues the line run the
     previous call left open: its access was made there, at its first
     block's cycle, so blocks on its line only add their writes (a
@@ -438,23 +423,17 @@ def fused_drive(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     mac_base = mac_cap = mac_len = 0
     mac_init_ptrs = (_EMPTY64_ADDR, _EMPTY8_ADDR)
     if mac is not None:
-        mac_base, mac_cap, mac_init = mac
-        mac_it, mac_id = _as_state(mac_init)
-        mac_len = len(mac_it)
+        mac_base, mac_cap, (mac_tags, mac_dirty) = mac
+        mac_len = len(mac_tags)
         if mac_len:
-            mac_init_ptrs = (address(mac_it), address(mac_id))
-    vn_base = vn_cap = leaf_base = vn_len = levels = 0
-    leaf_div = ratio = 1
+            mac_init_ptrs = (address(mac_tags), address(mac_dirty))
+    vn_base = vn_cap = vn_len = levels = 0
     vn_init_ptrs = node_ptrs = (_EMPTY64_ADDR, _EMPTY64_ADDR)
     if vn is not None:
-        vn_base, vn_cap, leaf_base, leaf_div, vn_init, node_base, \
-            node_div, ratio = vn
-        vn_it, vn_id = _as_state(vn_init)
-        vn_len = len(vn_it)
+        vn_base, vn_cap, (vn_tags, vn_dirty), node_base, node_div = vn
+        vn_len = len(vn_tags)
         if vn_len:
-            vn_init_ptrs = (address(vn_it), address(vn_id))
-        node_base = np.ascontiguousarray(node_base, dtype=np.int64)
-        node_div = np.ascontiguousarray(node_div, dtype=np.int64)
+            vn_init_ptrs = (address(vn_tags), address(vn_dirty))
         levels = len(node_base)
         if levels:
             node_ptrs = (address(node_base), address(node_div))
@@ -466,9 +445,8 @@ def fused_drive(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     # Runs never outnumber blocks and emit at most two MAC events each;
     # a VN overflow retries sized by the kernel's run count.
     mac_ev_cap = vn_ev_cap = 2 * n + 16
-    mac_state_cap = max(1, min(mac_cap, mac_len + n)) if mac else 1
-    vn_state_cap = max(1, min(vn_cap, vn_len + n * (levels + 1))) \
-        if vn else 1
+    mac_state_cap = max(1, min(mac_cap, mac_len + n))
+    vn_state_cap = max(1, min(vn_cap, vn_len + n * (levels + 1)))
 
     while True:
         m_cyc, m_cyc_p = _scratch("mc", mac_ev_cap, np.int64)
@@ -487,11 +465,10 @@ def fused_drive(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
             side_ptrs
         rc = lib.drive_fused(
             keys_a, wr_a, cyc_a, len_a, keys_b, wr_b, cyc_b, len_b,
-            key_shift, idx_mul, line_bytes,
-            mac_base, mac_cap if mac else 0, *mac_init_ptrs, mac_len,
-            vn_base, vn_cap if vn else 0, leaf_base, leaf_div,
-            *vn_init_ptrs, vn_len,
-            levels, *node_ptrs, ratio,
+            key_shift,
+            mac_base, mac_cap, *mac_init_ptrs, mac_len,
+            vn_base, vn_cap, *vn_init_ptrs, vn_len,
+            levels, *node_ptrs,
             m_cyc_p, m_addr_p, m_wr_p, mac_ev_cap, ip + 9 * 8,
             v_cyc_p, v_addr_p, v_wr_p, vn_ev_cap, ip + 10 * 8,
             ip, carry_ptr,

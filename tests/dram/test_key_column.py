@@ -202,41 +202,50 @@ class TestPackedWalk:
         assert calls == [1, 0, 1, 1]
 
 
+def _keyed_cell(monkeypatch, scheme_names):
+    """Run server resnet18 in windows of 2^12 blocks (which cut most
+    layers several times) under ``scheme_names``; return the address
+    arrays the key kernel decomposed, the cell's windows, the DRAM
+    entries served and the obs counters."""
+    monkeypatch.setattr(trace_module, "WINDOW_BLOCKS", 1 << 12)
+    keyed = []
+    real_keys = native.dram_keys
+
+    def spy_keys(addrs, cycles, shifts):
+        keyed.append(addrs)
+        return real_keys(addrs, cycles, shifts)
+
+    windows, entries = [], []
+    real_run = Pipeline.run
+    real_serve = DramSim.simulate_fast_batch_parts
+
+    def spy_run(self, topology, scheme, model_run=None, collect=None,
+                layers=None, window=None):
+        if window is not None and not any(w is window for w in windows):
+            windows.append(window)
+        return real_run(self, topology, scheme, model_run, collect,
+                        layers, window)
+
+    def spy_serve(self, part_lists, states=None):
+        entries.extend(part_lists)
+        return real_serve(self, part_lists, states)
+
+    monkeypatch.setattr(native, "dram_keys", spy_keys)
+    monkeypatch.setattr(pipeline_module.Pipeline, "run", spy_run)
+    monkeypatch.setattr(DramSim, "simulate_fast_batch_parts", spy_serve)
+    pipe = Pipeline(npu_config("server"))
+    _, counters = _counted(compare_schemes, pipe,
+                           get_workload("resnet18"), scheme_names)
+    return keyed, windows, entries, counters
+
+
 class TestOneDecompositionPerWindow:
     def test_server_resnet18_keys_each_data_window_once(self, monkeypatch):
         """Over a whole cell, the key kernel runs once per window's data
         blocks however many schemes walk them, while ``dram_walk``
-        still runs once per (window, scheme) entry. Windows of 2^12
-        blocks cut most layers several times."""
-        monkeypatch.setattr(trace_module, "WINDOW_BLOCKS", 1 << 12)
-        keyed = []
-        real_keys = native.dram_keys
-
-        def spy_keys(addrs, cycles, shifts):
-            keyed.append(addrs)
-            return real_keys(addrs, cycles, shifts)
-
-        windows, entries = [], []
-        real_run = Pipeline.run
-        real_serve = DramSim.simulate_fast_batch_parts
-
-        def spy_run(self, topology, scheme, model_run=None, collect=None,
-                    layers=None, window=None):
-            if window is not None and not any(w is window for w in windows):
-                windows.append(window)
-            return real_run(self, topology, scheme, model_run, collect,
-                            layers, window)
-
-        def spy_serve(self, part_lists, states=None):
-            entries.extend(part_lists)
-            return real_serve(self, part_lists, states)
-
-        monkeypatch.setattr(native, "dram_keys", spy_keys)
-        monkeypatch.setattr(pipeline_module.Pipeline, "run", spy_run)
-        monkeypatch.setattr(DramSim, "simulate_fast_batch_parts", spy_serve)
-        pipe = Pipeline(npu_config("server"))
-        _, counters = _counted(compare_schemes, pipe,
-                               get_workload("resnet18"), SCHEME_NAMES)
+        still runs once per (window, scheme) entry."""
+        keyed, windows, entries, counters = _keyed_cell(monkeypatch,
+                                                        SCHEME_NAMES)
         data = [w.blocks.addrs for w in windows if len(w.blocks)]
         assert len(data) > 2 * len(get_workload("resnet18").layers)
         keyed_data = [a for a in keyed if any(a is d for d in data)]
@@ -245,3 +254,14 @@ class TestOneDecompositionPerWindow:
         assert counters["native.dram_keys.kernel"] == len(keyed)
         assert counters["native.dram_walk.kernel"] == len(entries)
         assert len(entries) >= len(windows) * (len(SCHEME_NAMES) + 1)
+
+    def test_seda_cell_keys_only_its_data_windows(self, monkeypatch):
+        """SeDA's layer-MAC side is metadata, walked by address: a SeDA
+        cell keys its data windows and nothing else."""
+        keyed, windows, entries, counters = _keyed_cell(monkeypatch,
+                                                        ["seda"])
+        data = [w.blocks.addrs for w in windows if len(w.blocks)]
+        assert len(keyed) == len(data)
+        assert all(any(a is d for d in data) for a in keyed)
+        assert counters["native.dram_keys.kernel"] == len(data)
+        assert counters["native.dram_walk.kernel"] == len(entries)

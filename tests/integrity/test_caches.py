@@ -1,12 +1,16 @@
-"""Metadata cache wrapper (VN cache / MAC cache)."""
+"""Metadata caches (VN cache / MAC cache): configuration, array state,
+and 64 B line addressing on the ``LruCache`` reference."""
 
+import numpy as np
 import pytest
 
 from repro.integrity.caches import (
+    LINE_BYTES,
     MAC_CACHE_BYTES,
     MetadataCache,
     VN_CACHE_BYTES,
 )
+from repro.utils.lru import LruCache
 
 
 class TestConfiguration:
@@ -23,41 +27,75 @@ class TestConfiguration:
             MetadataCache(32)
 
     def test_bad_line_size(self):
-        with pytest.raises(ValueError):
-            MetadataCache(1024, line_bytes=0)
+        """Lines are 64 B: the line size is not an option."""
+        assert MetadataCache(1024).capacity_lines == 1024 // LINE_BYTES
+        with pytest.raises(TypeError):
+            MetadataCache(1024, line_bytes=32)
+
+
+def _filled(tags, dirty):
+    cache = MetadataCache(1024)
+    cache.state = (np.array(tags, np.int64), np.array(dirty, np.uint8))
+    return cache
+
+
+class TestArrayState:
+    def test_flush_counts_and_empties(self):
+        """``flush`` counts teardown apart from evictions and leaves the
+        empty state a new cache starts from."""
+        cache = _filled([5, 3, 9, 1], [1, 0, 1, 0])
+        cache.flush()
+        assert cache.stats.flushed_lines == 4
+        assert cache.stats.flush_writebacks == 2
+        assert (cache.stats.evictions, cache.stats.dirty_evictions) == (0, 0)
+        for state in (cache.state, MetadataCache(1024).state):
+            assert [(len(col), col.dtype) for col in state] == \
+                [(0, np.int64), (0, np.uint8)]
+        assert len(cache.flush()) == 0
+        assert cache.stats.flushed_lines == 4
 
 
 class TestLineAddressing:
+    """A line address maps to tag ``address // 64``: the addressing the
+    drives use, on the ``LruCache`` reference."""
+
     def test_same_line_hits(self):
-        cache = MetadataCache(1024)
-        cache.access(0)
-        hit, _ = cache.access(63)   # same 64 B line
+        cache = LruCache(1024 // LINE_BYTES)
+        cache.access(0 // LINE_BYTES)
+        hit, _ = cache.access(63 // LINE_BYTES)   # same 64 B line
         assert hit
 
     def test_different_line_misses(self):
-        cache = MetadataCache(1024)
-        cache.access(0)
-        hit, _ = cache.access(64)
+        cache = LruCache(1024 // LINE_BYTES)
+        cache.access(0 // LINE_BYTES)
+        hit, _ = cache.access(64 // LINE_BYTES)
         assert not hit
 
     def test_writeback_is_address(self):
-        cache = MetadataCache(64)  # one line
-        cache.access(0, write=True)
-        _, writeback = cache.access(64)
-        assert writeback == 0
+        cache = LruCache(1)  # one line
+        cache.access(0 // LINE_BYTES, write=True)
+        _, writeback = cache.access(64 // LINE_BYTES)
+        assert writeback * LINE_BYTES == 0
 
     def test_flush_addresses(self):
-        cache = MetadataCache(256)
-        cache.access(0, write=True)
-        cache.access(128, write=True)
-        cache.access(64, write=False)
-        assert sorted(cache.flush()) == [0, 128]
+        """``flush`` returns the dirty lines' addresses least recent
+        first, the order ``LruCache.flush`` returns their tags in."""
+        ref = LruCache(4)
+        for addr, write in ((320, True), (64, False), (128, True),
+                            (0, True), (64, True), (192, False)):
+            ref.access(addr // LINE_BYTES, write=write)
+        lines = list(ref.raw_lines.items())
+        cache = _filled([tag for tag, _ in lines],
+                        [dirty for _, dirty in lines])
+        want = [tag * LINE_BYTES for tag in ref.flush()]
+        assert want == [128, 0, 64]
+        assert cache.flush().tolist() == want
 
     def test_streaming_miss_rate(self):
         """A pure streaming pattern misses once per line."""
-        cache = MetadataCache(8 << 10)
+        cache = LruCache((8 << 10) // LINE_BYTES)
         for addr in range(0, 64 * 4096, 8):
-            cache.access(addr)
+            cache.access(addr // LINE_BYTES)
         stats = cache.stats
         assert stats.misses == 4096
         assert stats.hit_rate == pytest.approx(7 / 8)

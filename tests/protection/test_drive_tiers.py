@@ -10,23 +10,21 @@ agree are one access, also across the side boundary, with their write
 flags OR'd and the first block's cycle.  The reference merges the
 sides with a stable sort, compresses blocks to runs with its own
 ``itertools.groupby`` loop, then drives :meth:`LruCache.access` (and,
-at the model level, :meth:`MetadataCache.access` over layout
-addresses).  Each available tier must match it event for event: the
+at the model level, ``LruCache`` over layout addresses, tag = address
+// 64).  Each available tier must match it event for event: the
 same miss/writeback stream in the same order, the same statistics and
 the same final contents.  Inputs: randomized and adversarial block
 streams at key shifts 0, 6, 9 and 12 (adjacent duplicate keys, writes
-inside and at the end of runs, equal cycles across runs), precomputed
-keys of a 192 B unit, warm starts from either state form, MAC-only,
-VN-only and fused calls, flushes mid-stream, 32 B cache lines
-(``idx_mul=2``), a VN walk that overflows the kernel's first event
-buffer, and a line run cut by an image boundary.  Two-side inputs: an
-over-fetch block tying a data block's cycle, a line run spanning both
-sides, an empty side of either kind, a descending side, and both sides
-cut at the same image bounds.
+inside and at the end of runs, equal cycles across runs) over trees
+of zero to two levels, warm starts from a drive's ``(tags, dirty)``
+state, MAC-only, VN-only and fused calls, flushes mid-stream, a VN walk
+that overflows the kernel's first event buffer, and a line run cut by
+an image boundary.  Two-side inputs: an over-fetch block tying a data
+block's cycle, a line run spanning both sides, an empty side of either
+kind, a descending side, and both sides cut at the same image bounds.
 """
 
 import itertools
-from collections import OrderedDict
 from types import SimpleNamespace
 
 import numpy as np
@@ -61,6 +59,7 @@ from tests.streams import (
 #: levels sit in disjoint tag ranges above them.
 VN_WALK = (np.array([10_000, 20_000], np.int64), np.array([8, 64], np.int64))
 MAC_BASE, VN_BASE = 0, 0
+LINE = 64
 
 
 def _kernel_drive(*args, **kwargs):
@@ -90,12 +89,15 @@ def tier(request, monkeypatch):
     return request.param
 
 
-def _state(pairs, form):
-    """Initial contents in one of the forms ``drive_state()`` hands out."""
-    if form == "dict":
-        return OrderedDict(pairs)
+def _state(pairs):
+    """Initial contents as a drive takes them: ``(tags, dirty)``."""
     return (np.array([t for t, _ in pairs], np.int64),
             np.array([d for _, d in pairs], np.uint8))
+
+
+def _walk(levels):
+    """The first ``levels`` levels of :data:`VN_WALK`."""
+    return tuple(column[:levels] for column in VN_WALK)
 
 
 def reference_runs(keys, writes, cycles, key_shift=0):
@@ -124,8 +126,7 @@ def reference_merge(sides):
             [c for _, _, c in blocks])
 
 
-def reference_drive(sides, key_shift, idx_mul, line_bytes, mac=None,
-                    vn=None):
+def reference_drive(sides, key_shift, mac=None, vn=None):
     """``fused_drive``'s contract: the sides' blocks merged by cycle,
     grouped into line runs, then one ``LruCache.access`` per lookup.
 
@@ -135,13 +136,11 @@ def reference_drive(sides, key_shift, idx_mul, line_bytes, mac=None,
 
     def warm(capacity, init):
         cache = LruCache(capacity)
-        if isinstance(init, tuple):
-            init = zip(init[0].tolist(), (init[1] != 0).tolist())
-        cache.raw_lines.update(init)
+        cache.raw_lines.update(zip(init[0].tolist(),
+                                   (init[1] != 0).tolist()))
         return cache
 
-    runs = [(line * idx_mul, wr, cyc) for line, wr, cyc in
-            reference_runs(keys, writes, cycles, key_shift)]
+    runs = reference_runs(keys, writes, cycles, key_shift)
     mac_out = vn_out = None
     if mac is not None:
         base, capacity, init = mac
@@ -149,27 +148,25 @@ def reference_drive(sides, key_shift, idx_mul, line_bytes, mac=None,
         for line, wr, cyc in runs:
             hit, wb = cache.access(base + line, write=bool(wr))
             if not hit:
-                events.append((cyc, (base + line) * line_bytes, False))
+                events.append((cyc, (base + line) * LINE, False))
             if wb is not None:
-                events.append((cyc, wb * line_bytes, True))
+                events.append((cyc, wb * LINE, True))
         mac_out = (events, cache)
     if vn is not None:
-        base, capacity, leaf_base, leaf_div, init, node_base, node_div, \
-            ratio = vn
+        base, capacity, init, node_base, node_div = vn
         cache, events = warm(capacity, init), []
         for line, wr, cyc in runs:
             tag = base + line
             for level in range(len(node_base) + 1):
                 if level:
-                    leaf = leaf_base + line // leaf_div
                     tag = int(node_base[level - 1]
-                              + (leaf // node_div[level - 1]) * ratio)
+                              + line // node_div[level - 1])
                 hit, wb = cache.access(tag, write=bool(wr))
                 if wb is not None:
-                    events.append((cyc, wb * line_bytes, True))
+                    events.append((cyc, wb * LINE, True))
                 if hit:
                     break
-                events.append((cyc, tag * line_bytes, False))
+                events.append((cyc, tag * LINE, False))
         vn_out = (events, cache)
     return mac_out, vn_out
 
@@ -186,10 +183,9 @@ def assert_drive_matches(got, want):
         [(tag, bool(dirty)) for tag, dirty in cache.raw_lines.items()]
 
 
-def _specs(capacity, init=(), form="dict", sides=("mac", "vn")):
-    mac = (MAC_BASE, capacity, _state(init, form)) if "mac" in sides \
-        else None
-    vn = (VN_BASE, capacity, 0, 1, _state(init, form), *VN_WALK, 1) \
+def _specs(capacity, init=(), sides=("mac", "vn"), levels=2):
+    mac = (MAC_BASE, capacity, _state(init)) if "mac" in sides else None
+    vn = (VN_BASE, capacity, _state(init), *_walk(levels)) \
         if "vn" in sides else None
     return mac, vn
 
@@ -203,8 +199,8 @@ def _blocks(lines, key_shift, rng, max_repeat=3):
     return (keys << key_shift) | rng.integers(0, 1 << key_shift, len(keys))
 
 
-def check_tier(drive, keys, writes, capacity, init=(), form="dict",
-               sides=("mac", "vn"), key_shift=0, idx_mul=1, cycles=None,
+def check_tier(drive, keys, writes, capacity, init=(),
+               sides=("mac", "vn"), key_shift=0, levels=2, cycles=None,
                spec=None, extra=None):
     """One drive tier against the reference over a data side, plus an
     over-fetch side ``extra`` (``(keys, writes, cycles)``) when given."""
@@ -212,14 +208,13 @@ def check_tier(drive, keys, writes, capacity, init=(), form="dict",
     writes = np.asarray(writes, bool)
     if cycles is None:
         cycles = np.arange(len(keys), dtype=np.int64) * 3
-    mac, vn = spec or _specs(capacity, init, form, sides)
+    mac, vn = spec or _specs(capacity, init, sides, levels)
     blocks = [(keys, writes, np.asarray(cycles, np.int64))]
     if extra is not None:
         blocks.append(tuple(np.asarray(col, dtype) for col, dtype in
                             zip(extra, (np.int64, bool, np.int64))))
-    args = (blocks, key_shift, idx_mul, 64)
-    got = drive(*args, mac=mac, vn=vn)
-    want = reference_drive(*args, mac=mac, vn=vn)
+    got = drive(blocks, key_shift, mac=mac, vn=vn)
+    want = reference_drive(blocks, key_shift, mac=mac, vn=vn)
     for got_side, want_side in zip(got, want):
         if want_side is None:
             assert got_side is None
@@ -242,16 +237,16 @@ class TestDriveVsReference:
             pool = rng.permutation(ntags + 30)[:k]
             init = [(int(t), bool(rng.integers(0, 2))) for t in pool]
             check_tier(drive, keys, writes, capacity, init,
-                       form=("dict", "arrays")[draw % 2], key_shift=shift,
-                       idx_mul=1 + (draw // 4) % 2)
+                       key_shift=shift, levels=(draw // 4) % 3)
 
-    @pytest.mark.parametrize("idx_mul", [1, 2])
+    @pytest.mark.parametrize("levels", [1, 2])
     @pytest.mark.parametrize("key_shift", [6, 9, 12])
-    def test_runs_of_blocks(self, drive, key_shift, idx_mul):
+    def test_runs_of_blocks(self, drive, key_shift, levels):
         """Hand-built runs: a write mid-run and at a run's end dirties
         the whole access, a run takes its first block's cycle, equal
         cycles across runs keep the runs apart, and a key that only
-        differs below the shift stays in its run."""
+        differs below the shift stays in its run; under a VN tree of
+        one or two levels."""
         lines = [3, 3, 3, 5, 5, 3, 7, 7, 7, 7, 5, 3, 3]
         low = [0, 1, 9, 0, 4, 2, 0, 3, 3, 8, 0, 0, 1]
         keys = [(line << key_shift) | (off % (1 << key_shift))
@@ -264,18 +259,18 @@ class TestDriveVsReference:
                         (7, True, 4), (5, False, 5), (3, False, 5)]
         for capacity in (1, 2, 8):
             check_tier(drive, keys, writes, capacity, key_shift=key_shift,
-                       idx_mul=idx_mul, cycles=cycles)
+                       levels=levels, cycles=cycles)
 
     def test_precomputed_keys_of_a_192b_unit(self, drive):
-        """A unit that is not a power of two hands the drive precomputed
-        line indices with shift 0: runs are equal adjacent indices."""
+        """At key shift 0 a drive's keys are line indices themselves,
+        here precomputed ones of a 192 B unit (which no layout builds):
+        runs are equal adjacent indices, whatever their stride."""
         rng = np.random.default_rng(192)
         for _ in range(20):
             addrs = np.cumsum(rng.integers(0, 3, 300)) * 64
             keys = addrs // (192 * 8)
             writes = rng.integers(0, 2, len(keys)).astype(bool)
-            want = check_tier(drive, keys, writes, int(rng.integers(1, 12)),
-                              idx_mul=int(rng.integers(1, 3)))
+            want = check_tier(drive, keys, writes, int(rng.integers(1, 12)))
             assert want[0][1].stats.hits + want[0][1].stats.misses == \
                 len(reference_runs(keys, writes, np.zeros(len(keys))))
 
@@ -320,12 +315,13 @@ class TestDriveVsReference:
             check_tier(drive, keys, writes, int(rng.integers(1, 24)),
                        sides=sides, key_shift=6)
 
-    @pytest.mark.parametrize("form", ["dict", "arrays"])
+    @pytest.mark.parametrize("form", ["arrays", "output"])
     def test_warm_start_from_each_state_form(self, drive, form):
-        """A second drive from the first one's final state, handed over
-        as the live tag map or as pending arrays, equals one drive over
-        both halves (split between two runs); the initial state is never
-        mutated."""
+        """A second drive from the first one's final state equals one
+        drive over both halves (split between two runs), whether the
+        state is handed over as fresh ``(tags, dirty)`` arrays or as the
+        first drive's own output arrays, as the cache models pass it;
+        the initial state is never mutated."""
         rng = np.random.default_rng(5)
         tags = rng.integers(0, 40, 400)
         tags[200] = (tags[199] + 1) % 40
@@ -333,21 +329,19 @@ class TestDriveVsReference:
         writes = rng.integers(0, 2, 400).astype(bool)
         cycles = np.arange(400, dtype=np.int64)
         capacity = 12
-        whole = drive([(tags, writes, cycles)], 9, 1, 64, *_specs(capacity))
-        half = drive([(tags[:200], writes[:200], cycles[:200])], 9, 1, 64,
+        whole = drive([(tags, writes, cycles)], 9, *_specs(capacity))
+        half = drive([(tags[:200], writes[:200], cycles[:200])], 9,
                      *_specs(capacity))
-        mac_init = [(t, bool(d)) for t, d in zip(
-            half[0].state_tags.tolist(), half[0].state_dirty.tolist())]
-        vn_init = [(t, bool(d)) for t, d in zip(
-            half[1].state_tags.tolist(), half[1].state_dirty.tolist())]
-        mac_state, vn_state = _state(mac_init, form), _state(vn_init, form)
-        rest = drive([(tags[200:], writes[200:], cycles[200:])], 9, 1, 64,
-                     mac=(MAC_BASE, capacity, mac_state),
-                     vn=(VN_BASE, capacity, 0, 1, vn_state, *VN_WALK, 1))
-        for side, init, state in ((0, mac_init, mac_state),
-                                  (1, vn_init, vn_state)):
-            if form == "dict":
-                assert list(state.items()) == init
+        states = [(out.state_tags, out.state_dirty) for out in half]
+        if form == "arrays":
+            states = [(t.copy(), d.copy()) for t, d in states]
+        before = [(t.tolist(), d.tolist()) for t, d in states]
+        rest = drive([(tags[200:], writes[200:], cycles[200:])], 9,
+                     mac=(MAC_BASE, capacity, states[0]),
+                     vn=(VN_BASE, capacity, states[1], *VN_WALK))
+        for side in (0, 1):
+            assert [col.tolist() for col in states[side]] == \
+                list(before[side])
             for field in ("state_tags", "state_dirty"):
                 np.testing.assert_array_equal(getattr(rest[side], field),
                                               getattr(whole[side], field))
@@ -370,7 +364,7 @@ class TestDriveVsReference:
         keys = (np.repeat(np.arange(0, 4000, 7, dtype=np.int64), 3) << 9) \
             | 5
         writes = np.ones(len(keys), bool)
-        spec = (None, (VN_BASE, 4, 0, 1, _state((), "dict"), *walk, 1))
+        spec = (None, (VN_BASE, 4, _state(()), *walk))
         want = check_tier(drive, keys, writes, 4, key_shift=9, spec=spec)
         runs = len(keys) // 3
         assert len(want[1][0]) > 2 * len(keys) + 16
@@ -384,10 +378,10 @@ class TestDriveSides:
     ``(cycle, side)`` merge: the data side wins equal cycles, and a
     line run carries on across the side boundary."""
 
-    @pytest.mark.parametrize("idx_mul", [1, 2])
+    @pytest.mark.parametrize("levels", [1, 2])
     @pytest.mark.parametrize("key_shift", [6, 9, 12])
     def test_overfetch_block_tying_a_data_block(self, drive, key_shift,
-                                                idx_mul):
+                                                levels):
         data = ([1, 1, 3, 3], [0, 1, 0, 0], [0, 5, 5, 9])
         extra = ([3, 2], [0, 0], [5, 9])
         data_keys, extra_keys = ([line << key_shift for line in side[0]]
@@ -400,7 +394,7 @@ class TestDriveSides:
             [(1, True, 0), (3, False, 5), (2, False, 9)]
         for capacity in (1, 2, 8):
             check_tier(drive, data_keys, data[1], capacity,
-                       key_shift=key_shift, idx_mul=idx_mul,
+                       key_shift=key_shift, levels=levels,
                        cycles=data[2], extra=(extra_keys, *extra[1:]))
 
     def test_line_run_spanning_both_sides(self, drive):
@@ -434,8 +428,7 @@ class TestDriveSides:
 
     def test_randomized_sides(self, drive):
         """Two cycle-sorted sides drawn from few cycles (so ties across
-        sides are common) at key shifts 0, 6, 9 and 12, and precomputed
-        line indices of a 192 B unit."""
+        sides are common) at key shifts 0, 6, 9 and 12."""
         rng = np.random.default_rng(2026)
         for draw in range(120):
             shift = (0, 6, 9, 12)[draw % 4]
@@ -445,15 +438,10 @@ class TestDriveSides:
                 sides.append((keys,
                               rng.integers(0, 2, len(keys)).astype(bool),
                               np.sort(rng.integers(0, 40, len(keys)))))
-            if draw % 5 == 0:
-                # A 192 B unit: line indices with shift 0.
-                shift = 0
-                sides = [(np.cumsum(rng.integers(0, 3, len(k))) * 64
-                          // (192 * 8), w, c) for k, w, c in sides]
             (keys, writes, cycles), extra = sides
             check_tier(drive, keys, writes, int(rng.integers(1, 12)),
-                       key_shift=shift, idx_mul=1 + draw % 2,
-                       cycles=cycles, extra=extra)
+                       key_shift=shift, levels=draw % 3, cycles=cycles,
+                       extra=extra)
 
     @pytest.mark.parametrize("descending", [0, 1])
     def test_a_descending_side_is_sorted(self, drive, descending):
@@ -483,7 +471,7 @@ class TestDriveSides:
         side = (np.zeros(1, np.int64), np.zeros(1, bool),
                 np.zeros(1, np.int64))
         with pytest.raises(ValueError, match="sides"):
-            drive([side] * 3, 0, 1, 64, *_specs(4))
+            drive([side] * 3, 0, *_specs(4))
 
 
 def _random_stream(seed, n=80):
@@ -499,13 +487,14 @@ def _random_stream(seed, n=80):
 
 
 class ReferenceModels:
-    """MAC table and VN tree driven by ``MetadataCache.access`` over
-    layout addresses, independent of the models' tag arithmetic."""
+    """MAC table and VN tree driven by ``LruCache.access`` over layout
+    addresses (tag = address // 64), independent of the models' tag
+    arithmetic."""
 
-    def __init__(self, layout, mac_bytes, vn_bytes, line_bytes=64):
+    def __init__(self, layout, mac_bytes, vn_bytes):
         self.layout = layout
-        self.mac = MetadataCache(mac_bytes, line_bytes)
-        self.vn = MetadataCache(vn_bytes, line_bytes)
+        self.mac = LruCache(mac_bytes // LINE)
+        self.vn = LruCache(vn_bytes // LINE)
         self.mac_out = EventLog()
         self.vn_out = EventLog()
 
@@ -514,11 +503,11 @@ class ReferenceModels:
         for addr, wr, cyc in reference_runs(
                 layout.mac_line_addrs_vec(stream.addrs), stream.writes,
                 stream.cycles):
-            hit, wb = self.mac.access(addr, write=wr)
+            hit, wb = self.mac.access(addr // LINE, write=wr)
             if not hit:
                 self.mac_out.extend_miss(cyc, addr)
             if wb is not None:
-                self.mac_out.extend_writeback(cyc, wb)
+                self.mac_out.extend_writeback(cyc, wb * LINE)
         for addr, wr, cyc in reference_runs(
                 layout.vn_line_addrs_vec(stream.addrs), stream.writes,
                 stream.cycles):
@@ -526,17 +515,25 @@ class ReferenceModels:
             for level in range(layout.tree_levels + 1):
                 if level:
                     addr = layout.tree_node_addr(leaf, level)
-                hit, wb = self.vn.access(addr, write=wr)
+                hit, wb = self.vn.access(addr // LINE, write=wr)
                 if wb is not None:
-                    self.vn_out.extend_writeback(cyc, wb)
+                    self.vn_out.extend_writeback(cyc, wb * LINE)
                 if hit:
                     break
                 self.vn_out.extend_miss(cyc, addr)
 
     def flush(self, cycle):
         for cache, out in ((self.mac, self.mac_out), (self.vn, self.vn_out)):
-            for addr in cache.flush():
-                out.extend_writeback(cycle, addr)
+            for tag in cache.flush():
+                out.extend_writeback(cycle, tag * LINE)
+
+
+def _contents(cache):
+    """A model's or a reference's cache contents, least recent first."""
+    if isinstance(cache, LruCache):
+        return list(cache.raw_lines.items())
+    tags, dirty = cache.state
+    return list(zip(tags.tolist(), (dirty != 0).tolist()))
 
 
 def _snapshot(mac_cache, vn_cache, mac_out, vn_out):
@@ -545,18 +542,16 @@ def _snapshot(mac_cache, vn_cache, mac_out, vn_out):
              for s in (mac_cache.stats, vn_cache.stats)]
     return (stats,
             [events(o) for o in (mac_out, vn_out)],
-            list(mac_cache.raw_lines.items()),
-            list(vn_cache.raw_lines.items()))
+            _contents(mac_cache), _contents(vn_cache))
 
 
 class TestModelsVsReference:
-    @pytest.mark.parametrize("between", ["pending", "synced", "flush"])
+    @pytest.mark.parametrize("between", ["pending", "flush"])
     def test_fused_models_across_drives(self, tier, between):
-        """Two drives per model pair. The second starts from pending
-        arrays, from the live tag map (after something read it), or
-        from the empty cache a mid-stream flush leaves. A 192 B unit
-        drives precomputed line indices."""
-        for unit_bytes, seed in itertools.product((64, 192), range(6)):
+        """Two drives per model pair. The second starts from the state
+        arrays the first left pending in the caches, or from the empty
+        caches a mid-stream flush leaves."""
+        for unit_bytes, seed in itertools.product((64, 512), range(6)):
             layout = MetadataLayout(unit_bytes)
             stream = _random_stream(seed)
             mac = MacTableModel(layout, MetadataCache(512))
@@ -566,33 +561,29 @@ class TestModelsVsReference:
             for step in range(2):
                 process_mac_vn(mac, vn, (stream,), mac_out, vn_out)
                 ref.process(stream)
-                if step == 0 and between == "synced":
-                    assert mac.cache.raw_lines and vn.cache.raw_lines
-                elif step == 0 and between == "flush":
+                if step == 0 and between == "flush":
                     mac.flush(99_999, mac_out)
                     vn.flush(99_999, vn_out)
                     ref.flush(99_999)
             assert _snapshot(mac.cache, vn.cache, mac_out, vn_out) == \
                 _snapshot(ref.mac, ref.vn, ref.mac_out, ref.vn_out)
 
-    @pytest.mark.parametrize("unit_bytes", [64, 192, 512])
-    @pytest.mark.parametrize("line_bytes", [64, 32])
-    def test_single_models(self, tier, unit_bytes, line_bytes):
-        """Single-model drives, also at 32 B cache lines (two tags per
-        64 B metadata line), which ``process_mac_vn`` splits into."""
+    @pytest.mark.parametrize("unit_bytes", [64, 512])
+    @pytest.mark.parametrize("vn_lines", [64, 32])
+    def test_single_models(self, tier, unit_bytes, vn_lines):
+        """Single-model drives (``MacTableModel.process``, then
+        ``VnTreeModel.process``), under a VN cache of 64 or 32 lines."""
         layout = MetadataLayout(unit_bytes)
+        vn_bytes = vn_lines * LINE
         for seed in (11, 12):
             stream = _random_stream(seed)
-            mac = MacTableModel(layout, MetadataCache(512, line_bytes))
-            vn = VnTreeModel(layout, MetadataCache(2048, line_bytes))
+            mac = MacTableModel(layout, MetadataCache(512))
+            vn = VnTreeModel(layout, MetadataCache(vn_bytes))
             mac_out, vn_out = CacheTrafficResult(), CacheTrafficResult()
-            ref = ReferenceModels(layout, 512, 2048, line_bytes)
+            ref = ReferenceModels(layout, 512, vn_bytes)
             for _ in range(2):
-                if line_bytes == 64:
-                    mac.process((stream,), mac_out)
-                    vn.process((stream,), vn_out)
-                else:
-                    process_mac_vn(mac, vn, (stream,), mac_out, vn_out)
+                mac.process((stream,), mac_out)
+                vn.process((stream,), vn_out)
                 ref.process(stream)
             assert _snapshot(mac.cache, vn.cache, mac_out, vn_out) == \
                 _snapshot(ref.mac, ref.vn, ref.mac_out, ref.vn_out)
@@ -606,8 +597,8 @@ class TestModelsVsReference:
                                 start_cycle=0, trace=trace, layer_id=0)
         for window in layer_windows(layer):
             drive_window(
-                lambda sub, carries: process_mac_vn(mac, vn, sub, *outs,
-                                                    carries),
+                lambda sub, carry: process_mac_vn(mac, vn, sub, *outs,
+                                                  carry),
                 "fused", window, data_sides(window, mac.layout.unit_bytes),
                 outs)
 

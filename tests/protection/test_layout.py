@@ -24,10 +24,10 @@ class TestUnits:
         assert layout.num_units == PROTECTED_REGION_BYTES // 64
 
     def test_invalid_unit(self):
-        with pytest.raises(ValueError):
-            MetadataLayout(32)
-        with pytest.raises(ValueError):
-            MetadataLayout(96)
+        """Below 64 B, or not a power of two."""
+        for unit in (32, 96, 192, 320):
+            with pytest.raises(ValueError):
+                MetadataLayout(unit)
 
 
 class TestMacTable:

@@ -13,7 +13,7 @@ from repro.accel.trace import (
     TraceRange,
     kind_code,
 )
-from repro.integrity.caches import MetadataCache
+from repro.integrity.caches import LINE_BYTES as LINE, MetadataCache
 from repro.models.layer import conv
 from repro.models.topology import Topology
 from repro.protection.layout import MetadataLayout
@@ -26,6 +26,7 @@ from repro.protection.metadata_model import (
     layer_windows,
     process_mac_vn,
 )
+from repro.utils.lru import LruCache
 from tests.streams import (
     EventLog,
     events,
@@ -96,37 +97,39 @@ class TestExpandedDataStream:
 
 class TestFusedMacVn:
     def _reference(self, layout, stream, mac_bytes, vn_bytes):
-        """Event-exact reference: MetadataCache.access drive, as the
-        pre-columnar implementation did it."""
-        mac_cache = MetadataCache(mac_bytes)
-        vn_cache = MetadataCache(vn_bytes)
+        """Event-exact reference: an ``LruCache`` access per line run
+        (tag = line address // 64), as the pre-columnar implementation
+        drove the caches."""
+        mac_cache = LruCache(mac_bytes // LINE)
+        vn_cache = LruCache(vn_bytes // LINE)
         mac_out = EventLog()
         vn_out = EventLog()
         lines = layout.mac_line_addrs_vec(stream.addrs).astype(np.uint64)
         rl, rw, rc = compress_runs(lines, stream.writes, stream.cycles)
         for i in range(len(rl)):
-            hit, wb = mac_cache.access(int(rl[i]), write=bool(rw[i]))
+            hit, wb = mac_cache.access(int(rl[i]) // LINE,
+                                       write=bool(rw[i]))
             if not hit:
                 mac_out.extend_miss(int(rc[i]), int(rl[i]))
             if wb is not None:
-                mac_out.extend_writeback(int(rc[i]), wb)
+                mac_out.extend_writeback(int(rc[i]), wb * LINE)
         vlines = layout.vn_line_addrs_vec(stream.addrs).astype(np.uint64)
         rl, rw, rc = compress_runs(vlines, stream.writes, stream.cycles)
         leaves = layout.vn_line_indices_vec(rl.astype(np.int64))
         for i in range(len(rl)):
             addr, cyc, wr = int(rl[i]), int(rc[i]), bool(rw[i])
-            hit, wb = vn_cache.access(addr, write=wr)
+            hit, wb = vn_cache.access(addr // LINE, write=wr)
             if wb is not None:
-                vn_out.extend_writeback(cyc, wb)
+                vn_out.extend_writeback(cyc, wb * LINE)
             if hit:
                 continue
             vn_out.extend_miss(cyc, addr)
             leaf = int(leaves[i])
             for level in range(1, layout.tree_levels + 1):
                 node = layout.tree_node_addr(leaf, level)
-                node_hit, node_wb = vn_cache.access(node, write=wr)
+                node_hit, node_wb = vn_cache.access(node // LINE, write=wr)
                 if node_wb is not None:
-                    vn_out.extend_writeback(cyc, node_wb)
+                    vn_out.extend_writeback(cyc, node_wb * LINE)
                 if node_hit:
                     break
                 vn_out.extend_miss(cyc, node)
