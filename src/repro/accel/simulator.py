@@ -79,9 +79,6 @@ class ModelRun:
     #: The topology's batch size (:attr:`Topology.batch`, a scan over
     #: every layer), taken once per run rather than once per window.
     batch: int = 1
-    #: Cross-scheme memo for derived per-run state (e.g. shared MAC-table
-    #: traffic); keyed by the consumer, scoped to this run's lifetime.
-    scheme_memo: dict = field(default_factory=dict, repr=False)
 
     @property
     def compute_cycles(self) -> int:

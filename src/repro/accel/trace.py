@@ -354,11 +354,15 @@ class TraceWindow:
     for (the :class:`~repro.accel.simulator.LayerResult`), and
     ``state`` a dict shared by every window of the layer, where
     consumers keep what they carry from one window to the next.
+    ``shared`` is this window's own dict, where consumers keep what
+    they share over the window alone (its other expansions,
+    :meth:`side`, and the MAC traffic the schemes of a cell share); it
+    goes away with the window.
     """
 
     __slots__ = ("layer", "index", "lo", "hi", "segment", "blocks",
                  "first_block", "last_cycle", "last", "skip",
-                 "state", "layer_blocks", "_cursors", "_sides")
+                 "state", "layer_blocks", "_cursors", "shared")
 
     def __init__(self, layer, index, lo, hi, segment, blocks, first_block,
                  last_cycle, last, skip, state, layer_blocks, cursors):
@@ -376,14 +380,14 @@ class TraceWindow:
         #: Data blocks of the whole layer.
         self.layer_blocks = layer_blocks
         self._cursors = cursors
-        self._sides: Dict[object, BlockStream] = {}
+        self.shared: Dict[object, object] = {}
 
     def side(self, key: object,
              columns: Callable[[], Sequence[np.ndarray]]) -> BlockStream:
         """This window's piece of another cycle-sorted expansion of the
         layer, cut at the same bounds: ``columns()`` gives its range
         columns the first time the layer is asked for ``key``."""
-        side = self._sides.get(key)
+        side = self.shared.get(key)
         if side is None:
             cursor = self._cursors.get(key)
             if cursor is None:
@@ -392,7 +396,7 @@ class TraceWindow:
             head = cursor.peek()
             if self.lo is not None and head is not None and head < self.lo:
                 cursor.seek(self.lo)
-            side = self._sides[key] = cursor.take(
+            side = self.shared[key] = cursor.take(
                 _NO_STOP if self.hi is None else self.hi, cursor.total)
         return side
 

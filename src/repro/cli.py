@@ -133,23 +133,15 @@ def _make_store(args: argparse.Namespace) -> Optional[ResultStore]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.models.zoo import WORKLOADS
 
-    def canonical_spec(spec: str) -> str:
-        """One spelling per cell: abbreviations resolved, neutral
-        suffixes (``@b1``, an ``@sN`` equal to the workload's published
-        default) dropped — so ``gpt2@s128`` and ``gpt2`` share one
-        store fingerprint instead of caching twice."""
-        base, batch, seq = parse_workload_spec(spec)
-        return format_workload_spec(canonical_workload_name(base), batch, seq)
-
-    workloads = [canonical_spec(w) for w in args.workloads] \
-        if args.workloads else None
+    workloads = list(args.workloads) if args.workloads else None
     if args.seq is not None:
         if args.seq <= 0:
             print("error: --seq must be positive", file=sys.stderr)
             return 2
-        # Conflict detection runs on the *raw* specs: canonical_spec
-        # strips an @sN equal to the default, which must still clash
-        # with a different --seq rather than being silently overridden.
+        # Conflict detection runs on the *raw* specs: the service's
+        # canonical spelling strips an @sN equal to the default, which
+        # must still clash with a different --seq rather than being
+        # silently overridden.
         selected = list(args.workloads) if args.workloads \
             else list(TRANSFORMER_WORKLOADS)
         no_seq_dim = [
@@ -163,8 +155,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         try:
-            workloads = [canonical_spec(_apply_seq(w, args.seq))
-                         for w in selected]
+            workloads = [_apply_seq(w, args.seq) for w in selected]
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
@@ -196,11 +187,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         progress=lambda done, total, request: print(
             f"  [{done}/{total}] computed {request.workload} on {args.npu}",
             file=sys.stderr))
-    names = list(workloads or WORKLOADS)
     requests = [service.request(args.npu, workload, args.schemes,
                                 retries=args.retries,
                                 timeout=args.cell_timeout)
-                for workload in names]
+                for workload in workloads or WORKLOADS]
+    names = [request.workload for request in requests]
 
     started = time.time()
     try:

@@ -16,7 +16,6 @@ from repro.core.pipeline import CollectedRow, Pipeline, SchemeRun
 from repro.models.topology import Topology
 from repro.protection import make_scheme
 from repro.protection.base import ProtectionScheme
-from repro.protection.metadata_model import SharedTrafficModel
 
 
 def normalized_traffic(scheme_run: SchemeRun, baseline_run: SchemeRun) -> float:
@@ -94,10 +93,11 @@ def compare_schemes(pipeline: Pipeline, topology: Topology,
     schemes — only the protection and DRAM stages differ. The cell runs
     layer by layer, and each layer window by window
     (:func:`~repro.protection.metadata_model.layer_windows`): every
-    scheme protects a window and has DRAM serve it, then the window's
-    shared MAC traffic is released and the next window is expanded, so
-    one window's block streams and metadata are alive at a time, and
-    MGX replays SGX's MAC traffic window by window.
+    scheme protects a window and has DRAM serve it, then the next
+    window is expanded, so one window's block streams and metadata are
+    alive at a time. MGX reads SGX's MAC traffic from the window it
+    was driven for (:meth:`ProtectionScheme.protect_window`), so it
+    goes away with the window.
     The schemes keep their cache state, and DRAM its open rows, from
     window to window and run in a fixed order, so the records equal
     whole-model runs bit for bit.
@@ -118,7 +118,9 @@ def compare_schemes(pipeline: Pipeline, topology: Topology,
                 scheme_parts.append(pipeline.run(topology, scheme,
                                                  model_run=model_run,
                                                  collect=rows, window=window))
-            SharedTrafficModel.release_window(model_run.scheme_memo, window)
+            # Free the window, with the MAC traffic its schemes shared,
+            # before the next one is expanded.
+            del window
     if not model_run.layers:
         for (name, scheme), scheme_parts in zip(entries, parts):
             scheme_parts.append(pipeline.run(topology, scheme,

@@ -209,17 +209,15 @@ class Pipeline:
     def run(self, topology: Topology, scheme: ProtectionScheme,
             model_run: Optional[ModelRun] = None,
             collect: Optional[List[CollectedRow]] = None,
-            layers: Optional[range] = None,
             window: Optional[TraceWindow] = None) -> SchemeRun:
         """Full pipeline for one workload under one protection scheme.
 
         Each layer is protected and served one cycle window at a time
         (:func:`~repro.protection.metadata_model.layer_windows`), so one
-        window's block streams are alive at a time. ``layers``
-        restricts the run to consecutive layer indices, ``window`` to
-        one window of one layer; the result holds the timing rows of
-        the layers that end in the run. Runs over consecutive layers,
-        or windows, in order concatenate to the whole-model run
+        window's block streams are alive at a time. ``window``
+        restricts the run to one window of one layer; the result holds
+        the timing rows of the layers that end in the run. Runs over
+        the windows in order concatenate to the whole-model run
         exactly: a layer's DRAM walk and byte counts carry from window
         to window in the window's per-layer state, and its row is made
         after its last window. ``collect``, when given, receives one
@@ -229,8 +227,7 @@ class Pipeline:
         if window is not None:
             windows: Iterable[TraceWindow] = (window,)
         else:
-            span = range(len(run.layers)) if layers is None else layers
-            windows = (w for result in run.layers[span.start:span.stop]
+            windows = (w for result in run.layers
                        for w in self.layer_windows(run, result))
         timings: List[LayerTiming] = []
         for part in windows:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -17,7 +17,14 @@ from repro.accel.trace import (
     TrafficSide,
 )
 from repro.crypto.engine import CryptoEngineModel
-from repro.protection.metadata_model import CacheTrafficResult, layer_windows
+from repro.protection.metadata_model import (
+    CacheTrafficResult,
+    MetadataTable,
+    data_sides,
+    drive_tables,
+    drive_window,
+    layer_windows,
+)
 
 
 @dataclass
@@ -136,10 +143,13 @@ class ProtectionScheme(abc.ABC):
     #: rows at batch 2 instead of batch 1.
     cache_filtered_metadata: bool = False
 
-    #: Cache-backed traffic models (MAC table, VN tree) registered by
-    #: :meth:`_reset_traffic_models`; flushed by the shared
+    #: A cache-backed scheme's protection unit and its ``(mac, vn)``
+    #: metadata tables (MGX has no VN table), set by
+    #: :meth:`_begin_tables` for :meth:`protect_window` and
     #: :meth:`finish_model`.
-    _traffic_models: Tuple = ()
+    unit_bytes: int = 64
+    _tables: Tuple[Optional[MetadataTable], Optional[MetadataTable]] = \
+        (None, None)
     _last_cycle: int = 0
     _last_layer: int = 0
 
@@ -147,12 +157,62 @@ class ProtectionScheme(abc.ABC):
     def begin_model(self, run: ModelRun) -> None:
         """Reset per-model state and size engines for this run."""
 
-    @abc.abstractmethod
     def protect_window(self, window: TraceWindow) -> LayerProtection:
         """Metadata traffic and crypto cost for one cycle window of a
         layer (:func:`repro.protection.metadata_model.layer_windows`).
         Windows arrive in order, layer by layer; quantities counted
-        once per layer go to the layer's first window."""
+        once per layer go to the layer's first window.
+
+        This body serves SGX and MGX; the other schemes override it.
+        SGX-xB and MGX-xB keep identical MAC tables, so the first of
+        them to serve a window drives its MAC table and keeps the
+        traffic in the window's ``shared`` dict, where the other reads
+        it (``shared_traffic.replays``). The VN tree, if any, is driven
+        in the same pass. Schemes sharing windows serve them in one
+        fixed order, so a table replays every window or none.
+        """
+        mac, vn = self._tables
+        if mac is None:
+            raise RuntimeError("begin_model must be called before "
+                               "protect_window")
+        unit = self.unit_bytes
+        sides = data_sides(window, unit)
+        key = ("mac", unit, mac.capacity_lines)
+        mac_out = window.shared.get(key)
+        if mac_out is None:
+            mac_out = window.shared[key] = CacheTrafficResult()
+            driven = (mac, vn)
+        else:
+            obs.incr("shared_traffic.replays")
+            driven = (None, vn)
+        outs = (mac_out, None if vn is None else CacheTrafficResult())
+
+        def drive(sub: Sequence[BlockStream], carry: np.ndarray) -> None:
+            for table, result, out in zip(
+                    driven, drive_tables(sub, unit, driven, carry), outs):
+                if table is not None:
+                    table.apply(result, out)
+
+        if driven != (None, None):
+            drive_window(drive, (self, "tables"), window, sides,
+                         [out for table, out in zip(driven, outs)
+                          if table is not None])
+        last = [int(side.cycles[-1]) for side in sides if len(side)]
+        if last:
+            # Sides are cycle-sorted and windows come in cycle order:
+            # the flush lands after the latest block served.
+            self._last_cycle = max(last)
+        self._last_layer = window.layer.layer_id
+        blocks = sum(len(side) for side in sides)
+        return LayerProtection(
+            layer_id=window.layer.layer_id,
+            data_sides=sides,
+            metadata_sides=tuple(out for out in outs if out is not None),
+            crypto_bytes=blocks * BLOCK_BYTES,
+            mac_computations=blocks,
+            overfetch_blocks=blocks - len(sides[0]),
+            aes_invocations=blocks * BLOCK_BYTES // 16,
+        )
 
     def protect_layer(self, result: LayerResult) -> LayerProtection:
         """Metadata traffic and crypto cost for one whole layer: its
@@ -169,83 +229,74 @@ class ProtectionScheme(abc.ABC):
         the unprotected baseline)."""
         return None
 
-    # -- shared cache-backed-scheme machinery (SGX/MGX family) --
-
-    def _reset_traffic_models(self, *models: Sequence) -> None:
-        """Register the cache-backed models for this run and rewind the
-        progress markers used by the end-of-model flush."""
-        self._traffic_models = tuple(models)
+    def _begin_tables(self, mac: MetadataTable,
+                      vn: Optional[MetadataTable] = None) -> None:
+        """Start a model run on fresh metadata tables."""
+        self._tables = (mac, vn)
         self._last_cycle = 0
         self._last_layer = 0
 
-    def _note_sides(self, sides: Sequence[BlockStream],
-                    layer_id: int) -> None:
-        """Track the latest issue cycle and layer, so residual flush
-        traffic lands at the end of the model's timeline (sides are
-        cycle-sorted and windows come in cycle order, so the last
-        non-empty window's last blocks hold the layer's latest cycle)."""
-        last = [int(side.cycles[-1]) for side in sides if len(side)]
-        if last:
-            self._last_cycle = max(last)
-        self._last_layer = layer_id
+    def finish_model(self, shared: Dict[object, object]
+                     ) -> Optional[LayerProtection]:
+        """The end-of-model flush row of a cache-backed scheme: every
+        dirty metadata line written back, MAC table first (``None``
+        when nothing is dirty, or for schemes without tables).
 
-    def finish_model(self) -> Optional[LayerProtection]:
-        """Flush residual state (dirty metadata cache lines).
-
-        Shared across every cache-backed scheme: drains all registered
-        traffic models and returns the final metadata-only contribution
-        (None when nothing is dirty, or for schemes without caches).
-        """
-        if not self._traffic_models:
+        ``shared`` is the model's last window's dict: the first scheme
+        to flush a MAC table keeps its writebacks there, and schemes
+        that replayed that table's traffic read them."""
+        mac, vn = self._tables
+        if mac is None:
             return None
+        key = ("mac flush", self.unit_bytes, mac.capacity_lines)
+        mac_flush = shared.get(key)
+        if mac_flush is None:
+            mac_flush = shared[key] = mac.flush(self._last_cycle)
         out = CacheTrafficResult()
-        for model in self._traffic_models:
-            model.flush(self._last_cycle, out)
+        out.extend_from(mac_flush)
+        if vn is not None:
+            out.extend_from(vn.flush(self._last_cycle))
         if not len(out):
             return None
         return LayerProtection(layer_id=self._last_layer,
                                metadata_sides=(out,), is_flush=True)
 
     def protect_model(self, run: ModelRun,
-                      layers: Optional[range] = None,
                       window: Optional[TraceWindow] = None
                       ) -> List[LayerProtection]:
-        """Run a window of consecutive layers through the scheme, or one
-        cycle window of one layer.
+        """Run the whole model through the scheme, or one cycle window
+        of one layer.
 
-        ``layers`` holds layer indices (default: the whole model) and
-        yields one row per layer (:meth:`protect_layer`); ``window``
-        instead yields that window's row (:meth:`protect_window`). The
-        call that starts layer 0 resets the scheme
-        (:meth:`begin_model`); the call that ends the last layer
-        appends the end-of-model flush row. Scheme state (metadata
-        caches) carries from one call to the next, so protecting a
-        model layer by layer, or window by window, yields exactly the
-        rows of one whole-model call, split.
+        Without ``window``, the rows are one per layer
+        (:meth:`protect_layer`) and the end-of-model flush row. With
+        it, the row is that window's (:meth:`protect_window`): the call
+        for the model's first window resets the scheme
+        (:meth:`begin_model`) and the call for its last window appends
+        the flush row. Scheme state (metadata caches) carries from one
+        call to the next, so protecting a model window by window, in
+        order, yields exactly the rows of one whole-model call, each
+        layer's split into its windows'.
         """
-        if window is not None:
-            first = run.layers[0] is window.layer and window.index == 0
-            final = run.layers[-1] is window.layer and window.last
-        else:
-            span = range(len(run.layers)) if layers is None else layers
-            first = span.start == 0
-            final = span.stop >= len(run.layers)
-        if first:
+        if window is None:
             self.begin_model(run)
-        if window is not None:
-            with obs.span("protect.layer", scheme=self.name,
-                          layer=window.layer.layer_id, window=window.index):
-                results = [self.protect_window(window)]
-        else:
             results = []
-            for layer in run.layers[span.start:span.stop]:
+            for layer in run.layers:
                 # One span per layer is the sanctioned stage granularity.
                 # repro: allow(obs-noop-discipline)
                 with obs.span("protect.layer", scheme=self.name,
                               layer=layer.layer_id):
                     results.append(self.protect_layer(layer))
-        if final:
-            tail = self.finish_model()
-            if tail is not None:
-                results.append(tail)
+            shared: Dict[object, object] = {}
+        else:
+            if run.layers[0] is window.layer and window.index == 0:
+                self.begin_model(run)
+            with obs.span("protect.layer", scheme=self.name,
+                          layer=window.layer.layer_id, window=window.index):
+                results = [self.protect_window(window)]
+            if run.layers[-1] is not window.layer or not window.last:
+                return results
+            shared = window.shared
+        tail = self.finish_model(shared)
+        if tail is not None:
+            results.append(tail)
         return results

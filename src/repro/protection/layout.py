@@ -52,25 +52,6 @@ class MetadataLayout:
     def mac_line_addr(self, unit: int) -> int:
         return _MAC_BASE + (unit // ENTRIES_PER_LINE) * LINE_BYTES
 
-    def mac_line_addrs_vec(self, block_addrs):
-        """Vectorized :meth:`mac_line_addr` over block addresses."""
-        units = block_addrs // self.unit_bytes
-        return (_MAC_BASE + (units // ENTRIES_PER_LINE) * LINE_BYTES)
-
-    def vn_line_addrs_vec(self, block_addrs):
-        """Vectorized :meth:`vn_line_addr` over block addresses."""
-        units = block_addrs // self.unit_bytes
-        return (_VN_BASE + (units // ENTRIES_PER_LINE) * LINE_BYTES)
-
-    @staticmethod
-    def vn_line_index_of_addr(vn_line_addr: int) -> int:
-        return (vn_line_addr - _VN_BASE) // LINE_BYTES
-
-    @staticmethod
-    def vn_line_indices_vec(vn_line_addrs):
-        """Vectorized :meth:`vn_line_index_of_addr`."""
-        return (vn_line_addrs - _VN_BASE) // LINE_BYTES
-
     @property
     def mac_table_bytes(self) -> int:
         return self.num_units * MAC_ENTRY_BYTES

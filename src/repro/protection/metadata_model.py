@@ -9,18 +9,20 @@ tile streams hit the same line 8 times in a row), a run compression
 each drive does as it walks the stream.  Misses and dirty evictions
 become metadata DRAM accesses.
 
-Every MAC and VN cache decision is one step of a fully associative,
-write-back, write-allocate LRU drive (MAC and VN together are one
-drive, :func:`process_mac_vn`), and each drive has one production path
-per tier: the compiled ``fused_drive`` kernel
-(:mod:`repro.utils.native`), or, on hosts without a C compiler, its
-scalar twin :func:`drive_scalar`.  Both return the same
-:class:`~repro.utils.native.DriveOutput`, so one fold
-(:func:`_apply_drive_output`) serves either; a cache's contents between
-drives are the ``(tags, dirty)`` arrays the latest drive returned
-(:attr:`MetadataCache.state`).  The tiers are pinned access-for-access
-against an independent ``LruCache`` reference by
-``tests/protection/test_drive_tiers.py``.
+A scheme keeps each metadata table behind its on-chip cache as one
+:class:`MetadataTable`: the MAC table (SGX and MGX), and the VN table
+with its integrity tree (SGX alone).  Every cache decision is one step
+of a fully associative, write-back, write-allocate LRU drive, and one
+:func:`drive_tables` call drives a MAC table and a VN table together
+over one stream.  A drive has one production path per tier: the
+compiled ``fused_drive`` kernel (:mod:`repro.utils.native`), or, on
+hosts without a C compiler, its scalar twin :func:`drive_scalar`.  Both
+return the same :class:`~repro.utils.native.DriveOutput`, which
+:meth:`MetadataTable.apply` folds into the table; a table's cache
+contents between drives are the ``(tags, dirty)`` arrays the latest
+drive returned (:attr:`MetadataTable.state`).  The tiers are pinned
+access-for-access against an independent ``LruCache`` reference
+(``tests/lru.py``) by ``tests/protection/test_drive_tiers.py``.
 
 A layer's traffic is never concatenated: its data blocks (the shared
 cycle-sorted expansion), its over-fetch blocks at a coarse unit
@@ -31,8 +33,8 @@ which is the order of their concatenation stably sorted by cycle.
 
 A layer arrives in cycle windows (:func:`layer_windows`), every side
 cut at the same bounds, and the drives continue from window to window:
-the caches keep their state, and a metadata line run cut by a window
-carries into the next (:func:`repro.utils.native.fused_drive`'s
+the tables keep their cache state, and a metadata line run cut by a
+window carries into the next (:func:`repro.utils.native.fused_drive`'s
 ``carry``), so the windows' traffic is exactly the whole layer's.
 """
 
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,7 +58,6 @@ from repro.accel.trace import (
     block_spans,
     kind_code,
 )
-from repro.integrity.caches import MetadataCache
 from repro.utils import native
 from repro.protection.layout import (
     ENTRIES_PER_LINE,
@@ -63,6 +65,11 @@ from repro.protection.layout import (
     MetadataLayout,
     TREE_ARITY,
 )
+
+#: The paper's metadata caches (Section IV-A): a 16 KB VN cache and an
+#: 8 KB MAC cache, both LRU, write-back and write-allocate.
+VN_CACHE_BYTES = 16 << 10
+MAC_CACHE_BYTES = 8 << 10
 
 
 def compress_runs(values: np.ndarray, writes: np.ndarray,
@@ -143,20 +150,6 @@ class CacheTrafficResult:
     def extend_from(self, other: "CacheTrafficResult") -> None:
         self._parts.extend(other._parts)
         self.misses += other.misses
-
-
-def _drive_columns(sides: Sequence[BlockStream], unit_bytes: int):
-    """Per-side ``(addrs, writes, cycles)`` drive columns, with their
-    data addresses when a kernel can read them in place
-    (:func:`repro.utils.native.column_ptrs`), and the key shift that
-    maps a block address to its metadata line index: ``log2(unit_bytes
-    * 8)``, since every unit is a power of two (:class:`MetadataLayout`)."""
-    columns = []
-    for side in sides:
-        ptrs = native.column_ptrs(side)
-        columns.append((side.addrs, side.writes, side.cycles) + (
-            () if ptrs is None else (ptrs[0], ptrs[2], ptrs[1])))
-    return columns, (unit_bytes * ENTRIES_PER_LINE).bit_length() - 1
 
 
 def _lru_lines(state) -> "OrderedDict[int, bool]":
@@ -345,126 +338,170 @@ def drive_scalar(sides: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     )
 
 
-def _drive(sides: Sequence[BlockStream], unit_bytes: int, mac=None,
-           vn=None, carry: Optional[np.ndarray] = None):
-    """One LRU drive over the metadata lines of a layer's merged block
-    sides, continuing ``carry``'s open line run: the native kernel, or
-    its scalar twin."""
-    columns, shift = _drive_columns(sides, unit_bytes)
-    out = native.fused_drive(columns, shift, mac=mac, vn=vn, carry=carry)
-    if out is None:
-        out = drive_scalar(columns, shift, mac=mac, vn=vn, carry=carry)
-    return out
+@dataclass
+class CacheStats:
+    """Access statistics of one metadata cache.
+
+    ``evictions``/``dirty_evictions`` count *capacity* behaviour only —
+    lines pushed out by allocation pressure. End-of-model teardown is
+    reported separately (``flushed_lines``/``flush_writebacks``) so a
+    cache's eviction rate stays interpretable: a model that never
+    overflows the cache shows zero evictions even though its flush
+    drains every line.
+    """
+
+    hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+    dirty_evictions: int = 0
+    flushed_lines: int = 0
+    flush_writebacks: int = 0
+
+    @property
+    def accesses(self) -> int:
+        return self.hits + self.misses
+
+    @property
+    def hit_rate(self) -> float:
+        if self.accesses == 0:
+            return 0.0
+        return self.hits / self.accesses
+
+    def note(self, hits: int, misses: int, evictions: int,
+             dirty_evictions: int) -> None:
+        """Record a batch of accesses one drive performed."""
+        self.hits += hits
+        self.misses += misses
+        self.evictions += evictions
+        self.dirty_evictions += dirty_evictions
+
+    def reset(self) -> None:
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self.dirty_evictions = 0
+        self.flushed_lines = 0
+        self.flush_writebacks = 0
 
 
-def _flush(cache: MetadataCache, cycle: int,
-           out: CacheTrafficResult) -> None:
-    """Write every dirty line back at ``cycle`` and empty the cache."""
-    addrs = cache.flush()
-    out.extend_arrays(np.full(len(addrs), cycle, np.int64), addrs,
-                      np.ones(len(addrs), bool))
+#: An empty cache's ``(tags, dirty)`` state.
+_EMPTY_STATE = (np.empty(0, np.int64), np.empty(0, np.uint8))
 
 
-def _apply_drive_output(cache: MetadataCache, out: CacheTrafficResult,
-                        result: native.DriveOutput) -> None:
-    """Fold one drive into the traffic result and cache state."""
-    out.extend_arrays(result.ev_cycles, result.ev_addrs, result.ev_writes,
-                      misses=result.misses)
-    cache.stats.note(result.hits, result.misses, result.evictions,
-                     result.dirty_evictions)
-    cache.state = (result.state_tags, result.state_dirty)
+class MetadataTable:
+    """One metadata table behind its on-chip cache of ``capacity_bytes``
+    in 64 B lines.
 
-
-class MacTableModel:
-    """Per-unit MAC table accessed through the on-chip MAC cache."""
-
-    def __init__(self, layout: MetadataLayout, cache: MetadataCache):
-        self.layout = layout
-        self.cache = cache
-
-    def _mac_spec(self) -> Tuple:
-        """The drive's ``mac`` argument: line tags above the table's
-        base tag."""
-        return (self.layout.mac_line_addr(0) // LINE_BYTES,
-                self.cache.capacity_lines, self.cache.state)
-
-    def process(self, sides: Sequence[BlockStream],
-                out: CacheTrafficResult,
-                carry: Optional[np.ndarray] = None) -> None:
-        result, _ = _drive(sides, self.layout.unit_bytes,
-                           mac=self._mac_spec(), carry=carry)
-        _apply_drive_output(self.cache, out, result)
-
-    def flush(self, cycle: int, out: CacheTrafficResult) -> None:
-        _flush(self.cache, cycle, out)
-
-
-class VnTreeModel:
-    """VN table plus integrity tree, both through the VN cache.
-
-    On a VN-line miss the tree is walked upward; each level is looked up
-    in the same cache and the walk stops at the first hit (or the on-chip
-    root).  Writes dirty the VN line (counter increment); the tree levels
-    are re-hashed lazily on eviction, modelled by the dirty-eviction
+    A block's line index ``line`` (its address shifted by
+    :func:`drive_tables`) is the line tag ``base_tag + line`` (tag =
+    line address // 64). A VN table also holds its integrity tree as
+    ``tree = (node_base, node_div)``: a VN-line miss walks the line's
+    ancestors ``node_base[l] + line // node_div[l]`` upward in the same
+    cache and stops at the first cached one (or the on-chip root).
+    Writes dirty the VN line (counter increment); the tree levels are
+    re-hashed lazily on eviction, modelled by the dirty-eviction
     writeback of the touched nodes.
+
+    ``state`` holds the cache contents the latest drive left: int64
+    tags and uint8 dirty flags, least recent first, which the next
+    drive starts from; ``stats`` accumulates the drives' counters.
     """
 
-    def __init__(self, layout: MetadataLayout, cache: MetadataCache):
-        self.layout = layout
-        self.cache = cache
-        #: VN-line index = line tag - the table's base tag (the layout
-        #: keeps VN lines contiguous from the table base).
-        self._vn_base_tag = layout.vn_line_addr(0) // LINE_BYTES
-        #: Per level, the node base tag and the line divisor, as the
-        #: drive reads them (contiguous int64, built once).
+    __slots__ = ("capacity_lines", "base_tag", "tree", "state", "stats")
+
+    def __init__(self, capacity_bytes: int, base_tag: int,
+                 tree: Optional[Tuple[np.ndarray, np.ndarray]] = None):
+        if capacity_bytes < LINE_BYTES:
+            raise ValueError("capacity smaller than one line")
+        self.capacity_lines = capacity_bytes // LINE_BYTES
+        self.base_tag = base_tag
+        self.tree = tree
+        self.state = _EMPTY_STATE
+        self.stats = CacheStats()
+
+    @classmethod
+    def mac(cls, layout: MetadataLayout,
+            capacity_bytes: int = MAC_CACHE_BYTES) -> "MetadataTable":
+        """The per-unit MAC table of ``layout``."""
+        return cls(capacity_bytes, layout.mac_line_addr(0) // LINE_BYTES)
+
+    @classmethod
+    def vn(cls, layout: MetadataLayout,
+           capacity_bytes: int = VN_CACHE_BYTES) -> "MetadataTable":
+        """The VN table of ``layout`` with its integrity tree (the
+        layout keeps VN lines contiguous from the table base)."""
         levels = range(1, layout.tree_levels + 1)
-        self._node_base = np.array(
-            [layout.tree_node_addr(0, level) // LINE_BYTES
-             for level in levels], np.int64)
-        self._node_div = np.array([TREE_ARITY ** level for level in levels],
-                                  np.int64)
+        tree = (np.array([layout.tree_node_addr(0, level) // LINE_BYTES
+                          for level in levels], np.int64),
+                np.array([TREE_ARITY ** level for level in levels],
+                         np.int64))
+        return cls(capacity_bytes, layout.vn_line_addr(0) // LINE_BYTES,
+                   tree)
 
-    def _vn_spec(self) -> Tuple:
-        """The drive's ``vn`` argument: line tags above the VN base, and
-        the tree's node tags per level."""
-        return (self._vn_base_tag, self.cache.capacity_lines,
-                self.cache.state, self._node_base, self._node_div)
+    def spec(self) -> Tuple:
+        """The table as a drive's ``mac`` or ``vn`` argument
+        (:func:`repro.utils.native.fused_drive`)."""
+        head = (self.base_tag, self.capacity_lines, self.state)
+        return head if self.tree is None else head + self.tree
 
-    def process(self, sides: Sequence[BlockStream],
-                out: CacheTrafficResult,
-                carry: Optional[np.ndarray] = None) -> None:
-        _, result = _drive(sides, self.layout.unit_bytes,
-                           vn=self._vn_spec(), carry=carry)
-        _apply_drive_output(self.cache, out, result)
+    def apply(self, result: native.DriveOutput,
+              out: CacheTrafficResult) -> None:
+        """Fold one drive of this table into its traffic ``out``, its
+        statistics and its cache state."""
+        out.extend_arrays(result.ev_cycles, result.ev_addrs,
+                          result.ev_writes, misses=result.misses)
+        self.stats.note(result.hits, result.misses, result.evictions,
+                        result.dirty_evictions)
+        self.state = (result.state_tags, result.state_dirty)
 
-    def flush(self, cycle: int, out: CacheTrafficResult) -> None:
-        _flush(self.cache, cycle, out)
-
-
-def process_mac_vn(mac_model: MacTableModel, vn_model: VnTreeModel,
-                   sides: Sequence[BlockStream],
-                   mac_out: CacheTrafficResult,
-                   vn_out: CacheTrafficResult,
-                   carry: Optional[np.ndarray] = None) -> None:
-    """Drive the MAC table and VN tree over a layer's merged block
-    ``sides`` in one pass, continuing ``carry``
-    (:func:`repro.utils.native.new_carry`).
-
-    Both tables index by the same protection-unit line, so their run
-    boundaries coincide; one walk of the stream feeds both LRU models.
-    The two caches are independent, so per-model event order and cache
-    behaviour are identical to calling ``mac_model.process`` then
-    ``vn_model.process``.
-    """
-    mac_result, vn_result = _drive(
-        sides, mac_model.layout.unit_bytes, mac=mac_model._mac_spec(),
-        vn=vn_model._vn_spec(), carry=carry)
-    _apply_drive_output(mac_model.cache, mac_out, mac_result)
-    _apply_drive_output(vn_model.cache, vn_out, vn_result)
+    def flush(self, cycle: int) -> CacheTrafficResult:
+        """Empty the cache: every dirty line is written back at
+        ``cycle``, least recent first."""
+        tags, dirty = self.state
+        dirty = dirty != 0
+        self.stats.flushed_lines += len(tags)
+        self.stats.flush_writebacks += int(dirty.sum())
+        self.state = _EMPTY_STATE
+        addrs = tags[dirty] * LINE_BYTES
+        out = CacheTrafficResult()
+        out.extend_arrays(np.full(len(addrs), cycle, np.int64), addrs,
+                          np.ones(len(addrs), bool))
+        return out
 
 
-#: Images a batched layer actually pushes through the stateful cache
-#: models: image 0 cold, image 1 against image 0's final state. Every
+def drive_tables(sides: Sequence[BlockStream], unit_bytes: int,
+                 tables: Tuple[Optional[MetadataTable],
+                               Optional[MetadataTable]],
+                 carry: Optional[np.ndarray] = None,
+                 ) -> Tuple[Optional[native.DriveOutput],
+                            Optional[native.DriveOutput]]:
+    """One LRU drive of a ``(mac, vn)`` pair of tables (``None`` for a
+    table not driven) over the metadata lines of merged block ``sides``
+    under a ``unit_bytes`` unit, continuing ``carry``'s open line run
+    (:func:`repro.utils.native.new_carry`): the native kernel, or its
+    scalar twin. Both tables index by the same line, so one walk feeds
+    both, and each table's events and state equal a drive of it alone.
+    Returns the ``(mac, vn)`` outputs for :meth:`MetadataTable.apply`.
+
+    A block's key is its address, read in place when the kernel can
+    (:func:`repro.utils.native.column_ptrs`), and its line index the key
+    shifted by ``log2(unit_bytes * 8)``: every unit is a power of two
+    (:class:`MetadataLayout`)."""
+    columns = []
+    for side in sides:
+        ptrs = native.column_ptrs(side)
+        columns.append((side.addrs, side.writes, side.cycles) + (
+            () if ptrs is None else (ptrs[0], ptrs[2], ptrs[1])))
+    shift = (unit_bytes * ENTRIES_PER_LINE).bit_length() - 1
+    mac, vn = tables
+    specs = dict(mac=None if mac is None else mac.spec(),
+                 vn=None if vn is None else vn.spec(), carry=carry)
+    out = native.fused_drive(columns, shift, **specs)
+    return drive_scalar(columns, shift, **specs) if out is None else out
+
+
+#: Images a batched layer actually pushes through the stateful metadata
+#: tables: image 0 cold, image 1 against image 0's final state. Every
 #: further image repeats image 1's traffic increment.
 _SIMULATED_IMAGES = 2
 
@@ -631,8 +668,8 @@ def drive_window(drive, key: object, window: TraceWindow,
     """One window's image-periodic cache traffic.
 
     ``drive(sides, carry)`` must push the block ``sides`` through the
-    live cache models in one drive, continuing its ``carry`` (see
-    :func:`process_mac_vn`) and appending traffic to every result in
+    live metadata tables in one drive, continuing its ``carry`` (see
+    :func:`drive_tables`) and appending traffic to every result in
     ``outs``. ``key`` names the drive site; its state lives in the
     window's per-layer ``state`` from window to window, so a layer's
     windows drive the caches exactly as one whole-layer drive does.
@@ -704,64 +741,6 @@ def drive_window(drive, key: object, window: TraceWindow,
             starts_here = lo is None or begin >= lo
             out.extend_arrays(cycles[a:b] + shift, addrs[a:b], writes[a:b],
                               misses=misses if starts_here else 0)
-
-
-class SharedTrafficModel:
-    """Memoizes a cache model's per-window traffic on the model run.
-
-    Schemes with byte-identical cache configurations — the SGX and MGX
-    MAC tables at the same unit size — produce identical traffic when
-    driven over the same model in layer order, so the LRU drive runs
-    once per sweep cell and later schemes replay the recorded streams.
-    The wrapper relies on :meth:`ProtectionScheme.protect_model`'s
-    contract (begin, windows in order, finish); the first scheme through
-    populates the memo from its live cache, replays never touch theirs.
-    """
-
-    def __init__(self, inner, memo: dict, key: Tuple):
-        self.inner = inner
-        self.memo = memo
-        self.key = key
-
-    def peek(self, window: TraceWindow) -> Optional[CacheTrafficResult]:
-        return self.memo.get((self.key, "layer", window.layer.layer_id,
-                              window.index))
-
-    def store(self, window: TraceWindow, out: CacheTrafficResult) -> None:
-        self.memo[(self.key, "layer", window.layer.layer_id,
-                   window.index)] = out
-
-    @staticmethod
-    def release_window(memo: dict, window: TraceWindow) -> None:
-        """Drop every model's traffic memoized for one window; the
-        end-of-model flush entries stay. A layer-major cell calls this
-        once all its schemes have served the window, so no replay is
-        left to need it."""
-        tail = ("layer", window.layer.layer_id, window.index)
-        for key in [k for k in memo if k[1:] == tail]:
-            del memo[key]
-
-    def process_window(self, window: TraceWindow,
-                       sides: Sequence[BlockStream]) -> CacheTrafficResult:
-        got = self.peek(window)
-        if got is None:
-            got = CacheTrafficResult()
-            drive_window(
-                lambda sub, carry: self.inner.process(sub, got, carry),
-                self, window, sides, (got,))
-            self.store(window, got)
-        else:
-            obs.incr("shared_traffic.replays")
-        return got
-
-    def flush(self, cycle: int, out: CacheTrafficResult) -> None:
-        key = (self.key, "flush")
-        got = self.memo.get(key)
-        if got is None:
-            got = CacheTrafficResult()
-            self.inner.flush(cycle, got)
-            self.memo[key] = got
-        out.extend_from(got)
 
 
 def overfetch_columns(trace: Trace, unit_bytes: int

@@ -10,28 +10,19 @@ traffic means roughly one 64 B MAC-line fetch per eight 64 B units: the
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.accel.simulator import ModelRun
-from repro.accel.trace import BLOCK_BYTES, TraceWindow
 from repro.crypto.engine import CryptoEngineModel, parallel_engines
-from repro.integrity.caches import MAC_CACHE_BYTES, MetadataCache
-from repro.protection.base import (
-    LayerProtection,
-    ProtectionScheme,
-    SchemeSummary,
-)
+from repro.protection.base import ProtectionScheme, SchemeSummary
 from repro.protection.layout import MetadataLayout
-from repro.protection.metadata_model import (
-    MacTableModel,
-    SharedTrafficModel,
-    data_sides,
-)
+from repro.protection.metadata_model import MAC_CACHE_BYTES, MetadataTable
 from repro.protection.sgx import DEFAULT_AES_ENGINES
 
 
 class MgxScheme(ProtectionScheme):
-    """MGX-style protection: on-chip VNs, off-chip per-unit MACs."""
+    """MGX-style protection: on-chip VNs, off-chip per-unit MACs. Its
+    windows are served by :meth:`ProtectionScheme.protect_window` over
+    the MAC table alone, the same table as SGX's at the unit, whose
+    traffic the two share window by window."""
 
     cache_filtered_metadata = True
 
@@ -43,33 +34,11 @@ class MgxScheme(ProtectionScheme):
         self._mac_cache_bytes = mac_cache_bytes
         self._engines = aes_engines
         self.name = f"mgx-{unit_bytes}b"
-        self._mac_model: Optional[SharedTrafficModel] = None
 
     def begin_model(self, run: ModelRun) -> None:
-        # Shares the MAC-table traffic with SGX at the same unit size
-        # (same cache config, same stream -> identical traffic).
-        self._mac_model = SharedTrafficModel(
-            MacTableModel(self.layout, MetadataCache(self._mac_cache_bytes)),
-            run.scheme_memo, ("mac", self.unit_bytes, self._mac_cache_bytes))
-        self._reset_traffic_models(self._mac_model)
-
-    def protect_window(self, window: TraceWindow) -> LayerProtection:
-        if self._mac_model is None:
-            raise RuntimeError("begin_model must be called before protect_layer")
-        sides = data_sides(window, self.unit_bytes)
-        mac_out = self._mac_model.process_window(window, sides)
-
-        self._note_sides(sides, window.layer.layer_id)
-        blocks = sum(len(side) for side in sides)
-        return LayerProtection(
-            layer_id=window.layer.layer_id,
-            data_sides=sides,
-            metadata_sides=(mac_out,),
-            crypto_bytes=blocks * BLOCK_BYTES,
-            mac_computations=blocks,
-            overfetch_blocks=blocks - len(sides[0]),
-            aes_invocations=blocks * BLOCK_BYTES // 16,
-        )
+        del run
+        self._begin_tables(
+            MetadataTable.mac(self.layout, self._mac_cache_bytes))
 
     def crypto_engine(self) -> CryptoEngineModel:
         return parallel_engines(self._engines)

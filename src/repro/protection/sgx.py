@@ -17,30 +17,14 @@ Every off-chip data access therefore costs, beyond the data itself:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.accel.simulator import ModelRun
-from repro.accel.trace import BLOCK_BYTES, TraceWindow
 from repro.crypto.engine import CryptoEngineModel, parallel_engines
-from repro.integrity.caches import (
-    MAC_CACHE_BYTES,
-    MetadataCache,
-    VN_CACHE_BYTES,
-)
-from repro.protection.base import (
-    LayerProtection,
-    ProtectionScheme,
-    SchemeSummary,
-)
+from repro.protection.base import ProtectionScheme, SchemeSummary
 from repro.protection.layout import MetadataLayout
 from repro.protection.metadata_model import (
-    CacheTrafficResult,
-    MacTableModel,
-    SharedTrafficModel,
-    VnTreeModel,
-    data_sides,
-    drive_window,
-    process_mac_vn,
+    MAC_CACHE_BYTES,
+    VN_CACHE_BYTES,
+    MetadataTable,
 )
 
 #: Engine count used by conventional parallel-AES designs (Securator uses
@@ -49,7 +33,9 @@ DEFAULT_AES_ENGINES = 4
 
 
 class SgxScheme(ProtectionScheme):
-    """SGX-style protection at a configurable unit granularity."""
+    """SGX-style protection at a configurable unit granularity: its
+    windows are served by :meth:`ProtectionScheme.protect_window` over a
+    MAC table and a VN table with its tree."""
 
     cache_filtered_metadata = True
 
@@ -63,58 +49,12 @@ class SgxScheme(ProtectionScheme):
         self._mac_cache_bytes = mac_cache_bytes
         self._engines = aes_engines
         self.name = f"sgx-{unit_bytes}b"
-        self._mac_model: Optional[SharedTrafficModel] = None
-        self._vn_model: Optional[VnTreeModel] = None
 
     def begin_model(self, run: ModelRun) -> None:
-        # The MAC table's traffic is identical for every scheme with the
-        # same (unit, cache) config, so it is shared across the cell's
-        # schemes through the run-scoped memo (MGX reuses it).
-        self._mac_model = SharedTrafficModel(
-            MacTableModel(self.layout, MetadataCache(self._mac_cache_bytes)),
-            run.scheme_memo, ("mac", self.unit_bytes, self._mac_cache_bytes))
-        self._vn_model = VnTreeModel(
-            self.layout, MetadataCache(self._vn_cache_bytes))
-        self._reset_traffic_models(self._mac_model, self._vn_model)
-
-    def protect_window(self, window: TraceWindow) -> LayerProtection:
-        if self._mac_model is None or self._vn_model is None:
-            raise RuntimeError("begin_model must be called before protect_layer")
-        sides = data_sides(window, self.unit_bytes)
-        layer_id = window.layer.layer_id
-
-        vn_out = CacheTrafficResult()
-        mac_out = self._mac_model.peek(window)
-        if mac_out is None:
-            # First scheme through this cell: drive both tables in one
-            # fused pass (they share run boundaries) and publish the
-            # MAC traffic for MGX to replay. Batched layers go through
-            # the image-periodic wrapper: two images of real cache
-            # simulation, the steady increment repeated for the rest.
-            mac_out = CacheTrafficResult()
-            drive_window(
-                lambda sub, carry: process_mac_vn(
-                    self._mac_model.inner, self._vn_model, sub, mac_out,
-                    vn_out, carry),
-                (self, "mac+vn"), window, sides, (mac_out, vn_out))
-            self._mac_model.store(window, mac_out)
-        else:
-            drive_window(
-                lambda sub, carry: self._vn_model.process(sub, vn_out,
-                                                          carry),
-                (self, "vn"), window, sides, (vn_out,))
-
-        self._note_sides(sides, layer_id)
-        blocks = sum(len(side) for side in sides)
-        return LayerProtection(
-            layer_id=layer_id,
-            data_sides=sides,
-            metadata_sides=(mac_out, vn_out),
-            crypto_bytes=blocks * BLOCK_BYTES,
-            mac_computations=blocks,
-            overfetch_blocks=blocks - len(sides[0]),
-            aes_invocations=blocks * BLOCK_BYTES // 16,
-        )
+        del run
+        self._begin_tables(
+            MetadataTable.mac(self.layout, self._mac_cache_bytes),
+            MetadataTable.vn(self.layout, self._vn_cache_bytes))
 
     def crypto_engine(self) -> CryptoEngineModel:
         return parallel_engines(self._engines)

@@ -25,7 +25,12 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.core.config import NpuConfig, npu_config
 from repro.core.metrics import ComparisonResult
-from repro.models.zoo import WORKLOADS
+from repro.models.zoo import (
+    WORKLOADS,
+    canonical_workload_name,
+    format_workload_spec,
+    parse_workload_spec,
+)
 from repro.protection import SCHEME_NAMES
 from repro.runner.executor import (
     EvalRequest,
@@ -82,10 +87,17 @@ class EvalService:
                 timeout: Optional[float] = None) -> EvalRequest:
         """Build a grid cell from an NPU name or :class:`NpuConfig`.
 
+        The workload spec gets its one spelling per cell: abbreviations
+        resolved, neutral suffixes (``@b1``, an ``@sN`` equal to the
+        workload's default) dropped, so ``let``, ``lenet@b1`` and
+        ``lenet`` share one store fingerprint instead of caching thrice.
         Every cell is fully simulated; ``derive=True`` lets the analytic
         plane serve a ``@bN`` cell instead (:class:`EvalRequest`)."""
         if not isinstance(npu, NpuConfig):
             npu = npu_config(npu)
+        base, batch, seq = parse_workload_spec(workload)
+        workload = format_workload_spec(canonical_workload_name(base),
+                                        batch, seq)
         return EvalRequest(npu=npu, workload=workload,
                            scheme_names=tuple(scheme_names or SCHEME_NAMES),
                            derive=derive, retries=retries, timeout=timeout)

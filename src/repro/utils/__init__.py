@@ -1,4 +1,4 @@
-"""Shared low-level helpers: bit/byte manipulation and an LRU cache model."""
+"""Shared low-level helpers: bit/byte manipulation."""
 
 from repro.utils.bitops import (
     ceil_div,
@@ -8,7 +8,6 @@ from repro.utils.bitops import (
     bytes_to_int,
     xor_bytes,
 )
-from repro.utils.lru import LruCache, CacheStats
 
 __all__ = [
     "ceil_div",
@@ -17,6 +16,4 @@ __all__ = [
     "int_to_bytes",
     "bytes_to_int",
     "xor_bytes",
-    "LruCache",
-    "CacheStats",
 ]

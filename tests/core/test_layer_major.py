@@ -1,12 +1,14 @@
 """Layer-major sweep cells: the evaluation order never changes a record.
 
-``compare_schemes`` runs a cell layer by layer: every scheme protects a
-layer and has DRAM serve it, then the layer's block streams and shared
-MAC traffic are freed before the next layer is expanded. Schemes that share a MAC table
-replay whichever of them reached a layer first, so a record must not
-depend on the scheme order, and must equal a standalone whole-model
-``Pipeline.run`` on a fresh model run.
+``compare_schemes`` runs a cell window by window: every scheme protects
+a window and has DRAM serve it, then the window's block streams and
+shared MAC traffic are freed before the next window is expanded.
+Schemes that share a MAC table replay whichever of them reached a
+window first, so a record must not depend on the scheme order, and must
+equal a standalone whole-model ``Pipeline.run`` on a fresh model run.
 """
+
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from repro.core.metrics import compare_schemes
 from repro.core.pipeline import Pipeline
 from repro.models.zoo import get_workload
 from repro.protection import SCHEME_NAMES, make_scheme
-from repro.protection.metadata_model import SharedTrafficModel
+from repro.protection.base import LayerProtection, ProtectionScheme
+from repro.protection.metadata_model import CacheTrafficResult, layer_windows
 from repro.runner.records import scheme_run_to_dict
 
 #: A CNN, a batched cell (images 0 and 1 go through the metadata
@@ -36,7 +39,7 @@ def test_scheme_order_never_changes_a_record(spec):
     pipeline = Pipeline(npu_config("edge"))
     topology = get_workload(spec)
     default = _records(compare_schemes(pipeline, topology, SCHEME_NAMES))
-    # Reversed, the mgx-* schemes reach each layer first and drive the
+    # Reversed, the mgx-* schemes reach each window first and drive the
     # shared MAC tables that sgx-* then replays.
     reverse = _records(compare_schemes(pipeline, topology,
                                        SCHEME_NAMES[::-1]))
@@ -62,8 +65,13 @@ def test_layer_windows_concatenate_to_the_whole_model():
         pipeline.simulate_model(topology))
     run = pipeline.simulate_model(topology)
     scheme = make_scheme("sgx-512b")
-    windowed = [row for index in range(len(run.layers))
-                for row in scheme.protect_model(run, range(index, index + 1))]
+    windowed = []
+    for result in run.layers:
+        rows = [row for window in layer_windows(result)
+                for row in scheme.protect_model(run, window=window)]
+        windowed.append(LayerProtection.join(
+            [row for row in rows if not row.is_flush]))
+        windowed.extend(row for row in rows if row.is_flush)
     assert len(windowed) == len(whole) == len(topology) + 1  # + flush
     for got, want in zip(windowed, whole):
         assert (got.layer_id, got.is_flush, got.crypto_bytes,
@@ -74,43 +82,43 @@ def test_layer_windows_concatenate_to_the_whole_model():
         _assert_sides_equal(got.metadata_sides, want.metadata_sides)
 
 
-def test_shared_mac_traffic_lives_one_layer(monkeypatch):
-    """A layer-major cell drops a window's shared MAC traffic with its
-    streams: while a scheme stores a window's MAC traffic, the memo
-    holds that window's alone, and the finished cell keeps only the
-    flush entries. Whole-model runs over one shared model run still
-    replay it, and every record equals theirs."""
+def test_shared_mac_traffic_lives_one_window(monkeypatch):
+    """A cell's schemes share each window's MAC traffic through the
+    window: MGX reads SGX's on every window it protects (64 B and 512 B
+    tables), and once ``compare_schemes`` has moved past a window, the
+    traffic kept on it is gone. (Image 1's traffic stays with its layer
+    by design: the later images repeat it, so those windows are not
+    watched.)"""
     pipeline = Pipeline(npu_config("edge"))
     topology = get_workload("mobilenet@b4")
-    held = []
-    store = SharedTrafficModel.store
+    watched = {}    # (layer, window) -> weak references to its traffic
+    protect = ProtectionScheme.protect_window
 
-    def spy(self, window, out):
-        store(self, window, out)
-        held.append({key[2:] for key in self.memo if key[1] == "layer"})
+    def spy(self, window):
+        here = (window.layer.layer_id, window.index)
+        for seen, refs in watched.items():
+            assert seen == here or all(ref() is None for ref in refs), seen
+        row = protect(self, window)
+        if window.segment != 1:
+            watched[here] = [weakref.ref(side.cycles)
+                             for side in window.shared.values()
+                             if isinstance(side, CacheTrafficResult)]
+        return row
 
-    monkeypatch.setattr(SharedTrafficModel, "store", spy)
-    result = compare_schemes(pipeline, topology, SCHEME_NAMES)
+    monkeypatch.setattr(ProtectionScheme, "protect_window", spy)
+    recorder = obs.Recorder()
+    previous = obs.install(recorder)
+    try:
+        result = compare_schemes(pipeline, topology, SCHEME_NAMES)
+    finally:
+        obs.install(previous)
     model_run = result.baseline.model_run
     # The windows the schemes protect: not the one standing for the
     # skipped images.
     windows = sum(window.skip is None for layer in model_run.layers
                   for window in pipeline.layer_windows(model_run, layer))
     assert windows >= 3 * len(topology)        # image cuts at b4
-    assert len(held) == 2 * windows            # 64 B and 512 B tables
-    assert all(len(layers) == 1 for layers in held)
-    memo = result.baseline.model_run.scheme_memo
-    assert memo and all(key[1] == "flush" for key in memo)
-
-    recorder = obs.Recorder()
-    previous = obs.install(recorder)
-    try:
-        run = pipeline.simulate_model(topology)
-        whole = {name: scheme_run_to_dict(pipeline.run(
-            topology, make_scheme(name), model_run=run))
-            for name in SCHEME_NAMES}
-    finally:
-        obs.install(previous)
     assert recorder.counters["shared_traffic.replays"] == 2 * windows
-    records = _records(result)
-    assert all(whole[name] == records[name] for name in SCHEME_NAMES)
+    assert len(watched) >= 2 * len(topology)
+    assert all(len(refs) >= 2 for refs in watched.values())
+    assert all(ref() is None for refs in watched.values() for ref in refs)

@@ -91,13 +91,12 @@ class _EmptyStreamScheme:
 
     name = "empty-stream"
 
-    def protect_model(self, run, layers=None, window=None):
+    def protect_model(self, run, window=None):
         from repro.protection.base import LayerProtection
         if window is not None:
             return [LayerProtection(layer_id=window.layer.layer_id)]
-        span = range(len(run.layers)) if layers is None else layers
         return [LayerProtection(layer_id=layer.layer_id)
-                for layer in run.layers[span.start:span.stop]]
+                for layer in run.layers]
 
     def crypto_engine(self):
         return None

@@ -220,11 +220,10 @@ def _keyed_cell(monkeypatch, scheme_names):
     real_serve = DramSim.simulate_fast_batch_parts
 
     def spy_run(self, topology, scheme, model_run=None, collect=None,
-                layers=None, window=None):
+                window=None):
         if window is not None and not any(w is window for w in windows):
             windows.append(window)
-        return real_run(self, topology, scheme, model_run, collect,
-                        layers, window)
+        return real_run(self, topology, scheme, model_run, collect, window)
 
     def spy_serve(self, part_lists, states=None):
         entries.extend(part_lists)

@@ -1,16 +1,16 @@
-"""Metadata caches (VN cache / MAC cache): configuration, array state,
-and 64 B line addressing on the ``LruCache`` reference."""
+"""Metadata tables' caches (VN cache / MAC cache): configuration, array
+state, and 64 B line addressing on the ``LruCache`` reference."""
 
 import numpy as np
 import pytest
 
-from repro.integrity.caches import (
-    LINE_BYTES,
+from repro.protection.layout import LINE_BYTES, MetadataLayout
+from repro.protection.metadata_model import (
     MAC_CACHE_BYTES,
-    MetadataCache,
     VN_CACHE_BYTES,
+    MetadataTable,
 )
-from repro.utils.lru import LruCache
+from tests.lru import LruCache
 
 
 class TestConfiguration:
@@ -19,40 +19,41 @@ class TestConfiguration:
         assert MAC_CACHE_BYTES == 8 << 10
 
     def test_line_capacity(self):
-        cache = MetadataCache(VN_CACHE_BYTES)
-        assert cache.capacity_lines == 256
+        layout = MetadataLayout(64)
+        assert MetadataTable.vn(layout).capacity_lines == 256
+        assert MetadataTable.mac(layout).capacity_lines == 128
 
     def test_too_small(self):
         with pytest.raises(ValueError):
-            MetadataCache(32)
+            MetadataTable(32, 0)
 
     def test_bad_line_size(self):
         """Lines are 64 B: the line size is not an option."""
-        assert MetadataCache(1024).capacity_lines == 1024 // LINE_BYTES
+        assert MetadataTable(1024, 0).capacity_lines == 1024 // LINE_BYTES
         with pytest.raises(TypeError):
-            MetadataCache(1024, line_bytes=32)
+            MetadataTable(1024, 0, line_bytes=32)
 
 
 def _filled(tags, dirty):
-    cache = MetadataCache(1024)
-    cache.state = (np.array(tags, np.int64), np.array(dirty, np.uint8))
-    return cache
+    table = MetadataTable(1024, 0)
+    table.state = (np.array(tags, np.int64), np.array(dirty, np.uint8))
+    return table
 
 
 class TestArrayState:
     def test_flush_counts_and_empties(self):
         """``flush`` counts teardown apart from evictions and leaves the
-        empty state a new cache starts from."""
-        cache = _filled([5, 3, 9, 1], [1, 0, 1, 0])
-        cache.flush()
-        assert cache.stats.flushed_lines == 4
-        assert cache.stats.flush_writebacks == 2
-        assert (cache.stats.evictions, cache.stats.dirty_evictions) == (0, 0)
-        for state in (cache.state, MetadataCache(1024).state):
+        empty state a new table starts from."""
+        table = _filled([5, 3, 9, 1], [1, 0, 1, 0])
+        table.flush(0)
+        assert table.stats.flushed_lines == 4
+        assert table.stats.flush_writebacks == 2
+        assert (table.stats.evictions, table.stats.dirty_evictions) == (0, 0)
+        for state in (table.state, MetadataTable(1024, 0).state):
             assert [(len(col), col.dtype) for col in state] == \
                 [(0, np.int64), (0, np.uint8)]
-        assert len(cache.flush()) == 0
-        assert cache.stats.flushed_lines == 4
+        assert len(table.flush(0)) == 0
+        assert table.stats.flushed_lines == 4
 
 
 class TestLineAddressing:
@@ -78,18 +79,21 @@ class TestLineAddressing:
         assert writeback * LINE_BYTES == 0
 
     def test_flush_addresses(self):
-        """``flush`` returns the dirty lines' addresses least recent
-        first, the order ``LruCache.flush`` returns their tags in."""
+        """``flush`` writes the dirty lines back least recent first, at
+        the flush cycle, the order ``LruCache.flush`` returns their tags
+        in."""
         ref = LruCache(4)
         for addr, write in ((320, True), (64, False), (128, True),
                             (0, True), (64, True), (192, False)):
             ref.access(addr // LINE_BYTES, write=write)
         lines = list(ref.raw_lines.items())
-        cache = _filled([tag for tag, _ in lines],
+        table = _filled([tag for tag, _ in lines],
                         [dirty for _, dirty in lines])
         want = [tag * LINE_BYTES for tag in ref.flush()]
         assert want == [128, 0, 64]
-        assert cache.flush().tolist() == want
+        out = table.flush(77)
+        assert out.addrs.tolist() == want
+        assert out.cycles.tolist() == [77] * 3 and out.writes.all()
 
     def test_streaming_miss_rate(self):
         """A pure streaming pattern misses once per line."""

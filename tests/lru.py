@@ -1,66 +1,19 @@
-"""A set-associative-free (fully associative) LRU cache model.
+"""A fully associative LRU cache, one access at a time: the
+independent reference the metadata tables' LRU drives
+(:mod:`repro.protection.metadata_model`) are tested against.
 
-Used to model the on-chip VN cache and MAC cache of SGX-style memory
-protection (write-back, write-allocate), as configured in the paper's
-evaluation setup: 16 KB VN cache and 8 KB MAC cache with LRU replacement.
-
-The model tracks *behaviour* (hits, misses, dirty evictions), not contents:
-a cache line is identified by its tag (for the protection models, the
-metadata block address).
+Write-back and write-allocate, as the paper's VN and MAC caches are
+(Section IV-A). The model tracks *behaviour* (hits, misses, dirty
+evictions), not contents: a cache line is identified by its tag (for
+the metadata tables, the line address // 64).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Hashable, List, Optional, Tuple
 
-
-@dataclass
-class CacheStats:
-    """Aggregate access statistics for one :class:`LruCache`.
-
-    ``evictions``/``dirty_evictions`` count *capacity* behaviour only —
-    lines pushed out by allocation pressure. End-of-model teardown is
-    reported separately (``flushed_lines``/``flush_writebacks``) so a
-    cache's eviction rate stays interpretable: a model that never
-    overflows the cache shows zero evictions even though its flush
-    drains every line.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    dirty_evictions: int = 0
-    flushed_lines: int = 0
-    flush_writebacks: int = 0
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        if self.accesses == 0:
-            return 0.0
-        return self.hits / self.accesses
-
-    def note(self, hits: int, misses: int, evictions: int,
-             dirty_evictions: int) -> None:
-        """Record a batch of accesses performed by an external driver
-        (the metadata caches' LRU drives)."""
-        self.hits += hits
-        self.misses += misses
-        self.evictions += evictions
-        self.dirty_evictions += dirty_evictions
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.dirty_evictions = 0
-        self.flushed_lines = 0
-        self.flush_writebacks = 0
+from repro.protection.metadata_model import CacheStats
 
 
 class LruCache:

@@ -10,8 +10,8 @@ agree are one access, also across the side boundary, with their write
 flags OR'd and the first block's cycle.  The reference merges the
 sides with a stable sort, compresses blocks to runs with its own
 ``itertools.groupby`` loop, then drives :meth:`LruCache.access` (and,
-at the model level, ``LruCache`` over layout addresses, tag = address
-// 64).  Each available tier must match it event for event: the
+for :class:`MetadataTable` drives through :func:`drive_tables`,
+``LruCache`` over layout addresses, tag = address // 64).  Each available tier must match it event for event: the
 same miss/writeback stream in the same order, the same statistics and
 the same final contents.  Inputs: randomized and adversarial block
 streams at key shifts 0, 6, 9 and 12 (adjacent duplicate keys, writes
@@ -33,25 +33,26 @@ import pytest
 from repro import obs
 from repro.accel import trace as trace_module
 from repro.accel.trace import AccessKind, BlockStream, Trace, TraceRange
-from repro.integrity.caches import MetadataCache
 from repro.protection.layout import MetadataLayout
 from repro.protection.metadata_model import (
     CacheTrafficResult,
-    MacTableModel,
-    VnTreeModel,
+    MetadataTable,
     data_sides,
     drive_scalar,
+    drive_tables,
     drive_window,
     layer_windows,
-    process_mac_vn,
 )
 from repro.utils import native
-from repro.utils.lru import LruCache
+from tests.lru import LruCache
 from tests.streams import (
     EventLog,
     events,
+    mac_line_addrs,
     merge_sides,
     sorted_blocks,
+    vn_line_addrs,
+    vn_line_indices,
     whole_data_sides,
 )
 
@@ -80,7 +81,7 @@ def drive(request):
 
 @pytest.fixture(params=["scalar", "kernel"])
 def tier(request, monkeypatch):
-    """Each available drive tier, serving the cache models."""
+    """Each available drive tier, serving the metadata tables."""
     if request.param == "kernel":
         if not native.available():
             pytest.skip("no compiled kernel on this host")
@@ -320,7 +321,7 @@ class TestDriveVsReference:
         """A second drive from the first one's final state equals one
         drive over both halves (split between two runs), whether the
         state is handed over as fresh ``(tags, dirty)`` arrays or as the
-        first drive's own output arrays, as the cache models pass it;
+        first drive's own output arrays, as the metadata tables pass it;
         the initial state is never mutated."""
         rng = np.random.default_rng(5)
         tags = rng.integers(0, 40, 400)
@@ -488,7 +489,7 @@ def _random_stream(seed, n=80):
 
 class ReferenceModels:
     """MAC table and VN tree driven by ``LruCache.access`` over layout
-    addresses (tag = address // 64), independent of the models' tag
+    addresses (tag = address // 64), independent of the tables' tag
     arithmetic."""
 
     def __init__(self, layout, mac_bytes, vn_bytes):
@@ -501,7 +502,7 @@ class ReferenceModels:
     def process(self, stream):
         layout = self.layout
         for addr, wr, cyc in reference_runs(
-                layout.mac_line_addrs_vec(stream.addrs), stream.writes,
+                mac_line_addrs(layout, stream.addrs), stream.writes,
                 stream.cycles):
             hit, wb = self.mac.access(addr // LINE, write=wr)
             if not hit:
@@ -509,9 +510,9 @@ class ReferenceModels:
             if wb is not None:
                 self.mac_out.extend_writeback(cyc, wb * LINE)
         for addr, wr, cyc in reference_runs(
-                layout.vn_line_addrs_vec(stream.addrs), stream.writes,
+                vn_line_addrs(layout, stream.addrs), stream.writes,
                 stream.cycles):
-            leaf = layout.vn_line_index_of_addr(addr)
+            leaf = vn_line_indices(layout, addr)
             for level in range(layout.tree_levels + 1):
                 if level:
                     addr = layout.tree_node_addr(leaf, level)
@@ -529,11 +530,20 @@ class ReferenceModels:
 
 
 def _contents(cache):
-    """A model's or a reference's cache contents, least recent first."""
+    """A table's or a reference's cache contents, least recent first."""
     if isinstance(cache, LruCache):
         return list(cache.raw_lines.items())
     tags, dirty = cache.state
     return list(zip(tags.tolist(), (dirty != 0).tolist()))
+
+
+def _drive(tables, sides, unit_bytes, outs, carry=None):
+    """One :func:`drive_tables` call, each driven table's output folded
+    into the table and its traffic."""
+    for table, result, out in zip(
+            tables, drive_tables(sides, unit_bytes, tables, carry), outs):
+        if table is not None:
+            table.apply(result, out)
 
 
 def _snapshot(mac_cache, vn_cache, mac_out, vn_out):
@@ -548,59 +558,59 @@ def _snapshot(mac_cache, vn_cache, mac_out, vn_out):
 class TestModelsVsReference:
     @pytest.mark.parametrize("between", ["pending", "flush"])
     def test_fused_models_across_drives(self, tier, between):
-        """Two drives per model pair. The second starts from the state
-        arrays the first left pending in the caches, or from the empty
-        caches a mid-stream flush leaves."""
+        """Two fused drives of a MAC and a VN table. The second starts
+        from the state arrays the first left pending in the tables, or
+        from the empty caches a mid-stream flush leaves."""
         for unit_bytes, seed in itertools.product((64, 512), range(6)):
             layout = MetadataLayout(unit_bytes)
             stream = _random_stream(seed)
-            mac = MacTableModel(layout, MetadataCache(512))
-            vn = VnTreeModel(layout, MetadataCache(1024))
-            mac_out, vn_out = CacheTrafficResult(), CacheTrafficResult()
+            tables = (MetadataTable.mac(layout, 512),
+                      MetadataTable.vn(layout, 1024))
+            outs = (CacheTrafficResult(), CacheTrafficResult())
             ref = ReferenceModels(layout, 512, 1024)
             for step in range(2):
-                process_mac_vn(mac, vn, (stream,), mac_out, vn_out)
+                _drive(tables, (stream,), unit_bytes, outs)
                 ref.process(stream)
                 if step == 0 and between == "flush":
-                    mac.flush(99_999, mac_out)
-                    vn.flush(99_999, vn_out)
+                    for table, out in zip(tables, outs):
+                        out.extend_from(table.flush(99_999))
                     ref.flush(99_999)
-            assert _snapshot(mac.cache, vn.cache, mac_out, vn_out) == \
+            assert _snapshot(*tables, *outs) == \
                 _snapshot(ref.mac, ref.vn, ref.mac_out, ref.vn_out)
 
     @pytest.mark.parametrize("unit_bytes", [64, 512])
     @pytest.mark.parametrize("vn_lines", [64, 32])
     def test_single_models(self, tier, unit_bytes, vn_lines):
-        """Single-model drives (``MacTableModel.process``, then
-        ``VnTreeModel.process``), under a VN cache of 64 or 32 lines."""
+        """Single-table drives (the MAC table alone, then the VN table
+        alone), under a VN cache of 64 or 32 lines."""
         layout = MetadataLayout(unit_bytes)
         vn_bytes = vn_lines * LINE
         for seed in (11, 12):
             stream = _random_stream(seed)
-            mac = MacTableModel(layout, MetadataCache(512))
-            vn = VnTreeModel(layout, MetadataCache(vn_bytes))
+            mac = MetadataTable.mac(layout, 512)
+            vn = MetadataTable.vn(layout, vn_bytes)
             mac_out, vn_out = CacheTrafficResult(), CacheTrafficResult()
             ref = ReferenceModels(layout, 512, vn_bytes)
             for _ in range(2):
-                mac.process((stream,), mac_out)
-                vn.process((stream,), vn_out)
+                _drive((mac, None), (stream,), unit_bytes, (mac_out, None))
+                _drive((None, vn), (stream,), unit_bytes, (None, vn_out))
                 ref.process(stream)
-            assert _snapshot(mac.cache, vn.cache, mac_out, vn_out) == \
+            assert _snapshot(mac, vn, mac_out, vn_out) == \
                 _snapshot(ref.mac, ref.vn, ref.mac_out, ref.vn_out)
 
     @staticmethod
-    def _drive_layer(trace, batch, image_cycles, mac, vn, outs):
+    def _drive_layer(trace, batch, image_cycles, unit_bytes, tables, outs):
         """Drive a layer's windows (a batched layer's image cuts
-        included) through the fused models, as a scheme does."""
+        included) through fused drives of the tables, as a scheme
+        does."""
         layer = SimpleNamespace(layer=SimpleNamespace(batch=batch),
                                 compute_cycles=batch * image_cycles,
                                 start_cycle=0, trace=trace, layer_id=0)
         for window in layer_windows(layer):
             drive_window(
-                lambda sub, carry: process_mac_vn(mac, vn, sub, *outs,
-                                                  carry),
-                "fused", window, data_sides(window, mac.layout.unit_bytes),
-                outs)
+                lambda sub, carry: _drive(tables, sub, unit_bytes, outs,
+                                          carry),
+                "fused", window, data_sides(window, unit_bytes), outs)
 
     def test_sides_cut_at_the_same_image_bounds(self, tier):
         """A 512 B layer's data and over-fetch sides through
@@ -635,18 +645,17 @@ class TestModelsVsReference:
         sides = whole_data_sides(trace, 512)
         assert all(len(side) for side in sides)
         merged = merge_sides(sides)
-        mac = MacTableModel(layout, MetadataCache(256))
-        vn = VnTreeModel(layout, MetadataCache(vn_bytes))
+        mac = MetadataTable.mac(layout, 256)
+        vn = MetadataTable.vn(layout, vn_bytes)
         mac_out, vn_out = CacheTrafficResult(), CacheTrafficResult()
         ref = ReferenceModels(layout, 256, vn_bytes)
-        self._drive_layer(trace, 4, 500, mac, vn, (mac_out, vn_out))
+        self._drive_layer(trace, 4, 500, 512, (mac, vn), (mac_out, vn_out))
         for lo, hi in ((0, 500), (500, 1000)):
             keep = (merged.cycles >= lo) & (merged.cycles < hi)
             ref.process(BlockStream(merged.cycles[keep], merged.addrs[keep],
                                     merged.writes[keep],
                                     merged.layer_ids[keep]))
-        stats, streams, *state = _snapshot(mac.cache, vn.cache, mac_out,
-                                           vn_out)
+        stats, streams, *state = _snapshot(mac, vn, mac_out, vn_out)
         want_stats, want_streams, *want_state = _snapshot(
             ref.mac, ref.vn, ref.mac_out, ref.vn_out)
         assert (stats, state) == (want_stats, want_state)
@@ -667,20 +676,19 @@ class TestModelsVsReference:
             np.zeros(n, np.int32))
         trace = Trace([TraceRange(i, 64 * i, 64, i % 5 == 2,
                                   AccessKind.IFMAP, 0) for i in range(n)])
-        mac = MacTableModel(layout, MetadataCache(512))
-        vn = VnTreeModel(layout, MetadataCache(1024))
+        mac = MetadataTable.mac(layout, 512)
+        vn = MetadataTable.vn(layout, 1024)
         mac_out, vn_out = CacheTrafficResult(), CacheTrafficResult()
         ref = ReferenceModels(layout, 512, 1024)
-        self._drive_layer(trace, 3, 4, mac, vn, (mac_out, vn_out))
+        self._drive_layer(trace, 3, 4, 64, (mac, vn), (mac_out, vn_out))
         for lo, hi in ((0, 4), (4, 8)):
             ref.process(BlockStream(stream.cycles[lo:hi],
                                     stream.addrs[lo:hi],
                                     stream.writes[lo:hi],
                                     stream.layer_ids[lo:hi]))
-        assert (mac.cache.stats.hits, mac.cache.stats.misses) == (1, 1)
-        assert vn.cache.stats.hits == 1
-        stats, streams, *state = _snapshot(mac.cache, vn.cache, mac_out,
-                                           vn_out)
+        assert (mac.stats.hits, mac.stats.misses) == (1, 1)
+        assert vn.stats.hits == 1
+        stats, streams, *state = _snapshot(mac, vn, mac_out, vn_out)
         want_stats, want_streams, *want_state = _snapshot(
             ref.mac, ref.vn, ref.mac_out, ref.vn_out)
         assert (stats, state) == (want_stats, want_state)

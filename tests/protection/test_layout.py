@@ -5,6 +5,7 @@ import pytest
 
 from repro.accel.layout import METADATA_BASE, PROTECTED_REGION_BYTES
 from repro.protection.layout import MetadataLayout
+from tests.streams import mac_line_addrs, vn_line_indices
 
 
 class TestUnits:
@@ -44,7 +45,7 @@ class TestMacTable:
     def test_vectorized_matches_scalar(self):
         layout = MetadataLayout(64)
         addrs = np.arange(100, dtype=np.uint64) * 64
-        vec = layout.mac_line_addrs_vec(addrs)
+        vec = mac_line_addrs(layout, addrs)
         for addr, line in zip(addrs, vec):
             assert line == layout.mac_line_addr(layout.unit_of(int(addr)))
 
@@ -86,7 +87,7 @@ class TestVnAndTree:
     def test_vn_line_index_roundtrip(self):
         layout = MetadataLayout(64)
         addr = layout.vn_line_addr(100)
-        assert layout.vn_line_index_of_addr(addr) == layout.vn_line_index(100)
+        assert vn_line_indices(layout, addr) == layout.vn_line_index(100)
 
 
 class TestStorageOverhead:

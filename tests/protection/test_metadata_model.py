@@ -1,4 +1,4 @@
-"""Shared metadata-traffic machinery: run compression, cache models,
+"""Shared metadata-traffic machinery: run compression, metadata tables,
 over-fetch."""
 
 from types import SimpleNamespace
@@ -12,14 +12,13 @@ from repro.accel.trace import (
     TraceRange,
     kind_code,
 )
-from repro.integrity.caches import MetadataCache
 from repro.protection.layout import MetadataLayout
 from repro.protection.metadata_model import (
     CacheTrafficResult,
-    MacTableModel,
-    VnTreeModel,
+    MetadataTable,
     compress_runs,
     data_sides,
+    drive_tables,
 )
 from tests.streams import sorted_blocks
 
@@ -31,6 +30,13 @@ def _stream(addrs, writes=None):
         for i, a in enumerate(addrs)
     ])
     return sorted_blocks(trace)
+
+
+def _process(table, stream, out, vn=False):
+    """Drive one table over a 64 B-unit stream into ``out``."""
+    tables = (None, table) if vn else (table, None)
+    result = drive_tables((stream,), 64, tables)[vn]
+    table.apply(result, out)
 
 
 class TestCompressRuns:
@@ -67,31 +73,28 @@ class TestMacTableModel:
     def test_streaming_one_miss_per_line(self):
         """Sequential 64 B units: one MAC-line fetch per 8 units —
         the 12.5% MGX overhead, via 64 B per 8 x 64 B."""
-        layout = MetadataLayout(64)
-        model = MacTableModel(layout, MetadataCache(8 << 10))
+        table = MetadataTable.mac(MetadataLayout(64))
         stream = _stream([64 * i for i in range(256)])
         out = CacheTrafficResult()
-        model.process((stream,), out)
+        _process(table, stream, out)
         assert out.misses == 256 // 8
 
     def test_writes_produce_writebacks_eventually(self):
-        layout = MetadataLayout(64)
-        cache = MetadataCache(64)  # single line -> immediate evictions
-        model = MacTableModel(layout, cache)
+        table = MetadataTable.mac(MetadataLayout(64), 64)  # single line
         stream = _stream([64 * 8 * i for i in range(4)],
                          writes=[True] * 4)
         out = CacheTrafficResult()
-        model.process((stream,), out)
-        model.flush(99, out)
+        _process(table, stream, out)
+        out.extend_from(table.flush(99))
         writes = int(out.writes.sum())
         assert writes == 4  # every dirtied line written back exactly once
 
     def test_metadata_addresses_in_mac_table(self):
         layout = MetadataLayout(64)
-        model = MacTableModel(layout, MetadataCache(8 << 10))
+        table = MetadataTable.mac(layout)
         stream = _stream([0, 64 * 100])
         out = CacheTrafficResult()
-        model.process((stream,), out)
+        _process(table, stream, out)
         for addr in out.addrs:
             assert addr >= layout.mac_line_addr(0)
 
@@ -99,32 +102,30 @@ class TestMacTableModel:
 class TestVnTreeModel:
     def test_cold_miss_walks_tree(self):
         layout = MetadataLayout(64)
-        model = VnTreeModel(layout, MetadataCache(16 << 10))
-        stream = _stream([0])
+        table = MetadataTable.vn(layout)
         out = CacheTrafficResult()
-        model.process((stream,), out)
+        _process(table, _stream([0]), out, vn=True)
         # First access: VN line miss + every tree level missed.
         assert out.misses == 1 + layout.tree_levels
 
     def test_warm_tree_short_walks(self):
         """Later VN misses stop at the first cached ancestor."""
         layout = MetadataLayout(64)
-        model = VnTreeModel(layout, MetadataCache(16 << 10))
+        table = MetadataTable.vn(layout)
         # 64 sequential VN lines (8*64 units) share low tree ancestors.
         stream = _stream([64 * u for u in range(8 * 64)])
         out = CacheTrafficResult()
-        model.process((stream,), out)
+        _process(table, stream, out, vn=True)
         cold_walk = 1 + layout.tree_levels
         # Far fewer than a cold walk per VN line.
         assert out.misses < 64 * cold_walk / 2
 
     def test_hits_produce_no_traffic(self):
-        layout = MetadataLayout(64)
-        model = VnTreeModel(layout, MetadataCache(16 << 10))
+        table = MetadataTable.vn(MetadataLayout(64))
         out = CacheTrafficResult()
-        model.process((_stream([0]),), out)
+        _process(table, _stream([0]), out, vn=True)
         first = len(out.addrs)
-        model.process((_stream([0]),), out)
+        _process(table, _stream([0]), out, vn=True)
         assert len(out.addrs) == first
 
 

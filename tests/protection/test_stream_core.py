@@ -13,26 +13,28 @@ from repro.accel.trace import (
     TraceRange,
     kind_code,
 )
-from repro.integrity.caches import LINE_BYTES as LINE, MetadataCache
+from repro import obs
 from repro.models.layer import conv
 from repro.models.topology import Topology
-from repro.protection.layout import MetadataLayout
+from repro.protection.layout import LINE_BYTES as LINE, MetadataLayout
 from repro.protection.metadata_model import (
     CacheTrafficResult,
-    MacTableModel,
-    VnTreeModel,
+    MetadataTable,
     compress_runs,
     data_sides,
+    drive_tables,
     layer_windows,
-    process_mac_vn,
 )
-from repro.utils.lru import LruCache
+from tests.lru import LruCache
 from tests.streams import (
     EventLog,
     events,
+    mac_line_addrs,
     merge_sides,
     overfetch_ranges,
     sorted_blocks,
+    vn_line_addrs,
+    vn_line_indices,
 )
 
 
@@ -104,7 +106,7 @@ class TestFusedMacVn:
         vn_cache = LruCache(vn_bytes // LINE)
         mac_out = EventLog()
         vn_out = EventLog()
-        lines = layout.mac_line_addrs_vec(stream.addrs).astype(np.uint64)
+        lines = mac_line_addrs(layout, stream.addrs).astype(np.uint64)
         rl, rw, rc = compress_runs(lines, stream.writes, stream.cycles)
         for i in range(len(rl)):
             hit, wb = mac_cache.access(int(rl[i]) // LINE,
@@ -113,9 +115,9 @@ class TestFusedMacVn:
                 mac_out.extend_miss(int(rc[i]), int(rl[i]))
             if wb is not None:
                 mac_out.extend_writeback(int(rc[i]), wb * LINE)
-        vlines = layout.vn_line_addrs_vec(stream.addrs).astype(np.uint64)
+        vlines = vn_line_addrs(layout, stream.addrs).astype(np.uint64)
         rl, rw, rc = compress_runs(vlines, stream.writes, stream.cycles)
-        leaves = layout.vn_line_indices_vec(rl.astype(np.int64))
+        leaves = vn_line_indices(layout, rl.astype(np.int64))
         for i in range(len(rl)):
             addr, cyc, wr = int(rl[i]), int(rc[i]), bool(rw[i])
             hit, wb = vn_cache.access(addr // LINE, write=wr)
@@ -143,11 +145,14 @@ class TestFusedMacVn:
             mac_bytes, vn_bytes = 512, 1024
             want_mac, want_vn = self._reference(layout, stream,
                                                 mac_bytes, vn_bytes)
-            mac_model = MacTableModel(layout, MetadataCache(mac_bytes))
-            vn_model = VnTreeModel(layout, MetadataCache(vn_bytes))
+            tables = (MetadataTable.mac(layout, mac_bytes),
+                      MetadataTable.vn(layout, vn_bytes))
             got_mac = CacheTrafficResult()
             got_vn = CacheTrafficResult()
-            process_mac_vn(mac_model, vn_model, (stream,), got_mac, got_vn)
+            for table, result, out in zip(
+                    tables, drive_tables((stream,), 64, tables),
+                    (got_mac, got_vn)):
+                table.apply(result, out)
             for got, want in ((got_mac, want_mac), (got_vn, want_vn)):
                 assert events(got) == events(want)
 
@@ -155,37 +160,52 @@ class TestFusedMacVn:
         layout = MetadataLayout(64)
         stream = sorted_blocks(_random_trace(11, n=80))
         want_mac, want_vn = self._reference(layout, stream, 512, 1024)
-        mac_model = MacTableModel(layout, MetadataCache(512))
+        mac = MetadataTable.mac(layout, 512)
         got_mac = CacheTrafficResult()
-        mac_model.process((stream,), got_mac)
-        vn_model = VnTreeModel(layout, MetadataCache(1024))
+        mac.apply(drive_tables((stream,), 64, (mac, None))[0], got_mac)
+        vn = MetadataTable.vn(layout, 1024)
         got_vn = CacheTrafficResult()
-        vn_model.process((stream,), got_vn)
+        vn.apply(drive_tables((stream,), 64, (None, vn))[1], got_vn)
         assert events(got_mac) == events(want_mac)
         assert events(got_vn) == events(want_vn)
 
 
 class TestSharedMacTraffic:
     def test_mgx_replays_sgx_mac_traffic(self):
-        """MGX after SGX (shared memo) equals MGX run standalone."""
-        from repro.accel.simulator import AcceleratorSim
-        from repro.accel.systolic import SystolicArray
+        """MGX served each window after SGX reads SGX's MAC traffic, and
+        its MAC flush, off the window instead of driving its own table;
+        its rows equal MGX's on fresh windows of its own."""
         from repro.protection.mgx import MgxScheme
         from repro.protection.sgx import SgxScheme
-        from repro.tiling.tile import SramBudget
 
-        sim = AcceleratorSim(SystolicArray(16, 16), SramBudget.split(64 << 10))
-        topo = Topology("t", [conv("c1", 34, 34, 3, 3, 8, 16),
-                              conv("c2", 32, 32, 3, 3, 16, 16)])
+        shared_run = _small_run()
+        sgx, mgx = SgxScheme(64), MgxScheme(64)
+        recorder = obs.Recorder()
+        previous = obs.install(recorder)
+        try:
+            replayed, windows = [], 0
+            for result in shared_run.layers:
+                for window in layer_windows(result):
+                    first, *_ = sgx.protect_model(shared_run, window=window)
+                    rows = mgx.protect_model(shared_run, window=window)
+                    assert rows[0].metadata_sides[0] is \
+                        first.metadata_sides[0]
+                    replayed.extend(rows)
+                    windows += 1
+        finally:
+            obs.install(previous)
+        assert recorder.counters["shared_traffic.replays"] == windows
+        mac, vn = mgx._tables
+        assert vn is None and mac.stats.accesses == 0
 
-        shared_run = sim.run(topo)
-        SgxScheme(64).protect_model(shared_run)       # populates the memo
-        replayed = MgxScheme(64).protect_model(shared_run)
-
-        fresh_run = sim.run(topo)
-        standalone = MgxScheme(64).protect_model(fresh_run)
-
+        fresh_run = _small_run()
+        alone = MgxScheme(64)
+        standalone = [row for result in fresh_run.layers
+                      for window in layer_windows(result)
+                      for row in alone.protect_model(fresh_run,
+                                                     window=window)]
         assert len(replayed) == len(standalone)
+        assert replayed[-1].is_flush
         for a, b in zip(replayed, standalone):
             assert [events(side) for side in a.metadata_sides] == \
                 [events(side) for side in b.metadata_sides]

@@ -80,6 +80,18 @@ class TestDiskCache:
                 assert got.traffic(scheme) == expected.traffic(scheme)
                 assert got.performance(scheme) == expected.performance(scheme)
 
+    def test_one_store_entry_per_cell_spelling(self, tmp_path):
+        """``lenet``, ``lenet@b1`` and the abbreviation ``let`` spell one
+        cell: one computation, one store entry, one result."""
+        store = ResultStore(tmp_path / "cache")
+        service, computed = counting_service(store=store)
+        results = [service.compare("server", spec, SCHEMES)
+                   for spec in ("lenet", "lenet@b1", "let")]
+        assert computed == ["lenet"]
+        assert store.entries() == 1
+        assert results[0] is results[1] is results[2]
+        assert service.request("server", "gpt2@s128@b1").workload == "gpt2"
+
     def test_resumable_sweep(self, tmp_path):
         # First run "dies" after completing one of three cells...
         store = ResultStore(tmp_path / "cache")

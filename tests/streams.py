@@ -23,7 +23,7 @@ from repro.accel.trace import (
     empty_block_stream,
     kind_code,
 )
-from repro.protection.layout import LINE_BYTES
+from repro.protection.layout import ENTRIES_PER_LINE, LINE_BYTES
 from repro.protection.metadata_model import overfetch_columns
 from repro.utils.bitops import align_down, align_up
 
@@ -210,3 +210,24 @@ def events(result) -> tuple:
     return (np.asarray(result.cycles, np.int64).tolist(),
             np.asarray(result.addrs, np.int64).tolist(),
             np.asarray(result.writes, bool).tolist(), result.misses)
+
+
+def mac_line_addrs(layout, block_addrs):
+    """The MAC-line address of each block address under ``layout``:
+    :meth:`MetadataLayout.mac_line_addr` of its unit, vectorized."""
+    units = block_addrs // layout.unit_bytes
+    return layout.mac_line_addr(0) + (units // ENTRIES_PER_LINE) * LINE_BYTES
+
+
+def vn_line_addrs(layout, block_addrs):
+    """The VN-line address of each block address under ``layout``:
+    :meth:`MetadataLayout.vn_line_addr` of its unit, vectorized."""
+    units = block_addrs // layout.unit_bytes
+    return layout.vn_line_addr(0) + (units // ENTRIES_PER_LINE) * LINE_BYTES
+
+
+def vn_line_indices(layout, vn_line_addrs):
+    """The VN-line index (:meth:`MetadataLayout.vn_line_index`) of VN
+    line addresses, one or an array of them: lines lie contiguous from
+    the table base."""
+    return (vn_line_addrs - layout.vn_line_addr(0)) // LINE_BYTES

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.lru import LruCache
+from tests.lru import LruCache
 
 
 class TestBasicBehaviour:
